@@ -187,8 +187,22 @@ func BenchmarkSolarGenerateWeek(b *testing.B) {
 
 func BenchmarkWorkloadGenerateWeek(b *testing.B) {
 	cfg := workload.DefaultGen()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := workload.Generate(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkNewCluster times building the reference cluster: node and disk
+// construction plus the rendezvous placement of every object's replicas,
+// the set-up cost every run, service open and recovery pays.
+func BenchmarkNewCluster(b *testing.B) {
+	cfg := storage.DefaultConfig()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := storage.NewCluster(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/power"
 	"repro/internal/units"
@@ -244,60 +243,88 @@ func (c *Cluster) tierOf(obj int) int {
 	return len(c.cfg.Tiers) - 1
 }
 
+// scoredDisk is a placement candidate: a disk and its rendezvous weight for
+// the object being placed.
+type scoredDisk struct {
+	id    DiskID
+	score uint64
+}
+
+// insertTop adds cd to top, which holds at most k candidates ordered by
+// score descending, and returns the updated slice. Candidates must arrive
+// in ascending DiskID order: a newcomer then ranks after every held
+// candidate of equal score, so top is ordered by (score desc, DiskID asc).
+func insertTop(top []scoredDisk, cd scoredDisk, k int) []scoredDisk {
+	i := len(top)
+	for i > 0 && top[i-1].score < cd.score {
+		i--
+	}
+	if i == k {
+		return top
+	}
+	if len(top) < k {
+		top = append(top, scoredDisk{})
+	}
+	copy(top[i+1:], top[i:len(top)-1])
+	top[i] = cd
+	return top
+}
+
 // placeObjects assigns each object to Replicas distinct disks by rendezvous
 // (highest-random-weight) hashing, constrained to distinct nodes whenever
 // the eligible node set has at least Replicas nodes. With tiers, an
 // object's candidates are restricted to its tier's disks. Placement is a
 // pure function of (object count, topology), so experiments with identical
 // topology see identical layouts.
+//
+// The definition is: sort the eligible disks by (score desc, DiskID asc)
+// and take them greedily, skipping a node already used when nodes must be
+// distinct. A node's first disk in that order is its best disk, so the
+// greedy pick is the Replicas best nodes ranked by their best disk; without
+// the node constraint it is the Replicas best disks. placeObjects computes
+// exactly that in one pass over the disks, keeping the running top
+// Replicas in a small insertion buffer: O(disks·Replicas) per object, with
+// no per-object scratch beyond the replica list itself.
 func (c *Cluster) placeObjects() {
-	type cand struct {
-		id    DiskID
-		score uint64
+	r := c.cfg.Replicas
+	// Untiered clusters have every node in tier 0, which is also what
+	// tierOf returns, so one eligibility test serves both shapes.
+	tierNodes := make([]int, max(1, len(c.cfg.Tiers)))
+	for _, n := range c.nodes {
+		tierNodes[n.Tier]++
 	}
 	c.placement = make([][]DiskID, c.cfg.Objects)
+	backing := make([]DiskID, c.cfg.Objects*r)
+	top := make([]scoredDisk, 0, r)
 	for obj := 0; obj < c.cfg.Objects; obj++ {
 		tier := c.tierOf(obj)
-		eligibleNodes := 0
-		cands := make([]cand, 0, c.cfg.Nodes*c.cfg.NodeProfile.DisksPerNode)
+		distinctNodes := tierNodes[tier] >= r
+		top = top[:0]
 		for _, n := range c.nodes {
-			if len(c.cfg.Tiers) > 0 && n.Tier != tier {
+			if n.Tier != tier {
 				continue
 			}
-			eligibleNodes++
-			for _, d := range n.Disks {
-				cands = append(cands, cand{id: d.ID, score: rendezvousScore(obj, d.ID)})
-			}
-		}
-		distinctNodes := eligibleNodes >= c.cfg.Replicas
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].score != cands[j].score {
-				return cands[i].score > cands[j].score
-			}
-			// Total order even under hash collisions.
-			a, b := cands[i].id, cands[j].id
-			if a.Node != b.Node {
-				return a.Node < b.Node
-			}
-			return a.Disk < b.Disk
-		})
-		replicas := make([]DiskID, 0, c.cfg.Replicas)
-		usedNodes := make(map[int]bool, c.cfg.Replicas)
-		for _, cd := range cands {
-			if len(replicas) == c.cfg.Replicas {
-				break
-			}
-			if distinctNodes && usedNodes[cd.id.Node] {
+			if !distinctNodes {
+				for _, d := range n.Disks {
+					top = insertTop(top, scoredDisk{d.ID, rendezvousScore(obj, d.ID)}, r)
+				}
 				continue
 			}
-			replicas = append(replicas, cd.id)
-			usedNodes[cd.id.Node] = true
+			best := scoredDisk{n.Disks[0].ID, rendezvousScore(obj, n.Disks[0].ID)}
+			for _, d := range n.Disks[1:] {
+				if s := rendezvousScore(obj, d.ID); s > best.score {
+					best = scoredDisk{d.ID, s}
+				}
+			}
+			top = insertTop(top, best, r)
 		}
-		c.placement[obj] = replicas
-		for _, id := range replicas {
-			disk := c.DiskByID(id)
+		replicas := backing[obj*r : obj*r+len(top) : obj*r+len(top)]
+		for i, cd := range top {
+			replicas[i] = cd.id
+			disk := c.DiskByID(cd.id)
 			disk.Objects = append(disk.Objects, obj)
 		}
+		c.placement[obj] = replicas
 	}
 }
 

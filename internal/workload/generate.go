@@ -1,9 +1,10 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/rng"
 )
@@ -201,11 +202,13 @@ func Generate(cfg GenConfig) (Trace, error) {
 		add(Job{Class: Repair, Submit: sub, Duration: d, Deadline: sub + d + 8, CPU: 1, RAMGB: 1, IOBound: true, UtilMean: 0.9})
 	}
 
-	sort.SliceStable(tr, func(i, j int) bool {
-		if tr[i].Submit != tr[j].Submit {
-			return tr[i].Submit < tr[j].Submit
+	// IDs are unique, so (Submit, ID) is a total order and an unstable sort
+	// gives the one order a stable sort by Submit would.
+	slices.SortFunc(tr, func(a, b Job) int {
+		if a.Submit != b.Submit {
+			return cmp.Compare(a.Submit, b.Submit)
 		}
-		return tr[i].ID < tr[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 	if err := tr.Validate(); err != nil {
 		return nil, fmt.Errorf("workload: generator produced invalid trace: %w", err)
