@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/sched"
@@ -19,29 +20,21 @@ import (
 // distribution doubling its backing array) still reads as 0 — which is
 // the contract: nothing may allocate per slot.
 
-// driveUntilDrained admits the trace (in submit order, as Run's event
-// engine would) and steps until every job has completed, returning the
+// driveUntilDrained runs cfg through the slot loop with slot skipping
+// off, so every slot takes the full step, and returns the drained
 // simulator and the next slot index.
 func driveUntilDrained(tb testing.TB, cfg Config) (*Simulator, int) {
 	tb.Helper()
+	cfg.DisableSlotSkipping = true
 	sim, err := New(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	maxSlot := sim.lastArrival + sim.cfg.MaxOverrunSlots
-	for t := 0; t <= maxSlot; t++ {
-		for i := range sim.cfg.Trace {
-			if sim.cfg.Trace[i].Submit == t {
-				sim.admit(sim.cfg.Trace[i])
-			}
-		}
-		sim.step(t)
-		if t >= sim.lastArrival && len(sim.waiting) == 0 && len(sim.mandQueue) == 0 && len(sim.running) == 0 {
-			return sim, t + 1
-		}
+	sim.advance(math.MaxInt)
+	if !sim.drained {
+		tb.Fatalf("trace did not drain within %d slots", sim.next)
 	}
-	tb.Fatalf("trace did not drain within %d slots", maxSlot)
-	return nil, 0
+	return sim, sim.next
 }
 
 // TestSlotStepDrainedAllocFree asserts the drained steady state — the
@@ -92,9 +85,7 @@ func TestSlotStepBusyMandatoryAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range trace {
-		sim.admit(trace[i])
-	}
+	sim.admitDue(0)
 	// Warm up: first placements, node boots, spin-ups.
 	slot := 0
 	for ; slot < 10; slot++ {

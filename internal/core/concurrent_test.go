@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -34,35 +35,81 @@ func tinyConfig() Config {
 // detector it is the tier-1 guard for the concurrency contract documented
 // on Run ("a Config may be shared across concurrent Runs; Run never
 // mutates it").
+//
+// The live case shares one Config whose Trace has spare capacity among
+// live schedulers that each Submit a different extra job: the arrival
+// queue starts as the trace itself, so a submission that appended in
+// place would write into the shared backing array.
 func TestConcurrentRunsShareNothing(t *testing.T) {
-	cfg := tinyConfig()
-	want, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	const parallel = 8
-	results := make([]*Result, parallel)
-	errs := make([]error, parallel)
-	var wg sync.WaitGroup
-	wg.Add(parallel)
-	for i := 0; i < parallel; i++ {
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = Run(cfg)
-		}(i)
+	race := func(t *testing.T, want func(i int) *Result, got func(i int) (*Result, error)) {
+		results := make([]*Result, parallel)
+		errs := make([]error, parallel)
+		var wg sync.WaitGroup
+		wg.Add(parallel)
+		for i := 0; i < parallel; i++ {
+			go func(i int) {
+				defer wg.Done()
+				results[i], errs[i] = got(i)
+			}(i)
+		}
+		wg.Wait()
+		for i := 0; i < parallel; i++ {
+			if errs[i] != nil {
+				t.Fatalf("concurrent run %d failed: %v", i, errs[i])
+			}
+			if w := want(i); !reflect.DeepEqual(results[i], w) {
+				t.Errorf("concurrent run %d diverged from its sequential result:\n got %+v\nwant %+v",
+					i, results[i], w)
+			}
+		}
 	}
-	wg.Wait()
 
-	for i := 0; i < parallel; i++ {
-		if errs[i] != nil {
-			t.Fatalf("concurrent run %d failed: %v", i, errs[i])
+	t.Run("run", func(t *testing.T) {
+		cfg := tinyConfig()
+		want, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(results[i], want) {
-			t.Errorf("concurrent run %d diverged from the sequential result:\n got %+v\nwant %+v",
-				i, results[i], want)
+		race(t, func(int) *Result { return want }, func(int) (*Result, error) { return Run(cfg) })
+	})
+
+	t.Run("live", func(t *testing.T) {
+		cfg := tinyConfig()
+		last := cfg.Trace[len(cfg.Trace)-1]
+		extra := func(i int) workload.Job {
+			return workload.Job{
+				ID: last.ID + 1 + i, Class: workload.Batch,
+				Submit: last.Submit + 1 + i, Duration: 1 + i, Deadline: last.Submit + 40, CPU: 1, RAMGB: 1,
+			}
 		}
-	}
+		live := func(cfg Config, j workload.Job) (*Result, error) {
+			l, err := NewLive(cfg)
+			if err != nil {
+				return nil, err
+			}
+			if err := l.Submit(j); err != nil {
+				return nil, err
+			}
+			return l.Finalize()
+		}
+		want := make([]*Result, parallel)
+		for i := range want {
+			solo := cfg
+			solo.Trace = slices.Clone(cfg.Trace)
+			res, err := live(solo, extra(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = res
+		}
+		shared := cfg
+		shared.Trace = slices.Grow(slices.Clone(cfg.Trace), parallel)
+		race(t, func(i int) *Result { return want[i] }, func(i int) (*Result, error) { return live(shared, extra(i)) })
+		if !slices.Equal(shared.Trace, cfg.Trace) {
+			t.Fatal("live submissions wrote into the shared trace")
+		}
+	})
 }
 
 // TestConcurrentRunsMixedPolicies races distinct configs (different

@@ -138,9 +138,7 @@ func TestSlotStepBusyDeferredAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range trace {
-		sim.admit(trace[i])
-	}
+	sim.admitDue(0)
 	slot := 0
 	for ; slot < 12; slot++ {
 		sim.step(slot)
@@ -177,7 +175,7 @@ func TestFastStepAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.admit(cfg.Trace[0])
+	sim.admitDue(0)
 	slot := 0
 	for ; slot < 8; slot++ {
 		sim.step(slot)

@@ -83,27 +83,24 @@ func TestSlotIdentityGolden(t *testing.T) {
 	}
 }
 
-// slotIdentityTrace replicates Run's slot loop and renders one line per
-// slot with the sorted job-identity sets.
+// slotIdentityTrace drives the slot loop one slot at a time and renders
+// one line per executed slot with the sorted job-identity sets. Slot
+// skipping is off, so every slot runs the full step pipeline the golden
+// pins.
 func slotIdentityTrace(t *testing.T, cfg Config) string {
 	t.Helper()
+	cfg.DisableSlotSkipping = true
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range s.cfg.Trace {
-		j := s.cfg.Trace[i]
-		s.engine.ScheduleAt(float64(j.Submit)*s.cfg.SlotHours, 0, func() { s.admit(j) })
-	}
 	var b strings.Builder
-	maxSlot := s.lastArrival + s.cfg.MaxOverrunSlots
-	for slot := 0; slot <= maxSlot; slot++ {
-		s.engine.Run(float64(slot) * s.cfg.SlotHours)
-		s.step(slot)
-		writeSlotIdentity(&b, slot, s)
-		if slot >= s.lastArrival && len(s.waiting) == 0 && len(s.mandQueue) == 0 && len(s.running) == 0 {
-			break
+	for slot := 0; ; slot++ {
+		s.advance(slot)
+		if s.next == slot {
+			break // drained or out of overrun budget
 		}
+		writeSlotIdentity(&b, slot, s)
 	}
 	return b.String()
 }

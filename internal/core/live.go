@@ -2,12 +2,12 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/battery"
 	"repro/internal/fault"
 	"repro/internal/metrics"
-	"repro/internal/simevent"
 	"repro/internal/storage"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -33,28 +33,10 @@ import (
 //gm:statemirror Snapshot RestoreLive
 type Live struct {
 	sim *Simulator
-	// next is the next slot index to execute.
-	next int
-	// drained latches the batch loop's termination condition: once the run
-	// drains, further slots must not execute (they would emit trace lines a
-	// batch run never would).
-	drained bool
-	// pending mirrors the un-admitted arrivals sitting on the event heap, in
-	// submission order — the heap holds closures, which cannot be
-	// serialized, so Snapshot reads this list instead.
-	pending []pendingArrival
-	pendSeq uint64 //gm:ephemeral restart-relative heap keys, reassigned while re-arming Pending
 
 	finished bool    //gm:ephemeral terminal latch; Snapshot rejects a finalized scheduler
 	result   *Result //gm:ephemeral set by Finalize only, after which no snapshot is taken
 	ferr     error   //gm:ephemeral set by Finalize only, after which no snapshot is taken
-}
-
-// pendingArrival is one not-yet-admitted submission.
-type pendingArrival struct {
-	key uint64
-	job workload.Job
-	at  float64 // event-engine time (slot boundary, clamped at submission)
 }
 
 // NewLive builds a live scheduler. Any cfg.Trace jobs are pre-submitted in
@@ -65,19 +47,15 @@ func NewLive(cfg Config) (*Live, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Live{sim: sim}
-	for i := range cfg.Trace {
-		l.enqueue(cfg.Trace[i])
-	}
-	return l, nil
+	return &Live{sim: sim}, nil
 }
 
 // NextSlot returns the next slot index to execute.
-func (l *Live) NextSlot() int { return l.next }
+func (l *Live) NextSlot() int { return l.sim.next }
 
 // Drained reports whether the run has drained (all known arrivals admitted,
 // all queues empty after an executed slot).
-func (l *Live) Drained() bool { return l.drained }
+func (l *Live) Drained() bool { return l.sim.drained }
 
 // Finished reports whether Finalize has run.
 func (l *Live) Finished() bool { return l.finished }
@@ -91,57 +69,24 @@ func (l *Live) Backlog() (waiting, mandatory, running int) {
 func (l *Live) BatterySoC() float64 { return l.sim.bat.SoC() }
 
 // Submit enqueues one job. Jobs whose submit slot is already in the past
-// are admitted at the next slot boundary; the job is validated first. A
-// drained or finalized run rejects submissions — the batch semantics the
-// live/batch equivalence is pinned against cannot represent work arriving
-// after the run drained.
+// are admitted at the next slot, behind the jobs already due there; the
+// job is validated first. A drained or finalized run rejects submissions —
+// the batch semantics the live/batch equivalence is pinned against cannot
+// represent work arriving after the run drained.
 //
 //gm:mutator
 func (l *Live) Submit(j workload.Job) error {
 	if l.finished {
 		return fmt.Errorf("core: submit after finalize")
 	}
-	if l.drained {
+	if l.sim.drained {
 		return fmt.Errorf("core: submit after the run drained")
 	}
 	if err := j.Validate(); err != nil {
 		return err
 	}
-	l.enqueue(j)
+	l.sim.enqueue(j)
 	return nil
-}
-
-// enqueue schedules the arrival on the event engine and mirrors it in the
-// serializable pending list. The admission closure removes its mirror
-// entry, so the pending list always holds exactly the heap's contents.
-func (l *Live) enqueue(j workload.Job) {
-	s := l.sim
-	at := float64(j.Submit) * s.cfg.SlotHours
-	if min := float64(l.next) * s.cfg.SlotHours; at < min {
-		at = min
-	}
-	if j.Submit > s.lastArrival {
-		s.lastArrival = j.Submit
-	}
-	if j.ID >= s.nextJobID {
-		s.nextJobID = j.ID + 1
-	}
-	key := l.pendSeq
-	l.pendSeq++
-	l.pending = append(l.pending, pendingArrival{key: key, job: j, at: at})
-	s.engine.ScheduleAt(at, simevent.PriArrival, func() {
-		l.dropPending(key)
-		s.admit(j)
-	})
-}
-
-func (l *Live) dropPending(key uint64) {
-	for i := range l.pending {
-		if l.pending[i].key == key {
-			l.pending = append(l.pending[:i], l.pending[i+1:]...)
-			return
-		}
-	}
 }
 
 // InjectFault adds a scheduled fault event to the running engine, creating
@@ -153,10 +98,10 @@ func (l *Live) InjectFault(ev fault.Event) error {
 	if l.finished {
 		return fmt.Errorf("core: fault injection after finalize")
 	}
-	if ev.At < l.next {
-		return fmt.Errorf("core: fault event at slot %d is in the past (next slot is %d)", ev.At, l.next)
-	}
 	s := l.sim
+	if ev.At < s.next {
+		return fmt.Errorf("core: fault event at slot %d is in the past (next slot is %d)", ev.At, s.next)
+	}
 	if s.faults == nil {
 		cfg := fault.Config{Events: []fault.Event{ev}}
 		if err := cfg.Validate(s.cfg.Cluster.Nodes); err != nil {
@@ -171,7 +116,7 @@ func (l *Live) InjectFault(ev fault.Event) error {
 	// stale so the next quiescent slot recomputes it. (The fault phase draws
 	// and applies events every slot regardless, so this is about keeping the
 	// horizon honest, not about correctness.)
-	s.fastHorizon = l.next
+	s.fastHorizon = s.next
 	return nil
 }
 
@@ -184,19 +129,7 @@ func (l *Live) StepTo(target int) error {
 	if l.finished {
 		return fmt.Errorf("core: step after finalize")
 	}
-	s := l.sim
-	for l.next <= target && !l.drained {
-		maxSlot := s.lastArrival + s.cfg.MaxOverrunSlots
-		if l.next > maxSlot {
-			break
-		}
-		t := l.next
-		s.runSlot(t, maxSlot)
-		l.next = t + 1
-		if s.drained(t) {
-			l.drained = true
-		}
-	}
+	l.sim.advance(target)
 	return nil
 }
 
@@ -210,19 +143,8 @@ func (l *Live) Finalize() (*Result, error) {
 		return l.result, l.ferr
 	}
 	s := l.sim
-	for !l.drained {
-		maxSlot := s.lastArrival + s.cfg.MaxOverrunSlots
-		if l.next > maxSlot {
-			break
-		}
-		t := l.next
-		s.runSlot(t, maxSlot)
-		l.next = t + 1
-		if s.drained(t) {
-			l.drained = true
-		}
-	}
-	l.result, l.ferr = s.finalize(l.next)
+	s.advance(math.MaxInt)
+	l.result, l.ferr = s.finalize(s.next)
 	l.finished = true
 	return l.result, l.ferr
 }
@@ -241,10 +163,10 @@ type JobSnap struct {
 	CompletedAt int          `json:"completed_at"`
 }
 
-// PendingSnap serializes one pending arrival.
+// PendingSnap serializes one pending arrival. Its due slot is
+// max(Job.Submit, LiveSnapshot.Next), so the job alone restores it.
 type PendingSnap struct {
 	Job workload.Job `json:"job"`
-	At  float64      `json:"at"`
 }
 
 // RepairSnap records one failed node and the slot it returns to service.
@@ -315,8 +237,8 @@ func (l *Live) Snapshot() (*LiveSnapshot, error) {
 	}
 	s := l.sim
 	snap := &LiveSnapshot{
-		Next:              l.next,
-		Drained:           l.drained,
+		Next:              s.next,
+		Drained:           s.drained,
 		LastArrival:       s.lastArrival,
 		NextJobID:         s.nextJobID,
 		Energy:            s.acct,
@@ -342,8 +264,8 @@ func (l *Live) Snapshot() (*LiveSnapshot, error) {
 		Cluster:           s.cluster.State(),
 		Reads:             s.reads.State(),
 	}
-	for _, p := range l.pending {
-		snap.Pending = append(snap.Pending, PendingSnap{Job: p.job, At: p.at})
+	for _, j := range s.arrivals {
+		snap.Pending = append(snap.Pending, PendingSnap{Job: j})
 	}
 	snap.Waiting = snapJobs(s.waiting)
 	snap.MandQueue = snapJobs(s.mandQueue)
@@ -416,16 +338,23 @@ func unsnapJobs(snaps []JobSnap) []*jobState {
 // executes settles to the same state, emits the same trace bytes and draws
 // the same random numbers as the original would have.
 func RestoreLive(cfg Config, snap *LiveSnapshot) (*Live, error) {
-	// Build fresh — but do not pre-submit cfg.Trace: every submission the
-	// original saw is in the snapshot, either still pending or already
-	// admitted into the queues.
-	sim, err := New(cfg)
+	s, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := sim
 	if len(snap.KeepMask) != len(s.keepMask) {
 		return nil, fmt.Errorf("core: snapshot keep mask has %d disks, cluster has %d", len(snap.KeepMask), len(s.keepMask))
+	}
+	// Drop the queue New built from cfg.Trace: every submission the
+	// original saw is in the snapshot, either still pending or already
+	// admitted. Re-enqueueing the pending jobs in listed order rebuilds
+	// the due order, whether the list is in due order or (as older
+	// checkpoints wrote it) in submission order.
+	s.next = snap.Next
+	s.drained = snap.Drained
+	s.arrivals = nil
+	for _, p := range snap.Pending {
+		s.enqueue(p.Job)
 	}
 	s.lastArrival = snap.LastArrival
 	s.nextJobID = snap.NextJobID
@@ -484,16 +413,5 @@ func RestoreLive(cfg Config, snap *LiveSnapshot) (*Live, error) {
 		s.series.Samples = append(s.series.Samples[:0], snap.Series...)
 	}
 
-	l := &Live{sim: sim, next: snap.Next, drained: snap.Drained}
-	for i := range snap.Pending {
-		p := snap.Pending[i]
-		key := l.pendSeq
-		l.pendSeq++
-		l.pending = append(l.pending, pendingArrival{key: key, job: p.Job, at: p.At})
-		s.engine.ScheduleAt(p.At, simevent.PriArrival, func() {
-			l.dropPending(key)
-			s.admit(p.Job)
-		})
-	}
-	return l, nil
+	return &Live{sim: s}, nil
 }

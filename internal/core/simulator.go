@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/audit"
@@ -11,7 +12,6 @@ import (
 	"repro/internal/forecast"
 	"repro/internal/metrics"
 	"repro/internal/sched"
-	"repro/internal/simevent"
 	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/units"
@@ -90,8 +90,16 @@ type Simulator struct {
 	cluster *storage.Cluster
 	bat     *battery.Battery
 	reads   *storage.ReadModel
-	engine  *simevent.Engine //gm:ephemeral event heap holds closures; rebuilt by New and re-armed from Pending
 
+	// arrivals queues the submitted jobs not yet admitted. A job is due at
+	// max(Submit, next), and equally due jobs keep submission order; a
+	// batch run's queue is the clipped trace itself.
+	arrivals []workload.Job
+	// next is the next slot to execute.
+	next int
+	// drained latches the run's termination: once it drains, no further
+	// slot executes.
+	drained     bool
 	lastArrival int
 
 	waiting   []*jobState // deferrable, not running, not promoted
@@ -196,7 +204,7 @@ type Simulator struct {
 	cachedSpun   int         //gm:ephemeral cached aggregate, recomputed when revalidated
 	cachedPowNds int         //gm:ephemeral cached aggregate, recomputed when revalidated
 	// fastHorizon is the first upcoming slot with a scheduled discrete
-	// event (arrival on the event heap, scheduled crash/storm, repair due);
+	// event (next queued arrival, scheduled crash/storm, repair due);
 	// slots strictly before it may take the fast path. Recomputed lazily
 	// whenever a full step invalidates it.
 	fastHorizon int //gm:ephemeral recomputed lazily; restore deliberately re-stales it
@@ -236,7 +244,6 @@ func New(cfg Config) (*Simulator, error) {
 		cluster: cluster,
 		bat:     bat,
 		reads:   reads,
-		engine:  simevent.NewEngine(),
 		obs:     cfg.Observer,
 	}
 	s.fullCover = cluster.MinimalCover()
@@ -268,13 +275,12 @@ func New(cfg Config) (*Simulator, error) {
 		s.predictInto = ip
 		s.forecastBuf = make([]units.Power, 0, 24)
 	}
-	for _, j := range cfg.Trace {
-		if j.Submit > s.lastArrival {
-			s.lastArrival = j.Submit
-		}
-		if j.ID >= s.nextJobID {
-			s.nextJobID = j.ID + 1
-		}
+	// The trace is sorted (Validate), so it is already in due order. The
+	// clip makes a later enqueue copy it rather than write into a Config
+	// that concurrent runs share.
+	s.arrivals = slices.Clip(cfg.Trace)
+	for _, j := range s.arrivals {
+		s.noteArrival(j)
 	}
 	if cfg.RecordSeries {
 		s.series = &metrics.TimeSeries{}
@@ -301,33 +307,31 @@ func New(cfg Config) (*Simulator, error) {
 // goroutines, but distinct Simulators may Run concurrently — see the
 // concurrency contract on the package-level Run.
 func (s *Simulator) Run() (*Result, error) {
-	// Arrivals ride the event engine at PriArrival so a same-slot tick
-	// (PriTick) sees them.
-	for i := range s.cfg.Trace {
-		j := s.cfg.Trace[i]
-		s.engine.ScheduleAt(float64(j.Submit)*s.cfg.SlotHours, simevent.PriArrival, func() {
-			s.admit(j)
-		})
-	}
-
-	maxSlot := s.lastArrival + s.cfg.MaxOverrunSlots
-	slots := 0
-	for t := 0; t <= maxSlot; t++ {
-		s.runSlot(t, maxSlot)
-		slots = t + 1
-		if s.drained(t) {
-			break
-		}
-	}
-	return s.finalize(slots)
+	s.advance(math.MaxInt)
+	return s.finalize(s.next)
 }
 
-// runSlot executes one slot: drain arrivals up to and including the slot
-// boundary, then take the fast or the full path. Shared verbatim by the
-// batch loop above and the steppable Live scheduler, which is what makes a
-// live run byte-identical to a batch run over the same submissions.
+// advance executes slots up to and including target, stopping early once
+// the run drains or exhausts its overrun budget past the last arrival. It
+// is the one slot loop: Run, Live.StepTo and Live.Finalize all drive it,
+// which is what makes a live run stop exactly where the batch run does.
+func (s *Simulator) advance(target int) {
+	for s.next <= target && !s.drained {
+		maxSlot := s.lastArrival + s.cfg.MaxOverrunSlots
+		if s.next > maxSlot {
+			return
+		}
+		t := s.next
+		s.runSlot(t, maxSlot)
+		s.next = t + 1
+		s.drained = t >= s.lastArrival && len(s.waiting) == 0 && len(s.mandQueue) == 0 && len(s.running) == 0
+	}
+}
+
+// runSlot executes one slot: admit the queued arrivals due by slot t, then
+// take the fast or the full path.
 func (s *Simulator) runSlot(t, maxSlot int) {
-	s.engine.Run(float64(t) * s.cfg.SlotHours)
+	s.admitDue(t)
 	// Quiescent slots take the event-driven fast path: per-slot work
 	// (reads, fault draws, energy settlement, SLA clocks, trace
 	// emission) still runs bit-identically, but planning, placement and
@@ -339,10 +343,31 @@ func (s *Simulator) runSlot(t, maxSlot int) {
 	}
 }
 
-// drained reports whether the run is complete after executing slot t: every
-// known arrival is in and all queues are empty.
-func (s *Simulator) drained(t int) bool {
-	return t >= s.lastArrival && len(s.waiting) == 0 && len(s.mandQueue) == 0 && len(s.running) == 0
+// admitDue admits, in queue order, the queued arrivals due by slot t —
+// a prefix of the queue, since every job left in it is due at next or
+// later.
+func (s *Simulator) admitDue(t int) {
+	for len(s.arrivals) > 0 && s.arrivals[0].Submit <= t {
+		s.admit(s.arrivals[0])
+		s.arrivals = s.arrivals[1:]
+	}
+}
+
+// enqueue queues j behind every pending job due no later than it. A job is
+// due at max(Submit, next): one whose submit slot has passed is admitted
+// at the next slot, after the jobs already due there.
+func (s *Simulator) enqueue(j workload.Job) {
+	due := max(j.Submit, s.next)
+	i := sort.Search(len(s.arrivals), func(i int) bool { return s.arrivals[i].Submit > due })
+	s.arrivals = slices.Insert(s.arrivals, i, j)
+	s.noteArrival(j)
+}
+
+// noteArrival extends the last arrival slot and the synthesized job-id
+// floor over j.
+func (s *Simulator) noteArrival(j workload.Job) {
+	s.lastArrival = max(s.lastArrival, j.Submit)
+	s.nextJobID = max(s.nextJobID, j.ID+1)
 }
 
 // finalize closes the books after the last executed slot and assembles the
@@ -417,7 +442,7 @@ func (s *Simulator) finalize(slots int) (*Result, error) {
 // field it carries (the Trace slice, a solar.Series supply, Cluster.Tiers)
 // is treated strictly read-only, and all mutable simulation state — the
 // storage.Cluster, battery.Battery, read model with its rng streams, the
-// event engine, job lifecycle records and the cover cache — is built fresh
+// arrival queue, job lifecycle records and the cover cache — is built fresh
 // per Simulator inside New. Policies and Forecasters are shared by value
 // too and must stay pure planners (all implementations in this repository
 // are stateless); a custom Policy or Forecaster with internal mutable
@@ -846,7 +871,7 @@ func (s *Simulator) addSeries(t int, fl slotFlows, spun, jobsRunning int) {
 //     reproduces the current FFD packing (its input — the running set in
 //     order, the failed mask — is unchanged and it is deterministic) and
 //     the power plan reproduces the current masks;
-//   - t is before the next discrete event (arrival heap, scheduled
+//   - t is before the next discrete event (arrival queue, scheduled
 //     crash/storm, repair due), read off the event structures themselves.
 //
 // Everything the fast path cannot prove quiet it still executes per slot
@@ -867,20 +892,16 @@ func (s *Simulator) canFastForward(t, maxSlot int) bool {
 }
 
 // fastForwardHorizon computes the first slot after t at which a scheduled
-// discrete event demands the full pipeline: the earliest pending event on
-// the simevent heap (arrivals), the earliest scheduled crash/storm in the
-// fault schedule, the earliest due repair. Window faults (supply derates,
-// battery blocks, forecast corruption) and the MTBF process never bound the
-// horizon — both are evaluated per-slot identically on the fast path.
+// discrete event demands the full pipeline: the next queued arrival's
+// submit slot (slot t has already admitted every job due by t), the
+// earliest scheduled crash/storm in the fault schedule, the earliest due
+// repair. Window faults (supply derates, battery blocks, forecast
+// corruption) and the MTBF process never bound the horizon — both are
+// evaluated per-slot identically on the fast path.
 func (s *Simulator) fastForwardHorizon(t, maxSlot int) int {
 	horizon := maxSlot + 1
-	if ev := s.engine.Peek(); ev != nil {
-		// First slot whose boundary drain executes the event: Run(u*h)
-		// fires everything with Time <= u*h.
-		slot := int(math.Ceil(ev.Time/s.cfg.SlotHours - 1e-9))
-		if slot < horizon {
-			horizon = slot
-		}
+	if len(s.arrivals) > 0 && s.arrivals[0].Submit < horizon {
+		horizon = s.arrivals[0].Submit
 	}
 	if s.faults != nil {
 		if next, ok := s.faults.NextCrashEventAfter(t); ok && next < horizon {
