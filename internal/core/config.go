@@ -145,11 +145,20 @@ func DefaultGreen(areaM2 float64) solar.Series {
 // suite: the default cluster, the reference week trace, a sized solar farm,
 // a Perfect forecaster, no battery, Baseline policy.
 func DefaultConfig() Config {
+	cfg := DefaultParams()
+	cfg.Trace = workload.MustGenerate(workload.DefaultGen())
+	cfg.Green = DefaultGreen(165.6)
+	return cfg
+}
+
+// DefaultParams returns DefaultConfig without its generated inputs: no
+// trace and no renewable supply. A caller that brings its own, as
+// scenario.Compile does, starts here instead of generating a week it
+// would discard.
+func DefaultParams() Config {
 	return Config{
 		SlotHours:         1,
 		Cluster:           storage.DefaultConfig(),
-		Trace:             workload.MustGenerate(workload.DefaultGen()),
-		Green:             DefaultGreen(165.6),
 		Forecaster:        forecast.Perfect{},
 		BatterySpec:       battery.MustSpec(battery.LithiumIon),
 		BatteryCapacityWh: 0,

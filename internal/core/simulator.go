@@ -1047,23 +1047,6 @@ func (s *Simulator) degradedNow(t int) bool {
 	return len(s.repairAt) > 0 || s.faults.EventActive(t)
 }
 
-// coverageNow evaluates the replica-coverage predicate on the current fleet
-// state: every object reachable on a spinning disk of a powered node.
-func (s *Simulator) coverageNow() bool {
-	active := make(map[storage.DiskID]bool)
-	for _, n := range s.cluster.Nodes() {
-		if !n.Powered {
-			continue
-		}
-		for _, d := range n.Disks {
-			if d.SpunUp() {
-				active[d.ID] = true
-			}
-		}
-	}
-	return s.cluster.CoverageOK(active)
-}
-
 // trackDegradation advances the degradation episode state machine at the
 // end of slot t. Only called when fault injection is configured, so runs
 // without faults report an all-zero DegradeAccount by construction.
@@ -1079,7 +1062,7 @@ func (s *Simulator) trackDegradation(t int) {
 		if backlog > s.degrade.BacklogPeak {
 			s.degrade.BacklogPeak = backlog
 		}
-		if !s.coverageNow() {
+		if !s.cluster.Covered() {
 			s.degrade.CoverageLossSlots++
 		}
 	case s.inEpisode:
@@ -1119,18 +1102,9 @@ func (s *Simulator) emitTrace(t int, h float64, fl slotFlows, dec sched.Decision
 	s.prevSLA = s.sla
 
 	boots, shutdowns := 0, 0
-	active := make(map[storage.DiskID]bool)
 	for _, n := range s.cluster.Nodes() {
 		boots += n.Boots
 		shutdowns += n.Shutdowns
-		if !n.Powered {
-			continue
-		}
-		for _, d := range n.Disks {
-			if d.SpunUp() {
-				active[d.ID] = true
-			}
-		}
 	}
 	disk := s.cluster.DiskStatsTotal()
 
@@ -1180,7 +1154,7 @@ func (s *Simulator) emitTrace(t int, h float64, fl slotFlows, dec sched.Decision
 		UnservedReads:     slaDelta.UnservedReads,
 		NodeFailures:      slaDelta.NodeFailures,
 		Evictions:         slaDelta.Evictions,
-		CoverageOK:        s.cluster.CoverageOK(active),
+		CoverageOK:        s.cluster.Covered(),
 		FailedNodes:       len(s.repairAt),
 	}
 	if s.faults != nil {

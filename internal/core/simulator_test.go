@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/battery"
@@ -443,5 +444,18 @@ func TestHalfHourSlots(t *testing.T) {
 	again := run(t, cfg)
 	if res.Energy != again.Energy {
 		t.Fatal("half-hour slots broke determinism")
+	}
+}
+
+// TestDefaultParams pins the single defaults table: DefaultConfig is
+// DefaultParams plus the generated reference trace and supply.
+func TestDefaultParams(t *testing.T) {
+	got, want := DefaultParams(), DefaultConfig()
+	if got.Trace != nil || got.Green != nil {
+		t.Fatal("DefaultParams generated a trace or a supply")
+	}
+	want.Trace, want.Green = nil, nil
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("DefaultParams %+v differs from DefaultConfig %+v", got, want)
 	}
 }

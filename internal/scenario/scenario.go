@@ -188,7 +188,7 @@ func (s Scenario) Write(w io.Writer) error {
 
 // Compile materializes the scenario into a validated core.Config.
 func (s Scenario) Compile() (core.Config, error) {
-	cfg := core.DefaultConfig()
+	cfg := core.DefaultParams()
 	cfg.Seed = s.Seed
 	cfg.RecordSeries = s.RecordSeries
 	cfg.DisableSlotSkipping = s.DisableSlotSkipping

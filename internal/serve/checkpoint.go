@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -20,6 +21,14 @@ type checkpointFile struct {
 	SHA256  string          `json:"sha256"`
 	Payload json.RawMessage `json:"payload"`
 }
+
+// The envelope layout writeCheckpoint emits, byte for byte what
+// encoding/json emits for a checkpointFile, plus a newline.
+const (
+	envelopeSHA     = `{"sha256":"`
+	envelopePayload = `","payload":`
+	envelopeEnd     = "}\n"
+)
 
 // Checkpoint is a full durable snapshot of the service state between two
 // journal entries. Recovery restores it and replays only journal entries
@@ -57,20 +66,19 @@ func writeCheckpoint(dir string, cp Checkpoint) error {
 		return fmt.Errorf("serve: encoding checkpoint: %w", err)
 	}
 	sum := sha256.Sum256(payload)
-	blob, err := json.Marshal(checkpointFile{
-		SHA256:  hex.EncodeToString(sum[:]),
-		Payload: payload,
-	})
-	if err != nil {
-		return fmt.Errorf("serve: encoding checkpoint envelope: %w", err)
-	}
+	blob := make([]byte, 0, len(envelopeSHA)+2*sha256.Size+len(envelopePayload)+len(payload)+len(envelopeEnd))
+	blob = append(blob, envelopeSHA...)
+	blob = hex.AppendEncode(blob, sum[:])
+	blob = append(blob, envelopePayload...)
+	blob = append(blob, payload...)
+	blob = append(blob, envelopeEnd...)
 	path := filepath.Join(dir, checkpointName)
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("serve: creating checkpoint: %w", err)
 	}
-	if _, err := f.Write(append(blob, '\n')); err != nil {
+	if _, err := f.Write(blob); err != nil {
 		_ = f.Close()
 		return fmt.Errorf("serve: writing checkpoint: %w", err)
 	}
@@ -101,19 +109,58 @@ func loadCheckpoint(dir string) (Checkpoint, bool) {
 		if err != nil {
 			continue
 		}
-		var env checkpointFile
-		if err := json.Unmarshal(blob, &env); err != nil {
-			continue
+		if cp, ok := decodeCheckpoint(blob); ok {
+			return cp, true
 		}
-		sum := sha256.Sum256(env.Payload)
-		if hex.EncodeToString(sum[:]) != env.SHA256 {
-			continue
-		}
-		var cp Checkpoint
-		if err := json.Unmarshal(env.Payload, &cp); err != nil {
-			continue
-		}
-		return cp, true
 	}
 	return Checkpoint{}, false
+}
+
+// decodeCheckpoint verifies and decodes one checkpoint file. The envelope
+// writeCheckpoint emits is taken apart in place, so the payload is decoded
+// once; any other envelope, or one that fails there, gets the generic
+// decode, which judges every file as it always has.
+func decodeCheckpoint(blob []byte) (Checkpoint, bool) {
+	var cp Checkpoint
+	if sum, payload, ok := splitEnvelope(blob); ok {
+		var want [2 * sha256.Size]byte
+		digest := sha256.Sum256(payload)
+		hex.Encode(want[:], digest[:])
+		if bytes.Equal(sum, want[:]) && json.Unmarshal(payload, &cp) == nil {
+			return cp, true
+		}
+		cp = Checkpoint{}
+	}
+	var env checkpointFile
+	if err := json.Unmarshal(blob, &env); err != nil {
+		return cp, false
+	}
+	sum := sha256.Sum256(env.Payload)
+	if hex.EncodeToString(sum[:]) != env.SHA256 {
+		return cp, false
+	}
+	if err := json.Unmarshal(env.Payload, &cp); err != nil {
+		return Checkpoint{}, false
+	}
+	return cp, true
+}
+
+// splitEnvelope returns the hex digest and the payload bytes of an
+// envelope in exactly the layout writeCheckpoint emits, or false. A
+// payload with surrounding whitespace is refused: the generic decode
+// would digest it trimmed.
+func splitEnvelope(blob []byte) (sum, payload []byte, ok bool) {
+	rest, ok := bytes.CutPrefix(blob, []byte(envelopeSHA))
+	if !ok || len(rest) < 2*sha256.Size {
+		return nil, nil, false
+	}
+	sum, rest = rest[:2*sha256.Size], rest[2*sha256.Size:]
+	if rest, ok = bytes.CutPrefix(rest, []byte(envelopePayload)); !ok {
+		return nil, nil, false
+	}
+	if payload, ok = bytes.CutSuffix(rest, []byte(envelopeEnd)); !ok || len(payload) == 0 ||
+		isSpace(payload[0]) || isSpace(payload[len(payload)-1]) {
+		return nil, nil, false
+	}
+	return sum, payload, true
 }

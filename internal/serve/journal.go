@@ -11,13 +11,14 @@
 package serve
 
 import (
-	"bufio"
-	"encoding/binary"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
+	"strconv"
 )
 
 // Entry is one journaled state mutation. Seq numbers are contiguous from 1;
@@ -34,15 +35,204 @@ type Entry struct {
 }
 
 // entryCRC computes the integrity checksum of an entry's identifying
-// fields.
+// fields: CRC32-IEEE over the little-endian seq, the kind and the data.
+// The seq and kind go through the table a byte at a time, which keeps them
+// off the heap; crc32.Update's accelerated path lets its input escape.
 func entryCRC(seq uint64, kind string, data []byte) uint32 {
-	h := crc32.NewIEEE()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], seq)
-	_, _ = h.Write(buf[:])
-	_, _ = io.WriteString(h, kind)
-	_, _ = h.Write(data)
-	return h.Sum32()
+	crc := ^uint32(0)
+	for i := 0; i < 8; i++ {
+		crc = crc32.IEEETable[byte(crc)^byte(seq>>(8*i))] ^ crc>>8
+	}
+	for i := 0; i < len(kind); i++ {
+		crc = crc32.IEEETable[byte(crc)^kind[i]] ^ crc>>8
+	}
+	return crc32.Update(^crc, crc32.IEEETable, data)
+}
+
+// The line layout Append writes and the scanner parses without
+// reflection — byte for byte what encoding/json emits for an Entry whose
+// kind needs no escaping:
+//
+//	{"seq":N,"kind":"K","data":RAW,"crc":N}
+//
+// with the data member absent when the entry carries none.
+const (
+	lineSeq  = `{"seq":`
+	lineKind = `,"kind":"`
+	lineData = `,"data":`
+	lineCRC  = `,"crc":`
+)
+
+// plainKindByte reports whether encoding/json writes c inside a string
+// unescaped: printable ASCII other than the quote, the backslash and the
+// HTML-escaped <, > and &.
+func plainKindByte(c byte) bool {
+	return c >= 0x20 && c < 0x7f && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+}
+
+// plainKind reports whether kind fits the line layout unescaped.
+func plainKind(kind string) bool {
+	for i := 0; i < len(kind); i++ {
+		if !plainKindByte(kind[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// appendLine appends the layout line of one entry, newline included. The
+// kind must be plain and data compact JSON as json.Marshal emits it.
+func appendLine(dst []byte, seq uint64, kind string, data []byte, crc uint32) []byte {
+	dst = append(dst, lineSeq...)
+	dst = strconv.AppendUint(dst, seq, 10)
+	dst = append(dst, lineKind...)
+	dst = append(dst, kind...)
+	dst = append(dst, '"')
+	if len(data) > 0 {
+		dst = append(dst, lineData...)
+		dst = append(dst, data...)
+	}
+	dst = append(dst, lineCRC...)
+	dst = strconv.AppendUint(dst, uint64(crc), 10)
+	return append(dst, '}', '\n')
+}
+
+// parseLine parses one line in the exact layout appendLine writes, without
+// its newline. The seq and kind are read from the front and the CRC from
+// the back, so whatever lies between is the data, keys and all. It reports
+// false for any other line, which the scanner then hands to json.Unmarshal:
+// every line parseLine accepts decodes to the same Entry there. Data
+// aliases line.
+func parseLine(line []byte) (Entry, bool) {
+	rest, ok := bytes.CutPrefix(line, []byte(lineSeq))
+	if !ok {
+		return Entry{}, false
+	}
+	seq, n := leadingUint(rest, math.MaxUint64)
+	if n == 0 {
+		return Entry{}, false
+	}
+	if rest, ok = bytes.CutPrefix(rest[n:], []byte(lineKind)); !ok {
+		return Entry{}, false
+	}
+	k := 0
+	for k < len(rest) && plainKindByte(rest[k]) {
+		k++
+	}
+	kind := rest[:k]
+	if rest, ok = bytes.CutPrefix(rest[k:], []byte(`"`)); !ok {
+		return Entry{}, false
+	}
+	if rest, ok = bytes.CutSuffix(rest, []byte("}")); !ok {
+		return Entry{}, false
+	}
+	d := len(rest)
+	for d > 0 && rest[d-1] >= '0' && rest[d-1] <= '9' {
+		d--
+	}
+	crc, n := leadingUint(rest[d:], math.MaxUint32)
+	if n == 0 || n != len(rest)-d {
+		return Entry{}, false
+	}
+	if rest, ok = bytes.CutSuffix(rest[:d], []byte(lineCRC)); !ok {
+		return Entry{}, false
+	}
+	var data []byte
+	if len(rest) > 0 {
+		if data, ok = bytes.CutPrefix(rest, []byte(lineData)); !ok || !bareJSON(data) {
+			return Entry{}, false
+		}
+	}
+	return Entry{Seq: seq, Kind: internKind(kind), Data: data, CRC: uint32(crc)}, true
+}
+
+// leadingUint parses the canonical decimal at the front of b — no sign, no
+// leading zero — and returns it with its length, or length 0 when b does
+// not start with one or it exceeds max.
+func leadingUint(b []byte, max uint64) (uint64, int) {
+	if len(b) > 1 && b[0] == '0' && b[1] >= '0' && b[1] <= '9' {
+		return 0, 0
+	}
+	var v uint64
+	n := 0
+	for ; n < len(b) && b[n] >= '0' && b[n] <= '9'; n++ {
+		d := uint64(b[n] - '0')
+		if v > (max-d)/10 {
+			return 0, 0
+		}
+		v = v*10 + d
+	}
+	return v, n
+}
+
+// bareJSON reports whether b is one valid JSON value with no surrounding
+// whitespace — the bytes json.Unmarshal would store in a RawMessage.
+func bareJSON(b []byte) bool {
+	if len(b) == 0 || isSpace(b[0]) || isSpace(b[len(b)-1]) {
+		return false
+	}
+	return json.Valid(b)
+}
+
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
+
+// internKind returns the package's constant for a known kind, so scanning
+// a journal allocates no kind strings.
+func internKind(b []byte) string {
+	switch string(b) {
+	case kindInit:
+		return kindInit
+	case kindSubmit:
+		return kindSubmit
+	case kindTick:
+		return kindTick
+	case kindFault:
+		return kindFault
+	case kindSupply:
+		return kindSupply
+	case kindFinalize:
+		return kindFinalize
+	}
+	return string(b)
+}
+
+// scanJournal parses the intact prefix of a journal image: the entries up
+// to the first line that lacks its terminating newline, does not decode,
+// breaks the sequence or fails its CRC, and the byte length of that
+// prefix. Lines in the layout Append writes are parsed in place; any other
+// line goes through json.Unmarshal. Entry data aliases buf.
+func scanJournal(buf []byte) ([]Entry, int64) {
+	entries := make([]Entry, 0, bytes.Count(buf, []byte{'\n'}))
+	good := 0
+	for {
+		n := bytes.IndexByte(buf[good:], '\n')
+		if n < 0 {
+			break
+		}
+		line := buf[good : good+n]
+		e, ok := parseLine(line)
+		if !ok {
+			e, ok = decodeLine(line)
+		}
+		if !ok {
+			break
+		}
+		if e.Seq != uint64(len(entries))+1 || e.CRC != entryCRC(e.Seq, e.Kind, e.Data) {
+			break
+		}
+		entries = append(entries, e)
+		good += n + 1
+	}
+	return entries, int64(good)
+}
+
+// decodeLine decodes a line outside the layout generically. It is a
+// function of its own so that only its Entry escapes to the heap, not the
+// one every parsed line fills.
+func decodeLine(line []byte) (Entry, bool) {
+	var e Entry
+	err := json.Unmarshal(line, &e)
+	return e, err == nil
 }
 
 // Journal is an append-only JSONL write-ahead log. Not safe for concurrent
@@ -55,33 +245,38 @@ type Journal struct {
 
 // OpenJournal opens (creating if absent) the journal at path, scans any
 // existing entries, discards a torn tail, and returns the journal
-// positioned for appending plus the intact entries in order. With fsync
-// set, every append is synced to stable storage before returning — the
-// durability the write-ahead contract wants; tests turn it off for speed.
+// positioned for appending plus the intact entries in order. An entry is
+// intact only with its terminating newline. With fsync set, every append
+// is synced to stable storage before returning — the durability the
+// write-ahead contract wants; tests turn it off for speed. Entry data
+// aliases one buffer holding the file's intact prefix.
 func OpenJournal(path string, fsync bool) (*Journal, []Entry, error) {
+	return openJournal(path, fsync, 0)
+}
+
+// openJournal is OpenJournal for a journal that must hold at least the
+// entries through seq need: when its intact prefix ends earlier it returns
+// an error before truncating anything, so the caller never reissues a
+// sequence number that was already acknowledged.
+func openJournal(path string, fsync bool, need uint64) (*Journal, []Entry, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("serve: opening journal: %w", err)
 	}
-	var entries []Entry
-	var good int64 // byte offset after the last intact entry
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-	for sc.Scan() {
-		line := sc.Bytes()
-		var e Entry
-		if err := json.Unmarshal(line, &e); err != nil {
-			break
-		}
-		if e.Seq != uint64(len(entries))+1 || e.CRC != entryCRC(e.Seq, e.Kind, e.Data) {
-			break
-		}
-		entries = append(entries, e)
-		good += int64(len(line)) + 1
-	}
-	if err := sc.Err(); err != nil && err != bufio.ErrTooLong {
+	st, err := f.Stat()
+	if err != nil {
 		_ = f.Close()
-		return nil, nil, fmt.Errorf("serve: scanning journal: %w", err)
+		return nil, nil, fmt.Errorf("serve: sizing journal: %w", err)
+	}
+	buf := make([]byte, st.Size())
+	if _, err := io.ReadFull(f, buf); err != nil {
+		_ = f.Close()
+		return nil, nil, fmt.Errorf("serve: reading journal: %w", err)
+	}
+	entries, good := scanJournal(buf)
+	if last := uint64(len(entries)); last < need {
+		_ = f.Close()
+		return nil, nil, fmt.Errorf("serve: journal ends at seq %d, before checkpoint seq %d", last, need)
 	}
 	if err := f.Truncate(good); err != nil {
 		_ = f.Close()
@@ -107,12 +302,17 @@ func (j *Journal) Append(kind string, data any) (uint64, error) {
 		}
 		raw = b
 	}
-	e := Entry{Seq: j.next, Kind: kind, Data: raw, CRC: entryCRC(j.next, kind, raw)}
-	line, err := json.Marshal(e)
-	if err != nil {
-		return 0, fmt.Errorf("serve: encoding journal entry %s: %w", kind, err)
+	crc := entryCRC(j.next, kind, raw)
+	var line []byte
+	if plainKind(kind) {
+		line = appendLine(make([]byte, 0, len(raw)+len(kind)+64), j.next, kind, raw, crc)
+	} else {
+		b, err := json.Marshal(Entry{Seq: j.next, Kind: kind, Data: raw, CRC: crc})
+		if err != nil {
+			return 0, fmt.Errorf("serve: encoding journal entry %s: %w", kind, err)
+		}
+		line = append(b, '\n')
 	}
-	line = append(line, '\n')
 	if _, err := j.f.Write(line); err != nil {
 		return 0, fmt.Errorf("serve: appending journal entry %s: %w", kind, err)
 	}

@@ -182,12 +182,20 @@ type Options struct {
 // After Open returns, the runner's state is exactly what it was after the
 // last journaled request — a crash between requests never loses an
 // acknowledged mutation, and the audit file's bytes are identical to an
-// uninterrupted run's.
+// uninterrupted run's. A journal whose intact entries end before the
+// checkpoint's seq is refused with an error and left untouched.
 func Open(dir string, opts Options) (*Runner, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: creating state dir: %w", err)
 	}
-	journal, entries, err := OpenJournal(filepath.Join(dir, "journal.jsonl"), opts.Fsync)
+	cp, haveCP := loadCheckpoint(dir)
+	auditOffset := int64(0)
+	if haveCP {
+		auditOffset = cp.AuditOffset
+	}
+	// A journal that ends before the checkpoint lost acknowledged entries;
+	// appending to it would reissue their sequence numbers.
+	journal, entries, err := openJournal(filepath.Join(dir, "journal.jsonl"), opts.Fsync, cp.Seq)
 	if err != nil {
 		return nil, err
 	}
@@ -197,11 +205,6 @@ func Open(dir string, opts Options) (*Runner, error) {
 		fsync:           opts.Fsync,
 		checkpointEvery: opts.CheckpointEvery,
 		idem:            make(map[string]json.RawMessage),
-	}
-	cp, haveCP := loadCheckpoint(dir)
-	auditOffset := int64(0)
-	if haveCP {
-		auditOffset = cp.AuditOffset
 	}
 	if err := r.openAudit(auditOffset); err != nil {
 		_ = journal.Close()

@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/audit"
@@ -431,6 +433,101 @@ func TestJournalTornTail(t *testing.T) {
 			t.Fatalf("tail %q: file not truncated to intact prefix", tail)
 		}
 		j2.Close()
+	}
+
+	// An intact final line that lost its newline is torn too: it is
+	// dropped, the file is cut back to the intact prefix rather than
+	// extended, and an entry appended after recovery survives the next
+	// recovery on a line of its own.
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := []byte(`{"to":3}`)
+	torn := appendLine(nil, 4, kindTick, data, entryCRC(4, kindTick, data))
+	if err := os.WriteFile(path, append(append([]byte(nil), blob...), torn[:len(torn)-1]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j3, entries, err := OpenJournal(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 3 {
+		t.Fatalf("unterminated tail: recovered %d entries, want 3", len(entries))
+	}
+	if after, err := os.ReadFile(path); err != nil || string(after) != string(blob) {
+		t.Fatalf("unterminated tail: file not cut back to the intact prefix (err %v)", err)
+	}
+	seq, err := j3.Append(kindTick, TickRequest{To: 7})
+	if err != nil || seq != 4 {
+		t.Fatalf("append after recovery: seq %d, err %v", seq, err)
+	}
+	if err := j3.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j4, entries, err := OpenJournal(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j4.Close()
+	if len(entries) != 4 || string(entries[3].Data) != `{"to":7}` {
+		t.Fatalf("second recovery: %d entries, want the 4 acknowledged", len(entries))
+	}
+}
+
+// TestOpenRefusesJournalBehindCheckpoint pins the refusal to recover from
+// a journal whose intact entries end before the checkpoint — a lost
+// unsynced tail, or a corrupt entry mid-file. Appending there would
+// reissue acknowledged sequence numbers and move the applied seq
+// backwards, so Open fails naming both seqs and leaves the journal as it
+// found it.
+func TestOpenRefusesJournalBehindCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	r, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Init(InitRequest{Scenario: testScenario(511, false), WithTrace: true}); err != nil {
+		t.Fatal(err)
+	}
+	for to := 0; to < 10; to++ {
+		if _, err := r.Tick(TickRequest{To: to}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Status().AppliedSeq; got != 11 {
+		t.Fatalf("checkpointed at seq %d, want 11", got)
+	}
+	kill(r)
+
+	path := filepath.Join(dir, "journal.jsonl")
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(full, []byte("\n"))
+	lost := bytes.Join(lines[:8], nil)
+	corrupt := bytes.Join(lines, nil)
+	at := len(bytes.Join(lines[:8], nil)) + bytes.Index(lines[8], []byte(`"crc":`)) + len(`"crc":`)
+	corrupt[at] ^= 1 // entry 9's CRC no longer matches
+	for name, journal := range map[string][]byte{"lost tail": lost, "corrupt entry": corrupt} {
+		if err := os.WriteFile(path, journal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Open(dir, Options{})
+		if err == nil {
+			kill(r)
+			t.Fatalf("%s: Open recovered from a journal ending at seq 8 behind checkpoint seq 11", name)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "seq 8") || !strings.Contains(msg, "seq 11") {
+			t.Errorf("%s: error %q does not name both seqs", name, msg)
+		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, journal) {
+			t.Errorf("%s: the refused journal was modified (err %v)", name, err)
+		}
 	}
 }
 

@@ -6,24 +6,30 @@ import (
 	"repro/internal/units"
 )
 
-// CoverageOK reports whether the given set of spinning disks covers every
-// object, i.e. each object has at least one replica on a disk in the set
-// whose node is powered. Only objects with at least one replica are
+// CoverageOK reports whether the disks for which spinning returns true
+// cover every object, i.e. each object has at least one replica on such a
+// disk whose node is powered. Only objects with at least one replica are
 // considered (an empty cluster is trivially covered).
-func (c *Cluster) CoverageOK(active map[DiskID]bool) bool {
-	for obj := range c.placement {
-		covered := false
-		for _, id := range c.placement[obj] {
-			if active[id] && c.nodes[id.Node].Powered {
+func (c *Cluster) CoverageOK(spinning func(DiskID) bool) bool {
+	for _, reps := range c.placement {
+		covered := len(reps) == 0
+		for _, id := range reps {
+			if c.nodes[id.Node].Powered && spinning(id) {
 				covered = true
 				break
 			}
 		}
-		if !covered && len(c.placement[obj]) > 0 {
+		if !covered {
 			return false
 		}
 	}
 	return true
+}
+
+// Covered evaluates CoverageOK on the fleet's current state: every object
+// has a replica on a spun-up disk of a powered node.
+func (c *Cluster) Covered() bool {
+	return c.CoverageOK(func(id DiskID) bool { return c.DiskByID(id).SpunUp() })
 }
 
 // greedyCover runs the classic greedy set-cover heuristic (ln n

@@ -108,8 +108,8 @@ type ReadModelState struct {
 	Draws uint64 `json:"draws,omitempty"`
 	// Latencies and LatencySum serialize the attached latency
 	// distribution; Latencies is nil when none is attached.
-	Latencies  []float64 `json:"latencies,omitempty"`
-	LatencySum float64   `json:"latency_sum,omitempty"`
+	Latencies  LatencySamples `json:"latencies,omitempty"`
+	LatencySum float64        `json:"latency_sum,omitempty"`
 }
 
 // State captures the read model's mutable state for checkpointing.

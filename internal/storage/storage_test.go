@@ -124,6 +124,11 @@ func TestPlacementSingleNodeCluster(t *testing.T) {
 	}
 }
 
+// inSet adapts a disk set to CoverageOK's spinning predicate.
+func inSet(active map[DiskID]bool) func(DiskID) bool {
+	return func(id DiskID) bool { return active[id] }
+}
+
 func TestMinimalCoverCoversEverything(t *testing.T) {
 	c := MustNewCluster(smallConfig())
 	cover := c.MinimalCover()
@@ -131,7 +136,7 @@ func TestMinimalCoverCoversEverything(t *testing.T) {
 	for _, id := range cover {
 		active[id] = true
 	}
-	if !c.CoverageOK(active) {
+	if !c.CoverageOK(inSet(active)) {
 		t.Fatal("MinimalCover does not cover all objects")
 	}
 	if len(cover) == 0 || len(cover) >= c.TotalDisks() {
@@ -163,7 +168,7 @@ func TestMinimalCoverProperty(t *testing.T) {
 		for _, id := range cover {
 			active[id] = true
 		}
-		return c.CoverageOK(active)
+		return c.CoverageOK(inSet(active))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -181,7 +186,7 @@ func TestCoverageFailsWhenNodeUnpowered(t *testing.T) {
 	// objects whose only covered replica was there (r=3 on 6 nodes means
 	// some object will lose its covering disk).
 	c.PowerOffNode(cover[0].Node)
-	if c.CoverageOK(active) {
+	if c.CoverageOK(inSet(active)) {
 		// Possible if other replicas of every affected object are in the
 		// active set; force the issue by keeping only the cover subset on
 		// that node.

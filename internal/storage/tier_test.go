@@ -149,7 +149,7 @@ func TestTieredCoverage(t *testing.T) {
 			hasCold = true
 		}
 	}
-	if !c.CoverageOK(active) {
+	if !c.CoverageOK(inSet(active)) {
 		t.Fatal("tiered cover does not cover")
 	}
 	if !hasCold {
