@@ -87,9 +87,11 @@ func TestFastPathDisabledForUtilizationModel(t *testing.T) {
 	}
 }
 
-// deferringForecast predicts no green power for the current slot and
-// abundant power afterwards, so GreenMatch keeps deferrable jobs waiting
-// slot after slot and the full matching path runs on every plan.
+// deferringForecast predicts abundant green power for the current slot, a
+// dark next slot and abundant power afterwards, so GreenMatch keeps its
+// multi-slot deferrable jobs waiting for a fully green run slot after slot
+// and the full matching path runs on every plan (a dark current slot would
+// let the planner skip the solve).
 type deferringForecast struct{}
 
 func (deferringForecast) Name() string { return "deferring" }
@@ -104,7 +106,7 @@ func (deferringForecast) PredictInto(dst []units.Power, actual solar.Provider, n
 	}
 	dst = dst[:horizon]
 	for k := range dst {
-		if k == 0 {
+		if k == 1 {
 			dst[k] = 0
 		} else {
 			dst[k] = 100000

@@ -37,8 +37,11 @@ func TestPlacerSteadyStateAllocFree(t *testing.T) {
 }
 
 // busyMatchView builds a view with several classes of deferrable
-// participants and a forecast that keeps them deferred (no current-slot
-// capacity, plenty later), so Plan exercises the full grouped matching.
+// participants and a forecast that keeps them deferred, so Plan exercises
+// the full grouped matching. The current slot has green capacity (a dark
+// slot 0 would let Plan skip the solve) but the next slot is dark, with
+// plenty of supply after it: every multi-slot job covers its run better
+// by starting later, so the solver runs and still starts nobody.
 // The deadline stagger parameter shifts latest-start offsets between views,
 // changing the matching topology.
 func busyMatchView(slot, stagger int, sc *PlanScratch) View {
@@ -53,7 +56,8 @@ func busyMatchView(slot, stagger int, sc *PlanScratch) View {
 		}
 	}
 	forecast := make([]units.Power, 24)
-	for k := 1; k < 24; k++ {
+	forecast[0] = 150
+	for k := 2; k < 24; k++ {
 		forecast[k] = units.Power(100 + 50*k)
 	}
 	return View{

@@ -300,39 +300,30 @@ func (g GreenMatch) Plan(v View) Decision {
 		capacity[0] = 0
 	}
 
-	if len(parts) > 0 && g.solver() == SolverFlow {
-		// Fast path: weights depend on a job only through its latest-start
-		// slot, so jobs group into at most horizon+1 interchangeable
-		// classes and the assignment collapses to a small transportation
-		// problem — exactly equivalent to the per-job flow (tested), but
-		// with cost independent of the job count.
-		starts = g.planGrouped(v, parts, capacity, h, sc, starts)
-	} else if len(parts) > 0 {
-		in := match.Instance{
-			Weights:  make([][]float64, len(parts)),
-			Capacity: capacity,
-		}
-		for j, p := range parts {
-			in.Weights[j] = g.WeightRow(v, h, p.latestStart, p.remaining)
-		}
-		var res match.Result
-		var err error
-		switch g.solver() {
-		case SolverGreedy:
-			res, err = match.Greedy(in)
-		case SolverHungarian:
-			res, err = match.Hungarian(in)
-		default:
-			res, err = match.Flow(in)
-		}
-		if err != nil {
-			// A malformed instance is a programming error in this package.
-			panic(fmt.Sprintf("sched: greenmatch built invalid instance: %v", err))
-		}
-		for j, slot := range res.Assign {
-			if slot == 0 {
-				starts = append(starts, parts[j].idx)
-			}
+	// Plan only the slot that executes. The decision reads just the current
+	// slot's column of the horizon plan (Count[gi][0] on the grouped path,
+	// Assign == 0 on the per-job path); every later column is matched
+	// afresh next slot. With no capacity left in slot 0 after the forced
+	// starts, no solver can put a job there: Solver, FlowGrouped and Flow
+	// build no arc into a zero-capacity slot, Greedy skips a slot with no
+	// remaining capacity, and Instance.checkFeasible panics on any
+	// over-capacity assignment from Hungarian. The decision is then the
+	// forced starts alone — the same starts slice, suspension logic and
+	// Decision the solve would have led to — so grouping, weight rows and
+	// the solve are skipped. Skipping a SolveGrouped call cannot shift a
+	// later result either: the memo and repair tiers return exactly what a
+	// fresh solve of their instance returns, whatever was solved before.
+	if len(parts) > 0 && capacity[0] > 0 {
+		if g.solver() == SolverFlow {
+			// Fast path: weights depend on a job only through its
+			// latest-start slot, so jobs group into at most horizon+1
+			// interchangeable classes and the assignment collapses to a
+			// small transportation problem — exactly equivalent to the
+			// per-job flow (tested), but with cost independent of the job
+			// count.
+			starts = g.planGrouped(v, parts, capacity, h, sc, starts)
+		} else {
+			starts = g.planPerJob(v, parts, capacity, h, starts)
 		}
 	}
 	sc.starts = starts
@@ -377,6 +368,39 @@ func (g GreenMatch) Plan(v View) Decision {
 		}
 	}
 	return d
+}
+
+// planPerJob solves the matching on the per-job instance with the selected
+// Hungarian or greedy solver (the per-job flow for any other value) and
+// appends the View.Waiting indices matched to the current slot onto starts.
+func (g GreenMatch) planPerJob(v View, parts []part, capacity []int, h int, starts []int) []int {
+	in := match.Instance{
+		Weights:  make([][]float64, len(parts)),
+		Capacity: capacity,
+	}
+	for j, p := range parts {
+		in.Weights[j] = g.WeightRow(v, h, p.latestStart, p.remaining)
+	}
+	var res match.Result
+	var err error
+	switch g.solver() {
+	case SolverGreedy:
+		res, err = match.Greedy(in)
+	case SolverHungarian:
+		res, err = match.Hungarian(in)
+	default:
+		res, err = match.Flow(in)
+	}
+	if err != nil {
+		// A malformed instance is a programming error in this package.
+		panic(fmt.Sprintf("sched: greenmatch built invalid instance: %v", err))
+	}
+	for j, slot := range res.Assign {
+		if slot == 0 {
+			starts = append(starts, parts[j].idx)
+		}
+	}
+	return starts
 }
 
 // part is one matching participant: an index into View.Waiting plus the
