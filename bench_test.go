@@ -284,7 +284,7 @@ func BenchmarkMatchGreedy100x24(b *testing.B) {
 	}
 }
 
-// --- incremental matching (match.Solver) micro-benchmarks ---
+// --- transportation solve (match.Solver) micro-benchmarks ---
 
 // benchGrouped builds a grouped transportation instance shaped like the
 // ones GreenMatch.Plan emits: g job classes over 24 deadline slots, each
@@ -315,86 +315,36 @@ func benchGrouped(g int, seed int64) (weights [][]float64, supply, capacity []in
 	return weights, supply, capacity
 }
 
-// BenchmarkMatchPlan measures the reusable match.Solver across its three
-// tiers at several job-class counts:
-//
-//   - cold: alternating instances with different forbidden patterns, so
-//     every solve rebuilds the graph (into reused memory);
-//   - repair: alternating weight values over one fixed topology, so every
-//     solve overwrites arcs in place and re-runs SSP;
-//   - memo: the same instance every time, answered from the cached result.
-//
-// All three are allocation-free once warm; the tier counters are asserted
-// so the benchmark fails loudly if a tier stops being exercised.
+// BenchmarkMatchPlan measures the reusable match.Solver at several
+// job-class counts on alternating instances with different forbidden
+// patterns, so every solve rebuilds a different graph (into reused
+// memory). It is allocation-free once warm.
 func BenchmarkMatchPlan(b *testing.B) {
 	for _, g := range []int{8, 32, 96} {
 		wA, sA, cA := benchGrouped(g, 3)
-		wB, sB, cB := benchGrouped(g, 4) // different forbidden pattern: topology change
-		// Same topology as A, different weight values: arc-repair tier.
-		wR := make([][]float64, g)
-		for gi, row := range wA {
-			r := make([]float64, len(row))
-			for k, w := range row {
-				if match.IsForbidden(w) {
-					r[k] = w
-				} else {
-					r[k] = 1 - w/2
-				}
-			}
-			wR[gi] = r
-		}
-		tiers := []struct {
-			name string
-			run  func(sv *match.Solver, i int) error
-			pick func(st match.SolverStats) int
-		}{
-			{"cold", func(sv *match.Solver, i int) error {
+		wB, sB, cB := benchGrouped(g, 4)
+		b.Run(fmt.Sprintf("g%d/cold", g), func(b *testing.B) {
+			var sv match.Solver
+			solve := func(i int) {
 				var err error
 				if i%2 == 0 {
 					_, err = sv.SolveGrouped(wA, sA, cA)
 				} else {
 					_, err = sv.SolveGrouped(wB, sB, cB)
 				}
-				return err
-			}, func(st match.SolverStats) int { return st.ColdSolves }},
-			{"repair", func(sv *match.Solver, i int) error {
-				var err error
-				if i%2 == 0 {
-					_, err = sv.SolveGrouped(wA, sA, cA)
-				} else {
-					_, err = sv.SolveGrouped(wR, sA, cA)
+				if err != nil {
+					b.Fatal(err)
 				}
-				return err
-			}, func(st match.SolverStats) int { return st.ArcRepairs }},
-			{"memo", func(sv *match.Solver, i int) error {
-				_, err := sv.SolveGrouped(wA, sA, cA)
-				return err
-			}, func(st match.SolverStats) int { return st.MemoHits }},
-		}
-		for _, tier := range tiers {
-			b.Run(fmt.Sprintf("g%d/%s", g, tier.name), func(b *testing.B) {
-				var sv match.Solver
-				for i := 0; i < 4; i++ { // warm both instances past the first allocation
-					if err := tier.run(&sv, i); err != nil {
-						b.Fatal(err)
-					}
-				}
-				before := tier.pick(sv.Stats())
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := tier.run(&sv, i); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				hit := tier.pick(sv.Stats()) - before
-				if hit < b.N/2 {
-					b.Fatalf("tier %s took only %d of %d solves", tier.name, hit, b.N)
-				}
-				b.ReportMetric(float64(hit)/float64(b.N), "tier-hits/op")
-			})
-		}
+			}
+			for i := 0; i < 4; i++ { // warm both instances past the first allocation
+				solve(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				solve(i)
+			}
+		})
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"repro/internal/forecast"
 	"repro/internal/metrics"
 	"repro/internal/scenario"
-	"repro/internal/sched"
 	"repro/internal/solar"
 	"repro/internal/storage"
 	"repro/internal/units"
@@ -30,9 +29,9 @@ import (
 
 func main() {
 	var (
-		policyName = flag.String("policy", "greenmatch", "scheduling policy: baseline | spindown | defer | greenmatch | mixed")
+		policyName = flag.String("policy", "greenmatch", "scheduling policy: baseline | spindown | defer | greenmatch | mixed | edf | kchoices | cucumber")
 		fraction   = flag.Float64("fraction", 1.0, "defer fraction for defer/mixed policies (0..1]")
-		solver     = flag.String("solver", "flow", "greenmatch matching solver: flow | hungarian | greedy")
+		solver     = flag.String("solver", "flow", "greenmatch matching solver: flow | greedy")
 		scale      = flag.Float64("scale", 0.25, "workload scale factor (1.0 = reference week: 787 web + 3148 batch jobs)")
 		nodes      = flag.Int("nodes", 0, "storage nodes (0 = scale the 30-node reference)")
 		area       = flag.Float64("area", 0, "solar panel area in m^2 (0 = scale the 165.6 m^2 reference)")
@@ -213,19 +212,9 @@ func buildConfig(policyName string, fraction float64, solver string, scale float
 	}
 
 	// Policy.
-	switch policyName {
-	case "baseline":
-		cfg.Policy = sched.Baseline{}
-	case "spindown":
-		cfg.Policy = sched.SpinDown{}
-	case "defer":
-		cfg.Policy = sched.DeferFraction{Fraction: fraction}
-	case "greenmatch":
-		cfg.Policy = sched.GreenMatch{Solver: sched.Solver(solver)}
-	case "mixed":
-		cfg.Policy = sched.GreenMatch{Fraction: fraction, Solver: sched.Solver(solver)}
-	default:
-		return core.Config{}, fmt.Errorf("unknown policy %q", policyName)
+	cfg.Policy, err = scenario.PolicyFor(policyName, fraction, solver, 0, 0)
+	if err != nil {
+		return core.Config{}, err
 	}
 	return cfg, nil
 }

@@ -62,9 +62,9 @@ func TestSlotStepDrainedAllocFree(t *testing.T) {
 // — long-running web jobs pinned in place, per-slot placement, full power
 // plan, I/O service — allocates nothing per slot either. (The deferrable
 // matching path is covered separately by TestSlotStepBusyDeferredAllocFree
-// in fastpath_test.go: GreenMatch.Plan runs through the reusable
-// sched.PlanScratch/match.Solver and is allocation-free once warm too; see
-// docs/PROFILING.md.)
+// in fastpath_test.go: GreenMatch.Plan solves on the match.Solver held
+// by the reusable sched.PlanScratch and is allocation-free once warm too;
+// see "The matching solver" in docs/PROFILING.md.)
 func TestSlotStepBusyMandatoryAllocFree(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Policy = sched.Baseline{}

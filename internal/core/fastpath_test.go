@@ -119,8 +119,8 @@ func (deferringForecast) PredictInto(dst []units.Power, actual solar.Provider, n
 // to the busy deferral path: a slot that runs the full GreenMatch matching
 // pipeline — grouping, flow solve, settlement — over dozens of waiting
 // jobs must not allocate once the plan scratch is warm. This is the
-// regression guard for the incremental matching work; before it, every
-// such slot rebuilt the flow graph from scratch.
+// regression guard for the solver's reused graph memory; without it,
+// every such slot would allocate a fresh flow graph.
 func TestSlotStepBusyDeferredAllocFree(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Forecaster = deferringForecast{}
@@ -159,7 +159,7 @@ func TestSlotStepBusyDeferredAllocFree(t *testing.T) {
 		t.Fatalf("jobs left the waiting pool mid-measurement (%d left)", len(sim.waiting))
 	}
 	st := sim.planScratch.SolverStats()
-	if st.ColdSolves == 0 || st.ColdSolves+st.ArcRepairs+st.MemoHits < 100 {
+	if st.ColdSolves < 100 {
 		t.Fatalf("matching solver not exercised as expected: %+v", st)
 	}
 }

@@ -179,7 +179,7 @@ type RepairSnap struct {
 // slot boundary. Everything not present here is a pure function of the
 // Config the snapshot is restored against: topology, placement, the
 // minimal cover, planner scratch and memo caches all rebuild to states
-// that produce bit-identical decisions (the solver-tier and cover-cache
+// that produce bit-identical decisions (the reused-solver and cover-cache
 // equivalences the test suite gates elsewhere), and the quiet-slot
 // aggregate caches (drawValid/spunValid) recompute to identical values
 // from the restored cluster.

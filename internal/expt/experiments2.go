@@ -236,7 +236,13 @@ func runE9(p Params) ([]*metrics.Table, error) {
 			gw = append(gw, row)
 			supply = append(supply, groups[l])
 		}
-		grUS, err := timeIt(func() error { _, e := match.FlowGrouped(gw, supply, in.Capacity); return e })
+		// A fresh Solver per plan, so the column times a cold solve
+		// including its allocation, like the per-job columns.
+		grUS, err := timeIt(func() error {
+			var sv match.Solver
+			_, e := sv.SolveGrouped(gw, supply, in.Capacity)
+			return e
+		})
 		if err != nil {
 			return nil, err
 		}

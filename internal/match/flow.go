@@ -19,7 +19,7 @@ type flowEdge struct {
 //
 // The graph is reusable: reset re-dimensions it in place, and the Dijkstra
 // scratch (potential/dist/prevEdge/heap) persists across solves so repeat
-// callers — the incremental Solver and the simulator's per-slot planning —
+// callers — Solver and the simulator's per-slot planning —
 // stay allocation-free once warm.
 type flowGraph struct {
 	n     int

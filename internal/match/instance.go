@@ -8,8 +8,10 @@
 // Three solvers are provided: a greedy heuristic (linear-time, used as the
 // ablation baseline), the Hungarian algorithm (optimal, O(n^2 m) on the
 // capacity-expanded matrix), and a successive-shortest-paths min-cost
-// max-flow solver (optimal, handles slot capacities natively; the solver
-// GreenMatch runs in production). The objective is lexicographic: first
+// max-flow solver (optimal, handles slot capacities natively). Solver runs
+// the same min-cost flow on the grouped (transportation) form, where jobs
+// sharing a weight row collapse into one supply node; it is the solve
+// GreenMatch runs in production. The objective is lexicographic: first
 // maximize the number of assigned jobs, then total weight.
 package match
 

@@ -6,7 +6,7 @@ import "fmt"
 // successive-shortest-paths kernel the assignment solvers run on. It exists
 // for callers that need raw flow — the offline oracle's time-expanded
 // energy graph (internal/oracle) — rather than the assignment-shaped
-// Flow/FlowGrouped front-ends.
+// Flow/Solver front-ends.
 //
 // Usage: NewNetwork(n), AddEdge for every arc, then MaxFlow once. A Network
 // is single-shot: after MaxFlow the edge flows are readable via EdgeFlow

@@ -5,41 +5,52 @@ import (
 	"math"
 )
 
-// SolverStats counts which tier each SolveGrouped call took, for
-// diagnostics and benchmark reporting.
+// GroupedResult is the solution of a transportation-form assignment: how
+// many jobs of each group go to each slot.
+type GroupedResult struct {
+	// Count[g][s] is the number of group-g jobs assigned to slot s.
+	Count [][]int
+	// Assigned is the total number of jobs placed.
+	Assigned int
+	// Weight is the total assignment weight.
+	Weight float64
+}
+
+// SolverStats counts SolveGrouped calls, for diagnostics and benchmark
+// reporting.
 type SolverStats struct {
-	// MemoHits counts calls answered from the cached previous solution
-	// because the instance was bit-identical.
+	// MemoHits is always zero. It exists only because the end-to-end
+	// benchmark (bench/) still reads it for its match.memo_hits ledger
+	// row; the next change to the benchmark drops both.
 	MemoHits int
-	// ArcRepairs counts solves that reused the previous graph topology,
-	// overwriting only arc capacities and costs in place.
+	// ArcRepairs is always zero, kept like MemoHits for the benchmark's
+	// match.arc_repairs row.
 	ArcRepairs int
-	// ColdSolves counts full graph rebuilds (still into reused memory).
+	// ColdSolves counts validated solves; every one rebuilds the graph
+	// into reused memory.
 	ColdSolves int
 }
 
-// Solver is a reusable front-end to the FlowGrouped transportation solve.
-// It produces bit-identical results to FlowGrouped — same Count, Assigned,
-// and Weight, including floating-point rounding — while keeping repeat
-// solves allocation-free. Three tiers, cheapest first:
+// Solver is the transportation solve: it assigns groups of
+// interchangeable jobs to capacitated slots exactly. Group gi consists of
+// supply[gi] jobs sharing the weight row weights[gi] (same semantics as
+// Instance.Weights, including Forbidden), and slot s accepts at most
+// capacity[s] jobs. The objective is lexicographic (max assigned, then max
+// weight), identical to Flow on the expanded per-job instance — the
+// GreenMatch scheduler relies on this equivalence, which the tests verify,
+// to plan hundreds of jobs through a graph whose size depends only on
+// (groups x slots).
 //
-//  1. memo: the instance equals the previous one bit-for-bit, so the cached
-//     result is returned without touching the graph;
-//  2. arc repair: the instance has the same edge topology (same forbidden
-//     pattern, same zero/non-zero supply and capacity pattern), so arc
-//     capacities and costs are overwritten in place and only the
-//     successive-shortest-paths run repeats;
-//  3. cold solve: the topology changed, so the graph is rebuilt — into the
-//     same backing arrays, so this too is allocation-free once warm.
+// Every call builds the flow network afresh and runs successive shortest
+// paths from zero flow, but into backing arrays kept from the previous
+// call, so repeat solves are allocation-free once warm.
 //
 // Deliberately absent: warm-starting the flow itself. The grouped
 // transportation optimum is tie-degenerate (many flows share the optimal
 // value), and the simulator's byte-determinism contract pins the *specific*
 // flow SSP finds from a zero start; carrying flow across solves would pick
 // a different (equally optimal) solution and break run-twice
-// reproducibility. Every tier therefore re-runs SSP from zero flow; the
-// savings come from skipping validation-adjacent rebuild work and
-// allocation, not from reusing flow units. See docs/PROFILING.md.
+// reproducibility. See docs/PROFILING.md.
 //
 // The returned GroupedResult's Count slices alias solver-owned memory and
 // are valid only until the next SolveGrouped call; callers must not retain
@@ -48,31 +59,21 @@ type SolverStats struct {
 type Solver struct {
 	stats SolverStats
 
-	// Previous-instance snapshot for the memo and repair tiers.
-	hasPrev    bool
-	prevG      int
-	prevM      int
-	prevW      []float64 // g*m, row-major
-	prevSupply []int
-	prevCap    []int
-
 	g flowGraph
 
 	// edgeIdx[gi*m+s] is the forward group->slot edge index, or -1 when the
-	// arc does not exist. Iterating it group-major/slot-minor reproduces
-	// FlowGrouped's sorted-key settlement order exactly.
+	// arc does not exist.
 	edgeIdx []int
 
 	res       GroupedResult
 	countFlat []int
 }
 
-// Stats returns tier counters accumulated since the solver was created.
+// Stats returns the counters accumulated since the solver was created.
 func (sv *Solver) Stats() SolverStats { return sv.stats }
 
-// SolveGrouped solves the same problem as FlowGrouped with the same
-// semantics and bit-identical results; see the Solver doc for the reuse
-// contract on the returned Count slices.
+// SolveGrouped solves the grouped instance; see the Solver doc for the
+// problem and for the reuse contract on the returned Count slices.
 func (sv *Solver) SolveGrouped(weights [][]float64, supply []int, capacity []int) (GroupedResult, error) {
 	g := len(weights)
 	if len(supply) != g {
@@ -107,100 +108,17 @@ func (sv *Solver) SolveGrouped(weights [][]float64, supply []int, capacity []int
 		}
 	}
 
-	if sv.hasPrev && sv.sameInstance(weights, supply, capacity) {
-		sv.stats.MemoHits++
-		return sv.res, nil
-	}
-
-	bigW := maxW + 1
-	if sv.hasPrev && sv.sameTopology(weights, supply, capacity) {
-		sv.stats.ArcRepairs++
-		sv.repair(weights, supply, capacity, bigW)
-	} else {
-		sv.stats.ColdSolves++
-		sv.rebuild(weights, supply, capacity, bigW)
-	}
+	sv.stats.ColdSolves++
+	sv.rebuild(weights, supply, capacity, maxW+1)
 	sv.g.minCostMaxFlow(0, g+m+1)
 	if err := sv.settle(weights, g, m); err != nil {
-		sv.hasPrev = false
 		return GroupedResult{}, err
 	}
-	sv.snapshot(weights, supply, capacity)
 	return sv.res, nil
 }
 
-// sameInstance reports whether the instance is bit-identical to the
-// previous solve. Forbidden cells compare equal (-Inf == -Inf); NaN never
-// reaches here because validation rejects it.
-func (sv *Solver) sameInstance(weights [][]float64, supply, capacity []int) bool {
-	g, m := len(weights), len(capacity)
-	if g != sv.prevG || m != sv.prevM {
-		return false
-	}
-	for i, s := range supply {
-		if s != sv.prevSupply[i] {
-			return false
-		}
-	}
-	for i, c := range capacity {
-		if c != sv.prevCap[i] {
-			return false
-		}
-	}
-	for gi, row := range weights {
-		base := gi * m
-		for s, w := range row {
-			// Bitwise equality is the point: the memo tier may only fire
-			// when the cached result is exactly what a fresh solve would
-			// produce, so an epsilon here would break byte-determinism.
-			if w != sv.prevW[base+s] { //lint:allow floateq memo cache requires bit-identical instances
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// sameTopology reports whether the instance induces exactly the same edge
-// set as the previous solve: an arc (gi, s) exists iff supply[gi] != 0,
-// weights[gi][s] is not Forbidden, and capacity[s] != 0; source and sink
-// edges exist iff the corresponding supply/capacity is non-zero. Equal
-// patterns on all three conditions imply equal edge sets, which makes the
-// in-place overwrite in repair reproduce the cold build byte-for-byte.
-func (sv *Solver) sameTopology(weights [][]float64, supply, capacity []int) bool {
-	g, m := len(weights), len(capacity)
-	if g != sv.prevG || m != sv.prevM {
-		return false
-	}
-	for i, s := range supply {
-		if (s == 0) != (sv.prevSupply[i] == 0) {
-			return false
-		}
-	}
-	for i, c := range capacity {
-		if (c == 0) != (sv.prevCap[i] == 0) {
-			return false
-		}
-	}
-	for gi, row := range weights {
-		if supply[gi] == 0 {
-			continue
-		}
-		base := gi * m
-		for s, w := range row {
-			if capacity[s] == 0 {
-				continue
-			}
-			if IsForbidden(w) != IsForbidden(sv.prevW[base+s]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// rebuild reconstructs the flow network from scratch into reused backing
-// arrays, mirroring FlowGrouped's construction loop exactly.
+// rebuild constructs the flow network into reused backing arrays. Node
+// layout: 0 = source, 1..g = groups, g+1..g+m = slots, g+m+1 = sink.
 func (sv *Solver) rebuild(weights [][]float64, supply, capacity []int, bigW float64) {
 	g, m := len(weights), len(capacity)
 	sv.g.reset(g + m + 2)
@@ -233,50 +151,10 @@ func (sv *Solver) rebuild(weights [][]float64, supply, capacity []int, bigW floa
 	}
 }
 
-// repair replays the construction loop over the existing graph, overwriting
-// each arc's capacity, cost, and flow in place. Callable only after
-// sameTopology accepted the instance, which guarantees the replay visits
-// edges in exactly the order rebuild created them; the resulting edge array
-// is byte-identical to what a cold build would produce, so the SSP run that
-// follows is too. The adjacency lists and edgeIdx are untouched.
-func (sv *Solver) repair(weights [][]float64, supply, capacity []int, bigW float64) {
-	g, m := len(weights), len(capacity)
-	src, sink := 0, g+m+1
-	cursor := 0
-	for gi := 0; gi < g; gi++ {
-		if supply[gi] == 0 {
-			continue
-		}
-		cursor = sv.setEdge(cursor, src, 1+gi, supply[gi], 0)
-		for s, w := range weights[gi] {
-			if IsForbidden(w) || capacity[s] == 0 {
-				continue
-			}
-			edgeCap := supply[gi]
-			if capacity[s] < edgeCap {
-				edgeCap = capacity[s]
-			}
-			cursor = sv.setEdge(cursor, 1+gi, 1+g+s, edgeCap, bigW-w)
-		}
-	}
-	for s := 0; s < m; s++ {
-		if capacity[s] > 0 {
-			cursor = sv.setEdge(cursor, 1+g+s, sink, capacity[s], 0)
-		}
-	}
-}
-
-// setEdge overwrites the forward/residual edge pair at cursor, mirroring
-// addEdge's layout, and returns the advanced cursor.
-func (sv *Solver) setEdge(cursor, from, to, edgeCap int, cost float64) int {
-	sv.g.edges[cursor] = flowEdge{to: to, cap: edgeCap, cost: cost}
-	sv.g.edges[cursor+1] = flowEdge{to: from, cap: 0, cost: -cost}
-	return cursor + 2
-}
-
 // settle reads flows off the group->slot arcs into the reusable result,
-// accumulating Weight in group-major/slot-minor order — the same order as
-// FlowGrouped's sorted-key loop, so the float rounding matches.
+// accumulating Weight in group-major/slot-minor order. The order is part
+// of the byte-determinism contract: Weight is a floating-point sum, so
+// another order would round differently.
 func (sv *Solver) settle(weights [][]float64, g, m int) error {
 	sv.countFlat = resizeInts(sv.countFlat, g*m)
 	flat := sv.countFlat
@@ -311,29 +189,9 @@ func (sv *Solver) settle(weights [][]float64, g, m int) error {
 	return nil
 }
 
-// snapshot copies the instance into the previous-solve buffers.
-func (sv *Solver) snapshot(weights [][]float64, supply, capacity []int) {
-	g, m := len(weights), len(capacity)
-	sv.prevG, sv.prevM = g, m
-	sv.prevW = resizeFloats(sv.prevW, g*m)
-	for gi, row := range weights {
-		copy(sv.prevW[gi*m:], row)
-	}
-	sv.prevSupply = append(sv.prevSupply[:0], supply...)
-	sv.prevCap = append(sv.prevCap[:0], capacity...)
-	sv.hasPrev = true
-}
-
 func resizeInts(s []int, n int) []int {
 	if cap(s) < n {
 		return make([]int, n)
-	}
-	return s[:n]
-}
-
-func resizeFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
 	}
 	return s[:n]
 }

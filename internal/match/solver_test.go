@@ -1,15 +1,16 @@
 package match
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/rng"
 )
 
-// randomGrouped draws a random grouped instance; with perturb it mutates a
-// previous instance in place-preserving ways that exercise the repair tier
-// (same topology, different values).
+// randomGrouped draws a random grouped instance: up to 3 jobs per group,
+// up to 4 per slot, a quarter of the cells forbidden, weights on a
+// half-unit grid so many assignments tie.
 func randomGrouped(s *rng.Stream, g, m int) (weights [][]float64, supply, capacity []int) {
 	weights = make([][]float64, g)
 	supply = make([]int, g)
@@ -31,10 +32,10 @@ func randomGrouped(s *rng.Stream, g, m int) (weights [][]float64, supply, capaci
 	return weights, supply, capacity
 }
 
-// assertSameGrouped requires the solver result to match FlowGrouped
-// bit-for-bit: identical counts, identical Assigned, and identical Weight
-// (== on float64, not approximate — the simulator's byte-determinism
-// contract rides on this).
+// assertSameGrouped requires two solver results to match bit-for-bit:
+// identical counts, identical Assigned, and identical Weight (== on
+// float64, not approximate — the simulator's byte-determinism contract
+// rides on this).
 func assertSameGrouped(t *testing.T, tag string, got, want GroupedResult) {
 	t.Helper()
 	if got.Assigned != want.Assigned {
@@ -55,165 +56,193 @@ func assertSameGrouped(t *testing.T, tag string, got, want GroupedResult) {
 	}
 }
 
-func TestSolverMatchesFlowGroupedRandom(t *testing.T) {
-	s := rng.New(37, "solver-cross")
+// solveFresh solves one instance on a new Solver, so no state from an
+// earlier solve can reach the result.
+func solveFresh(t *testing.T, weights [][]float64, supply, capacity []int) GroupedResult {
+	t.Helper()
 	var sv Solver
-	for trial := 0; trial < 120; trial++ {
+	res, err := sv.SolveGrouped(weights, supply, capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func TestSolverSimple(t *testing.T) {
+	// Two groups: 3 urgent jobs (only slot 0), 2 flexible jobs preferring
+	// slot 1. Slot capacities 3 and 2.
+	weights := [][]float64{
+		{5, Forbidden},
+		{1, 9},
+	}
+	res := solveFresh(t, weights, []int{3, 2}, []int{3, 2})
+	if res.Count[0][0] != 3 || res.Count[1][1] != 2 {
+		t.Fatalf("counts wrong: %+v", res.Count)
+	}
+	if res.Assigned != 5 || math.Abs(res.Weight-(15+18)) > 1e-9 {
+		t.Fatalf("totals wrong: %+v", res)
+	}
+}
+
+func TestSolverRespectsCapacity(t *testing.T) {
+	res := solveFresh(t, [][]float64{{7}}, []int{10}, []int{4})
+	if res.Count[0][0] != 4 || res.Assigned != 4 {
+		t.Fatalf("capacity ignored: %+v", res)
+	}
+}
+
+func TestSolverLexicographic(t *testing.T) {
+	// Group 0 can use both slots (low weight); group 1 only slot 0 (high
+	// weight). Max-assigned requires group 0 to vacate slot 0.
+	weights := [][]float64{
+		{1, 1},
+		{100, Forbidden},
+	}
+	res := solveFresh(t, weights, []int{1, 1}, []int{1, 1})
+	if res.Assigned != 2 {
+		t.Fatalf("want both assigned: %+v", res)
+	}
+	if res.Count[1][0] != 1 || res.Count[0][1] != 1 {
+		t.Fatalf("assignment wrong: %+v", res.Count)
+	}
+}
+
+// expand replicates each group into per-job rows so Flow can solve the
+// identical instance.
+func expand(weights [][]float64, supply []int, capacity []int) Instance {
+	in := Instance{Capacity: capacity}
+	for g, n := range supply {
+		for k := 0; k < n; k++ {
+			row := append([]float64(nil), weights[g]...)
+			in.Weights = append(in.Weights, row)
+		}
+	}
+	return in
+}
+
+// The grouped transportation solve, once the standalone FlowGrouped, is a
+// fresh Solver now; the TestFlowGrouped* tests keep checking it under their
+// old names.
+
+// TestFlowGroupedEqualsExpandedFlow feeds one reused Solver a random mix of
+// shapes and checks every result against the per-job Flow on the expanded
+// instance, an independent solve of the same problem (same Assigned, same
+// Weight), and bit-for-bit against a fresh Solver.
+func TestFlowGroupedEqualsExpandedFlow(t *testing.T) {
+	s := rng.New(21, "grouped-cross")
+	var sv Solver
+	const trials = 200
+	for trial := 0; trial < trials; trial++ {
 		g := 1 + s.Intn(5)
 		m := 1 + s.Intn(5)
 		weights, supply, capacity := randomGrouped(s, g, m)
-		want, err := FlowGrouped(weights, supply, capacity)
+		grouped, err := sv.SolveGrouped(weights, supply, capacity)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sv.SolveGrouped(weights, supply, capacity)
+		tag := fmt.Sprintf("trial %d", trial)
+		assertSameGrouped(t, tag, grouped, solveFresh(t, weights, supply, capacity))
+		flat, err := Flow(expand(weights, supply, capacity))
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameGrouped(t, "random", got, want)
-	}
-	if st := sv.Stats(); st.ColdSolves == 0 {
-		t.Fatalf("random sequence never took the cold tier: %+v", st)
-	}
-}
-
-func TestSolverMemoTier(t *testing.T) {
-	weights := [][]float64{{5, Forbidden}, {1, 9}}
-	supply := []int{3, 2}
-	capacity := []int{3, 2}
-	var sv Solver
-	want, err := FlowGrouped(weights, supply, capacity)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		got, err := sv.SolveGrouped(weights, supply, capacity)
-		if err != nil {
-			t.Fatal(err)
+		if grouped.Assigned != flat.Assigned || math.Abs(grouped.Weight-flat.Weight) > 1e-6 {
+			t.Fatalf("%s: grouped (%d, %v) != expanded flow (%d, %v)\nweights=%v supply=%v capacity=%v",
+				tag, grouped.Assigned, grouped.Weight, flat.Assigned, flat.Weight, weights, supply, capacity)
 		}
-		assertSameGrouped(t, "memo", got, want)
-	}
-	st := sv.Stats()
-	if st.ColdSolves != 1 || st.MemoHits != 2 {
-		t.Fatalf("want 1 cold + 2 memo, got %+v", st)
-	}
-}
-
-func TestSolverRepairTier(t *testing.T) {
-	// Same topology, different weights/supplies/capacities each round: the
-	// forbidden pattern and the zero/non-zero patterns are fixed, values
-	// move. Every round after the first must take the repair tier and stay
-	// bit-identical to a cold FlowGrouped solve.
-	s := rng.New(41, "solver-repair")
-	g, m := 4, 6
-	forb := make([][]bool, g)
-	for i := range forb {
-		forb[i] = make([]bool, m)
-		for k := range forb[i] {
-			forb[i][k] = s.Bernoulli(0.3)
-		}
-	}
-	var sv Solver
-	for round := 0; round < 25; round++ {
-		weights := make([][]float64, g)
-		supply := make([]int, g)
-		for i := range weights {
-			weights[i] = make([]float64, m)
-			for k := range weights[i] {
-				if forb[i][k] {
-					weights[i][k] = Forbidden
-				} else {
-					weights[i][k] = math.Round(s.Uniform(0, 10)*4) / 4
-				}
+		// Counts respect supply and capacity.
+		for gi := range weights {
+			tot := 0
+			for k := range capacity {
+				tot += grouped.Count[gi][k]
 			}
-			supply[i] = 1 + s.Intn(4)
+			if tot > supply[gi] {
+				t.Fatalf("%s: group %d over supply", tag, gi)
+			}
 		}
-		capacity := make([]int, m)
 		for k := range capacity {
-			capacity[k] = 1 + s.Intn(5)
+			tot := 0
+			for gi := range weights {
+				tot += grouped.Count[gi][k]
+			}
+			if tot > capacity[k] {
+				t.Fatalf("%s: slot %d over capacity", tag, k)
+			}
 		}
-		want, err := FlowGrouped(weights, supply, capacity)
-		if err != nil {
-			t.Fatal(err)
-		}
+	}
+	if st := sv.Stats(); st.ColdSolves != trials || st.MemoHits != 0 || st.ArcRepairs != 0 {
+		t.Fatalf("want %d cold solves and nothing else, got %+v", trials, st)
+	}
+}
+
+// TestSolverMatchesFlowGroupedRandom checks a reused Solver bit-for-bit
+// against a fresh one over random shapes, so reuse across changing shapes
+// cannot leak state from one solve into the next.
+func TestSolverMatchesFlowGroupedRandom(t *testing.T) {
+	s := rng.New(37, "solver-cross")
+	var sv Solver
+	const trials = 120
+	for trial := 0; trial < trials; trial++ {
+		g := 1 + s.Intn(5)
+		m := 1 + s.Intn(5)
+		weights, supply, capacity := randomGrouped(s, g, m)
 		got, err := sv.SolveGrouped(weights, supply, capacity)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameGrouped(t, "repair", got, want)
+		assertSameGrouped(t, fmt.Sprintf("trial %d", trial), got, solveFresh(t, weights, supply, capacity))
 	}
-	st := sv.Stats()
-	if st.ColdSolves != 1 || st.ArcRepairs != 24 {
-		t.Fatalf("want 1 cold + 24 repairs, got %+v", st)
-	}
-}
-
-func TestSolverTopologyChangeFallsBackCold(t *testing.T) {
-	var sv Solver
-	a := [][]float64{{5, 2}, {1, 9}}
-	b := [][]float64{{5, Forbidden}, {1, 9}} // arc (0,1) vanished
-	if _, err := sv.SolveGrouped(a, []int{2, 2}, []int{2, 2}); err != nil {
-		t.Fatal(err)
-	}
-	want, err := FlowGrouped(b, []int{2, 2}, []int{2, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sv.SolveGrouped(b, []int{2, 2}, []int{2, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameGrouped(t, "topology-change", got, want)
-	// Supply going to zero also removes edges and must force a cold solve.
-	want2, err := FlowGrouped(b, []int{0, 2}, []int{2, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got2, err := sv.SolveGrouped(b, []int{0, 2}, []int{2, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameGrouped(t, "supply-zero", got2, want2)
-	st := sv.Stats()
-	if st.ColdSolves != 3 || st.ArcRepairs != 0 {
-		t.Fatalf("want 3 cold solves and no repairs, got %+v", st)
+	if st := sv.Stats(); st.ColdSolves != trials {
+		t.Fatalf("%d solves counted %+v, want every one cold", trials, st)
 	}
 }
 
+// badGrouped lists malformed grouped instances that validation must reject.
+var badGrouped = []struct {
+	name     string
+	weights  [][]float64
+	supply   []int
+	capacity []int
+}{
+	{"supply length mismatch", [][]float64{{1}}, []int{1, 2}, []int{1}},
+	{"ragged weights", [][]float64{{1, 2}}, []int{1}, []int{1}},
+	{"negative weight", [][]float64{{-1}}, []int{1}, []int{1}},
+	{"negative supply", [][]float64{{1}}, []int{-1}, []int{1}},
+	{"negative capacity", [][]float64{{1}}, []int{1}, []int{-1}},
+}
+
+func TestFlowGroupedErrors(t *testing.T) {
+	for _, c := range badGrouped {
+		var sv Solver
+		if _, err := sv.SolveGrouped(c.weights, c.supply, c.capacity); err == nil {
+			t.Errorf("%s should fail", c.name)
+		}
+	}
+}
+
+// TestSolverValidationErrors runs every malformed instance through one
+// reused Solver: each must fail, and a failed validation must not poison
+// the valid solve that follows it.
 func TestSolverValidationErrors(t *testing.T) {
 	var sv Solver
-	if _, err := sv.SolveGrouped([][]float64{{1}}, []int{1, 2}, []int{1}); err == nil {
-		t.Error("supply length mismatch should fail")
+	want := solveFresh(t, [][]float64{{7}}, []int{10}, []int{4})
+	for _, c := range badGrouped {
+		if _, err := sv.SolveGrouped(c.weights, c.supply, c.capacity); err == nil {
+			t.Errorf("%s should fail", c.name)
+		}
+		got, err := sv.SolveGrouped([][]float64{{7}}, []int{10}, []int{4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameGrouped(t, "after "+c.name, got, want)
 	}
-	if _, err := sv.SolveGrouped([][]float64{{1, 2}}, []int{1}, []int{1}); err == nil {
-		t.Error("ragged weights should fail")
-	}
-	if _, err := sv.SolveGrouped([][]float64{{-1}}, []int{1}, []int{1}); err == nil {
-		t.Error("negative weight should fail")
-	}
-	if _, err := sv.SolveGrouped([][]float64{{1}}, []int{-1}, []int{1}); err == nil {
-		t.Error("negative supply should fail")
-	}
-	if _, err := sv.SolveGrouped([][]float64{{1}}, []int{1}, []int{-1}); err == nil {
-		t.Error("negative capacity should fail")
-	}
-	// A failed validation must not poison a later valid solve.
-	want, err := FlowGrouped([][]float64{{7}}, []int{10}, []int{4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sv.SolveGrouped([][]float64{{7}}, []int{10}, []int{4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameGrouped(t, "post-error", got, want)
 }
 
 func TestSolverAllocFreeWhenWarm(t *testing.T) {
 	s := rng.New(53, "solver-alloc")
 	g, m := 6, 24
-	// Two instances with different topologies, alternated to exercise the
-	// cold-rebuild tier; plus a value-only variant for the repair tier.
+	// Two instances with different topologies, plus a value-only variant
+	// of the first, alternated so every solve rebuilds a different graph.
 	wA, supA, capA := randomGrouped(s, g, m)
 	wB, supB, capB := randomGrouped(s, g, m)
 	wC := make([][]float64, g)
@@ -226,24 +255,29 @@ func TestSolverAllocFreeWhenWarm(t *testing.T) {
 		}
 	}
 	var sv Solver
+	solves := 0
 	solve := func(w [][]float64, sup, cap []int) {
+		solves++
 		if _, err := sv.SolveGrouped(w, sup, cap); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Warm up all code paths and backing arrays.
+	// Warm up the backing arrays.
 	for i := 0; i < 4; i++ {
 		solve(wA, supA, capA)
 		solve(wB, supB, capB)
 		solve(wC, supA, capA)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		solve(wA, supA, capA) // repair: same topology as wC, different values
-		solve(wC, supA, capA) // repair again
-		solve(wB, supB, capB) // cold rebuild: different topology
-		solve(wB, supB, capB) // memo
+		solve(wA, supA, capA)
+		solve(wC, supA, capA)
+		solve(wB, supB, capB)
+		solve(wB, supB, capB) // a repeated instance is solved again, too
 	})
 	if allocs != 0 {
 		t.Fatalf("warm solver allocated %v per round, want 0", allocs)
+	}
+	if st := sv.Stats(); st.ColdSolves != solves {
+		t.Fatalf("%d solves counted %+v, want every one cold", solves, st)
 	}
 }

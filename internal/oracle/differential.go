@@ -12,10 +12,13 @@ import (
 // explicit per-job assignment solved by match.Flow: the same capacity
 // derivation, forced-start partition, and weight row as
 // sched.GreenMatch.Plan at Horizon 1, but through the offline per-job
-// formulation instead of the online grouped incremental solver. The
+// formulation instead of the online grouped match.Solver. The
 // differential test asserts both produce the identical start set — the
 // "same instance, same matching" bridge between the oracle's offline
-// world and the online planner. Only full-participation configurations
+// world and the online planner. The redundancy is deliberate: match.Flow
+// shares only the SSP kernel with match.Solver, not its grouping, graph
+// build or settlement, so it stays an independent reference for the one
+// production solve. Only full-participation configurations
 // are supported (Fraction 0 or 1); fractional mixes partition jobs by a
 // hash this helper deliberately does not replicate.
 func SingleSlotStarts(g sched.GreenMatch, v sched.View) []int {

@@ -26,7 +26,7 @@ func mkRef(id, submit, duration, deadline, remaining int) sched.JobRef {
 }
 
 // TestSingleSlotDifferential pits GreenMatch.Plan at Horizon 1 (the online
-// grouped incremental-solver path) against the oracle's per-job
+// grouped match.Solver path) against the oracle's per-job
 // match.Flow reconstruction of the same instance on a grid of single-slot
 // views. Divergence would mean the offline and online formulations no
 // longer agree on what "the same matching problem" is.

@@ -65,7 +65,8 @@ type Scenario struct {
 
 	// Policy is "baseline", "spindown", "defer", "greenmatch", "mixed",
 	// "edf", "kchoices" or "cucumber"; Fraction applies to defer/mixed;
-	// Solver to greenmatch/mixed; K to kchoices; Confidence to cucumber.
+	// Solver ("flow" or "greedy") to greenmatch/mixed; K to kchoices;
+	// Confidence to cucumber.
 	Policy     string  `json:"policy"`
 	Fraction   float64 `json:"fraction,omitempty"`
 	Solver     string  `json:"solver,omitempty"`
@@ -328,11 +329,17 @@ func (s Scenario) Compile() (core.Config, error) {
 // PolicyFor resolves a scenario policy name plus its tuning fields into a
 // sched.Policy. It is the single mapping from serialized policy spellings
 // to scheduler implementations, shared by Compile and the command-line
-// tools (gmchaos -policy). Fraction outside (0, 1] defaults to 1; K and
-// Confidence at zero take the policy's own defaults.
+// tools (greenmatch -policy, gmchaos -policy). Fraction outside (0, 1]
+// defaults to 1; K and Confidence at zero take the policy's own defaults.
+// Solver must be "", "flow" or "greedy", whatever the policy.
 func PolicyFor(name string, fraction float64, solver string, k int, confidence float64) (sched.Policy, error) {
 	if fraction <= 0 || fraction > 1 {
 		fraction = 1
+	}
+	switch sched.Solver(solver) {
+	case "", sched.SolverFlow, sched.SolverGreedy:
+	default:
+		return nil, fmt.Errorf("scenario: unknown solver %q (want flow or greedy)", solver)
 	}
 	switch name {
 	case "", "greenmatch":

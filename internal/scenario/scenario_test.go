@@ -70,6 +70,8 @@ func TestCompileErrors(t *testing.T) {
 	bad := []Scenario{
 		mut(func(s *Scenario) { s.Source = "coal" }),
 		mut(func(s *Scenario) { s.Policy = "magic" }),
+		mut(func(s *Scenario) { s.Solver = "hungarian" }),
+		mut(func(s *Scenario) { s.Solver = "flwo" }),
 		mut(func(s *Scenario) { s.Forecaster = "astrology" }),
 		mut(func(s *Scenario) { s.Chemistry = "potato" }),
 		mut(func(s *Scenario) { s.Profile = "apocalypse" }),

@@ -15,7 +15,9 @@ import (
 // skipRef is what GreenMatch.Plan would decide if it always solved: the
 // decision, the current slot's capacity before and after the forced
 // starts, the number of matching participants, and, per solver, how many
-// jobs the unconditional solve put into the current slot.
+// jobs the unconditional solve put into the current slot: "solver" for the
+// grouped match.Solver and "flow", "hungarian" and "greedy" for the per-job
+// solvers.
 type skipRef struct {
 	d          Decision
 	cap0Before int
@@ -25,10 +27,12 @@ type skipRef struct {
 }
 
 // planReference rebuilds the instance Plan derives from v and solves it
-// unconditionally — grouped with match.FlowGrouped and a fresh
-// match.Solver, per job with match.Flow, match.Hungarian and match.Greedy —
-// then assembles the decision the solver g selects would lead to. It is an
-// independent reconstruction of Plan without the dark-slot shortcut.
+// unconditionally — grouped with a fresh match.Solver, per job with
+// match.Flow, match.Hungarian and match.Greedy — then assembles the
+// decision the solver g selects would lead to. It is an independent
+// reconstruction of Plan without the dark-slot shortcut; the per-job
+// optimal solvers show that no exact solve, grouped or not, uses a slot
+// with no capacity.
 func planReference(t *testing.T, g GreenMatch, v View) skipRef {
 	t.Helper()
 	h := g.horizon()
@@ -90,18 +94,13 @@ func planReference(t *testing.T, g GreenMatch, v View) skipRef {
 			rows[gi] = g.WeightRow(v, h, v.Slot+c.off, c.rem)
 			supply[gi] = len(members[c])
 		}
-		grouped, err := match.FlowGrouped(rows, supply, capacity)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var sv match.Solver
-		incremental, err := sv.SolveGrouped(rows, supply, capacity)
+		grouped, err := sv.SolveGrouped(rows, supply, capacity)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for gi := range cells {
-			ref.slot0["flowgrouped"] += grouped.Count[gi][0]
-			ref.slot0["solver"] += incremental.Count[gi][0]
+			ref.slot0["solver"] += grouped.Count[gi][0]
 		}
 
 		// Per-job instance.
@@ -109,38 +108,35 @@ func planReference(t *testing.T, g GreenMatch, v View) skipRef {
 		for j, p := range parts {
 			in.Weights[j] = g.WeightRow(v, h, p.latestStart, p.remaining)
 		}
-		perJob := map[Solver]match.Result{}
-		for _, s := range []Solver{SolverFlow, SolverHungarian, SolverGreedy} {
-			var res match.Result
-			switch s {
-			case SolverFlow:
-				res, err = match.Flow(in)
-			case SolverHungarian:
-				res, err = match.Hungarian(in)
-			case SolverGreedy:
-				res, err = match.Greedy(in)
-			}
+		var greedy match.Result
+		for _, ps := range []struct {
+			name  string
+			solve func(match.Instance) (match.Result, error)
+		}{{"flow", match.Flow}, {"hungarian", match.Hungarian}, {"greedy", match.Greedy}} {
+			res, err := ps.solve(in)
 			if err != nil {
 				t.Fatal(err)
 			}
-			perJob[s] = res
+			if ps.name == "greedy" {
+				greedy = res
+			}
 			for _, slot := range res.Assign {
 				if slot == 0 {
-					ref.slot0[string(s)]++
+					ref.slot0[ps.name]++
 				}
 			}
 		}
 
-		if g.solver() == SolverFlow {
-			for gi, c := range cells {
-				for _, i := range members[c][:grouped.Count[gi][0]] {
-					starts = append(starts, parts[i].idx)
+		if g.solver() == SolverGreedy {
+			for j, slot := range greedy.Assign {
+				if slot == 0 {
+					starts = append(starts, parts[j].idx)
 				}
 			}
 		} else {
-			for j, slot := range perJob[g.solver()].Assign {
-				if slot == 0 {
-					starts = append(starts, parts[j].idx)
+			for gi, c := range cells {
+				for _, i := range members[c][:grouped.Count[gi][0]] {
+					starts = append(starts, parts[i].idx)
 				}
 			}
 		}
@@ -246,8 +242,8 @@ func skipView(s *rng.Stream, mode string, fraction float64) View {
 // it, and Plan returns the decision the unconditional solve leads to
 // without touching the scratch solver. Where capacity is left, the solver
 // still runs and Plan still returns the solved decision. One scratch per
-// solver carries memo and repair state across views, so a skipped solve
-// must also leave later solves exact.
+// solver is reused across views, so a skipped solve must also leave later
+// solves exact.
 func TestPlanSkipEquivalence(t *testing.T) {
 	s := rng.New(15, "plan-skip")
 	scratch := map[Solver]*PlanScratch{}
@@ -256,7 +252,7 @@ func TestPlanSkipEquivalence(t *testing.T) {
 		mode := []string{"dark", "lit", "consumed"}[trial%3]
 		fraction := []float64{1, 1, 0.6}[(trial/3)%3]
 		v := skipView(s, mode, fraction)
-		for _, solver := range []Solver{SolverFlow, SolverHungarian, SolverGreedy} {
+		for _, solver := range []Solver{SolverFlow, SolverGreedy} {
 			g := GreenMatch{Solver: solver, Fraction: fraction, BatteryAware: trial%4 == 1}
 			tag := fmt.Sprintf("trial %d (%s) %s", trial, mode, g.Name())
 			ref := planReference(t, g, v)

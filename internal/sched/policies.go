@@ -142,9 +142,10 @@ type Solver string
 
 // Supported solvers.
 const (
-	SolverFlow      Solver = "flow"
-	SolverHungarian Solver = "hungarian"
-	SolverGreedy    Solver = "greedy"
+	// SolverFlow is the exact grouped min-cost-flow solve (the default).
+	SolverFlow Solver = "flow"
+	// SolverGreedy is the per-job greedy heuristic, kept as an ablation.
+	SolverGreedy Solver = "greedy"
 )
 
 // GreenMatch is the paper's scheduler: every slot it forecasts green power
@@ -160,7 +161,8 @@ type GreenMatch struct {
 	// Fraction in [0,1] of deferrable jobs that participate (default 1;
 	// values below 1 make this the Mixed policy).
 	Fraction float64
-	// Solver picks the assignment algorithm (default flow).
+	// Solver picks the assignment algorithm: SolverFlow (the default) or
+	// SolverGreedy. Any other value plans with SolverFlow.
 	Solver Solver
 	// EarlinessBonus breaks weight ties toward earlier slots (default
 	// 0.05) so equally green plans do not postpone work pointlessly.
@@ -206,10 +208,10 @@ func (g GreenMatch) fraction() float64 {
 }
 
 func (g GreenMatch) solver() Solver {
-	if g.Solver == "" {
-		return SolverFlow
+	if g.Solver == SolverGreedy {
+		return SolverGreedy
 	}
-	return g.Solver
+	return SolverFlow
 }
 
 func (g GreenMatch) bonus() float64 {
@@ -302,28 +304,23 @@ func (g GreenMatch) Plan(v View) Decision {
 
 	// Plan only the slot that executes. The decision reads just the current
 	// slot's column of the horizon plan (Count[gi][0] on the grouped path,
-	// Assign == 0 on the per-job path); every later column is matched
-	// afresh next slot. With no capacity left in slot 0 after the forced
-	// starts, no solver can put a job there: Solver, FlowGrouped and Flow
-	// build no arc into a zero-capacity slot, Greedy skips a slot with no
-	// remaining capacity, and Instance.checkFeasible panics on any
-	// over-capacity assignment from Hungarian. The decision is then the
-	// forced starts alone — the same starts slice, suspension logic and
-	// Decision the solve would have led to — so grouping, weight rows and
-	// the solve are skipped. Skipping a SolveGrouped call cannot shift a
-	// later result either: the memo and repair tiers return exactly what a
-	// fresh solve of their instance returns, whatever was solved before.
+	// Assign == 0 on the greedy path); every later column is matched afresh
+	// next slot. With no capacity left in slot 0 after the forced starts,
+	// no solver can put a job there: match.Solver builds no arc into a
+	// zero-capacity slot, and Greedy skips a slot with no remaining
+	// capacity. The decision is then the forced starts alone — the same
+	// starts slice, suspension logic and Decision the solve would have led
+	// to — so grouping, weight rows and the solve are skipped.
 	if len(parts) > 0 && capacity[0] > 0 {
-		if g.solver() == SolverFlow {
-			// Fast path: weights depend on a job only through its
-			// latest-start slot, so jobs group into at most horizon+1
-			// interchangeable classes and the assignment collapses to a
-			// small transportation problem — exactly equivalent to the
-			// per-job flow (tested), but with cost independent of the job
-			// count.
-			starts = g.planGrouped(v, parts, capacity, h, sc, starts)
+		if g.solver() == SolverGreedy {
+			starts = g.planGreedy(v, parts, capacity, h, starts)
 		} else {
-			starts = g.planPerJob(v, parts, capacity, h, starts)
+			// Weights depend on a job only through its latest-start slot
+			// and remaining work, so jobs group into a few interchangeable
+			// classes and the assignment collapses to a small
+			// transportation problem — exactly equivalent to the per-job
+			// flow (tested), but with cost independent of the job count.
+			starts = g.planGrouped(v, parts, capacity, h, sc, starts)
 		}
 	}
 	sc.starts = starts
@@ -370,10 +367,10 @@ func (g GreenMatch) Plan(v View) Decision {
 	return d
 }
 
-// planPerJob solves the matching on the per-job instance with the selected
-// Hungarian or greedy solver (the per-job flow for any other value) and
-// appends the View.Waiting indices matched to the current slot onto starts.
-func (g GreenMatch) planPerJob(v View, parts []part, capacity []int, h int, starts []int) []int {
+// planGreedy solves the matching on the per-job instance with the greedy
+// heuristic and appends the View.Waiting indices matched to the current
+// slot onto starts.
+func (g GreenMatch) planGreedy(v View, parts []part, capacity []int, h int, starts []int) []int {
 	in := match.Instance{
 		Weights:  make([][]float64, len(parts)),
 		Capacity: capacity,
@@ -381,16 +378,7 @@ func (g GreenMatch) planPerJob(v View, parts []part, capacity []int, h int, star
 	for j, p := range parts {
 		in.Weights[j] = g.WeightRow(v, h, p.latestStart, p.remaining)
 	}
-	var res match.Result
-	var err error
-	switch g.solver() {
-	case SolverGreedy:
-		res, err = match.Greedy(in)
-	case SolverHungarian:
-		res, err = match.Hungarian(in)
-	default:
-		res, err = match.Flow(in)
-	}
+	res, err := match.Greedy(in)
 	if err != nil {
 		// A malformed instance is a programming error in this package.
 		panic(fmt.Sprintf("sched: greenmatch built invalid instance: %v", err))
@@ -487,8 +475,8 @@ func greenCoverage(v View, h, k, remaining int, perJob float64) float64 {
 // order, which reproduces the historical map-then-sort key order —
 // off-major, rem-minor — and a counting sort that preserves each group's
 // members in parts order, all without allocating once the scratch is warm.
-// The transportation solve itself goes through the scratch's incremental
-// match.Solver, which is bit-identical to match.FlowGrouped.
+// The transportation solve itself runs on the scratch's match.Solver,
+// which reuses its graph memory from slot to slot.
 func (g GreenMatch) planGrouped(v View, parts []part, capacity []int, h int, sc *PlanScratch, starts []int) []int {
 	stride := h + 1
 	cellGroup := scratchInts(&sc.cellGroup, stride*stride)

@@ -235,31 +235,6 @@ func TestGreenMatchForcesDeadline(t *testing.T) {
 	}
 }
 
-func TestGreenMatchSolversAgreeOnStarts(t *testing.T) {
-	fc := flatForecast(0, 24)
-	for k := 3; k < 10; k++ {
-		fc[k] = 2000
-	}
-	mk := func() View {
-		return View{
-			Slot: 0,
-			Waiting: []JobRef{
-				mkRef(1, workload.Batch, 0, 4, 20, 4),
-				mkRef(2, workload.Batch, 0, 2, 8, 2),
-				mkRef(3, workload.Scrub, 0, 3, 50, 3),
-			},
-			GreenForecast:      fc,
-			EstMandatoryPowerW: 500,
-			PerJobPowerW:       25,
-		}
-	}
-	dFlow := GreenMatch{Solver: SolverFlow}.Plan(mk())
-	dHun := GreenMatch{Solver: SolverHungarian}.Plan(mk())
-	if len(dFlow.StartWaiting) != len(dHun.StartWaiting) {
-		t.Fatalf("flow starts %v, hungarian starts %v", dFlow.StartWaiting, dHun.StartWaiting)
-	}
-}
-
 func TestGreenMatchSuspendsOnDeficit(t *testing.T) {
 	g := GreenMatch{}
 	running := mkRef(7, workload.Batch, 0, 6, 30, 5)

@@ -34,7 +34,7 @@ type PlanScratch struct {
 	solver match.Solver
 }
 
-// SolverStats exposes the embedded incremental solver's tier counters.
+// SolverStats exposes the embedded solver's counters.
 func (sc *PlanScratch) SolverStats() match.SolverStats { return sc.solver.Stats() }
 
 // scratchInts returns *p resized to n with all elements zeroed, growing the
