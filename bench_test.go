@@ -208,16 +208,19 @@ func BenchmarkNewCluster(b *testing.B) {
 	}
 }
 
+// BenchmarkFFDPlace200Jobs times one reused Placer packing 200 jobs onto
+// 30 nodes, the simulator's per-slot placement call.
 func BenchmarkFFDPlace200Jobs(b *testing.B) {
 	s := rng.New(1, "bench-ffd")
 	items := make([]sched.PlaceItem, 200)
 	for i := range items {
 		items[i] = sched.PlaceItem{ID: i, CPU: s.Uniform(0.5, 2), RAM: s.Uniform(1, 4), Pinned: -1}
 	}
+	var p sched.Placer
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sched.FFD(items, 30, 12, 32, 1.5); err != nil {
+		if err := p.Place(items, 30, 12, 32, 1.5, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

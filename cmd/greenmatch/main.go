@@ -89,8 +89,7 @@ func main() {
 		cfg, err = buildConfig(*policyName, *fraction, *solver, *scale, *nodes, *area,
 			*profile, *source, *batteryKWh, *chemistry, *forecaster, *seed, *seriesPath != "")
 		if err == nil && *mtbf > 0 {
-			cfg.FailureMTBFHours = *mtbf
-			cfg = cfg.ApplyDefaults()
+			cfg.Faults.CrashMTBFHours = *mtbf
 		}
 	}
 	if err != nil {

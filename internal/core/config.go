@@ -83,17 +83,6 @@ type Config struct {
 	MaxOverrunSlots int
 	// RecordSeries enables the per-slot time series in the result.
 	RecordSeries bool
-	// FailureMTBFHours enables node-failure injection: each powered node
-	// crashes with probability slotHours/MTBF per slot. Zero disables.
-	// A crash evicts the node's jobs, degrades replica redundancy, and
-	// synthesizes Repair-class re-replication jobs. Deprecated in favour of
-	// Faults.CrashMTBFHours, which it folds into (same seeded draw
-	// sequence); kept so existing configs and scenarios keep working.
-	FailureMTBFHours float64
-	// NodeRepairSlots is how long a crashed node stays unavailable
-	// (default 24 when failures are enabled). Folds into
-	// Faults.CrashRepairSlots alongside FailureMTBFHours.
-	NodeRepairSlots int
 	// Faults is the declarative fault-injection schedule: the random crash
 	// process plus scheduled supply, battery, crash and forecast fault
 	// windows (see internal/fault). The zero value injects nothing.
@@ -215,12 +204,6 @@ func (c Config) Validate() error {
 	if c.MaxOverrunSlots < 0 {
 		return fmt.Errorf("core: negative overrun %d", c.MaxOverrunSlots)
 	}
-	if c.FailureMTBFHours < 0 {
-		return fmt.Errorf("core: negative failure MTBF %v", c.FailureMTBFHours)
-	}
-	if c.NodeRepairSlots < 0 {
-		return fmt.Errorf("core: negative repair duration %d", c.NodeRepairSlots)
-	}
 	if err := c.Faults.Validate(c.Cluster.TotalNodes()); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
@@ -256,18 +239,6 @@ func (c Config) ApplyDefaults() Config {
 	}
 	if c.MaxOverrunSlots == 0 {
 		c.MaxOverrunSlots = 336
-	}
-	if c.FailureMTBFHours > 0 && c.NodeRepairSlots == 0 {
-		c.NodeRepairSlots = 24
-	}
-	// Fold the legacy failure fields into the fault schedule; the engine
-	// reproduces their seeded draw sequence exactly, so configs written
-	// against either spelling behave identically.
-	if c.FailureMTBFHours > 0 && c.Faults.CrashMTBFHours == 0 {
-		c.Faults.CrashMTBFHours = c.FailureMTBFHours
-		if c.Faults.CrashRepairSlots == 0 {
-			c.Faults.CrashRepairSlots = c.NodeRepairSlots
-		}
 	}
 	return c
 }

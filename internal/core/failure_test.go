@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/sched"
@@ -9,7 +10,7 @@ import (
 // failureConfig returns a small scenario with aggressive failure injection.
 func failureConfig(mtbf float64) Config {
 	cfg := smallConfig()
-	cfg.FailureMTBFHours = mtbf
+	cfg.Faults.CrashMTBFHours = mtbf
 	return cfg
 }
 
@@ -86,7 +87,7 @@ func TestRepairReturnsCapacity(t *testing.T) {
 	// With a short repair time the cluster self-heals: an aggressive
 	// failure regime must still complete the overwhelming majority of jobs.
 	cfg := failureConfig(400)
-	cfg.NodeRepairSlots = 6
+	cfg.Faults.CrashRepairSlots = 6
 	res := run(t, cfg)
 	missRate := res.SLA.MissRate()
 	if missRate > 0.05 {
@@ -102,25 +103,29 @@ func TestNoFailuresWhenDisabled(t *testing.T) {
 }
 
 func TestFailureConfigValidation(t *testing.T) {
-	cfg := smallConfig()
-	cfg.FailureMTBFHours = -1
+	cfg := failureConfig(-1)
 	if _, err := New(cfg); err == nil {
 		t.Error("negative MTBF should fail")
 	}
-	cfg = smallConfig()
-	cfg.FailureMTBFHours = 100
-	cfg.NodeRepairSlots = -1
+	cfg = failureConfig(100)
+	cfg.Faults.CrashRepairSlots = -1
 	if _, err := New(cfg); err == nil {
 		t.Error("negative repair slots should fail")
 	}
-	// Default repair duration kicks in.
-	cfg = smallConfig()
-	cfg.FailureMTBFHours = 100
-	sim, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	// An unset repair time runs exactly like an explicit 24 slots, and
+	// unlike a shorter one.
+	unset := run(t, failureConfig(100))
+	if unset.SLA.NodeFailures == 0 {
+		t.Fatal("MTBF 100h produced no failures; the default is untested")
 	}
-	if sim.cfg.NodeRepairSlots != 24 {
-		t.Fatalf("default repair slots = %d, want 24", sim.cfg.NodeRepairSlots)
+	cfg = failureConfig(100)
+	cfg.Faults.CrashRepairSlots = 24
+	if explicit := run(t, cfg); !reflect.DeepEqual(unset, explicit) {
+		t.Fatalf("unset repair time differs from 24 slots:\n%+v\n%+v", unset.SLA, explicit.SLA)
+	}
+	cfg = failureConfig(100)
+	cfg.Faults.CrashRepairSlots = 6
+	if short := run(t, cfg); reflect.DeepEqual(unset, short) {
+		t.Fatal("a 6-slot repair time ran like the default; the comparison is vacuous")
 	}
 }

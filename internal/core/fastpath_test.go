@@ -42,7 +42,7 @@ func TestFastForwardEquivalence(t *testing.T) {
 		"sparse": sparseTraceConfig,
 		"sparse-mtbf": func() Config {
 			cfg := sparseTraceConfig()
-			cfg.FailureMTBFHours = 2000 // random crash process on the fast path
+			cfg.Faults.CrashMTBFHours = 2000 // random crash process on the fast path
 			return cfg
 		},
 	}

@@ -30,6 +30,7 @@ import (
 // Like the Simulator it wraps, a Live is single-use and not safe for
 // concurrent use; the serve layer serializes all access behind one apply
 // loop.
+//
 //gm:statemirror Snapshot RestoreLive
 type Live struct {
 	sim *Simulator

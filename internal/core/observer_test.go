@@ -111,7 +111,7 @@ func TestAuditorCleanUnderFailures(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Policy = sched.GreenMatch{}
 	cfg.BatteryCapacityWh = 10 * units.KilowattHour
-	cfg.FailureMTBFHours = 300
+	cfg.Faults.CrashMTBFHours = 300
 	cfg = cfg.ApplyDefaults()
 	a := audit.NewAuditor()
 	cfg.Observer = a

@@ -19,6 +19,7 @@ import (
 )
 
 // jobState is the simulator-side lifecycle record of one job.
+//
 //gm:statemirror snapJobs unsnapJobs
 type jobState struct {
 	job         workload.Job
@@ -84,6 +85,7 @@ type Result struct {
 }
 
 // Simulator executes one configured run. Create with New, execute with Run.
+//
 //gm:statemirror Live.Snapshot RestoreLive
 type Simulator struct {
 	cfg     Config //gm:ephemeral configuration, re-supplied by the caller at restore
@@ -114,28 +116,28 @@ type Simulator struct {
 	// simulator's hottest path. coverKey is the reusable key scratch
 	// buffer (one byte per node), so cache hits allocate nothing.
 	coverCache map[string][]storage.DiskID //gm:ephemeral memoization, rebuilt on demand
-	coverKey   []byte                       //gm:ephemeral reusable key scratch
+	coverKey   []byte                      //gm:ephemeral reusable key scratch
 
 	// Per-slot scratch state, sized once in New and reset — never
 	// reallocated — each slot, so the steady-state slot loop is
 	// allocation-free (asserted by the AllocsPerRun regression tests; the
 	// discipline is documented in docs/PROFILING.md). All of it is
 	// per-Simulator, keeping concurrent Runs race-free.
-	toStart     []*jobState    // start set assembled each slot //gm:ephemeral per-slot scratch
-	viewWaiting []sched.JobRef // backing array for View.Waiting //gm:ephemeral per-slot scratch
-	viewRunDef  []sched.JobRef // backing array for View.RunningDeferrable //gm:ephemeral per-slot scratch
-	waitingRefs []*jobState    // jobStates aligned with viewWaiting //gm:ephemeral per-slot scratch
-	runDefRefs  []*jobState    // jobStates aligned with viewRunDef //gm:ephemeral per-slot scratch
-	forecastBuf []units.Power  // PredictInto buffer //gm:ephemeral per-slot scratch
+	toStart     []*jobState            // start set assembled each slot //gm:ephemeral per-slot scratch
+	viewWaiting []sched.JobRef         // backing array for View.Waiting //gm:ephemeral per-slot scratch
+	viewRunDef  []sched.JobRef         // backing array for View.RunningDeferrable //gm:ephemeral per-slot scratch
+	waitingRefs []*jobState            // jobStates aligned with viewWaiting //gm:ephemeral per-slot scratch
+	runDefRefs  []*jobState            // jobStates aligned with viewRunDef //gm:ephemeral per-slot scratch
+	forecastBuf []units.Power          // PredictInto buffer //gm:ephemeral per-slot scratch
 	predictInto forecast.IntoPredictor //gm:ephemeral rebuilt by New from Config
-	needed      []bool       // node id -> must be powered //gm:ephemeral per-slot scratch
-	ioNodes     []bool       // node id -> hosts an I/O-bound job //gm:ephemeral per-slot scratch
-	keepMask    []bool       // flat disk index -> keep spinning
-	failedMask  []bool       // node id -> crashed, awaiting repair //gm:ephemeral derived mask, rebuilt from the Repairs snapshot at restore
-	cpuUtil     []float64    // node id -> CPU utilization //gm:ephemeral per-slot scratch
-	healthyPow  []int        // healthy powered node ids (fault path) //gm:ephemeral per-slot scratch
-	placer      sched.Placer // reusable FFD engine //gm:ephemeral stateless between slots
-	placeItems  []sched.PlaceItem //gm:ephemeral per-slot scratch
+	needed      []bool                 // node id -> must be powered //gm:ephemeral per-slot scratch
+	ioNodes     []bool                 // node id -> hosts an I/O-bound job //gm:ephemeral per-slot scratch
+	keepMask    []bool                 // flat disk index -> keep spinning
+	failedMask  []bool                 // node id -> crashed, awaiting repair //gm:ephemeral derived mask, rebuilt from the Repairs snapshot at restore
+	cpuUtil     []float64              // node id -> CPU utilization //gm:ephemeral per-slot scratch
+	healthyPow  []int                  // healthy powered node ids (fault path) //gm:ephemeral per-slot scratch
+	placer      sched.Placer           // reusable FFD engine //gm:ephemeral stateless between slots
+	placeItems  []sched.PlaceItem      //gm:ephemeral per-slot scratch
 
 	acct      metrics.EnergyAccount
 	sla       metrics.SLAAccount
@@ -1393,16 +1395,8 @@ func (s *Simulator) applyPowerPlan(spinDown bool) units.Energy {
 			if !ok {
 				// Failures left some objects with no reachable replica:
 				// cover what is coverable on every healthy node; the
-				// remainder shows up as unserved reads. This path only runs
-				// while a failure partitions the placement, so it may
-				// allocate.
-				healthy := make(map[int]bool)
-				for _, n := range s.cluster.Nodes() {
-					if !n.Failed {
-						healthy[n.ID] = true
-					}
-				}
-				partial, _ := s.cluster.PartialCoverOnNodes(healthy)
+				// remainder shows up as unserved reads.
+				partial, _ := s.cluster.PartialCover()
 				cover = partial
 				for _, id := range partial {
 					needed[id.Node] = true

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"sort"
 
 	"repro/internal/rng"
 	"repro/internal/units"
@@ -22,6 +23,7 @@ type Crash struct {
 // whether the battery is functional, and what forecast the scheduler is
 // shown. An Engine is single-use and not safe for concurrent use (it owns
 // rng streams), matching the Simulator it is embedded in.
+//
 //gm:statemirror State RestoreEngine
 type Engine struct {
 	cfg       Config
@@ -30,7 +32,7 @@ type Engine struct {
 
 	// mtbf is the random crash process stream. Its name and draw discipline
 	// — one Bernoulli per healthy powered node, in node order — reproduce
-	// the pre-fault-engine FailureMTBFHours path byte-for-byte.
+	// the pre-fault-engine failure_mtbf_hours path byte-for-byte.
 	mtbf *rng.Stream
 	// storm selects crash-storm victims; a separate stream so adding storm
 	// events to a schedule never perturbs the MTBF draw sequence.
@@ -313,7 +315,18 @@ func (e *Engine) CorruptForecast(t int, pred []units.Power) []units.Power {
 
 // ActiveKinds returns the sorted kinds of scheduled events active at slot t
 // (empty when only the MTBF process is configured).
-func (e *Engine) ActiveKinds(t int) []string { return e.cfg.kindsActiveAt(t) }
+func (e *Engine) ActiveKinds(t int) []string {
+	seen := map[string]bool{}
+	var out []string
+	for _, ev := range e.cfg.Events {
+		if ev.activeAt(t) && !seen[string(ev.Kind)] {
+			seen[string(ev.Kind)] = true
+			out = append(out, string(ev.Kind))
+		}
+	}
+	sort.Strings(out)
+	return out
+}
 
 // EventActive reports whether any scheduled event window covers slot t.
 func (e *Engine) EventActive(t int) bool {

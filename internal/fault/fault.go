@@ -22,10 +22,7 @@
 //     across concurrent runs; all per-run state lives in the Engine.
 package fault
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Kind names a fault event type.
 type Kind string
@@ -173,8 +170,8 @@ func (e Event) Validate() error {
 type Config struct {
 	// CrashMTBFHours enables the random node-crash process: each powered
 	// healthy node crashes with probability slotHours/MTBF per slot. Zero
-	// disables. This subsumes the historical core.Config.FailureMTBFHours
-	// field, preserving its seeded draw sequence exactly.
+	// disables. A scenario's legacy failure_mtbf_hours folds into it,
+	// with the same seeded draw sequence.
 	CrashMTBFHours float64 `json:"crash_mtbf_hours,omitempty"`
 	// CrashRepairSlots is the repair time of MTBF-process crashes
 	// (default 24 when the process is enabled).
@@ -224,31 +221,4 @@ func (c Config) ActiveWithin(slots int) bool {
 		}
 	}
 	return false
-}
-
-// LastEventSlot returns the last slot any scheduled event is active at
-// (-1 with no events).
-func (c Config) LastEventSlot() int {
-	last := -1
-	for _, e := range c.Events {
-		if end := e.At + e.duration() - 1; end > last {
-			last = end
-		}
-	}
-	return last
-}
-
-// kindsActiveAt returns the sorted, de-duplicated kinds of events active
-// at slot t.
-func (c Config) kindsActiveAt(t int) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, e := range c.Events {
-		if e.activeAt(t) && !seen[string(e.Kind)] {
-			seen[string(e.Kind)] = true
-			out = append(out, string(e.Kind))
-		}
-	}
-	sort.Strings(out)
-	return out
 }

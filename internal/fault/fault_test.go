@@ -55,8 +55,8 @@ func TestValidateRejectsBadEvents(t *testing.T) {
 	}
 }
 
-// TestMTBFDrawParity pins the crash process to the historical
-// FailureMTBFHours draw discipline: stream "node-failures", probability
+// TestMTBFDrawParity pins the crash process to the legacy
+// failure_mtbf_hours draw discipline: stream "node-failures", probability
 // slotHours/MTBF, one Bernoulli per healthy powered node in order.
 func TestMTBFDrawParity(t *testing.T) {
 	const (

@@ -80,7 +80,8 @@ type Scenario struct {
 	ReadsPerSlot float64 `json:"reads_per_slot"`
 	ZipfTheta    float64 `json:"zipf_theta,omitempty"`
 
-	// FailureMTBFHours and NodeRepairSlots enable failure injection.
+	// FailureMTBFHours and NodeRepairSlots are the legacy spelling of the
+	// random crash process; Compile folds them into the fault schedule.
 	FailureMTBFHours float64 `json:"failure_mtbf_hours,omitempty"`
 	NodeRepairSlots  int     `json:"node_repair_slots,omitempty"`
 
@@ -193,10 +194,24 @@ func (s Scenario) Compile() (core.Config, error) {
 	cfg.Seed = s.Seed
 	cfg.RecordSeries = s.RecordSeries
 	cfg.DisableSlotSkipping = s.DisableSlotSkipping
-	cfg.FailureMTBFHours = s.FailureMTBFHours
-	cfg.NodeRepairSlots = s.NodeRepairSlots
 	if s.Faults != nil {
 		cfg.Faults = *s.Faults
+	}
+	if s.FailureMTBFHours < 0 {
+		return core.Config{}, fmt.Errorf("scenario: negative failure_mtbf_hours %v", s.FailureMTBFHours)
+	}
+	if s.NodeRepairSlots < 0 {
+		return core.Config{}, fmt.Errorf("scenario: negative node_repair_slots %d", s.NodeRepairSlots)
+	}
+	// The legacy crash process applies only where the fault schedule sets
+	// no crash MTBF, and its repair time then only fills an unset
+	// crash_repair_slots. The fault engine reproduces the legacy seeded
+	// draw sequence exactly and defaults an unset repair time to 24 slots.
+	if s.FailureMTBFHours > 0 && cfg.Faults.CrashMTBFHours == 0 {
+		cfg.Faults.CrashMTBFHours = s.FailureMTBFHours
+		if cfg.Faults.CrashRepairSlots == 0 {
+			cfg.Faults.CrashRepairSlots = s.NodeRepairSlots
+		}
 	}
 
 	// Cluster.

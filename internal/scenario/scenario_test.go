@@ -136,12 +136,40 @@ func TestFailureFieldsPropagate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.FailureMTBFHours != 777 || cfg.NodeRepairSlots != 5 {
-		t.Fatalf("failure fields lost: %+v", cfg)
-	}
 	// The legacy fields fold into the fault schedule at compile time.
 	if cfg.Faults.CrashMTBFHours != 777 || cfg.Faults.CrashRepairSlots != 5 {
 		t.Fatalf("legacy failure fields not folded into fault schedule: %+v", cfg.Faults)
+	}
+
+	// The fault schedule's own crash process takes precedence: the legacy
+	// MTBF applies only where faults.crash_mtbf_hours is 0, and the legacy
+	// repair time only where faults.crash_repair_slots is 0.
+	s.Faults = &fault.Config{CrashMTBFHours: 333}
+	if cfg, err = s.Compile(); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Faults.CrashMTBFHours != 333 {
+		t.Errorf("faults.crash_mtbf_hours 333 overridden by the legacy field: %+v", cfg.Faults)
+	}
+	s.Faults = &fault.Config{CrashRepairSlots: 9}
+	if cfg, err = s.Compile(); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Faults.CrashMTBFHours != 777 || cfg.Faults.CrashRepairSlots != 9 {
+		t.Errorf("faults.crash_repair_slots 9 overridden by the legacy field: %+v", cfg.Faults)
+	}
+
+	// A negative legacy value is still a compile error.
+	s.Faults = nil
+	bad := s
+	bad.FailureMTBFHours = -1
+	if _, err := bad.Compile(); err == nil {
+		t.Error("negative failure_mtbf_hours compiled")
+	}
+	bad = s
+	bad.NodeRepairSlots = -1
+	if _, err := bad.Compile(); err == nil {
+		t.Error("negative node_repair_slots compiled")
 	}
 }
 

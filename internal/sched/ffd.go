@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // PlaceItem is one job from the placement engine's point of view.
@@ -21,27 +20,12 @@ type PlaceItem struct {
 	Pinned int
 }
 
-// Placement is the output of the FFD engine.
-type Placement struct {
-	// NodeOf maps item ID to node index.
-	NodeOf map[int]int
-	// Unplaced lists items that fit on no node.
-	Unplaced []int
-	// NodesUsed is the number of distinct nodes hosting at least one item.
-	NodesUsed int
-	// CPUByNode and RAMByNode report the load placed per node.
-	CPUByNode map[int]float64
-	RAMByNode map[int]float64
-}
-
 // Placer is the reusable First-Fit-Decreasing engine. A zero Placer is
 // ready to use; after the first Place call its scratch state (order, node
 // loads, duplicate-detection set) is reset rather than reallocated, so a
 // Placer calling Place once per slot allocates nothing in steady state.
 //
-// A Placer is single-goroutine state: each simulator owns its own. The
-// map-returning FFD/FFDAvoiding wrappers below remain for callers that
-// want a self-contained result.
+// A Placer is single-goroutine state: each simulator owns its own.
 type Placer struct {
 	items  []PlaceItem
 	nodeOf []int // item index -> node, -1 when unplaced
@@ -182,49 +166,4 @@ func resizeFloats(s []float64, n int) []float64 {
 	s = s[:n]
 	clear(s)
 	return s
-}
-
-// FFD packs items onto nodes with First-Fit-Decreasing; see Placer.Place
-// for the algorithm and determinism guarantees.
-func FFD(items []PlaceItem, nodes int, cpuCap, ramCap, overcommit float64) (Placement, error) {
-	return FFDAvoiding(items, nodes, cpuCap, ramCap, overcommit, nil)
-}
-
-// FFDAvoiding is FFD with a set of unusable nodes (failed or cordoned):
-// no item is placed there, and a pin to an unusable node reports the item
-// unplaced so the caller can re-route it.
-func FFDAvoiding(items []PlaceItem, nodes int, cpuCap, ramCap, overcommit float64, disabled map[int]bool) (Placement, error) {
-	var mask []bool
-	if len(disabled) > 0 {
-		mask = make([]bool, nodes)
-		for n, off := range disabled {
-			if off && n >= 0 && n < nodes {
-				mask[n] = true
-			}
-		}
-	}
-	var pl Placer
-	if err := pl.Place(items, nodes, cpuCap, ramCap, overcommit, mask); err != nil {
-		return Placement{}, err
-	}
-	p := Placement{
-		NodeOf:    make(map[int]int, len(items)),
-		CPUByNode: make(map[int]float64),
-		RAMByNode: make(map[int]float64),
-	}
-	used := make(map[int]bool)
-	for i, it := range items {
-		n := pl.NodeOf(i)
-		if n < 0 {
-			p.Unplaced = append(p.Unplaced, it.ID)
-			continue
-		}
-		p.NodeOf[it.ID] = n
-		p.CPUByNode[n] += it.CPU
-		p.RAMByNode[n] += it.RAM
-		used[n] = true
-	}
-	p.NodesUsed = len(used)
-	sort.Ints(p.Unplaced)
-	return p, nil
 }

@@ -6,6 +6,21 @@ import (
 	"repro/internal/rng"
 )
 
+// placed counts the distinct nodes p seated the first n items on and the
+// items it left unplaced.
+func placed(p *Placer, n int) (nodesUsed, unplaced int) {
+	seen := make(map[int]bool)
+	for i := 0; i < n; i++ {
+		if node := p.NodeOf(i); node < 0 {
+			unplaced++
+		} else if !seen[node] {
+			seen[node] = true
+			nodesUsed++
+		}
+	}
+	return nodesUsed, unplaced
+}
+
 func TestFFDBasicPacking(t *testing.T) {
 	items := []PlaceItem{
 		{ID: 0, CPU: 6, RAM: 8, Pinned: -1},
@@ -14,15 +29,16 @@ func TestFFDBasicPacking(t *testing.T) {
 		{ID: 3, CPU: 6, RAM: 8, Pinned: -1},
 	}
 	// 12-core nodes, no over-commit: two per node.
-	p, err := FFD(items, 5, 12, 32, 1)
-	if err != nil {
+	var p Placer
+	if err := p.Place(items, 5, 12, 32, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if p.NodesUsed != 2 {
-		t.Fatalf("nodes used %d, want 2", p.NodesUsed)
+	used, unplaced := placed(&p, len(items))
+	if used != 2 {
+		t.Fatalf("nodes used %d, want 2", used)
 	}
-	if len(p.Unplaced) != 0 {
-		t.Fatalf("unplaced: %v", p.Unplaced)
+	if unplaced != 0 {
+		t.Fatalf("%d items unplaced", unplaced)
 	}
 }
 
@@ -32,13 +48,18 @@ func TestFFDOvercommit(t *testing.T) {
 		{ID: 1, CPU: 9, RAM: 8, Pinned: -1},
 	}
 	// Without over-commit: 2 nodes. With 1.5x: one 12-core node takes 18.
-	p1, _ := FFD(items, 3, 12, 32, 1)
-	if p1.NodesUsed != 2 {
-		t.Fatalf("no-overcommit nodes %d, want 2", p1.NodesUsed)
+	var p Placer
+	if err := p.Place(items, 3, 12, 32, 1, nil); err != nil {
+		t.Fatal(err)
 	}
-	p2, _ := FFD(items, 3, 12, 32, 1.5)
-	if p2.NodesUsed != 1 {
-		t.Fatalf("overcommit nodes %d, want 1", p2.NodesUsed)
+	if used, _ := placed(&p, len(items)); used != 2 {
+		t.Fatalf("no-overcommit nodes %d, want 2", used)
+	}
+	if err := p.Place(items, 3, 12, 32, 1.5, nil); err != nil {
+		t.Fatal(err)
+	}
+	if used, _ := placed(&p, len(items)); used != 1 {
+		t.Fatalf("overcommit nodes %d, want 1", used)
 	}
 }
 
@@ -47,9 +68,12 @@ func TestFFDRAMConstraintBinds(t *testing.T) {
 		{ID: 0, CPU: 1, RAM: 30, Pinned: -1},
 		{ID: 1, CPU: 1, RAM: 30, Pinned: -1},
 	}
-	p, _ := FFD(items, 2, 12, 32, 1)
-	if p.NodesUsed != 2 {
-		t.Fatalf("RAM-bound items should spread: nodes %d", p.NodesUsed)
+	var p Placer
+	if err := p.Place(items, 2, 12, 32, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if used, _ := placed(&p, len(items)); used != 2 {
+		t.Fatalf("RAM-bound items should spread: nodes %d", used)
 	}
 }
 
@@ -58,11 +82,14 @@ func TestFFDUnplaced(t *testing.T) {
 		{ID: 7, CPU: 100, RAM: 1, Pinned: -1},
 		{ID: 8, CPU: 1, RAM: 1, Pinned: -1},
 	}
-	p, _ := FFD(items, 1, 12, 32, 1)
-	if len(p.Unplaced) != 1 || p.Unplaced[0] != 7 {
-		t.Fatalf("unplaced = %v, want [7]", p.Unplaced)
+	var p Placer
+	if err := p.Place(items, 1, 12, 32, 1, nil); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := p.NodeOf[8]; !ok {
+	if p.NodeOf(0) != -1 {
+		t.Fatalf("oversized item 7 on node %d, want unplaced", p.NodeOf(0))
+	}
+	if p.NodeOf(1) < 0 {
 		t.Fatal("small item should still place")
 	}
 }
@@ -72,16 +99,16 @@ func TestFFDPinned(t *testing.T) {
 		{ID: 0, CPU: 6, RAM: 8, Pinned: 2},
 		{ID: 1, CPU: 6, RAM: 8, Pinned: -1},
 	}
-	p, err := FFD(items, 4, 12, 32, 1)
-	if err != nil {
+	var p Placer
+	if err := p.Place(items, 4, 12, 32, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if p.NodeOf[0] != 2 {
-		t.Fatalf("pinned item on node %d, want 2", p.NodeOf[0])
+	if p.NodeOf(0) != 2 {
+		t.Fatalf("pinned item on node %d, want 2", p.NodeOf(0))
 	}
 	// Free item goes first-fit to node 0.
-	if p.NodeOf[1] != 0 {
-		t.Fatalf("free item on node %d, want 0", p.NodeOf[1])
+	if p.NodeOf(1) != 0 {
+		t.Fatalf("free item on node %d, want 0", p.NodeOf(1))
 	}
 }
 
@@ -90,34 +117,40 @@ func TestFFDPinnedOverflow(t *testing.T) {
 		{ID: 0, CPU: 10, RAM: 8, Pinned: 0},
 		{ID: 1, CPU: 10, RAM: 8, Pinned: 0},
 	}
-	p, err := FFD(items, 2, 12, 32, 1)
-	if err != nil {
+	var p Placer
+	if err := p.Place(items, 2, 12, 32, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Unplaced) != 1 {
-		t.Fatalf("second pinned item should overflow: %+v", p)
+	// Pins are seated in ID order, so the second one overflows.
+	if p.NodeOf(0) != 0 || p.NodeOf(1) != -1 {
+		t.Fatalf("pinned items on nodes %d, %d; want 0, -1", p.NodeOf(0), p.NodeOf(1))
 	}
 }
 
 func TestFFDErrors(t *testing.T) {
 	good := []PlaceItem{{ID: 0, CPU: 1, RAM: 1, Pinned: -1}}
-	if _, err := FFD(good, 0, 12, 32, 1); err == nil {
+	var p Placer
+	if err := p.Place(good, 0, 12, 32, 1, nil); err == nil {
 		t.Error("zero nodes should fail")
 	}
-	if _, err := FFD(good, 1, 0, 32, 1); err == nil {
+	if err := p.Place(good, 1, 0, 32, 1, nil); err == nil {
 		t.Error("zero cpu cap should fail")
 	}
-	if _, err := FFD(good, 1, 12, 32, 0.5); err == nil {
+	if err := p.Place(good, 1, 12, 32, 0.5, nil); err == nil {
 		t.Error("overcommit < 1 should fail")
 	}
-	if _, err := FFD([]PlaceItem{{ID: 0, CPU: -1, RAM: 1, Pinned: -1}}, 1, 12, 32, 1); err == nil {
+	if err := p.Place([]PlaceItem{{ID: 0, CPU: -1, RAM: 1, Pinned: -1}}, 1, 12, 32, 1, nil); err == nil {
 		t.Error("negative demand should fail")
 	}
-	if _, err := FFD([]PlaceItem{{ID: 0, CPU: 1, RAM: 1, Pinned: -1}, {ID: 0, CPU: 1, RAM: 1, Pinned: -1}}, 1, 12, 32, 1); err == nil {
+	if err := p.Place([]PlaceItem{{ID: 0, CPU: 1, RAM: 1, Pinned: -1}, {ID: 0, CPU: 1, RAM: 1, Pinned: -1}}, 1, 12, 32, 1, nil); err == nil {
 		t.Error("duplicate ids should fail")
 	}
-	if _, err := FFD([]PlaceItem{{ID: 0, CPU: 1, RAM: 1, Pinned: 9}}, 2, 12, 32, 1); err == nil {
+	if err := p.Place([]PlaceItem{{ID: 0, CPU: 1, RAM: 1, Pinned: 9}}, 2, 12, 32, 1, nil); err == nil {
 		t.Error("pin to nonexistent node should fail")
+	}
+	// A failed call leaves the Placer usable.
+	if err := p.Place(good, 1, 12, 32, 1, nil); err != nil || p.NodeOf(0) != 0 {
+		t.Fatalf("Place after errors: err=%v node=%d", err, p.NodeOf(0))
 	}
 }
 
@@ -155,6 +188,7 @@ func optBins(sizes []float64, cap float64) int {
 func TestFFDWithinClassicalBound(t *testing.T) {
 	// FFD(L) <= 11/9 OPT(L) + 1 on 1-D instances (RAM made non-binding).
 	s := rng.New(5, "ffd-bound")
+	var p Placer
 	for trial := 0; trial < 60; trial++ {
 		n := 3 + s.Intn(7)
 		items := make([]PlaceItem, n)
@@ -164,16 +198,16 @@ func TestFFDWithinClassicalBound(t *testing.T) {
 			items[i] = PlaceItem{ID: i, CPU: c, RAM: 0.001, Pinned: -1}
 			sizes[i] = c
 		}
-		p, err := FFD(items, n, 12, 1000, 1)
-		if err != nil {
+		if err := p.Place(items, n, 12, 1000, 1, nil); err != nil {
 			t.Fatal(err)
 		}
-		if len(p.Unplaced) != 0 {
+		used, unplaced := placed(&p, n)
+		if unplaced != 0 {
 			t.Fatalf("trial %d: unplaced with n nodes available", trial)
 		}
 		opt := optBins(sizes, 12)
-		if float64(p.NodesUsed) > 11.0/9.0*float64(opt)+1+1e-9 {
-			t.Fatalf("trial %d: FFD=%d exceeds 11/9*OPT+1 with OPT=%d", trial, p.NodesUsed, opt)
+		if float64(used) > 11.0/9.0*float64(opt)+1+1e-9 {
+			t.Fatalf("trial %d: FFD=%d exceeds 11/9*OPT+1 with OPT=%d", trial, used, opt)
 		}
 	}
 }
@@ -184,11 +218,21 @@ func TestFFDDeterministic(t *testing.T) {
 	for i := range items {
 		items[i] = PlaceItem{ID: i, CPU: s.Uniform(0.5, 2), RAM: s.Uniform(1, 4), Pinned: -1}
 	}
-	a, _ := FFD(items, 10, 12, 32, 1.5)
-	b, _ := FFD(items, 10, 12, 32, 1.5)
-	for id, n := range a.NodeOf {
-		if b.NodeOf[id] != n {
-			t.Fatalf("nondeterministic placement for item %d", id)
+	// A fresh Placer and a reused one that packed a different set in
+	// between must seat every item on the same node.
+	var a, b Placer
+	if err := a.Place(items, 10, 12, 32, 1.5, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Place(items[:7], 3, 12, 32, 1, []bool{false, true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Place(items, 10, 12, 32, 1.5, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := range items {
+		if a.NodeOf(i) != b.NodeOf(i) {
+			t.Fatalf("nondeterministic placement for item %d: %d vs %d", i, a.NodeOf(i), b.NodeOf(i))
 		}
 	}
 }
@@ -198,9 +242,28 @@ func TestFFDLoadAccounting(t *testing.T) {
 		{ID: 0, CPU: 4, RAM: 10, Pinned: -1},
 		{ID: 1, CPU: 5, RAM: 12, Pinned: -1},
 	}
-	p, _ := FFD(items, 1, 12, 32, 1)
-	if p.CPUByNode[0] != 9 || p.RAMByNode[0] != 22 {
-		t.Fatalf("load accounting wrong: %+v", p)
+	var p Placer
+	if err := p.Place(items, 1, 12, 32, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := range items {
+		if p.NodeOf(i) != 0 {
+			t.Fatalf("item %d on node %d, want 0", i, p.NodeOf(i))
+		}
+	}
+	// The two items load the node to 9 of 12 cores and 22 of 32 GB: a
+	// third 4-core item no longer fits beside them, a 3-core one does.
+	for _, tc := range []struct {
+		cpu  float64
+		want int
+	}{{4, -1}, {3, 0}} {
+		more := append(items[:2:2], PlaceItem{ID: 2, CPU: tc.cpu, RAM: 1, Pinned: -1})
+		if err := p.Place(more, 1, 12, 32, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := p.NodeOf(2); got != tc.want {
+			t.Fatalf("%v-core item on node %d, want %d", tc.cpu, got, tc.want)
+		}
 	}
 }
 
@@ -209,52 +272,64 @@ func TestFFDAvoidingSkipsDisabledNodes(t *testing.T) {
 		{ID: 0, CPU: 6, RAM: 8, Pinned: -1},
 		{ID: 1, CPU: 6, RAM: 8, Pinned: -1},
 	}
-	p, err := FFDAvoiding(items, 3, 12, 32, 1, map[int]bool{0: true})
-	if err != nil {
+	var p Placer
+	if err := p.Place(items, 3, 12, 32, 1, []bool{true, false, false}); err != nil {
 		t.Fatal(err)
 	}
-	for id, n := range p.NodeOf {
-		if n == 0 {
-			t.Fatalf("item %d placed on disabled node 0", id)
+	for i := range items {
+		switch p.NodeOf(i) {
+		case 0:
+			t.Fatalf("item %d placed on disabled node 0", i)
+		case -1:
+			t.Fatalf("item %d should fit on the remaining nodes", i)
 		}
-	}
-	if len(p.Unplaced) != 0 {
-		t.Fatalf("items should fit on the remaining nodes: %v", p.Unplaced)
 	}
 }
 
 func TestFFDAvoidingPinnedToDisabledNodeUnplaced(t *testing.T) {
 	items := []PlaceItem{{ID: 7, CPU: 1, RAM: 1, Pinned: 1}}
-	p, err := FFDAvoiding(items, 3, 12, 32, 1, map[int]bool{1: true})
-	if err != nil {
+	var p Placer
+	if err := p.Place(items, 3, 12, 32, 1, []bool{false, true, false}); err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Unplaced) != 1 || p.Unplaced[0] != 7 {
-		t.Fatalf("pin to disabled node should report unplaced: %+v", p)
+	if p.NodeOf(0) != -1 {
+		t.Fatalf("pin to disabled node should report unplaced, got node %d", p.NodeOf(0))
 	}
 }
 
 func TestFFDAvoidingAllDisabled(t *testing.T) {
 	items := []PlaceItem{{ID: 0, CPU: 1, RAM: 1, Pinned: -1}}
-	p, err := FFDAvoiding(items, 2, 12, 32, 1, map[int]bool{0: true, 1: true})
-	if err != nil {
+	var p Placer
+	if err := p.Place(items, 2, 12, 32, 1, []bool{true, true}); err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Unplaced) != 1 {
-		t.Fatalf("all nodes disabled: item must be unplaced: %+v", p)
+	if p.NodeOf(0) != -1 {
+		t.Fatalf("all nodes disabled: item must be unplaced, got node %d", p.NodeOf(0))
 	}
 }
 
+// TestFFDNilDisabledEqualsFFD checks that a nil, an all-false and a short
+// disabled mask (its missing tail reads as usable) all place like plain
+// FFD.
 func TestFFDNilDisabledEqualsFFD(t *testing.T) {
 	items := []PlaceItem{
 		{ID: 0, CPU: 4, RAM: 8, Pinned: -1},
 		{ID: 1, CPU: 5, RAM: 6, Pinned: -1},
+		{ID: 2, CPU: 9, RAM: 6, Pinned: 3},
 	}
-	a, _ := FFD(items, 4, 12, 32, 1.5)
-	b, _ := FFDAvoiding(items, 4, 12, 32, 1.5, nil)
-	for id := range a.NodeOf {
-		if a.NodeOf[id] != b.NodeOf[id] {
-			t.Fatal("nil disabled set must behave as plain FFD")
+	var plain Placer
+	if err := plain.Place(items, 4, 12, 32, 1.5, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, mask := range [][]bool{make([]bool, 4), {false}} {
+		var p Placer
+		if err := p.Place(items, 4, 12, 32, 1.5, mask); err != nil {
+			t.Fatal(err)
+		}
+		for i := range items {
+			if p.NodeOf(i) != plain.NodeOf(i) {
+				t.Fatalf("mask %v: item %d on node %d, nil mask put it on %d", mask, i, p.NodeOf(i), plain.NodeOf(i))
+			}
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 // Distribution accumulates float64 observations. The zero value is ready
 // to use. Not safe for concurrent use.
+//
 //gm:statemirror State RestoreState
 type Distribution struct {
 	values []float64

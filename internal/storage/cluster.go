@@ -419,37 +419,10 @@ func (c *Cluster) PowerOffNode(id int) units.Energy {
 	return e
 }
 
-// PoweredNodes returns the ids of powered-on nodes, ascending.
-func (c *Cluster) PoweredNodes() []int {
-	var out []int
-	for _, n := range c.nodes {
-		if n.Powered {
-			out = append(out, n.ID)
-		}
-	}
-	return out
-}
-
-// SlotDraw returns the cluster's power draw this slot, given per-node CPU
-// utilization in [0,1] (missing entries read as zero). Powered-off nodes
-// draw nothing.
-func (c *Cluster) SlotDraw(cpuUtil map[int]float64) units.Power {
-	var total units.Power
-	for _, n := range c.nodes {
-		if !n.Powered {
-			continue
-		}
-		total += n.Server.Draw(cpuUtil[n.ID])
-		for _, d := range n.Disks {
-			total += d.SlotDraw()
-		}
-	}
-	return total
-}
-
-// SlotDrawUtil is SlotDraw with utilization indexed by node id instead of a
-// map, so per-slot callers can reuse one buffer. A short slice reads as zero
-// utilization for the missing tail.
+// SlotDrawUtil returns the cluster's power draw this slot, given per-node
+// CPU utilization in [0,1] indexed by node id, so per-slot callers can reuse
+// one buffer. A short slice reads as zero utilization for the missing tail.
+// Powered-off nodes draw nothing.
 func (c *Cluster) SlotDrawUtil(cpuUtil []float64) units.Power {
 	var total units.Power
 	for _, n := range c.nodes {
@@ -468,8 +441,7 @@ func (c *Cluster) SlotDrawUtil(cpuUtil []float64) units.Power {
 	return total
 }
 
-// PoweredNodeCount returns the number of powered-on nodes without
-// materializing the id list PoweredNodes builds.
+// PoweredNodeCount returns the number of powered-on nodes.
 func (c *Cluster) PoweredNodeCount() int {
 	count := 0
 	for _, n := range c.nodes {

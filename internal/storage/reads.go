@@ -12,6 +12,7 @@ import (
 // Zipf popularity, serving each read from a spinning replica when one
 // exists and waking a standby disk otherwise. Cold reads are the tax a
 // spin-down policy pays for being too aggressive.
+//
 //gm:statemirror State RestoreState
 type ReadModel struct {
 	// ReadsPerSlot is the mean read count per slot (Poisson-distributed).

@@ -194,31 +194,75 @@ func TestCoverageFailsWhenNodeUnpowered(t *testing.T) {
 	}
 }
 
+// allNodes returns a node mask with every node of c set.
+func allNodes(c *Cluster) []bool {
+	mask := make([]bool, len(c.Nodes()))
+	for i := range mask {
+		mask[i] = true
+	}
+	return mask
+}
+
 func TestCoverOnNodes(t *testing.T) {
 	c := MustNewCluster(smallConfig())
-	all := make(map[int]bool)
-	for _, n := range c.Nodes() {
-		all[n.ID] = true
-	}
-	cover, ok := c.CoverOnNodes(all)
+	cover, ok := c.CoverOnNodeMask(allNodes(c))
 	if !ok || len(cover) == 0 {
 		t.Fatal("full node set must cover")
 	}
-	// A single node cannot host a replica of every object at r=3/6 nodes.
-	_, ok = c.CoverOnNodes(map[int]bool{0: true})
-	if ok {
-		t.Error("single node should not cover a 6-node r=3 layout")
+	if !c.CoverageOK(inSet(diskSet(cover))) {
+		t.Fatal("full-mask cover leaves objects uncovered")
 	}
+	// A single node cannot host a replica of every object at r=3/6 nodes,
+	// whether the mask spans every node or stops short (the missing tail
+	// reads as false).
+	for _, mask := range [][]bool{{true, false, false, false, false, false}, {true}} {
+		if _, ok := c.CoverOnNodeMask(mask); ok {
+			t.Errorf("single node %v should not cover a 6-node r=3 layout", mask)
+		}
+	}
+	if _, ok := c.CoverOnNodeMask(nil); ok {
+		t.Error("an empty mask admits no node and cannot cover")
+	}
+	// A short mask that admits every node but the last matches the full
+	// mask with the last node cleared.
+	short, okShort := c.CoverOnNodeMask([]bool{true, true, true, true, true})
+	full, okFull := c.CoverOnNodeMask([]bool{true, true, true, true, true, false})
+	if okShort != okFull || !sameDisks(short, full) {
+		t.Fatalf("short mask %v/%v differs from its false-padded form %v/%v", short, okShort, full, okFull)
+	}
+}
+
+// diskSet returns the disks of ids as a set.
+func diskSet(ids []DiskID) map[DiskID]bool {
+	set := make(map[DiskID]bool, len(ids))
+	for _, id := range ids {
+		set[id] = true
+	}
+	return set
+}
+
+// sameDisks reports whether a and b list the same disks in the same order.
+func sameDisks(a, b []DiskID) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func TestApplyDiskPlan(t *testing.T) {
 	c := MustNewCluster(smallConfig())
-	cover := c.MinimalCover()
-	keep := make(map[DiskID]bool)
-	for _, id := range cover {
-		keep[id] = true
+	perNode := c.Config().NodeProfile.DisksPerNode
+	keep := diskSet(c.MinimalCover())
+	mask := make([]bool, len(c.Nodes())*perNode)
+	for id := range keep {
+		mask[id.Node*perNode+id.Disk] = true
 	}
-	e := c.ApplyDiskPlan(keep)
+	e := c.ApplyDiskPlanMask(mask)
 	if e <= 0 {
 		t.Fatal("spinning down disks should charge transition energy")
 	}
@@ -233,7 +277,7 @@ func TestApplyDiskPlan(t *testing.T) {
 		}
 	}
 	// Idempotent: reapplying costs nothing.
-	if e2 := c.ApplyDiskPlan(keep); e2 != 0 {
+	if e2 := c.ApplyDiskPlanMask(mask); e2 != 0 {
 		t.Fatalf("reapplying identical plan charged %v", e2)
 	}
 }
@@ -267,23 +311,30 @@ func TestNodePowerCycle(t *testing.T) {
 
 func TestSlotDraw(t *testing.T) {
 	c := MustNewCluster(smallConfig())
-	allOn := c.SlotDraw(nil)
+	allOn := c.SlotDrawUtil(nil)
 	np := c.Config().NodeProfile
 	// All nodes idle, all disks idle.
 	want := units.Power(float64(np.Server.IdleW)*6 + float64(np.Disk.IdleW)*float64(6*np.DisksPerNode))
 	if allOn != want {
 		t.Fatalf("idle draw %v, want %v", allOn, want)
 	}
-	// Full CPU on node 0 adds peak-idle difference.
-	withLoad := c.SlotDraw(map[int]float64{0: 1})
+	// Full CPU on node 0 adds peak-idle difference. The short slice reads
+	// as zero utilization for the missing tail, like its zero-padded form.
+	withLoad := c.SlotDrawUtil([]float64{1})
 	if withLoad != want+(np.Server.PeakW-np.Server.IdleW) {
 		t.Fatalf("loaded draw %v", withLoad)
 	}
-	// Powering a node off removes its full contribution.
+	if padded := c.SlotDrawUtil([]float64{1, 0, 0, 0, 0, 0}); padded != withLoad {
+		t.Fatalf("zero-padded draw %v, short-slice draw %v", padded, withLoad)
+	}
+	// Powering a node off removes its full contribution, load included.
 	c.PowerOffNode(5)
-	offDraw := c.SlotDraw(nil)
+	offDraw := c.SlotDrawUtil(nil)
 	if offDraw >= allOn {
 		t.Fatal("powering off a node did not reduce draw")
+	}
+	if got := c.SlotDrawUtil([]float64{0, 0, 0, 0, 0, 1}); got != offDraw {
+		t.Fatalf("load on a powered-off node drew %v, want %v", got, offDraw)
 	}
 }
 
@@ -408,15 +459,18 @@ func TestPoweredNodes(t *testing.T) {
 	c := MustNewCluster(smallConfig())
 	c.PowerOffNode(1)
 	c.PowerOffNode(3)
-	got := c.PoweredNodes()
-	want := []int{0, 2, 4, 5}
-	if len(got) != len(want) {
-		t.Fatalf("powered = %v", got)
+	if got := c.PoweredNodeCount(); got != 4 {
+		t.Fatalf("powered = %d, want 4", got)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("powered = %v, want %v", got, want)
-		}
+	// A failed node is unpowered; a repaired one stays off until booted.
+	c.FailNode(0)
+	c.RepairNode(0)
+	if got := c.PoweredNodeCount(); got != 3 {
+		t.Fatalf("powered after a crash = %d, want 3", got)
+	}
+	c.PowerOnNode(0)
+	if got := c.PoweredNodeCount(); got != 4 {
+		t.Fatalf("powered after reboot = %d, want 4", got)
 	}
 }
 
@@ -462,21 +516,19 @@ func TestFailNode(t *testing.T) {
 
 func TestPartialCoverOnNodes(t *testing.T) {
 	c := MustNewCluster(smallConfig())
-	all := make(map[int]bool)
-	for _, n := range c.Nodes() {
-		all[n.ID] = true
-	}
-	cover, uncoverable := c.PartialCoverOnNodes(all)
+	cover, uncoverable := c.PartialCover()
 	if uncoverable != 0 {
 		t.Fatalf("healthy cluster has %d uncoverable objects", uncoverable)
 	}
 	if len(cover) == 0 {
 		t.Fatal("empty cover")
 	}
-	// Restrict to a single node: most objects become uncoverable, but the
+	// Fail every node but node 0: most objects become uncoverable, but the
 	// cover still covers what it can.
-	one := map[int]bool{0: true}
-	cover1, unc1 := c.PartialCoverOnNodes(one)
+	for n := 1; n < len(c.Nodes()); n++ {
+		c.FailNode(n)
+	}
+	cover1, unc1 := c.PartialCover()
 	if unc1 == 0 {
 		t.Fatal("single node should leave objects uncoverable at r=3/6 nodes")
 	}
@@ -505,13 +557,7 @@ func TestPartialCoverOnNodes(t *testing.T) {
 func TestCoverageExcludesFailedNodes(t *testing.T) {
 	c := MustNewCluster(smallConfig())
 	c.FailNode(0)
-	healthy := make(map[int]bool)
-	for _, n := range c.Nodes() {
-		if !n.Failed {
-			healthy[n.ID] = true
-		}
-	}
-	cover, unc := c.PartialCoverOnNodes(healthy)
+	cover, unc := c.PartialCover()
 	for _, id := range cover {
 		if id.Node == 0 {
 			t.Fatal("cover placed on failed node")
@@ -520,5 +566,55 @@ func TestCoverageExcludesFailedNodes(t *testing.T) {
 	// r=3 across 6 nodes: losing one node cannot strand any object.
 	if unc != 0 {
 		t.Fatalf("%d objects uncoverable after a single failure at r=3", unc)
+	}
+}
+
+// TestPartialCoverLockstep ties the failure path's cover to the simulator's
+// full cover: on a healthy cluster PartialCover is CoverOnNodeMask over
+// every node, disk for disk; after failures its cover plus the
+// uncoverable count accounts for every object.
+func TestPartialCoverLockstep(t *testing.T) {
+	c := MustNewCluster(smallConfig())
+	partial, unc := c.PartialCover()
+	full, ok := c.CoverOnNodeMask(allNodes(c))
+	if !ok || unc != 0 {
+		t.Fatalf("healthy cluster: full ok=%v, %d uncoverable", ok, unc)
+	}
+	if !sameDisks(partial, full) {
+		t.Fatalf("healthy cluster: PartialCover %v != CoverOnNodeMask(all) %v", partial, full)
+	}
+	// Fail nodes until some objects lose every replica.
+	for _, n := range []int{0, 1, 2} {
+		c.FailNode(n)
+	}
+	partial, unc = c.PartialCover()
+	if unc == 0 {
+		t.Fatal("three failures at r=3/6 nodes should strand some object")
+	}
+	if _, ok := c.CoverOnNodeMask([]bool{false, false, false, true, true, true}); ok {
+		t.Fatal("the surviving nodes cannot cover, yet CoverOnNodeMask reported a cover")
+	}
+	// Every object is either covered by a powered disk of the partial
+	// cover (CoverageOK's predicate) or uncoverable.
+	set := diskSet(partial)
+	for _, id := range partial {
+		if c.Node(id.Node).Failed {
+			t.Fatalf("partial cover uses failed node %d", id.Node)
+		}
+	}
+	covered := 0
+	for obj := 0; obj < c.Config().Objects; obj++ {
+		for _, id := range c.Replicas(obj) {
+			if set[id] && c.Node(id.Node).Powered {
+				covered++
+				break
+			}
+		}
+	}
+	if covered+unc != c.Config().Objects {
+		t.Fatalf("covered %d + uncoverable %d != %d objects", covered, unc, c.Config().Objects)
+	}
+	if c.CoverageOK(inSet(set)) {
+		t.Fatal("CoverageOK accepted a cover with uncoverable objects")
 	}
 }

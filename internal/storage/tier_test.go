@@ -109,7 +109,7 @@ func TestTieredDrawUsesTierProfiles(t *testing.T) {
 	c := MustNewCluster(tieredConfig())
 	// All idle: draw = 6 servers idle + 2x12 enterprise idle + 4x12 archive idle.
 	want := 6*110.0 + 24*8.0 + 48*5.0
-	if got := float64(c.SlotDraw(nil)); got != want {
+	if got := float64(c.SlotDrawUtil(nil)); got != want {
 		t.Fatalf("tiered idle draw %v, want %v", got, want)
 	}
 }
