@@ -118,8 +118,9 @@ type (
 	SweepJob = runner.Job
 	// SweepOutcome is one job's result slot.
 	SweepOutcome = runner.Outcome
-	// SweepOptions bounds the pool (Workers: 0 = one per core with a
-	// GREENMATCH_WORKERS env override, 1 = run inline sequentially).
+	// SweepOptions holds the pool size, its one field: Workers 0 = one
+	// per core with a GREENMATCH_WORKERS env override, 1 = run inline
+	// sequentially.
 	SweepOptions = runner.Options
 )
 

@@ -47,10 +47,10 @@ func TestSlotStepDrainedAllocFree(t *testing.T) {
 	// One warm-up step past drain lets one-off transitions (final
 	// consolidation, cover-cache misses for the drained node set) happen
 	// outside the measured window.
-	sim.step(slot)
+	sim.step(slot, sim.faultPhase(slot), false)
 	slot++
 	avg := testing.AllocsPerRun(100, func() {
-		sim.step(slot)
+		sim.step(slot, sim.faultPhase(slot), false)
 		slot++
 	})
 	if avg > 0 {
@@ -89,13 +89,13 @@ func TestSlotStepBusyMandatoryAllocFree(t *testing.T) {
 	// Warm up: first placements, node boots, spin-ups.
 	slot := 0
 	for ; slot < 10; slot++ {
-		sim.step(slot)
+		sim.step(slot, sim.faultPhase(slot), false)
 	}
 	if len(sim.running) != len(trace) {
 		t.Fatalf("expected %d running jobs after warm-up, got %d", len(trace), len(sim.running))
 	}
 	avg := testing.AllocsPerRun(100, func() {
-		sim.step(slot)
+		sim.step(slot, sim.faultPhase(slot), false)
 		slot++
 	})
 	if avg > 0 {

@@ -45,6 +45,11 @@ func TestFastForwardEquivalence(t *testing.T) {
 			cfg.Faults.CrashMTBFHours = 2000 // random crash process on the fast path
 			return cfg
 		},
+		"io-quiet": func() Config {
+			cfg := sparseTraceConfig()
+			cfg.Trace[0].IOBound = true // quiet slots carry an I/O-bound job
+			return cfg
+		},
 	}
 	for name, mk := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -69,6 +74,69 @@ func TestFastForwardEquivalence(t *testing.T) {
 				t.Fatalf("fast and full runs diverged:\nfast: %+v\nfull: %+v", fast, slow)
 			}
 		})
+	}
+}
+
+// TestWakeEndsQuietStreak pins the wake rule: a disk spun up outside the
+// power plan — here by an I/O-bound job whose node's disks were parked
+// mid-streak — leaves its own slot quiet but ends the streak, so the next
+// slot replans and restores the plan, and the slot after that is quiet
+// again.
+func TestWakeEndsQuietStreak(t *testing.T) {
+	cfg := sparseTraceConfig()
+	cfg.Trace[0].IOBound = true
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxSlot := sim.lastArrival + sim.cfg.MaxOverrunSlots
+	// Run into a quiet streak that carries the I/O-bound job and has room
+	// for the three slots under test.
+	var io *jobState
+	slot := 0
+	for ; slot < maxSlot; slot++ {
+		if sim.canFastForward(slot, maxSlot) && slot+3 < sim.fastHorizon {
+			for _, st := range sim.running {
+				if st.job.IOBound && st.remaining > 3 {
+					io = st
+				}
+			}
+		}
+		if io != nil {
+			break
+		}
+		sim.runSlot(slot, maxSlot)
+	}
+	if io == nil {
+		t.Fatal("no quiet streak carried the I/O-bound job")
+	}
+	disks := sim.cluster.Node(io.node).Disks
+	for _, d := range disks {
+		if d.SpunUp() {
+			d.SpinDown()
+		}
+	}
+
+	quiet := sim.fastSlots
+	sim.runSlot(slot, maxSlot)
+	if sim.fastSlots != quiet+1 {
+		t.Fatalf("wake slot %d was not quiet", slot)
+	}
+	if sim.placementSettled {
+		t.Fatalf("the wake at slot %d did not end the quiet streak", slot)
+	}
+	sim.runSlot(slot+1, maxSlot)
+	if sim.fastSlots != quiet+1 {
+		t.Fatalf("slot %d after the wake did not replan", slot+1)
+	}
+	for k, d := range disks {
+		if !d.SpunUp() {
+			t.Fatalf("disk %d of the I/O job's node still parked after the replan", k)
+		}
+	}
+	sim.runSlot(slot+2, maxSlot)
+	if sim.fastSlots != quiet+2 {
+		t.Fatalf("slot %d did not resume the quiet streak", slot+2)
 	}
 }
 
@@ -143,13 +211,13 @@ func TestSlotStepBusyDeferredAllocFree(t *testing.T) {
 	sim.admitDue(0)
 	slot := 0
 	for ; slot < 12; slot++ {
-		sim.step(slot)
+		sim.step(slot, sim.faultPhase(slot), false)
 	}
 	if len(sim.waiting) != len(trace) {
 		t.Fatalf("expected all %d jobs still deferred, got %d waiting", len(trace), len(sim.waiting))
 	}
 	avg := testing.AllocsPerRun(100, func() {
-		sim.step(slot)
+		sim.step(slot, sim.faultPhase(slot), false)
 		slot++
 	})
 	if avg > 0 {
@@ -180,7 +248,7 @@ func TestFastStepAllocFree(t *testing.T) {
 	sim.admitDue(0)
 	slot := 0
 	for ; slot < 8; slot++ {
-		sim.step(slot)
+		sim.step(slot, sim.faultPhase(slot), false)
 	}
 	maxSlot := slot + 300
 	if !sim.canFastForward(slot, maxSlot) {
@@ -190,7 +258,8 @@ func TestFastStepAllocFree(t *testing.T) {
 		if !sim.canFastForward(slot, maxSlot) {
 			t.Fatal("fast path disengaged mid-measurement")
 		}
-		sim.fastStep(slot)
+		changed := sim.faultPhase(slot)
+		sim.step(slot, changed, !changed)
 		slot++
 	})
 	if avg > 0 {

@@ -183,7 +183,10 @@ type RepairSnap struct {
 // that produce bit-identical decisions (the reused-solver and cover-cache
 // equivalences the test suite gates elsewhere), and the quiet-slot
 // aggregate caches (drawValid/spunValid) recompute to identical values
-// from the restored cluster.
+// from the restored cluster. The power plan's disk keep mask is per-slot
+// scratch: a disk wake ends the quiet streak, so the slot after it replans
+// and recomputes the mask. Checkpoints written with the older
+// disk_plan_dirty and keep_mask keys still decode; the keys are ignored.
 type LiveSnapshot struct {
 	Next        int  `json:"next"`
 	Drained     bool `json:"drained,omitempty"`
@@ -217,10 +220,8 @@ type LiveSnapshot struct {
 	BacklogBaseline int                    `json:"backlog_baseline,omitempty"`
 	PrevBacklog     int                    `json:"prev_backlog,omitempty"`
 
-	PlacementSettled bool   `json:"placement_settled,omitempty"`
-	DiskPlanDirty    bool   `json:"disk_plan_dirty,omitempty"`
-	KeepMask         []bool `json:"keep_mask,omitempty"`
-	FastSlots        int    `json:"fast_slots,omitempty"`
+	PlacementSettled bool `json:"placement_settled,omitempty"`
+	FastSlots        int  `json:"fast_slots,omitempty"`
 
 	Battery battery.State          `json:"battery"`
 	Cluster storage.ClusterState   `json:"cluster"`
@@ -258,8 +259,6 @@ func (l *Live) Snapshot() (*LiveSnapshot, error) {
 		BacklogBaseline:   s.backlogBaseline,
 		PrevBacklog:       s.prevBacklog,
 		PlacementSettled:  s.placementSettled,
-		DiskPlanDirty:     s.diskPlanDirty,
-		KeepMask:          append([]bool(nil), s.keepMask...),
 		FastSlots:         s.fastSlots,
 		Battery:           s.bat.State(),
 		Cluster:           s.cluster.State(),
@@ -343,9 +342,6 @@ func RestoreLive(cfg Config, snap *LiveSnapshot) (*Live, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(snap.KeepMask) != len(s.keepMask) {
-		return nil, fmt.Errorf("core: snapshot keep mask has %d disks, cluster has %d", len(snap.KeepMask), len(s.keepMask))
-	}
 	// Drop the queue New built from cfg.Trace: every submission the
 	// original saw is in the snapshot, either still pending or already
 	// admitted. Re-enqueueing the pending jobs in listed order rebuilds
@@ -375,8 +371,6 @@ func RestoreLive(cfg Config, snap *LiveSnapshot) (*Live, error) {
 	s.backlogBaseline = snap.BacklogBaseline
 	s.prevBacklog = snap.PrevBacklog
 	s.placementSettled = snap.PlacementSettled
-	s.diskPlanDirty = snap.DiskPlanDirty
-	copy(s.keepMask, snap.KeepMask)
 	s.fastSlots = snap.FastSlots
 	// Stale horizon: the first fast-eligible slot recomputes it from the
 	// restored event structures. The quiet-slot aggregate caches likewise

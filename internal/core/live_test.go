@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/fault"
+	"repro/internal/power"
 	"repro/internal/workload"
 )
 
@@ -236,7 +237,8 @@ func TestLiveSnapshotRoundTrip(t *testing.T) {
 // the trace jobs already due there, on the original and on the restored
 // run alike. The legacy case restores from the checkpoint layout written
 // before the arrival queue (pending jobs in submission order, each with
-// its event time "at" in hours), which must recover the same run. The
+// its event time "at" in hours) and before the disk keep mask left the
+// checkpoint, which must recover the same run. The
 // digests pin each uninterrupted run's Result and audit trace.
 func TestLiveSnapshotWithPendingSubmissions(t *testing.T) {
 	// Slots 0..cut run before the snapshot. Two trace web jobs are due at
@@ -448,7 +450,10 @@ func TestArrivalQueueFIFOTiebreak(t *testing.T) {
 // written while arrivals rode an event heap: the pending jobs in
 // submission order, each carrying the heap time it was scheduled at —
 // its submit slot clamped to the slot that was next at submission, in
-// hours. submitted lists every submission in order.
+// hours. submitted lists every submission in order. It also adds the
+// keep_mask array those checkpoints carried: the last power plan's
+// per-disk keep flags, which at a slot boundary with no disk wake are
+// exactly the spinning disks of powered nodes.
 func legacyCheckpoint(t *testing.T, blob []byte, submitted []workload.Job, slotHours float64) []byte {
 	t.Helper()
 	var fields map[string]json.RawMessage
@@ -476,8 +481,17 @@ func legacyCheckpoint(t *testing.T, blob []byte, submitted []workload.Job, slotH
 	if len(legacy) != len(snap.Pending) {
 		t.Fatalf("legacy layout holds %d pending jobs, snapshot %d", len(legacy), len(snap.Pending))
 	}
+	var keep []bool
+	for _, n := range snap.Cluster.Nodes {
+		for _, d := range n.Disks {
+			keep = append(keep, n.Powered && d.State != power.DiskStandby)
+		}
+	}
 	var err error
 	if fields["pending"], err = json.Marshal(legacy); err != nil {
+		t.Fatal(err)
+	}
+	if fields["keep_mask"], err = json.Marshal(keep); err != nil {
 		t.Fatal(err)
 	}
 	out, err := json.Marshal(fields)

@@ -33,7 +33,7 @@ type jobState struct {
 	migrations  int
 	completedAt int // -1 until completed
 
-	// mark is transient per-slot scratch: step sets it on jobs the policy
+	// mark is transient per-slot scratch: replan sets it on jobs the policy
 	// selected (to suspend or to start) and clears it again while filtering
 	// the queues in the same slot. It replaces the per-slot ID-keyed map
 	// sets the slot loop used to allocate, and is never meaningful across
@@ -132,7 +132,7 @@ type Simulator struct {
 	predictInto forecast.IntoPredictor //gm:ephemeral rebuilt by New from Config
 	needed      []bool                 // node id -> must be powered //gm:ephemeral per-slot scratch
 	ioNodes     []bool                 // node id -> hosts an I/O-bound job //gm:ephemeral per-slot scratch
-	keepMask    []bool                 // flat disk index -> keep spinning
+	keepMask    []bool                 // flat disk index -> keep spinning //gm:ephemeral per-slot scratch
 	failedMask  []bool                 // node id -> crashed, awaiting repair //gm:ephemeral derived mask, rebuilt from the Repairs snapshot at restore
 	cpuUtil     []float64              // node id -> CPU utilization //gm:ephemeral per-slot scratch
 	healthyPow  []int                  // healthy powered node ids (fault path) //gm:ephemeral per-slot scratch
@@ -181,25 +181,22 @@ type Simulator struct {
 	// lists. Per-Simulator, so concurrent Runs never share it.
 	planScratch *sched.PlanScratch //gm:ephemeral reusable planning scratch, meaningless across slots
 
-	// Event-driven slot skipping (see canFastForward/fastRest). skipEnabled
+	// Event-driven slot skipping (see canFastForward and step). skipEnabled
 	// is latched in New: the policy must guarantee a constant quiescent
 	// decision (sched.QuiescentPlanner), utilization modeling must be off,
 	// and Config.DisableSlotSkipping must be unset. quiescentDec is that
-	// constant decision, used for trace emission on skipped slots.
+	// constant decision, used for trace emission on quiet slots.
 	skipEnabled  bool           //gm:ephemeral latched in New from Config and the policy's static contract
 	quiescentDec sched.Decision //gm:ephemeral latched in New from the policy's static contract
 	// placementSettled means the last slot changed nothing structural: no
-	// promotions, suspensions, start attempts, migrations, completions or
-	// fault transitions — so replanning this slot would reproduce the
-	// placement and power plan verbatim.
+	// promotions, suspensions, start attempts, migrations, completions,
+	// disk wakes or fault transitions — so replanning this slot would
+	// reproduce the placement and power plan verbatim.
 	placementSettled bool
-	// diskPlanDirty means disk spin states deviate from keepMask (a cold
-	// read or I/O wake spun something up); the fast path reapplies the
-	// cached mask exactly where applyPowerPlan would.
-	diskPlanDirty bool
 	// drawValid/spunValid guard cached quiet-slot aggregates: the cluster
 	// power draw with no busy disks, the spinning-disk and powered-node
-	// counts. Invalidated by any full step, wake, or mask reapplication.
+	// counts. Invalidated by any full slot; a completion invalidates the
+	// draw and a wake the counts.
 	drawValid    bool        //gm:ephemeral cache validity latch, starts invalid after restore
 	spunValid    bool        //gm:ephemeral cache validity latch, starts invalid after restore
 	cachedDrawW  units.Power //gm:ephemeral cached aggregate, recomputed when revalidated
@@ -330,19 +327,22 @@ func (s *Simulator) advance(target int) {
 	}
 }
 
-// runSlot executes one slot: admit the queued arrivals due by slot t, then
-// take the fast or the full path.
+// runSlot executes one slot: admit the queued arrivals due by slot t, run
+// the fault phase, then the slot kernel.
 func (s *Simulator) runSlot(t, maxSlot int) {
 	s.admitDue(t)
-	// Quiescent slots take the event-driven fast path: per-slot work
-	// (reads, fault draws, energy settlement, SLA clocks, trace
-	// emission) still runs bit-identically, but planning, placement and
-	// the power plan — provably no-ops on a settled slot — are skipped.
-	if s.canFastForward(t, maxSlot) {
-		s.fastStep(t)
-	} else {
-		s.step(t)
-	}
+	// Quiet slots skip planning, placement and the power plan — provably
+	// no-ops on a settled slot — while every other per-slot phase (reads,
+	// fault draws, settlement, SLA clocks, trace emission) runs
+	// bit-identically. Quietness is judged before the fault phase, which
+	// runs on every slot so the randomness stream stays aligned; a fault
+	// that changes the fleet sends the slot down the full path.
+	quiet := s.canFastForward(t, maxSlot)
+	// 0. Fault injection: repairs and crashes (evictions, repair-job
+	// synthesis), then battery capacity fade — before the policy plans, so
+	// its view reflects the faded battery and the surviving fleet.
+	changed := s.faultPhase(t)
+	s.step(t, changed, quiet && !changed)
 }
 
 // admitDue admits, in queue order, the queued arrivals due by slot t —
@@ -576,29 +576,146 @@ func (s *Simulator) failedNodes() []bool {
 	return s.failedMask
 }
 
-// step executes one slot.
+// step is the slot kernel, run after the fault phase. A full slot replans
+// (phases 1–6); a quiet slot — one canFastForward proved settled and the
+// fault phase left alone — skips them and carries the policy's constant
+// quiescent decision. Both then share phases 7–12 once: reads, I/O busy
+// marking, settlement, progress, accounting and the settledness latch,
+// which faultChanged feeds. The quiet-slot aggregates (cluster draw,
+// spinning-disk and powered-node counts) are cached between structural
+// changes.
 //
 // step is the per-slot hot path (//gm:hotpath): trace assembly and any
 // other observer work must sit behind the single `s.obs != nil` check so
 // that a run without an observer pays nothing but that comparison.
 // gmlint's observerhot analyzer enforces this.
-func (s *Simulator) step(t int) {
-	// 0. Fault injection: repairs and crashes (evictions, repair-job
-	// synthesis), then battery capacity fade — before the policy plans, so
-	// its view reflects the faded battery and the surviving fleet.
-	changed := s.faultPhase(t)
-	s.stepRest(t, changed)
+func (s *Simulator) step(t int, faultChanged, quiet bool) {
+	h := s.cfg.SlotHours
+	migsBefore := s.sla.Migrations
+	dec := s.quiescentDec
+	var promoted, started, attempted int
+	var migE, overhead units.Energy
+	if quiet {
+		s.fastSlots++
+	} else {
+		dec, promoted, started, attempted, migE, overhead = s.replan(t)
+		// The power plan may have moved nodes and disks, so the quiet-slot
+		// caches no longer describe the cluster.
+		s.drawValid = false
+		s.spunValid = false
+		s.fastHorizon = t // stale: recompute before the next quiet streak
+	}
+
+	// 7. Storage read traffic, every slot: the Poisson/Zipf streams must
+	// advance identically on quiet and full slots. A read may wake a disk.
+	rr := s.reads.Step(s.cluster)
+	overhead += rr.WakeEnergy
+	s.sla.ColdReads += rr.ColdReads
+	s.sla.UnservedReads += rr.Unserviceable
+
+	// 8. I/O-bound jobs keep disks on their node busy. A wake (cold read or
+	// I/O spin-up) leaves disks spinning outside the power plan: the spin
+	// count is stale, and the latch below sends the next slot through
+	// replan, which parks them again.
+	ioE, ioBusy := s.markIOBusy()
+	overhead += ioE
+	woke := rr.ColdReads > 0 || ioE > 0
+	if woke {
+		s.spunValid = false
+	}
+
+	// 8b. Under the utilization model, resolve physical overloads that
+	// over-commit provoked (forced migrations, throttling as last resort).
+	if s.cfg.ModelUtilization {
+		migE += s.resolveOverloads(t)
+	}
+
+	// 9. Power draw and energy settlement. A quiet slot with no disk
+	// activity draws what the previous such slot drew, so that draw is
+	// cached.
+	steady := quiet && rr.Reads == 0 && !ioBusy
+	var demandP units.Power
+	if steady && s.drawValid {
+		demandP = s.cachedDrawW
+	} else {
+		var cpuUtil []float64
+		if s.cfg.ModelUtilization {
+			cpuUtil = s.actualUtilByNode(t)
+		} else {
+			cpuUtil = s.cpuUtilByNode()
+		}
+		demandP = s.cluster.SlotDrawUtil(cpuUtil)
+		if steady {
+			s.cachedDrawW = demandP
+			s.drawValid = true
+		}
+	}
+	fl := s.settleSlot(t, demandP, overhead, migE)
+
+	// 10. Progress and completions. A completion shrinks the running set,
+	// and with it the draw.
+	jobsRunning := len(s.running)
+	completions := s.advanceJobs(t)
+	if completions > 0 {
+		s.drawValid = false
+	}
+
+	// 11. Degradation accounting, node/disk-hour integration, series
+	// sample and slot reset. The spin and power counts are cached across
+	// quiet slots only.
+	if s.faults != nil {
+		s.trackDegradation(t)
+	}
+	if !s.spunValid {
+		s.cachedSpun, s.cachedPowNds = 0, 0
+		for _, n := range s.cluster.Nodes() {
+			if !n.Powered {
+				continue
+			}
+			s.cachedPowNds++
+			for _, d := range n.Disks {
+				if d.SpunUp() {
+					s.cachedSpun++
+				}
+			}
+		}
+		s.spunValid = quiet
+	}
+	s.nodeHours += float64(s.cachedPowNds) * h
+	s.diskHours += float64(s.cachedSpun) * h
+	if s.series != nil {
+		s.addSeries(t, fl, s.cachedSpun, jobsRunning)
+	}
+	if s.obs != nil {
+		s.emitTrace(t, h, fl, dec, promoted, started, jobsRunning, s.cachedSpun)
+	}
+	if !steady {
+		// ResetSlot settles busy disks back to their steady state. On a
+		// quiet slot with no disk activity it is a whole-cluster no-op
+		// (only the unobservable Active/Idle distinction could differ;
+		// draw and coverage read SpunUp and the busy flag), so it is
+		// skipped.
+		s.cluster.ResetSlot()
+	}
+
+	// 12. Latch the settledness. The slot settled iff nothing moved:
+	// replanning an identical slot would reproduce the same (constant)
+	// quiescent decision, the same FFD packing and the same power plan, so
+	// the next slot may skip all three. On a quiet slot this reduces to
+	// "no wake and no completion".
+	s.placementSettled = !faultChanged && !woke && promoted == 0 &&
+		len(dec.SuspendRunning) == 0 && attempted == 0 &&
+		s.sla.Migrations == migsBefore && completions == 0
 }
 
-// stepRest is the full per-slot pipeline after the fault phase: promotion,
-// planning, suspension, placement, power plan, reads, settlement, progress.
-// faultChanged feeds the settledness latch the fast path consults.
-func (s *Simulator) stepRest(t int, faultChanged bool) {
-	h := s.cfg.SlotHours
-	var overhead units.Energy
-
+// replan runs phases 1–6 of a full slot: promotion, planning, suspensions,
+// start collection, placement and the power plan. It returns the decision,
+// the promoted, started and attempted counts, the VM-management energy
+// (suspensions plus migrations) and the transition energy.
+//
+// replan is on the per-slot hot path (//gm:hotpath).
+func (s *Simulator) replan(t int) (dec sched.Decision, promoted, started, attempted int, mgmtE, transE units.Energy) {
 	// 1. Promote slack-exhausted deferrable jobs to mandatory.
-	promoted := 0
 	kept := s.waiting[:0]
 	for _, st := range s.waiting {
 		if st.job.SlackAt(t, st.remaining) <= 0 {
@@ -613,7 +730,7 @@ func (s *Simulator) stepRest(t int, faultChanged bool) {
 
 	// 2. Ask the policy for a plan.
 	view := s.buildView(t)
-	dec := s.cfg.Policy.Plan(view)
+	dec = s.cfg.Policy.Plan(view)
 	if err := dec.Check(view); err != nil {
 		panic(fmt.Sprintf("core: policy %s returned invalid decision: %v", s.cfg.Policy.Name(), err))
 	}
@@ -625,7 +742,6 @@ func (s *Simulator) stepRest(t int, faultChanged bool) {
 	// filtered out of s.running in place. Marks are cleared as they are
 	// consumed: every marked job is non-mandatory (runDefRefs only lists
 	// those) and still in s.running, so the filter visits all of them.
-	var mgmtE units.Energy
 	if len(dec.SuspendRunning) > 0 {
 		for _, idx := range dec.SuspendRunning {
 			s.runDefRefs[idx].mark = true
@@ -674,91 +790,21 @@ func (s *Simulator) stepRest(t int, faultChanged bool) {
 	// energy it forms the VM-management overhead, accounted separately
 	// from transition overhead but part of the slot's load).
 	runningBefore := len(s.running)
-	migsBefore := s.sla.Migrations
-	migE := s.place(t, toStart, dec.Consolidate) + mgmtE
-	started := len(s.running) - runningBefore
+	mgmtE += s.place(t, toStart, dec.Consolidate)
+	started = len(s.running) - runningBefore
 
 	// 6. Node power management + disk plan.
-	overhead += s.applyPowerPlan(dec.SpinDownDisks)
-
-	// 7. Storage read traffic (may wake disks).
-	rr := s.reads.Step(s.cluster)
-	overhead += rr.WakeEnergy
-	s.sla.ColdReads += rr.ColdReads
-	s.sla.UnservedReads += rr.Unserviceable
-
-	// 8. I/O-bound jobs keep disks on their node busy.
-	ioE := s.markIOBusy()
-	overhead += ioE
-
-	// 8b. Under the utilization model, resolve physical overloads that
-	// over-commit provoked (forced migrations, throttling as last resort).
-	if s.cfg.ModelUtilization {
-		migE += s.resolveOverloads(t)
-	}
-
-	// 9. Power draw and energy settlement.
-	var cpuUtil []float64
-	if s.cfg.ModelUtilization {
-		cpuUtil = s.actualUtilByNode(t)
-	} else {
-		cpuUtil = s.cpuUtilByNode()
-	}
-	demandP := s.cluster.SlotDrawUtil(cpuUtil)
-	fl := s.settleSlot(t, demandP, overhead, migE)
-
-	// 10. Progress and completions.
-	jobsRunning := len(s.running)
-	completions := s.advanceJobs(t)
-
-	// 11. Degradation accounting, node/disk-hour integration, series
-	// sample and slot reset.
-	if s.faults != nil {
-		s.trackDegradation(t)
-	}
-	spun := 0
-	for _, n := range s.cluster.Nodes() {
-		if !n.Powered {
-			continue
-		}
-		for _, d := range n.Disks {
-			if d.SpunUp() {
-				spun++
-			}
-		}
-	}
-	s.nodeHours += float64(s.cluster.PoweredNodeCount()) * h
-	s.diskHours += float64(spun) * h
-	if s.series != nil {
-		s.addSeries(t, fl, spun, jobsRunning)
-	}
-	if s.obs != nil {
-		s.emitTrace(t, h, fl, dec, promoted, started, jobsRunning, spun)
-	}
-	s.cluster.ResetSlot()
-
-	// 12. Latch the fast-path state. The slot settled iff nothing moved:
-	// replanning an identical slot would reproduce the same (constant)
-	// quiescent decision, the same FFD packing and the same power plan, so
-	// the fast path may skip all three. Wakes leave disk spin states
-	// deviating from keepMask; the caches are always stale after a full
-	// step.
-	s.placementSettled = !faultChanged && promoted == 0 &&
-		len(dec.SuspendRunning) == 0 && len(s.toStart) == 0 &&
-		s.sla.Migrations == migsBefore && completions == 0
-	s.diskPlanDirty = rr.ColdReads > 0 || ioE > 0
-	s.drawValid = false
-	s.spunValid = false
-	s.fastHorizon = t // stale: recompute before the next fast streak
+	transE = s.applyPowerPlan(dec.SpinDownDisks)
+	return dec, promoted, started, len(toStart), mgmtE, transE
 }
 
 // settleSlot performs the slot's energy settlement — demand, overheads,
 // green supply (through any supply fault), battery discharge/charge with
 // blocked-window gates, losses, self-discharge — and feeds the next slot's
-// mandatory-power estimate. It is the single settlement implementation
-// shared by the full and fast paths: every accumulation happens here in one
-// fixed order, which is what makes slot skipping bit-exact (batching slots
-// algebraically would change float summation order).
+// mandatory-power estimate. Quiet and full slots settle through it alike:
+// every accumulation happens here in one fixed order, which is what makes
+// slot skipping bit-exact (batching slots algebraically would change float
+// summation order).
 func (s *Simulator) settleSlot(t int, demandP units.Power, overhead, migE units.Energy) slotFlows {
 	h := s.cfg.SlotHours
 	demandE := demandP.Over(h)
@@ -817,7 +863,7 @@ func (s *Simulator) settleSlot(t int, demandP units.Power, overhead, migE units.
 }
 
 // advanceJobs decrements remaining work on every running job and retires
-// completions, returning how many completed. Shared by both step paths.
+// completions, returning how many completed.
 func (s *Simulator) advanceJobs(t int) int {
 	completions := 0
 	keptRunning := s.running[:0]
@@ -916,128 +962,6 @@ func (s *Simulator) fastForwardHorizon(t, maxSlot int) int {
 		}
 	}
 	return horizon
-}
-
-// fastStep executes one quiescent slot. The fault phase still runs in full
-// (repairs, MTBF draws, fade) so the randomness stream stays aligned; if it
-// changes the fleet, the slot falls back to the complete pipeline.
-func (s *Simulator) fastStep(t int) {
-	if s.faultPhase(t) {
-		s.stepRest(t, true)
-		return
-	}
-	s.fastRest(t)
-	s.fastSlots++
-}
-
-// fastRest is the reduced per-slot kernel (//gm:hotpath) for a quiescent
-// slot: no promotion, no policy call, no placement, no power plan — those
-// are provably no-ops under canFastForward's conditions. What remains is
-// exactly the state the full pipeline would touch: disk-plan repair after a
-// wake, the read process (whose rng draws must advance every slot), I/O
-// busy marking, energy settlement via the shared settleSlot, job progress,
-// degradation tracking, the hour integrals, and per-slot series/trace
-// emission. Quiet-slot aggregates (cluster draw, spinning-disk and
-// powered-node counts) are cached between structural changes.
-func (s *Simulator) fastRest(t int) {
-	h := s.cfg.SlotHours
-	var overhead units.Energy
-
-	// Disk-plan repair: a cold read (or I/O wake) left spin states deviating
-	// from the cached keep mask. Reapplying the mask is exactly what
-	// applyPowerPlan would do — node power states and every mask input are
-	// unchanged since the mask was computed, so the full path would park the
-	// same disks and charge the same transition energy.
-	if s.diskPlanDirty {
-		overhead += s.cluster.ApplyDiskPlanMask(s.keepMask)
-		s.diskPlanDirty = false
-		s.drawValid = false
-		s.spunValid = false
-	}
-
-	// Read traffic, every slot: the Poisson/Zipf streams must advance
-	// exactly as on the full path.
-	rr := s.reads.Step(s.cluster)
-	overhead += rr.WakeEnergy
-	s.sla.ColdReads += rr.ColdReads
-	s.sla.UnservedReads += rr.Unserviceable
-
-	ioE := s.markIOBusy()
-	overhead += ioE
-
-	ioBusy := false
-	for _, st := range s.running {
-		if st.job.IOBound {
-			ioBusy = true
-			break
-		}
-	}
-	busy := rr.Reads > 0 || ioBusy
-	if rr.ColdReads > 0 || ioE > 0 {
-		// Disks woke: the plan needs reapplying next slot and the cached
-		// quiet aggregates no longer describe the cluster.
-		s.diskPlanDirty = true
-		s.drawValid = false
-		s.spunValid = false
-	}
-
-	var demandP units.Power
-	if busy || !s.drawValid {
-		demandP = s.cluster.SlotDrawUtil(s.cpuUtilByNode())
-		if !busy {
-			// No disk served I/O this slot, so this is the repeatable
-			// quiet-slot draw.
-			s.cachedDrawW = demandP
-			s.drawValid = true
-		}
-	} else {
-		demandP = s.cachedDrawW
-	}
-
-	fl := s.settleSlot(t, demandP, overhead, 0)
-
-	jobsRunning := len(s.running)
-	if s.advanceJobs(t) > 0 {
-		// The running set shrank: placement, draw and the policy view all
-		// change, so the next slot re-enters the full pipeline.
-		s.placementSettled = false
-		s.drawValid = false
-	}
-
-	if s.faults != nil {
-		s.trackDegradation(t)
-	}
-	if !s.spunValid {
-		spun, powered := 0, 0
-		for _, n := range s.cluster.Nodes() {
-			if !n.Powered {
-				continue
-			}
-			powered++
-			for _, d := range n.Disks {
-				if d.SpunUp() {
-					spun++
-				}
-			}
-		}
-		s.cachedSpun, s.cachedPowNds = spun, powered
-		s.spunValid = true
-	}
-	s.nodeHours += float64(s.cachedPowNds) * h
-	s.diskHours += float64(s.cachedSpun) * h
-	if s.series != nil {
-		s.addSeries(t, fl, s.cachedSpun, jobsRunning)
-	}
-	if s.obs != nil {
-		s.emitTrace(t, h, fl, s.quiescentDec, 0, 0, jobsRunning, s.cachedSpun)
-	}
-	if busy {
-		// ResetSlot settles busy disks back to their steady state. On a
-		// slot with no disk activity it is a whole-cluster no-op (only the
-		// unobservable Active/Idle distinction could differ; draw and
-		// coverage read SpunUp and the busy flag), so it is skipped.
-		s.cluster.ResetSlot()
-	}
 }
 
 // degradedNow reports whether slot t counts as degraded: crashed nodes
@@ -1484,14 +1408,15 @@ func (s *Simulator) coveredOn(nodes []bool) ([]storage.DiskID, bool) {
 
 // markIOBusy marks disks busy on nodes hosting I/O-bound jobs (three per
 // job, spread by job id), spinning them up if a policy parked them. It
-// returns the spin-up energy charged.
-func (s *Simulator) markIOBusy() units.Energy {
-	var e units.Energy
+// returns the spin-up energy charged and whether any running job is
+// I/O-bound.
+func (s *Simulator) markIOBusy() (e units.Energy, ioBound bool) {
 	perNode := s.cfg.Cluster.NodeProfile.DisksPerNode
 	for _, st := range s.running {
 		if !st.job.IOBound {
 			continue
 		}
+		ioBound = true
 		node := s.cluster.Node(st.node)
 		for k := 0; k < 3 && k < perNode; k++ {
 			d := node.Disks[(st.job.ID+k)%perNode]
@@ -1501,7 +1426,7 @@ func (s *Simulator) markIOBusy() units.Energy {
 			d.MarkBusy()
 		}
 	}
-	return e
+	return e, ioBound
 }
 
 // actualUtilByNode computes per-node CPU utilization from the jobs'

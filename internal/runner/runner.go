@@ -14,10 +14,6 @@
 //     while the other 59 points still complete.
 //   - A panicking job is captured (with its stack) and converted into that
 //     job's error instead of killing the process.
-//   - A per-point Timeout and a sweep-wide Context bound runaway grids: a
-//     point that exceeds the timeout records a *TimeoutError in its slot,
-//     cancellation marks every not-yet-started point with the context's
-//     error, and in both cases the other points' results survive.
 //
 // Worker count resolution: Options.Workers > 0 wins; Workers == 1 runs the
 // jobs inline on the calling goroutine (exactly the historical sequential
@@ -26,8 +22,6 @@
 package runner
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"os"
 	"runtime"
@@ -35,7 +29,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 )
 
 // WorkersEnv is the environment variable consulted when Options.Workers is
@@ -78,53 +71,11 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("runner: job %q panicked: %v\n%s", e.Label, e.Value, e.Stack)
 }
 
-// TimeoutError is the error recorded for a job that exceeded the sweep's
-// per-point timeout. The job's goroutine cannot be killed; it is abandoned
-// and its eventual result discarded.
-type TimeoutError struct {
-	// Label is the overrunning job's label.
-	Label string
-	// After is the timeout that elapsed.
-	After time.Duration
-}
-
-// Error implements error.
-func (e *TimeoutError) Error() string {
-	return fmt.Sprintf("runner: job %q exceeded the %v per-point timeout (abandoned)", e.Label, e.After)
-}
-
 // Options configures a sweep.
 type Options struct {
 	// Workers bounds the pool: N > 0 uses N workers, 1 runs inline
 	// sequentially, 0 resolves GREENMATCH_WORKERS then GOMAXPROCS(0).
 	Workers int
-	// Timeout bounds each job individually; a job still running when it
-	// elapses has its slot filled with a *TimeoutError while the rest of
-	// the sweep proceeds. Zero means unbounded. Go cannot kill the
-	// overrunning goroutine: it is abandoned and its result dropped, which
-	// is safe because sweep jobs are already required to be side-effect
-	// free on shared state.
-	Timeout time.Duration
-	// Context cancels the whole sweep: once it is done, every job not yet
-	// started records the context's error without running and every job in
-	// flight is abandoned mid-run. Nil means context.Background() (never
-	// canceled).
-	Context context.Context
-	// Retries re-runs a failed point up to this many additional times
-	// before recording its error — opt-in cover for transient failures
-	// (an overloaded box pushing a point past its Timeout, a flaky
-	// filesystem under an output sink). Zero, the default, keeps the
-	// strict one-shot behaviour. Retrying composes with Timeout (each
-	// attempt gets the full per-point budget; a point whose final attempt
-	// times out still records a *TimeoutError) and with Context
-	// (cancellation is never retried and aborts the backoff sleep). Sweep
-	// jobs are already required to be side-effect free on shared state,
-	// which is what makes re-running them safe.
-	Retries int
-	// BackoffBase is the delay before the first retry, doubling on each
-	// subsequent one (base, 2*base, 4*base, ...). Zero retries
-	// immediately.
-	BackoffBase time.Duration
 }
 
 // ResolveWorkers returns the effective worker count for the options (always
@@ -153,16 +104,11 @@ func Sweep(jobs []Job, opts Options) []Outcome {
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
 
-	// exec runs one job to completion and returns its outcome by value, so
-	// an abandoned (timed-out or canceled) job never races with the slot
-	// the guard has already filled on its behalf.
-	exec := func(i int) (o Outcome) {
+	// runOne runs one job to completion into its index-addressed slot.
+	runOne := func(i int) {
 		j := jobs[i]
+		o := &out[i]
 		o.Label = j.Label
 		defer func() {
 			if r := recover(); r != nil {
@@ -174,55 +120,6 @@ func Sweep(jobs []Job, opts Options) []Outcome {
 			return
 		}
 		o.Value, o.Err = j.Run()
-		return
-	}
-
-	// attempt runs the job once under the per-point timeout and sweep
-	// context, returning the outcome by value.
-	attempt := func(i int) Outcome {
-		if err := ctx.Err(); err != nil {
-			return Outcome{Label: jobs[i].Label,
-				Err: fmt.Errorf("runner: job %q canceled before start: %w", jobs[i].Label, err)}
-		}
-		if opts.Timeout <= 0 && ctx.Done() == nil {
-			return exec(i)
-		}
-		done := make(chan Outcome, 1) // buffered: an abandoned job parks its result and exits
-		go func() { done <- exec(i) }()
-		var expired <-chan time.Time
-		if opts.Timeout > 0 {
-			timer := time.NewTimer(opts.Timeout)
-			defer timer.Stop()
-			expired = timer.C
-		}
-		select {
-		case o := <-done:
-			return o
-		case <-expired:
-			return Outcome{Label: jobs[i].Label,
-				Err: &TimeoutError{Label: jobs[i].Label, After: opts.Timeout}}
-		case <-ctx.Done():
-			return Outcome{Label: jobs[i].Label,
-				Err: fmt.Errorf("runner: job %q canceled: %w", jobs[i].Label, ctx.Err())}
-		}
-	}
-
-	runOne := func(i int) {
-		o := attempt(i)
-		backoff := opts.BackoffBase
-		for k := 0; k < opts.Retries && o.Err != nil; k++ {
-			// Cancellation is terminal, not transient: retrying it would
-			// just spin until the retry budget drains.
-			if errors.Is(o.Err, context.Canceled) || errors.Is(o.Err, context.DeadlineExceeded) {
-				break
-			}
-			if !sleepBackoff(ctx, backoff) {
-				break
-			}
-			backoff *= 2
-			o = attempt(i)
-		}
-		out[i] = o
 	}
 
 	if workers == 1 {
@@ -253,23 +150,6 @@ func Sweep(jobs []Job, opts Options) []Outcome {
 	return out
 }
 
-// sleepBackoff waits for the backoff delay, returning false when the sweep
-// context is canceled first (the retry loop then stops with the last real
-// error, not a cancellation).
-func sleepBackoff(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
 // Errs collects the non-nil errors of a sweep into one error (nil when the
 // sweep was clean). Each failed point contributes one line with its label.
 func Errs(outs []Outcome) error {
@@ -289,28 +169,4 @@ func Errs(outs []Outcome) error {
 	}
 	return fmt.Errorf("runner: %d of the sweep's points failed:\n  %s",
 		len(lines), strings.Join(lines, "\n  "))
-}
-
-// Map sweeps fn over items and returns the results in item order. It is the
-// typed convenience over Sweep for config grids: label each point with
-// label(i) (nil for index-only labels). All points run even when some fail;
-// the aggregated per-point error is returned alongside the partial results.
-func Map[T, R any](items []T, label func(int, T) string, fn func(int, T) (R, error), opts Options) ([]R, error) {
-	jobs := make([]Job, len(items))
-	for i := range items {
-		i, it := i, items[i]
-		l := fmt.Sprintf("point %d", i)
-		if label != nil {
-			l = label(i, it)
-		}
-		jobs[i] = Job{Label: l, Run: func() (any, error) { return fn(i, it) }}
-	}
-	outs := Sweep(jobs, opts)
-	res := make([]R, len(items))
-	for i, o := range outs {
-		if o.Err == nil && o.Value != nil {
-			res[i] = o.Value.(R)
-		}
-	}
-	return res, Errs(outs)
 }

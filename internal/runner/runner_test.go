@@ -118,37 +118,6 @@ func TestSweepEmpty(t *testing.T) {
 	}
 }
 
-func TestMapTypedResultsInOrder(t *testing.T) {
-	items := []int{5, 4, 3, 2, 1, 0}
-	res, err := Map(items, func(i int, v int) string { return fmt.Sprintf("sq(%d)", v) },
-		func(i int, v int) (int, error) { return v * v, nil }, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range items {
-		if res[i] != v*v {
-			t.Fatalf("res[%d] = %d, want %d", i, res[i], v*v)
-		}
-	}
-}
-
-func TestMapReportsLabeledErrors(t *testing.T) {
-	items := []int{0, 1, 2}
-	res, err := Map(items, nil, func(i int, v int) (int, error) {
-		if v == 1 {
-			return 0, errors.New("bad point")
-		}
-		return v + 10, nil
-	}, Options{Workers: 2})
-	if err == nil || !strings.Contains(err.Error(), "point 1: bad point") {
-		t.Fatalf("error lost its default label: %v", err)
-	}
-	// Partial results for the healthy points survive.
-	if res[0] != 10 || res[2] != 12 {
-		t.Fatalf("healthy results lost: %v", res)
-	}
-}
-
 func TestResolveWorkers(t *testing.T) {
 	if got := (Options{Workers: 7}).ResolveWorkers(); got != 7 {
 		t.Fatalf("explicit workers: got %d", got)

@@ -98,7 +98,7 @@ func fileSHA(t *testing.T, path string) string {
 func TestJournalGolden(t *testing.T) {
 	const (
 		wantJournal    = "6c2ad188d3151c35f6d8c4c93a20e50f7cd40af82017af111cbf649d0722554a"
-		wantCheckpoint = "5269d19a55f97a4e65cd8249fc6d0087c92219ee71f7d49d0d32a18c87d28811"
+		wantCheckpoint = "50fcdd1614e449cab9517d7407b38addd4499d1dc633790bebec2fbf59ff1399"
 	)
 	dir := t.TempDir()
 	goldenSession(t, dir)
