@@ -288,7 +288,7 @@ func baseConfig(seed int64, scenFile string, scale float64) (core.Config, error)
 		sc.Seed = seed
 		return sc.Compile()
 	}
-	cfg := core.DefaultConfig()
+	cfg := core.DefaultParams()
 	cl := storage.DefaultConfig()
 	cl.Nodes = 8
 	cl.Objects = 400

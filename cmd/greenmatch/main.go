@@ -128,7 +128,7 @@ func buildConfig(policyName string, fraction float64, solver string, scale float
 	nodes int, area float64, profile, source string, batteryKWh float64,
 	chemistry, forecaster string, seed int64, recordSeries bool) (core.Config, error) {
 
-	cfg := core.DefaultConfig()
+	cfg := core.DefaultParams()
 	cfg.Seed = seed
 	cfg.RecordSeries = recordSeries
 

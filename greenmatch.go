@@ -225,7 +225,7 @@ type (
 	AuditViolation = audit.Violation
 )
 
-// NewAuditor returns a conservation auditor with the default tolerance.
+// NewAuditor returns a conservation auditor.
 func NewAuditor() *Auditor { return audit.NewAuditor() }
 
 // NewJSONLSink streams slot traces as JSON lines; goroutine-safe, so one

@@ -41,8 +41,10 @@ func (v Violation) String() string {
 	return b.String()
 }
 
-// DefaultTol is the auditor's default absolute conservation tolerance in
-// watt-hours, scaled by (1 + magnitude of the identity's terms).
+// DefaultTol is the auditor's absolute conservation tolerance in
+// watt-hours. Each check scales it by (1 + the magnitude of the terms
+// involved), so kilowatt-hour-scale runs are held to the same relative
+// precision as watt-hour-scale ones.
 const DefaultTol = 1e-6
 
 // Auditor is a RunObserver that asserts the simulator's bookkeeping
@@ -59,13 +61,8 @@ const DefaultTol = 1e-6
 //
 // plus non-negativity of every flow and strict slot ordering. An Auditor
 // audits exactly one run; it is not goroutine-safe. The zero value is ready
-// to use with DefaultTol.
+// to use.
 type Auditor struct {
-	// Tol overrides the absolute tolerance (DefaultTol when zero). Each
-	// check scales it by (1 + the magnitude of the terms involved), so
-	// kilowatt-hour-scale runs are held to the same relative precision as
-	// watt-hour-scale ones.
-	Tol float64
 	// MaxViolations caps how many violations are recorded in detail
 	// (default 64); the total count keeps counting past the cap.
 	MaxViolations int
@@ -86,15 +83,8 @@ type Auditor struct {
 	violations                             []Violation
 }
 
-// NewAuditor returns an auditor with the default tolerance.
+// NewAuditor returns an auditor.
 func NewAuditor() *Auditor { return &Auditor{} }
-
-func (a *Auditor) tol() float64 {
-	if a.Tol > 0 {
-		return a.Tol
-	}
-	return DefaultTol
-}
 
 func (a *Auditor) maxV() int {
 	if a.MaxViolations > 0 {
@@ -113,7 +103,7 @@ func (a *Auditor) record(v Violation) {
 // check asserts |residual| <= tol*(1+scale) and records a violation
 // carrying the terms otherwise.
 func (a *Auditor) check(s *SlotTrace, slot int, invariant string, residual, scale float64, terms []Term) {
-	if math.Abs(residual) <= a.tol()*(1+math.Abs(scale)) {
+	if math.Abs(residual) <= DefaultTol*(1+math.Abs(scale)) {
 		return
 	}
 	v := Violation{Slot: slot, Invariant: invariant, Residual: residual, Terms: terms}
@@ -147,7 +137,7 @@ func (a *Auditor) ObserveSlot(s SlotTrace) {
 		{"cold_reads", float64(s.ColdReads)}, {"unserved_reads", float64(s.UnservedReads)},
 		{"supply_fault_wh", s.SupplyFaultWh},
 	} {
-		if t.Value < -a.tol() || math.IsNaN(t.Value) {
+		if t.Value < -DefaultTol || math.IsNaN(t.Value) {
 			a.record(Violation{Slot: s.Slot, Run: s.Run, Policy: s.Policy,
 				Invariant: "non-negative:" + t.Name, Residual: t.Value, Terms: []Term{t}})
 		}
@@ -172,7 +162,7 @@ func (a *Auditor) ObserveSlot(s SlotTrace) {
 			{"battery_in_wh", s.BatteryInWh}, {"green_lost_wh", s.GreenLostWh}})
 
 	// Direct use cannot exceed either side.
-	if over := s.GreenDirectWh - math.Min(s.LoadWh, s.GreenAvailWh); over > a.tol()*(1+s.GreenDirectWh) {
+	if over := s.GreenDirectWh - math.Min(s.LoadWh, s.GreenAvailWh); over > DefaultTol*(1+s.GreenDirectWh) {
 		a.record(Violation{Slot: s.Slot, Run: s.Run, Policy: s.Policy,
 			Invariant: "green-direct-bound", Residual: over,
 			Terms: []Term{{"green_direct_wh", s.GreenDirectWh},
@@ -195,13 +185,13 @@ func (a *Auditor) ObserveSlot(s SlotTrace) {
 		a.prevStored = s.BatteryStoredWh
 
 		// SoC and store bounds.
-		if s.BatterySoC < -a.tol() || s.BatterySoC > 1+a.tol() {
+		if s.BatterySoC < -DefaultTol || s.BatterySoC > 1+DefaultTol {
 			a.record(Violation{Slot: s.Slot, Run: s.Run, Policy: s.Policy,
 				Invariant: "soc-bounds", Residual: s.BatterySoC,
 				Terms: []Term{{"soc", s.BatterySoC}}})
 		}
-		if s.BatteryStoredWh < -a.tol() ||
-			s.BatteryStoredWh > s.BatteryUsableWh+a.tol()*(1+s.BatteryUsableWh) {
+		if s.BatteryStoredWh < -DefaultTol ||
+			s.BatteryStoredWh > s.BatteryUsableWh+DefaultTol*(1+s.BatteryUsableWh) {
 			a.record(Violation{Slot: s.Slot, Run: s.Run, Policy: s.Policy,
 				Invariant: "store-bounds", Residual: s.BatteryStoredWh - s.BatteryUsableWh,
 				Terms: []Term{{"stored_wh", s.BatteryStoredWh}, {"usable_wh", s.BatteryUsableWh}}})
@@ -225,7 +215,7 @@ func (a *Auditor) ObserveSlot(s SlotTrace) {
 			Invariant: "degraded-flag", Residual: float64(s.FailedNodes),
 			Terms: []Term{{"failed_nodes", float64(s.FailedNodes)}}})
 	}
-	if s.BatteryFadeFactor < -a.tol() || s.BatteryFadeFactor > 1+a.tol() {
+	if s.BatteryFadeFactor < -DefaultTol || s.BatteryFadeFactor > 1+DefaultTol {
 		a.record(Violation{Slot: s.Slot, Run: s.Run, Policy: s.Policy,
 			Invariant: "fade-bounds", Residual: s.BatteryFadeFactor,
 			Terms: []Term{{"battery_fade_factor", s.BatteryFadeFactor}}})
@@ -272,7 +262,7 @@ func (a *Auditor) EndRun(tot RunTotals) error {
 			Terms: []Term{{"slot_sum", sum}, {"run_total", want}}})
 	}
 	for _, c := range sums {
-		if math.Abs(c.sum-c.want) > a.tol()*(1+math.Abs(c.want)) {
+		if math.Abs(c.sum-c.want) > DefaultTol*(1+math.Abs(c.want)) {
 			mk(c.name, c.sum, c.want)
 		}
 	}

@@ -63,15 +63,6 @@ type Config struct {
 	// (default 1.5, the "safe configuration" the genre derives from
 	// utilization histories).
 	Overcommit float64
-	// MigrationCostWh is the energy charged per VM migration (default 10).
-	MigrationCostWh units.Energy
-	// SuspendCostWh is the energy charged per job suspension — the VM's
-	// state must be written out and later restored (default 2).
-	SuspendCostWh units.Energy
-	// PerJobPowerW is the planning constant handed to policies (default
-	// 25 W: marginal dynamic power of one job plus its amortized share of
-	// node idle power at typical packing density).
-	PerJobPowerW units.Power
 	// ReadsPerSlot is the storage read traffic intensity (default 200).
 	ReadsPerSlot float64
 	// ZipfTheta is the read popularity skew (default 0.9).
@@ -119,6 +110,19 @@ type Config struct {
 	ModelUtilization bool
 }
 
+// The VM-management and planning constants every run uses.
+const (
+	// migrationCostWh is the energy charged per VM migration.
+	migrationCostWh units.Energy = 10
+	// suspendCostWh is the energy charged per job suspension: the VM's
+	// state must be written out and later restored.
+	suspendCostWh units.Energy = 2
+	// perJobPowerW is the planning constant handed to policies: marginal
+	// dynamic power of one job plus its amortized share of node idle power
+	// at typical packing density.
+	perJobPowerW units.Power = 25
+)
+
 // DefaultGreen returns the reference solar supply for the given panel
 // area: the standard farm, but with the trace extended to three weeks so
 // that jobs deferred past the one-week arrival horizon still see the real
@@ -153,8 +157,6 @@ func DefaultParams() Config {
 		BatteryCapacityWh: 0,
 		Policy:            sched.Baseline{},
 		Overcommit:        1.5,
-		MigrationCostWh:   10,
-		PerJobPowerW:      25,
 		ReadsPerSlot:      200,
 		ZipfTheta:         0.9,
 		Seed:              1,
@@ -189,15 +191,6 @@ func (c Config) Validate() error {
 	if c.Overcommit < 1 {
 		return fmt.Errorf("core: over-commit %v below 1", c.Overcommit)
 	}
-	if c.MigrationCostWh < 0 {
-		return fmt.Errorf("core: negative migration cost %v", c.MigrationCostWh)
-	}
-	if c.SuspendCostWh < 0 {
-		return fmt.Errorf("core: negative suspend cost %v", c.SuspendCostWh)
-	}
-	if c.PerJobPowerW <= 0 {
-		return fmt.Errorf("core: non-positive per-job power %v", c.PerJobPowerW)
-	}
 	if c.ReadsPerSlot < 0 {
 		return fmt.Errorf("core: negative read rate %v", c.ReadsPerSlot)
 	}
@@ -224,15 +217,6 @@ func (c Config) ApplyDefaults() Config {
 	}
 	if c.Overcommit == 0 {
 		c.Overcommit = 1.5
-	}
-	if c.MigrationCostWh == 0 {
-		c.MigrationCostWh = 10
-	}
-	if c.SuspendCostWh == 0 {
-		c.SuspendCostWh = 2
-	}
-	if c.PerJobPowerW == 0 {
-		c.PerJobPowerW = 25
 	}
 	if c.ZipfTheta == 0 {
 		c.ZipfTheta = 0.9

@@ -1,9 +1,14 @@
 package core
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"testing"
 
+	"repro/internal/audit"
+	"repro/internal/fault"
 	"repro/internal/sched"
 	"repro/internal/solar"
 	"repro/internal/units"
@@ -95,7 +100,7 @@ func TestWakeEndsQuietStreak(t *testing.T) {
 	var io *jobState
 	slot := 0
 	for ; slot < maxSlot; slot++ {
-		if sim.canFastForward(slot, maxSlot) && slot+3 < sim.fastHorizon {
+		if sim.canFastForward() && (len(sim.arrivals) == 0 || slot+3 < sim.arrivals[0].Submit) {
 			for _, st := range sim.running {
 				if st.job.IOBound && st.remaining > 3 {
 					io = st
@@ -105,7 +110,7 @@ func TestWakeEndsQuietStreak(t *testing.T) {
 		if io != nil {
 			break
 		}
-		sim.runSlot(slot, maxSlot)
+		sim.runSlot(slot)
 	}
 	if io == nil {
 		t.Fatal("no quiet streak carried the I/O-bound job")
@@ -118,14 +123,14 @@ func TestWakeEndsQuietStreak(t *testing.T) {
 	}
 
 	quiet := sim.fastSlots
-	sim.runSlot(slot, maxSlot)
+	sim.runSlot(slot)
 	if sim.fastSlots != quiet+1 {
 		t.Fatalf("wake slot %d was not quiet", slot)
 	}
 	if sim.placementSettled {
 		t.Fatalf("the wake at slot %d did not end the quiet streak", slot)
 	}
-	sim.runSlot(slot+1, maxSlot)
+	sim.runSlot(slot + 1)
 	if sim.fastSlots != quiet+1 {
 		t.Fatalf("slot %d after the wake did not replan", slot+1)
 	}
@@ -134,9 +139,106 @@ func TestWakeEndsQuietStreak(t *testing.T) {
 			t.Fatalf("disk %d of the I/O job's node still parked after the replan", k)
 		}
 	}
-	sim.runSlot(slot+2, maxSlot)
+	sim.runSlot(slot + 2)
 	if sim.fastSlots != quiet+2 {
 		t.Fatalf("slot %d did not resume the quiet streak", slot+2)
+	}
+}
+
+// TestCrashEndsQuietStreak pins the streak end that needs no lookahead: a
+// node crash that falls inside a quiet streak, whether scheduled in the
+// config or injected into a live run mid-streak, sends its slot down the
+// full path because the fault phase reports the structural change. Both
+// runs match their DisableSlotSkipping twin in Result and trace bytes.
+func TestCrashEndsQuietStreak(t *testing.T) {
+	// Find a slot whose two predecessors and itself are quiet in the
+	// fault-free run, and the node the long Web job runs on there.
+	probe, err := NewLive(sparseTraceConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashAt, node, streak := -1, -1, 0
+	for crashAt < 0 && !probe.Drained() {
+		slot, quiet := probe.NextSlot(), probe.sim.fastSlots
+		if err := probe.StepTo(slot); err != nil {
+			t.Fatal(err)
+		}
+		if probe.sim.fastSlots == quiet {
+			streak = 0
+			continue
+		}
+		if streak++; streak < 3 {
+			continue
+		}
+		for _, st := range probe.sim.running {
+			if st.job.Class == workload.Web {
+				crashAt, node = slot, st.node
+			}
+		}
+	}
+	if crashAt < 0 {
+		t.Fatal("no quiet streak carried the Web job")
+	}
+	ev := fault.Event{Kind: fault.KindNodeCrash, At: crashAt, Nodes: []int{node}, Duration: 4}
+
+	// drive runs the crash either scheduled or injected two slots ahead,
+	// checking on the skipping run that the crash slot was quiet-eligible
+	// but took the full path.
+	drive := func(t *testing.T, injected, noskip bool) (*Result, [32]byte) {
+		cfg := sparseTraceConfig()
+		cfg.DisableSlotSkipping = noskip
+		if !injected {
+			cfg.Faults = fault.Config{Events: []fault.Event{ev}}
+		}
+		var buf bytes.Buffer
+		cfg.Observer = audit.NewJSONL(&buf)
+		l, err := NewLive(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.StepTo(crashAt - 2); err != nil {
+			t.Fatal(err)
+		}
+		if injected {
+			if err := l.InjectFault(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.StepTo(crashAt - 1); err != nil {
+			t.Fatal(err)
+		}
+		if !noskip && !l.sim.canFastForward() {
+			t.Fatalf("slot %d is not in a quiet streak", crashAt)
+		}
+		quiet := l.sim.fastSlots
+		if err := l.StepTo(crashAt); err != nil {
+			t.Fatal(err)
+		}
+		if l.sim.fastSlots != quiet {
+			t.Fatalf("crash slot %d took the quiet path", crashAt)
+		}
+		res := liveFinalize(t, l)
+		if res.SLA.NodeFailures != 1 {
+			t.Fatalf("%d node failures, want 1", res.SLA.NodeFailures)
+		}
+		return res, sha256.Sum256(buf.Bytes())
+	}
+
+	for _, injected := range []bool{false, true} {
+		t.Run(fmt.Sprintf("injected=%v", injected), func(t *testing.T) {
+			got, gotSHA := drive(t, injected, false)
+			twin, twinSHA := drive(t, injected, true)
+			if got.FastSlots == 0 {
+				t.Fatal("fast path never engaged")
+			}
+			got.FastSlots = twin.FastSlots
+			if !reflect.DeepEqual(got, twin) {
+				t.Fatalf("run differs from its DisableSlotSkipping twin:\nskip %+v\nfull %+v", got, twin)
+			}
+			if gotSHA != twinSHA {
+				t.Fatal("trace sha256 differs from its DisableSlotSkipping twin")
+			}
+		})
 	}
 }
 
@@ -250,12 +352,11 @@ func TestFastStepAllocFree(t *testing.T) {
 	for ; slot < 8; slot++ {
 		sim.step(slot, sim.faultPhase(slot), false)
 	}
-	maxSlot := slot + 300
-	if !sim.canFastForward(slot, maxSlot) {
+	if !sim.canFastForward() {
 		t.Fatal("simulator not quiescent after warm-up")
 	}
 	avg := testing.AllocsPerRun(100, func() {
-		if !sim.canFastForward(slot, maxSlot) {
+		if !sim.canFastForward() {
 			t.Fatal("fast path disengaged mid-measurement")
 		}
 		changed := sim.faultPhase(slot)

@@ -103,21 +103,15 @@ func (l *Live) InjectFault(ev fault.Event) error {
 	if ev.At < s.next {
 		return fmt.Errorf("core: fault event at slot %d is in the past (next slot is %d)", ev.At, s.next)
 	}
-	if s.faults == nil {
-		cfg := fault.Config{Events: []fault.Event{ev}}
-		if err := cfg.Validate(s.cfg.Cluster.Nodes); err != nil {
-			return err
-		}
-		s.faults = fault.NewEngine(cfg, s.cfg.Seed, s.cfg.SlotHours)
-		s.repairAt = make(map[int]int)
-	} else if err := s.faults.AddEvent(ev, s.cfg.Cluster.Nodes); err != nil {
+	if s.faults != nil {
+		return s.faults.AddEvent(ev, s.cfg.Cluster.Nodes)
+	}
+	cfg := fault.Config{Events: []fault.Event{ev}}
+	if err := cfg.Validate(s.cfg.Cluster.Nodes); err != nil {
 		return err
 	}
-	// The new event may bound the fast-forward streak; mark the horizon
-	// stale so the next quiescent slot recomputes it. (The fault phase draws
-	// and applies events every slot regardless, so this is about keeping the
-	// horizon honest, not about correctness.)
-	s.fastHorizon = s.next
+	s.faults = fault.NewEngine(cfg, s.cfg.Seed, s.cfg.SlotHours)
+	s.repairAt = make(map[int]int)
 	return nil
 }
 
@@ -372,10 +366,8 @@ func RestoreLive(cfg Config, snap *LiveSnapshot) (*Live, error) {
 	s.prevBacklog = snap.PrevBacklog
 	s.placementSettled = snap.PlacementSettled
 	s.fastSlots = snap.FastSlots
-	// Stale horizon: the first fast-eligible slot recomputes it from the
-	// restored event structures. The quiet-slot aggregate caches likewise
-	// start invalid and recompute to identical values.
-	s.fastHorizon = snap.Next
+	// The quiet-slot aggregate caches start invalid and recompute to
+	// identical values.
 
 	s.waiting = unsnapJobs(snap.Waiting)
 	s.mandQueue = unsnapJobs(snap.MandQueue)

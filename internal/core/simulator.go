@@ -202,12 +202,7 @@ type Simulator struct {
 	cachedDrawW  units.Power //gm:ephemeral cached aggregate, recomputed when revalidated
 	cachedSpun   int         //gm:ephemeral cached aggregate, recomputed when revalidated
 	cachedPowNds int         //gm:ephemeral cached aggregate, recomputed when revalidated
-	// fastHorizon is the first upcoming slot with a scheduled discrete
-	// event (next queued arrival, scheduled crash/storm, repair due);
-	// slots strictly before it may take the fast path. Recomputed lazily
-	// whenever a full step invalidates it.
-	fastHorizon int //gm:ephemeral recomputed lazily; restore deliberately re-stales it
-	fastSlots   int
+	fastSlots    int
 }
 
 // New validates the config (after applying defaults) and builds a simulator.
@@ -321,7 +316,7 @@ func (s *Simulator) advance(target int) {
 			return
 		}
 		t := s.next
-		s.runSlot(t, maxSlot)
+		s.runSlot(t)
 		s.next = t + 1
 		s.drained = t >= s.lastArrival && len(s.waiting) == 0 && len(s.mandQueue) == 0 && len(s.running) == 0
 	}
@@ -329,7 +324,7 @@ func (s *Simulator) advance(target int) {
 
 // runSlot executes one slot: admit the queued arrivals due by slot t, run
 // the fault phase, then the slot kernel.
-func (s *Simulator) runSlot(t, maxSlot int) {
+func (s *Simulator) runSlot(t int) {
 	s.admitDue(t)
 	// Quiet slots skip planning, placement and the power plan — provably
 	// no-ops on a settled slot — while every other per-slot phase (reads,
@@ -337,7 +332,7 @@ func (s *Simulator) runSlot(t, maxSlot int) {
 	// bit-identically. Quietness is judged before the fault phase, which
 	// runs on every slot so the randomness stream stays aligned; a fault
 	// that changes the fleet sends the slot down the full path.
-	quiet := s.canFastForward(t, maxSlot)
+	quiet := s.canFastForward()
 	// 0. Fault injection: repairs and crashes (evictions, repair-job
 	// synthesis), then battery capacity fade — before the policy plans, so
 	// its view reflects the faded battery and the surviving fleet.
@@ -603,7 +598,6 @@ func (s *Simulator) step(t int, faultChanged, quiet bool) {
 		// caches no longer describe the cluster.
 		s.drawValid = false
 		s.spunValid = false
-		s.fastHorizon = t // stale: recompute before the next quiet streak
 	}
 
 	// 7. Storage read traffic, every slot: the Poisson/Zipf streams must
@@ -754,7 +748,7 @@ func (s *Simulator) replan(t int) (dec sched.Decision, promoted, started, attemp
 				st.node = -1
 				st.suspensions++
 				s.sla.Suspensions++
-				mgmtE += s.cfg.SuspendCostWh
+				mgmtE += suspendCostWh
 				s.waiting = append(s.waiting, st)
 			} else {
 				keptRunning = append(keptRunning, st)
@@ -906,9 +900,9 @@ func (s *Simulator) addSeries(t int, fl slotFlows, spun, jobsRunning int) {
 	})
 }
 
-// canFastForward reports whether slot t may take the event-driven fast
-// path. The conditions jointly guarantee the full pipeline would be a
-// structural no-op this slot:
+// canFastForward reports whether the slot about to run may take the
+// event-driven fast path. The conditions jointly guarantee the full
+// pipeline would be a structural no-op this slot:
 //
 //   - skipEnabled: the policy's quiescent decision is a known constant and
 //     utilization modeling is off;
@@ -918,50 +912,17 @@ func (s *Simulator) addSeries(t int, fl slotFlows, spun, jobsRunning int) {
 //   - placementSettled: the previous slot moved nothing, so replanning
 //     reproduces the current FFD packing (its input — the running set in
 //     order, the failed mask — is unchanged and it is deterministic) and
-//     the power plan reproduces the current masks;
-//   - t is before the next discrete event (arrival queue, scheduled
-//     crash/storm, repair due), read off the event structures themselves.
+//     the power plan reproduces the current masks.
 //
-// Everything the fast path cannot prove quiet it still executes per slot
-// (fault draws, reads, settlement), and the fault phase bails back to the
-// full pipeline on any structural change, so the horizon is a second line
-// of defense rather than load-bearing for correctness.
-func (s *Simulator) canFastForward(t, maxSlot int) bool {
+// Discrete events need no lookahead. An arrival due at the slot is
+// admitted before this check, so it fills a queue. A crash or repair the
+// fault phase applies makes it report a structural change, which sends the
+// slot down the full path.
+func (s *Simulator) canFastForward() bool {
 	if !s.skipEnabled || !s.placementSettled {
 		return false
 	}
-	if len(s.waiting) > 0 || len(s.mandQueue) > 0 || s.lastRunDeferrable > 0 {
-		return false
-	}
-	if t >= s.fastHorizon {
-		s.fastHorizon = s.fastForwardHorizon(t, maxSlot)
-	}
-	return t < s.fastHorizon
-}
-
-// fastForwardHorizon computes the first slot after t at which a scheduled
-// discrete event demands the full pipeline: the next queued arrival's
-// submit slot (slot t has already admitted every job due by t), the
-// earliest scheduled crash/storm in the fault schedule, the earliest due
-// repair. Window faults (supply derates, battery blocks, forecast
-// corruption) and the MTBF process never bound the horizon — both are
-// evaluated per-slot identically on the fast path.
-func (s *Simulator) fastForwardHorizon(t, maxSlot int) int {
-	horizon := maxSlot + 1
-	if len(s.arrivals) > 0 && s.arrivals[0].Submit < horizon {
-		horizon = s.arrivals[0].Submit
-	}
-	if s.faults != nil {
-		if next, ok := s.faults.NextCrashEventAfter(t); ok && next < horizon {
-			horizon = next
-		}
-		for _, due := range s.repairAt {
-			if due < horizon {
-				horizon = due
-			}
-		}
-	}
-	return horizon
+	return len(s.waiting) == 0 && len(s.mandQueue) == 0 && s.lastRunDeferrable == 0
 }
 
 // degradedNow reports whether slot t counts as degraded: crashed nodes
@@ -1121,7 +1082,7 @@ func (s *Simulator) buildView(t int) sched.View {
 		SlotHours:          s.cfg.SlotHours,
 		GreenForecast:      pred,
 		EstMandatoryPowerW: s.estMandatoryPower(),
-		PerJobPowerW:       s.cfg.PerJobPowerW,
+		PerJobPowerW:       perJobPowerW,
 		BatterySoC:         s.bat.SoC(),
 		BatteryUsableWh:    s.bat.UsableCapacity(),
 		BatteryEfficiency:  s.bat.Spec().Efficiency,
@@ -1176,7 +1137,7 @@ func (s *Simulator) estMandatoryPower() units.Power {
 	np := s.cfg.Cluster.NodeProfile
 	floor := np.MinOnNodePower().Scale(float64(len(s.fullCoverNodeIDs)))
 	if s.lastDrawW > 0 {
-		est := s.lastDrawW - s.cfg.PerJobPowerW.Scale(float64(s.lastRunDeferrable))
+		est := s.lastDrawW - perJobPowerW.Scale(float64(s.lastRunDeferrable))
 		return units.MaxPower(est, floor)
 	}
 	cpu := 0.0
@@ -1236,7 +1197,7 @@ func (s *Simulator) place(t int, toStart []*jobState, consolidate bool) units.En
 			st.node = newNode
 			st.migrations++
 			s.sla.Migrations++
-			migE += s.cfg.MigrationCostWh
+			migE += migrationCostWh
 		}
 	}
 	// Seat starters; unplaced ones return to their queue.
@@ -1519,7 +1480,7 @@ func (s *Simulator) resolveOverloads(t int) units.Energy {
 			st.migrations++
 			s.sla.Migrations++
 			s.sla.OverloadMigrations++
-			migE += s.cfg.MigrationCostWh
+			migE += migrationCostWh
 		}
 		if actual[n] > capCPU+1e-9 {
 			s.sla.ThrottledSlots++

@@ -187,9 +187,9 @@ func TestConsolidationCausesMigrations(t *testing.T) {
 		t.Fatal("consolidating policy produced zero migrations")
 	}
 	// MigrationOverhead is the VM-management energy: migrations plus
-	// suspend/resume (2 Wh default).
-	want := units.Energy(res.SLA.Migrations)*cfg.MigrationCostWh +
-		units.Energy(res.SLA.Suspensions)*2
+	// suspend/resume.
+	want := units.Energy(res.SLA.Migrations)*migrationCostWh +
+		units.Energy(res.SLA.Suspensions)*suspendCostWh
 	if res.Energy.MigrationOverhead != want {
 		t.Fatalf("management overhead %v, want %v (%d migrations, %d suspensions)",
 			res.Energy.MigrationOverhead, want, res.SLA.Migrations, res.SLA.Suspensions)
@@ -250,7 +250,6 @@ func TestValidationErrors(t *testing.T) {
 		mut(func(c *Config) { c.Policy = nil }),
 		mut(func(c *Config) { c.BatteryCapacityWh = -5 }),
 		mut(func(c *Config) { c.Overcommit = 0.5 }),
-		mut(func(c *Config) { c.MigrationCostWh = -1 }),
 		mut(func(c *Config) { c.ReadsPerSlot = -1 }),
 		mut(func(c *Config) { c.Cluster.Nodes = 0 }),
 	}
@@ -272,7 +271,7 @@ func TestApplyDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("defaults should make a minimal config valid: %v", err)
 	}
-	if sim.cfg.SlotHours != 1 || sim.cfg.Overcommit != 1.5 || sim.cfg.PerJobPowerW != 25 {
+	if sim.cfg.SlotHours != 1 || sim.cfg.Overcommit != 1.5 {
 		t.Fatalf("defaults not applied: %+v", sim.cfg)
 	}
 	if _, err := sim.Run(); err != nil {

@@ -179,9 +179,10 @@ func baseScenario(p Params) core.Config {
 	cl.Objects = maxi(100, int(math.Round(3000*s)))
 	gen := workload.Scaled(s)
 	gen.Seed = p.seed()
-	cfg := core.DefaultConfig()
+	cfg := core.DefaultParams()
 	cfg.Cluster = cl
 	cfg.Trace = workload.MustGenerate(gen)
+	cfg.Green = core.DefaultGreen(ReferenceAreaM2)
 	cfg.ReadsPerSlot = 200 * s
 	cfg.Seed = p.seed()
 	return cfg

@@ -189,27 +189,6 @@ func (e *Engine) Crashes(t int, healthyPowered []int) []Crash {
 	return out
 }
 
-// NextCrashEventAfter returns the slot of the earliest scheduled structural
-// fault event — a node-crash or crash-storm — strictly after slot t, and
-// whether one exists. This is the fault-schedule lookahead the simulator's
-// slot skipping uses: only structural events bound a fast-forward streak.
-// Window events (supply derates, battery faults, forecast corruption) are
-// evaluated per-slot identically by the full and fast-forward paths, and
-// the random MTBF process is drawn per-slot by the fault phase itself, so
-// neither limits how far the simulator may skip ahead.
-func (e *Engine) NextCrashEventAfter(t int) (int, bool) {
-	next, ok := 0, false
-	for _, ev := range e.cfg.Events {
-		if ev.Kind != KindNodeCrash && ev.Kind != KindCrashStorm {
-			continue
-		}
-		if ev.At > t && (!ok || ev.At < next) {
-			next, ok = ev.At, true
-		}
-	}
-	return next, ok
-}
-
 // Supply returns the renewable power that actually reaches the facility at
 // slot t given the nominal production: derating events multiply, dropouts
 // zero, curtailment windows cap. Composition order cannot matter (all three

@@ -9,14 +9,15 @@ type GenSpec struct {
 	Slots int
 	// Nodes is the cluster size (bounds crash-storm counts).
 	Nodes int
-	// MaxEvents caps the event count (default 6).
-	MaxEvents int
 	// AllowMTBF lets the generator also enable the random crash process.
 	AllowMTBF bool
 }
 
+// maxGenEvents caps the event count of a generated schedule.
+const maxGenEvents = 6
+
 // Generate draws a random but fully deterministic fault schedule for the
-// given seed: between 1 and MaxEvents events with kind-appropriate
+// given seed: between 1 and maxGenEvents events with kind-appropriate
 // magnitudes, all starting inside the horizon. The same (seed, spec) always
 // yields the same schedule, which is what makes chaos runs reproducible
 // from their seed alone. The result always passes Validate.
@@ -27,9 +28,6 @@ func Generate(seed int64, spec GenSpec) Config {
 	if spec.Nodes <= 0 {
 		spec.Nodes = 8
 	}
-	if spec.MaxEvents <= 0 {
-		spec.MaxEvents = 6
-	}
 	r := rng.New(seed, "chaos-schedule")
 	var cfg Config
 	if spec.AllowMTBF && r.Bernoulli(0.4) {
@@ -38,7 +36,7 @@ func Generate(seed int64, spec GenSpec) Config {
 		cfg.CrashMTBFHours = r.Uniform(200, 2000)
 		cfg.CrashRepairSlots = 2 + r.Intn(10)
 	}
-	n := 1 + r.Intn(spec.MaxEvents)
+	n := 1 + r.Intn(maxGenEvents)
 	for i := 0; i < n; i++ {
 		at := r.Intn(spec.Slots)
 		dur := 1 + r.Intn(12)

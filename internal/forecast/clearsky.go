@@ -15,10 +15,11 @@ import (
 type ClearSky struct {
 	// Farm describes the installation the forecaster models.
 	Farm solar.FarmConfig
-	// Window is how many past slots the attenuation estimate averages
-	// over (default 24).
-	Window int
 }
+
+// clearSkyWindow is how many past slots ClearSky's attenuation estimate
+// averages over.
+const clearSkyWindow = 24
 
 // Name implements Forecaster.
 func (ClearSky) Name() string { return "clearsky" }
@@ -37,15 +38,16 @@ func (c ClearSky) clearSkyPower(slot int) units.Power {
 
 // Predict implements Forecaster.
 func (c ClearSky) Predict(actual solar.Provider, now, horizon int) []units.Power {
-	window := c.Window
-	if window <= 0 {
-		window = 24
-	}
+	return c.PredictInto(nil, actual, now, horizon)
+}
+
+// PredictInto implements IntoPredictor.
+func (c ClearSky) PredictInto(dst []units.Power, actual solar.Provider, now, horizon int) []units.Power {
 	// Estimate attenuation from observed daylight slots.
 	peak := c.Farm.Panel.PeakPower()
 	threshold := peak.Watts() * 0.1
 	sumRatio, n := 0.0, 0
-	for s := now - window; s < now; s++ {
+	for s := now - clearSkyWindow; s < now; s++ {
 		if s < 0 {
 			continue
 		}
@@ -66,7 +68,7 @@ func (c ClearSky) Predict(actual solar.Provider, now, horizon int) []units.Power
 			att = 1
 		}
 	}
-	out := make([]units.Power, horizon)
+	out := fill(dst, horizon)
 	for k := 0; k < horizon; k++ {
 		out[k] = c.clearSkyPower(now + k).Scale(att)
 	}

@@ -71,15 +71,16 @@ func (Perfect) PredictInto(dst []units.Power, actual solar.Provider, now, horizo
 	return out
 }
 
+// period is the seasonality the statistical forecasters exploit, in
+// slots: one day of hourly slots.
+const period = 24
+
 // Persistence predicts each future slot as the observation 24 hours (one
 // period) earlier. Slots with no history predict zero.
-type Persistence struct {
-	// Period is the seasonality in slots; 24 for hourly slots.
-	Period int
-}
+type Persistence struct{}
 
 // Name implements Forecaster.
-func (p Persistence) Name() string { return "persistence" }
+func (Persistence) Name() string { return "persistence" }
 
 // Predict implements Forecaster.
 func (p Persistence) Predict(actual solar.Provider, now, horizon int) []units.Power {
@@ -87,11 +88,7 @@ func (p Persistence) Predict(actual solar.Provider, now, horizon int) []units.Po
 }
 
 // PredictInto implements IntoPredictor.
-func (p Persistence) PredictInto(dst []units.Power, actual solar.Provider, now, horizon int) []units.Power {
-	period := p.Period
-	if period <= 0 {
-		period = 24
-	}
+func (Persistence) PredictInto(dst []units.Power, actual solar.Provider, now, horizon int) []units.Power {
 	out := fill(dst, horizon)
 	for k := 0; k < horizon; k++ {
 		s := now + k - period
@@ -106,24 +103,15 @@ func (p Persistence) PredictInto(dst []units.Power, actual solar.Provider, now, 
 	return out
 }
 
+// maDays is MovingAverage's averaging window in periods.
+const maDays = 3
+
 // MovingAverage predicts each future slot as the mean of the observations
-// at the same hour over the last Days periods.
-type MovingAverage struct {
-	// Period is the seasonality in slots (default 24).
-	Period int
-	// Days is the averaging window in periods (default 3).
-	Days int
-}
+// at the same hour over the last maDays periods.
+type MovingAverage struct{}
 
 // Name implements Forecaster.
-func (m MovingAverage) Name() string { return fmt.Sprintf("ma%d", m.days()) }
-
-func (m MovingAverage) days() int {
-	if m.Days <= 0 {
-		return 3
-	}
-	return m.Days
-}
+func (MovingAverage) Name() string { return fmt.Sprintf("ma%d", maDays) }
 
 // Predict implements Forecaster.
 func (m MovingAverage) Predict(actual solar.Provider, now, horizon int) []units.Power {
@@ -131,16 +119,12 @@ func (m MovingAverage) Predict(actual solar.Provider, now, horizon int) []units.
 }
 
 // PredictInto implements IntoPredictor.
-func (m MovingAverage) PredictInto(dst []units.Power, actual solar.Provider, now, horizon int) []units.Power {
-	period := m.Period
-	if period <= 0 {
-		period = 24
-	}
+func (MovingAverage) PredictInto(dst []units.Power, actual solar.Provider, now, horizon int) []units.Power {
 	out := fill(dst, horizon)
 	for k := 0; k < horizon; k++ {
 		var sum units.Power
 		n := 0
-		for d := 1; d <= m.days(); d++ {
+		for d := 1; d <= maDays; d++ {
 			s := now + k - d*period
 			if s >= 0 && s < now {
 				sum += actual.Power(s)
@@ -157,22 +141,13 @@ func (m MovingAverage) PredictInto(dst []units.Power, actual solar.Provider, now
 // EWMA predicts each hour-of-day with an exponentially weighted moving
 // average over previous days, the estimator most production systems
 // actually deploy for diurnal signals.
-type EWMA struct {
-	// Period is the seasonality in slots (default 24).
-	Period int
-	// Alpha in (0,1] is the weight of the most recent day (default 0.5).
-	Alpha float64
-}
+type EWMA struct{}
+
+// ewmaAlpha is EWMA's weight of the most recent day.
+const ewmaAlpha = 0.5
 
 // Name implements Forecaster.
-func (e EWMA) Name() string { return fmt.Sprintf("ewma%.2f", e.alpha()) }
-
-func (e EWMA) alpha() float64 {
-	if e.Alpha <= 0 || e.Alpha > 1 {
-		return 0.5
-	}
-	return e.Alpha
-}
+func (EWMA) Name() string { return fmt.Sprintf("ewma%.2f", ewmaAlpha) }
 
 // Predict implements Forecaster.
 func (e EWMA) Predict(actual solar.Provider, now, horizon int) []units.Power {
@@ -180,12 +155,7 @@ func (e EWMA) Predict(actual solar.Provider, now, horizon int) []units.Power {
 }
 
 // PredictInto implements IntoPredictor.
-func (e EWMA) PredictInto(dst []units.Power, actual solar.Provider, now, horizon int) []units.Power {
-	period := e.Period
-	if period <= 0 {
-		period = 24
-	}
-	alpha := e.alpha()
+func (EWMA) PredictInto(dst []units.Power, actual solar.Provider, now, horizon int) []units.Power {
 	out := fill(dst, horizon)
 	for k := 0; k < horizon; k++ {
 		// Fold history oldest-first so the newest day dominates.
@@ -196,7 +166,7 @@ func (e EWMA) PredictInto(dst []units.Power, actual solar.Provider, now, horizon
 				est = actual.Power(s)
 				seen = true
 			} else {
-				est = units.Power((1-alpha)*est.Watts() + alpha*actual.Power(s).Watts())
+				est = units.Power((1-ewmaAlpha)*est.Watts() + ewmaAlpha*actual.Power(s).Watts())
 			}
 		}
 		if seen {

@@ -35,7 +35,7 @@ func TestPerfect(t *testing.T) {
 
 func TestPersistenceOnPeriodicSignal(t *testing.T) {
 	s := periodicSeries(7)
-	f := Persistence{Period: 24}
+	f := Persistence{}
 	e := Evaluate(f, s, 24)
 	if e.MAE != 0 {
 		t.Fatalf("persistence on a perfectly periodic signal must be exact, MAE=%v", e.MAE)
@@ -44,7 +44,7 @@ func TestPersistenceOnPeriodicSignal(t *testing.T) {
 
 func TestPersistenceNoHistoryPredictsZero(t *testing.T) {
 	s := periodicSeries(2)
-	f := Persistence{Period: 24}
+	f := Persistence{}
 	pred := f.Predict(s, 0, 24)
 	for k, p := range pred {
 		if p != 0 {
@@ -57,7 +57,7 @@ func TestPersistenceCausality(t *testing.T) {
 	// Predicting 30 slots ahead from now=24 must not read the future:
 	// slots 24+k with k>=24 would naively look at 24+k-24 >= now.
 	s := periodicSeries(7)
-	f := Persistence{Period: 24}
+	f := Persistence{}
 	pred := f.Predict(s, 24, 48)
 	for k := 0; k < 48; k++ {
 		// On a periodic signal all predictions still match.
@@ -69,7 +69,7 @@ func TestPersistenceCausality(t *testing.T) {
 
 func TestMovingAverageOnPeriodicSignal(t *testing.T) {
 	s := periodicSeries(7)
-	f := MovingAverage{Period: 24, Days: 3}
+	f := MovingAverage{}
 	e := Evaluate(f, s, 72)
 	if e.MAE != 0 {
 		t.Fatalf("MA on periodic signal must be exact after warmup, MAE=%v", e.MAE)
@@ -97,7 +97,7 @@ func TestMovingAverageSmoothsNoise(t *testing.T) {
 
 func TestEWMAOnPeriodicSignal(t *testing.T) {
 	s := periodicSeries(7)
-	f := EWMA{Period: 24, Alpha: 0.5}
+	f := EWMA{}
 	e := Evaluate(f, s, 72)
 	if e.MAE > 1e-9 {
 		t.Fatalf("EWMA on periodic signal must converge, MAE=%v", e.MAE)
@@ -207,5 +207,35 @@ func TestClearSkyNoHistoryIsClearSky(t *testing.T) {
 	}
 	if f.Name() != "clearsky" {
 		t.Errorf("name %q", f.Name())
+	}
+}
+
+// TestPredictIntoAllocFree pins the per-slot forecast path: every
+// forecaster predicts into a warm buffer without allocating, and writes
+// exactly what Predict returns.
+func TestPredictIntoAllocFree(t *testing.T) {
+	farm := solar.DefaultFarm(100)
+	farm.Slots = 24 * 7
+	// Boxed once, as the simulator holds it: converting the series to the
+	// interface on every call would be the caller's allocation.
+	var trace solar.Provider = solar.MustGenerate(farm)
+	for _, f := range []Forecaster{Perfect{}, Persistence{}, MovingAverage{}, EWMA{}, ClearSky{Farm: farm}} {
+		ip, ok := f.(IntoPredictor)
+		if !ok {
+			t.Fatalf("%s does not implement IntoPredictor", f.Name())
+		}
+		const now, horizon = 80, 24
+		buf := ip.PredictInto(nil, trace, now, horizon)
+		want := f.Predict(trace, now, horizon)
+		for k := range want {
+			if buf[k] != want[k] {
+				t.Fatalf("%s: PredictInto[%d] = %v, Predict = %v", f.Name(), k, buf[k], want[k])
+			}
+		}
+		if allocs := testing.AllocsPerRun(20, func() {
+			buf = ip.PredictInto(buf, trace, now, horizon)
+		}); allocs != 0 {
+			t.Errorf("%s: PredictInto into a warm buffer allocates %.0f times", f.Name(), allocs)
+		}
 	}
 }

@@ -22,10 +22,6 @@ import (
 // are supported (Fraction 0 or 1); fractional mixes partition jobs by a
 // hash this helper deliberately does not replicate.
 func SingleSlotStarts(g sched.GreenMatch, v sched.View) []int {
-	reserve := g.ReserveSlack
-	if reserve <= 0 {
-		reserve = 1
-	}
 	head := forecastAt(v, 0).Watts() - v.EstMandatoryPowerW.Watts()
 	capacity := 0
 	if head > 0 {
@@ -40,7 +36,7 @@ func SingleSlotStarts(g sched.GreenMatch, v sched.View) []int {
 	var parts []cand
 	const h = 1
 	for i, r := range v.Waiting {
-		if r.SlackAt(v.Slot) <= reserve {
+		if r.SlackAt(v.Slot) <= sched.ReserveSlack {
 			starts = append(starts, i)
 			continue
 		}

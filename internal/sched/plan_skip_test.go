@@ -54,7 +54,7 @@ func planReference(t *testing.T, g GreenMatch, v View) skipRef {
 	var forced []int
 	var parts []part
 	for i, r := range v.Waiting {
-		if !stickyDefer(r.Job.ID, g.fraction()) || r.SlackAt(v.Slot) <= g.reserve() {
+		if !stickyDefer(r.Job.ID, g.fraction()) || r.SlackAt(v.Slot) <= ReserveSlack {
 			forced = append(forced, i)
 			continue
 		}
@@ -155,7 +155,7 @@ func planReference(t *testing.T, g GreenMatch, v View) skipRef {
 			v.BatteryUsableWh.Wh() >= 2*v.EstMandatoryPowerW.Watts()
 		if !buffers {
 			for i, r := range v.RunningDeferrable {
-				if stickyDefer(r.Job.ID, g.fraction()) && r.SlackAt(v.Slot) > g.reserve() {
+				if stickyDefer(r.Job.ID, g.fraction()) && r.SlackAt(v.Slot) > ReserveSlack {
 					ref.d.SuspendRunning = append(ref.d.SuspendRunning, i)
 				}
 			}

@@ -46,20 +46,10 @@ func (SpinDown) Plan(v View) Decision {
 type DeferFraction struct {
 	// Fraction in [0,1] of deferrable jobs that participate in deferral.
 	Fraction float64
-	// ReserveSlack keeps a safety margin: participating jobs are only held
-	// while their slack exceeds this many slots (default 1).
-	ReserveSlack int
 }
 
 // Name implements Policy.
 func (p DeferFraction) Name() string { return fmt.Sprintf("defer%.0f%%", p.Fraction*100) }
-
-func (p DeferFraction) reserve() int {
-	if p.ReserveSlack <= 0 {
-		return 1
-	}
-	return p.ReserveSlack
-}
 
 // Plan implements Policy.
 func (p DeferFraction) Plan(v View) Decision {
@@ -94,7 +84,7 @@ func (p DeferFraction) Plan(v View) Decision {
 		return d
 	}
 	for i, r := range v.RunningDeferrable {
-		if stickyDefer(r.Job.ID, p.Fraction) && r.SlackAt(v.Slot) > p.reserve() {
+		if stickyDefer(r.Job.ID, p.Fraction) && r.SlackAt(v.Slot) > ReserveSlack {
 			d.SuspendRunning = append(d.SuspendRunning, i)
 		}
 	}
@@ -117,7 +107,7 @@ func (p DeferFraction) selectStarts(v View, budget int) []int {
 			starts = append(starts, i)
 			continue
 		}
-		if r.SlackAt(v.Slot) <= p.reserve() {
+		if r.SlackAt(v.Slot) <= ReserveSlack {
 			starts = append(starts, i)
 			continue
 		}
@@ -148,6 +138,10 @@ const (
 	SolverGreedy Solver = "greedy"
 )
 
+// earlinessBonus breaks GreenMatch's weight ties toward earlier slots so
+// equally green plans do not postpone work pointlessly.
+const earlinessBonus = 0.05
+
 // GreenMatch is the paper's scheduler: every slot it forecasts green power
 // over a horizon, derives a per-slot capacity of "green job units"
 // (headroom over the estimated mandatory load), and solves a capacitated
@@ -164,11 +158,6 @@ type GreenMatch struct {
 	// Solver picks the assignment algorithm: SolverFlow (the default) or
 	// SolverGreedy. Any other value plans with SolverFlow.
 	Solver Solver
-	// EarlinessBonus breaks weight ties toward earlier slots (default
-	// 0.05) so equally green plans do not postpone work pointlessly.
-	EarlinessBonus float64
-	// ReserveSlack is the safety margin before forced starts (default 1).
-	ReserveSlack int
 	// BatteryAware discounts the value of deferral by what the ESD would
 	// salvage anyway: when the battery has room, surplus green is stored
 	// at efficiency sigma, so moving a job into the sun only saves the
@@ -195,7 +184,7 @@ func (g GreenMatch) Name() string {
 
 func (g GreenMatch) horizon() int {
 	if g.Horizon <= 0 {
-		return 24
+		return lookahead
 	}
 	return g.Horizon
 }
@@ -212,20 +201,6 @@ func (g GreenMatch) solver() Solver {
 		return SolverGreedy
 	}
 	return SolverFlow
-}
-
-func (g GreenMatch) bonus() float64 {
-	if g.EarlinessBonus <= 0 {
-		return 0.05
-	}
-	return g.EarlinessBonus
-}
-
-func (g GreenMatch) reserve() int {
-	if g.ReserveSlack <= 0 {
-		return 1
-	}
-	return g.ReserveSlack
 }
 
 // Plan implements Policy.
@@ -272,7 +247,7 @@ func (g GreenMatch) Plan(v View) Decision {
 	starts := sc.starts[:0]
 	parts := sc.parts[:0]
 	for i, r := range v.Waiting {
-		if !stickyDefer(r.Job.ID, g.fraction()) || r.SlackAt(v.Slot) <= g.reserve() {
+		if !stickyDefer(r.Job.ID, g.fraction()) || r.SlackAt(v.Slot) <= ReserveSlack {
 			starts = append(starts, i)
 			continue
 		}
@@ -354,7 +329,7 @@ func (g GreenMatch) Plan(v View) Decision {
 		if !batteryBuffers {
 			suspends := sc.suspends[:0]
 			for i, r := range v.RunningDeferrable {
-				if stickyDefer(r.Job.ID, g.fraction()) && r.SlackAt(v.Slot) > g.reserve() {
+				if stickyDefer(r.Job.ID, g.fraction()) && r.SlackAt(v.Slot) > ReserveSlack {
 					suspends = append(suspends, i)
 				}
 			}
@@ -444,7 +419,7 @@ func (g GreenMatch) weightRowInto(v View, h, latestStart, remaining int, row []f
 			continue
 		}
 		score := greenCoverage(v, h, k, remaining, perJob) * greenValue
-		row[k] = score + g.bonus()*float64(h-k)/float64(h)
+		row[k] = score + earlinessBonus*float64(h-k)/float64(h)
 	}
 }
 

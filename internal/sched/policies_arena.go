@@ -22,23 +22,13 @@ import (
 // It is the deadline-centric (and renewable-blind) genre: with abundant
 // space it degenerates to SpinDown, under contention it spends the space
 // on the most urgent work first.
-type EDF struct {
-	// ReserveSlack is the safety margin before forced starts (default 1).
-	ReserveSlack int
-}
+type EDF struct{}
 
 // Name implements Policy.
 func (EDF) Name() string { return "edf" }
 
-func (p EDF) reserve() int {
-	if p.ReserveSlack <= 0 {
-		return 1
-	}
-	return p.ReserveSlack
-}
-
 // Plan implements Policy.
-func (p EDF) Plan(v View) Decision {
+func (EDF) Plan(v View) Decision {
 	d := Decision{Consolidate: true, SpinDownDisks: true}
 	if len(v.Waiting) == 0 && len(v.RunningDeferrable) == 0 {
 		return d
@@ -60,7 +50,7 @@ func (p EDF) Plan(v View) Decision {
 	budget := v.SpaceJobs()
 	var starts []int
 	for _, i := range order {
-		if v.Waiting[i].SlackAt(v.Slot) <= p.reserve() {
+		if v.Waiting[i].SlackAt(v.Slot) <= ReserveSlack {
 			starts = append(starts, i)
 			continue
 		}
@@ -94,10 +84,6 @@ type KChoices struct {
 	// K is the number of sampled start offsets per job including "now"
 	// (default 2, the canonical power of two choices).
 	K int
-	// Horizon is the forecast lookahead in slots (default 24).
-	Horizon int
-	// ReserveSlack is the safety margin before forced starts (default 1).
-	ReserveSlack int
 }
 
 // Name implements Policy.
@@ -108,20 +94,6 @@ func (p KChoices) k() int {
 		return 2
 	}
 	return p.K
-}
-
-func (p KChoices) horizon() int {
-	if p.Horizon <= 0 {
-		return 24
-	}
-	return p.Horizon
-}
-
-func (p KChoices) reserve() int {
-	if p.ReserveSlack <= 0 {
-		return 1
-	}
-	return p.ReserveSlack
 }
 
 // probeOffset hashes (job, probe) to a start offset in [1, maxOff]. The
@@ -141,13 +113,13 @@ func (p KChoices) Plan(v View) Decision {
 	if len(v.Waiting) == 0 && len(v.RunningDeferrable) == 0 {
 		return d
 	}
-	h := p.horizon()
+	h := lookahead
 	perJob := v.PerJobPowerW.Watts()
 	budget := v.SpaceJobs()
 	var starts []int
 	for i, r := range v.Waiting {
 		slack := r.SlackAt(v.Slot)
-		if slack <= p.reserve() {
+		if slack <= ReserveSlack {
 			starts = append(starts, i)
 			continue
 		}
@@ -204,10 +176,6 @@ type Cucumber struct {
 	// Confidence is the probability the deferred job's green window must
 	// hold with, in [0.5, 1] (default 0.9).
 	Confidence float64
-	// Horizon is the forecast lookahead in slots (default 24).
-	Horizon int
-	// ReserveSlack is the safety margin before forced starts (default 1).
-	ReserveSlack int
 }
 
 // Name implements Policy.
@@ -223,33 +191,19 @@ func (p Cucumber) confidence() float64 {
 	return p.Confidence
 }
 
-func (p Cucumber) horizon() int {
-	if p.Horizon <= 0 {
-		return 24
-	}
-	return p.Horizon
-}
-
-func (p Cucumber) reserve() int {
-	if p.ReserveSlack <= 0 {
-		return 1
-	}
-	return p.ReserveSlack
-}
-
 // Plan implements Policy.
 func (p Cucumber) Plan(v View) Decision {
 	d := Decision{Consolidate: true, SpinDownDisks: true}
 	if len(v.Waiting) == 0 && len(v.RunningDeferrable) == 0 {
 		return d
 	}
-	h := p.horizon()
+	h := lookahead
 	perJob := v.PerJobPowerW.Watts()
 	scale := forecast.ConfidenceScale(p.confidence())
 	var starts []int
 	for i, r := range v.Waiting {
 		slack := r.SlackAt(v.Slot)
-		if slack <= p.reserve() {
+		if slack <= ReserveSlack {
 			starts = append(starts, i)
 			continue
 		}

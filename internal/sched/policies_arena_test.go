@@ -15,7 +15,6 @@ func TestArenaPolicyNamesAndDefaults(t *testing.T) {
 		want string
 	}{
 		{EDF{}, "edf"},
-		{EDF{ReserveSlack: 3}, "edf"},
 		{KChoices{}, "kchoices2"},
 		{KChoices{K: 4}, "kchoices4"},
 		{KChoices{K: 1}, "kchoices2"}, // below the minimum: default

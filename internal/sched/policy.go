@@ -22,6 +22,15 @@ import (
 	"repro/internal/workload"
 )
 
+// ReserveSlack is the safety margin every deferring policy keeps, in
+// slots: a waiting job whose slack has shrunk to it starts now, and a
+// running job is suspended only while its slack exceeds it.
+const ReserveSlack = 1
+
+// lookahead is the forecast horizon in slots the planners read unless a
+// policy sets its own.
+const lookahead = 24
+
 // JobRef is the scheduler-visible state of one job. The simulator owns the
 // underlying lifecycle; policies treat JobRef as read-only.
 type JobRef struct {

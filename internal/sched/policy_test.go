@@ -324,12 +324,6 @@ func TestPolicyNames(t *testing.T) {
 	if (GreenMatch{Horizon: -1}).horizon() != 24 {
 		t.Error("default horizon wrong")
 	}
-	if (GreenMatch{EarlinessBonus: -1}).bonus() != 0.05 {
-		t.Error("default bonus wrong")
-	}
-	if (GreenMatch{ReserveSlack: 0}).reserve() != 1 || (DeferFraction{}).reserve() != 1 {
-		t.Error("default reserves wrong")
-	}
 	if (GreenMatch{Fraction: 2}).fraction() != 1 {
 		t.Error("out-of-range fraction should clamp to 1")
 	}
