@@ -13,6 +13,7 @@ package greenmatch
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"runtime"
 	"strconv"
 	"testing"
@@ -469,6 +470,35 @@ func BenchmarkSimulatorSlotThroughputSparse(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			cfg := sparseBenchCfg()
 			cfg.DisableSlotSkipping = mode.noSkip
+			slots := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := Run(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				slots += res.Slots
+			}
+			b.ReportMetric(float64(slots)/b.Elapsed().Seconds(), "slots/s")
+		})
+	}
+}
+
+// BenchmarkObservedSlotThroughput measures end-to-end slots per second
+// with the JSONL audit sink attached (writing to io.Discard), on the busy
+// 20%-scale week and on the sparse archive. Set against
+// BenchmarkSimulatorSlotThroughput and the sparse skip sub-benchmark, it
+// prices observation itself: the fleet walk, the coverage check and the
+// line encoding every observed slot pays.
+func BenchmarkObservedSlotThroughput(b *testing.B) {
+	for _, shape := range []struct {
+		name string
+		cfg  func() Config
+	}{{"week", benchCfg}, {"sparse", sparseBenchCfg}} {
+		b.Run(shape.name, func(b *testing.B) {
+			cfg := shape.cfg()
+			cfg.Observer = NewJSONLSink(io.Discard)
 			slots := 0
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -127,6 +127,20 @@ func TestLatestSnapshotAndDelta(t *testing.T) {
 	if writeDelta(&b, got, same) {
 		t.Errorf("timing-only delta reported drift:\n%s", b.String())
 	}
+
+	// A benchmark the previous snapshot lacks is new, never drift, even
+	// when it reports metrics of its own.
+	added := &Snapshot{Benchmarks: []Bench{
+		same.Benchmarks[0],
+		{Pkg: "repro", Name: "BenchmarkObservedSlotThroughput/week", NsPerOp: 8e6, Metrics: map[string]float64{"slots/s": 23000, "result": 1}},
+	}}
+	b.Reset()
+	if writeDelta(&b, got, added) {
+		t.Errorf("a new benchmark reported drift:\n%s", b.String())
+	}
+	if !strings.Contains(b.String(), "BenchmarkObservedSlotThroughput/week") {
+		t.Errorf("delta table omits the new benchmark:\n%s", b.String())
+	}
 }
 
 func TestPct(t *testing.T) {

@@ -1,7 +1,6 @@
 package audit
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -13,43 +12,50 @@ import (
 // JSONL sink may be shared by many concurrent runs — lines from different
 // runs interleave but each carries its Run label. Write errors are sticky
 // and reported by EndRun.
+//
+// Lines are append-encoded into one buffer the sink reuses (encode.go):
+// the bytes are exactly json.Marshal's, and a steady-state ObserveSlot
+// allocates nothing.
 type JSONL struct {
 	mu  sync.Mutex
 	w   io.Writer
 	err error
+	buf []byte
 }
 
 // NewJSONL returns a JSONL sink writing to w.
 func NewJSONL(w io.Writer) *JSONL { return &JSONL{w: w} }
 
-func (j *JSONL) emit(v any) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err != nil {
-		return
-	}
-	b, err := json.Marshal(v)
+// writeLine writes an encoded line plus a newline, or records the encoding
+// error, and keeps the line's buffer for the next one. The caller holds mu.
+func (j *JSONL) writeLine(line []byte, err error) {
 	if err == nil {
-		b = append(b, '\n')
-		_, err = j.w.Write(b)
+		line = append(line, '\n')
+		_, err = j.w.Write(line)
 	}
+	j.buf = line[:0]
 	if err != nil {
 		j.err = fmt.Errorf("audit: jsonl sink: %w", err)
 	}
 }
 
 // ObserveSlot writes the trace as one JSON line.
-func (j *JSONL) ObserveSlot(s SlotTrace) { j.emit(s) }
+func (j *JSONL) ObserveSlot(s SlotTrace) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.err == nil {
+		j.writeLine(appendSlotTrace(j.buf, &s))
+	}
+}
 
 // EndRun writes the run totals as a JSON line and reports any sticky write
 // error.
 func (j *JSONL) EndRun(tot RunTotals) error {
-	j.emit(struct {
-		Kind string `json:"kind"`
-		RunTotals
-	}{Kind: "totals", RunTotals: tot})
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.err == nil {
+		j.writeLine(appendTotalsLine(j.buf, &tot))
+	}
 	return j.err
 }
 

@@ -988,12 +988,7 @@ func (s *Simulator) emitTrace(t int, h float64, fl slotFlows, dec sched.Decision
 	slaDelta := s.sla.Sub(s.prevSLA)
 	s.prevSLA = s.sla
 
-	boots, shutdowns := 0, 0
-	for _, n := range s.cluster.Nodes() {
-		boots += n.Boots
-		shutdowns += n.Shutdowns
-	}
-	disk := s.cluster.DiskStatsTotal()
+	fleet := s.cluster.Tally()
 
 	unbounded := math.IsInf(s.bat.Capacity().Wh(), 1)
 	usable := s.bat.UsableCapacity().Wh()
@@ -1027,12 +1022,12 @@ func (s *Simulator) emitTrace(t int, h float64, fl slotFlows, dec sched.Decision
 		Deferred:          len(s.waiting),
 		Consolidate:       dec.Consolidate,
 		SpinDownDisks:     dec.SpinDownDisks,
-		NodesOn:           s.cluster.PoweredNodeCount(),
+		NodesOn:           fleet.NodesOn,
 		DisksSpun:         spun,
-		NodeBoots:         boots - s.prevBoots,
-		NodeShutdowns:     shutdowns - s.prevShutdowns,
-		DiskSpinUps:       disk.SpinUps - s.prevDisk.SpinUps,
-		DiskSpinDowns:     disk.SpinDowns - s.prevDisk.SpinDowns,
+		NodeBoots:         fleet.Boots - s.prevBoots,
+		NodeShutdowns:     fleet.Shutdowns - s.prevShutdowns,
+		DiskSpinUps:       fleet.Disk.SpinUps - s.prevDisk.SpinUps,
+		DiskSpinDowns:     fleet.Disk.SpinDowns - s.prevDisk.SpinDowns,
 		JobsRunning:       jobsRunning,
 		JobsWaiting:       len(s.waiting) + len(s.mandQueue),
 		Completions:       slaDelta.Completed,
@@ -1041,7 +1036,7 @@ func (s *Simulator) emitTrace(t int, h float64, fl slotFlows, dec sched.Decision
 		UnservedReads:     slaDelta.UnservedReads,
 		NodeFailures:      slaDelta.NodeFailures,
 		Evictions:         slaDelta.Evictions,
-		CoverageOK:        s.cluster.Covered(),
+		CoverageOK:        fleet.Covered,
 		FailedNodes:       len(s.repairAt),
 	}
 	if s.faults != nil {
@@ -1050,7 +1045,7 @@ func (s *Simulator) emitTrace(t int, h float64, fl slotFlows, dec sched.Decision
 		tr.BatteryFadeFactor = s.bat.FadeFactor()
 		tr.DegradedMode = s.degradedNow(t)
 	}
-	s.prevBoots, s.prevShutdowns, s.prevDisk = boots, shutdowns, disk
+	s.prevBoots, s.prevShutdowns, s.prevDisk = fleet.Boots, fleet.Shutdowns, fleet.Disk
 	s.obs.ObserveSlot(tr)
 }
 

@@ -116,6 +116,10 @@ func (s *Server) enqueue(w http.ResponseWriter, timeout time.Duration, run func(
 		http.Error(w, "ingestion queue full", http.StatusTooManyRequests)
 		return nil, false
 	}
+	// An explicit timer stopped on return: under go 1.22 a time.After
+	// timer and its channel stay live until it fires, one per request.
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	select {
 	case res := <-o.done:
 		if res.err != nil {
@@ -123,7 +127,7 @@ func (s *Server) enqueue(w http.ResponseWriter, timeout time.Duration, run func(
 			return nil, false
 		}
 		return res.v, true
-	case <-time.After(timeout):
+	case <-timer.C:
 		http.Error(w, "apply loop timeout", http.StatusServiceUnavailable)
 		return nil, false
 	}

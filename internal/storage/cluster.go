@@ -156,6 +156,7 @@ type Cluster struct {
 	cfg       Config //gm:ephemeral configuration, re-supplied by NewCluster at restore
 	nodes     []*Node
 	placement [][]DiskID // object id -> replica disk ids //gm:ephemeral pure function of Config (deterministic rendezvous hash)
+	cov       coverMemo  //gm:ephemeral coverage memo, a pure function of fleet state; a restored cluster starts cold
 }
 
 // NewCluster builds a cluster with every node powered on, all disks idle,
@@ -200,6 +201,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		c.nodes[n] = node
 	}
 	c.placeObjects()
+	words := (c.TotalDisks() + 63) / 64
+	c.cov = coverMemo{live: make([]uint64, words), cover: make([]uint64, words)}
 	return c, nil
 }
 

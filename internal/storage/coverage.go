@@ -1,35 +1,157 @@
 package storage
 
 import (
+	"math/bits"
 	"sort"
 
 	"repro/internal/units"
 )
 
-// CoverageOK reports whether the disks for which spinning returns true
-// cover every object, i.e. each object has at least one replica on such a
-// disk whose node is powered. Only objects with at least one replica are
-// considered (an empty cluster is trivially covered).
-func (c *Cluster) CoverageOK(spinning func(DiskID) bool) bool {
-	for _, reps := range c.placement {
-		covered := len(reps) == 0
-		for _, id := range reps {
-			if c.nodes[id.Node].Powered && spinning(id) {
-				covered = true
-				break
-			}
-		}
-		if !covered {
-			return false
-		}
-	}
-	return true
+// coverMemo remembers the last coverage verdict so Covered can answer from
+// the change since its last call. Disk sets are bitsets over the flat disk
+// index node*DisksPerNode + disk; a disk is live when it spins on a
+// powered node.
+type coverMemo struct {
+	live    []uint64 // the live set, gathered afresh by every walk
+	cover   []uint64 // when ok: a disk set that covers every object
+	valid   bool     // a verdict is remembered; false until the first call
+	ok      bool     // the remembered verdict
+	witness int      // an uncovered object when !ok
 }
 
-// Covered evaluates CoverageOK on the fleet's current state: every object
-// has a replica on a spun-up disk of a powered node.
-func (c *Cluster) Covered() bool {
-	return c.CoverageOK(func(id DiskID) bool { return c.DiskByID(id).SpunUp() })
+// FleetTally is the fleet state one walk over the nodes and disks yields:
+// the counters a slot trace differences and the replica-coverage verdict.
+type FleetTally struct {
+	// NodesOn counts powered nodes.
+	NodesOn int
+	// Boots and Shutdowns are the cumulative node power transitions.
+	Boots, Shutdowns int
+	// Disk sums every disk's Stats, as DiskStatsTotal does.
+	Disk DiskStats
+	// Covered is Covered's verdict on the walked state.
+	Covered bool
+}
+
+// Tally walks the fleet once, gathering the FleetTally counters and the
+// live disk set, and settles coverage against that set.
+func (c *Cluster) Tally() FleetTally {
+	var t FleetTally
+	live := c.cov.live
+	clear(live)
+	perNode := c.cfg.NodeProfile.DisksPerNode
+	for _, n := range c.nodes {
+		t.Boots += n.Boots
+		t.Shutdowns += n.Shutdowns
+		if n.Powered {
+			t.NodesOn++
+		}
+		base := n.ID * perNode
+		for k, d := range n.Disks {
+			t.Disk.SpinUps += d.Stats.SpinUps
+			t.Disk.SpinDowns += d.Stats.SpinDowns
+			t.Disk.TransitionEnergy += d.Stats.TransitionEnergy
+			t.Disk.Reads += d.Stats.Reads
+			t.Disk.ColdReads += d.Stats.ColdReads
+			if n.Powered && d.SpunUp() {
+				i := base + k
+				live[i>>6] |= 1 << (i & 63)
+			}
+		}
+	}
+	t.Covered = c.settleCoverage()
+	return t
+}
+
+// Covered reports whether every object has a replica on a spun-up disk of
+// a powered node (objects without replicas count as covered, so an empty
+// cluster is trivially covered).
+//
+// It answers from the change since its last call. After a true verdict it
+// holds a covering disk set; a disk joining the live set cannot uncover
+// anything, so only the objects on covering disks that left it are
+// rechecked. After a false verdict the remembered uncovered object is
+// rechecked first, and everything only once it is covered again. The memo
+// compares disk sets, not mutation hooks, so every path that changes the
+// fleet stays exact. Covered mutates that memo, so a cluster is not safe
+// for concurrent Covered calls; every Simulator owns its own cluster.
+func (c *Cluster) Covered() bool { return c.Tally().Covered }
+
+// settleCoverage computes the verdict for the live set in cov.live from the
+// remembered one.
+func (c *Cluster) settleCoverage() bool {
+	m := &c.cov
+	switch {
+	case m.valid && m.ok:
+		m.ok, m.witness = c.recheckLost(m.cover, m.live)
+	case m.valid && !c.objectLive(m.witness, m.live):
+		// The remembered object is still uncovered.
+	default:
+		m.ok, m.witness = c.scanCoverage(m.live)
+		if m.ok {
+			copy(m.cover, m.live)
+		}
+	}
+	m.valid = true
+	return m.ok
+}
+
+// scanCoverage checks every object against the live set and returns the
+// verdict with the first uncovered object as witness.
+func (c *Cluster) scanCoverage(live []uint64) (bool, int) {
+	for obj := range c.placement {
+		if !c.objectLive(obj, live) {
+			return false, obj
+		}
+	}
+	return true, 0
+}
+
+// recheckLost is the delta check after a true verdict: cover covers every
+// object, so only objects on cover's disks that left the live set can have
+// lost coverage. On a true verdict it leaves cover inside the live set —
+// cover∩live, plus one live replica disk for each rechecked object that set
+// no longer covers — so a disk woken for a slot never enters it, and its
+// leaving costs nothing.
+func (c *Cluster) recheckLost(cover, live []uint64) (bool, int) {
+	perNode := c.cfg.NodeProfile.DisksPerNode
+	for w := range cover {
+		for lost := cover[w] &^ live[w]; lost != 0; lost &= lost - 1 {
+			i := w<<6 + bits.TrailingZeros64(lost)
+			for _, obj := range c.nodes[i/perNode].Disks[i%perNode].Objects {
+				if c.replicaIn(obj, cover, live) >= 0 {
+					continue
+				}
+				j := c.replicaIn(obj, live, live)
+				if j < 0 {
+					return false, obj
+				}
+				cover[j>>6] |= 1 << (j & 63)
+			}
+		}
+	}
+	for w := range cover {
+		cover[w] &= live[w]
+	}
+	return true, 0
+}
+
+// objectLive reports whether obj has a replica in the live set, or none at
+// all.
+func (c *Cluster) objectLive(obj int, live []uint64) bool {
+	return len(c.placement[obj]) == 0 || c.replicaIn(obj, live, live) >= 0
+}
+
+// replicaIn returns the flat index of obj's first replica disk in both
+// disk sets a and b, or -1 when there is none.
+func (c *Cluster) replicaIn(obj int, a, b []uint64) int {
+	perNode := c.cfg.NodeProfile.DisksPerNode
+	for _, id := range c.placement[obj] {
+		i := id.Node*perNode + id.Disk
+		if a[i>>6]&b[i>>6]&(1<<(i&63)) != 0 {
+			return i
+		}
+	}
+	return -1
 }
 
 // uncoveredOn is the set-cover pre-pass over the nodes allowed admits. It

@@ -124,7 +124,7 @@ func TestPlacementSingleNodeCluster(t *testing.T) {
 	}
 }
 
-// inSet adapts a disk set to CoverageOK's spinning predicate.
+// inSet adapts a disk set to coverageOK's spinning predicate.
 func inSet(active map[DiskID]bool) func(DiskID) bool {
 	return func(id DiskID) bool { return active[id] }
 }
@@ -136,7 +136,7 @@ func TestMinimalCoverCoversEverything(t *testing.T) {
 	for _, id := range cover {
 		active[id] = true
 	}
-	if !c.CoverageOK(inSet(active)) {
+	if !coverageOK(c, inSet(active)) {
 		t.Fatal("MinimalCover does not cover all objects")
 	}
 	if len(cover) == 0 || len(cover) >= c.TotalDisks() {
@@ -168,7 +168,7 @@ func TestMinimalCoverProperty(t *testing.T) {
 		for _, id := range cover {
 			active[id] = true
 		}
-		return c.CoverageOK(inSet(active))
+		return coverageOK(c, inSet(active))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -186,7 +186,7 @@ func TestCoverageFailsWhenNodeUnpowered(t *testing.T) {
 	// objects whose only covered replica was there (r=3 on 6 nodes means
 	// some object will lose its covering disk).
 	c.PowerOffNode(cover[0].Node)
-	if c.CoverageOK(inSet(active)) {
+	if coverageOK(c, inSet(active)) {
 		// Possible if other replicas of every affected object are in the
 		// active set; force the issue by keeping only the cover subset on
 		// that node.
@@ -209,7 +209,7 @@ func TestCoverOnNodes(t *testing.T) {
 	if !ok || len(cover) == 0 {
 		t.Fatal("full node set must cover")
 	}
-	if !c.CoverageOK(inSet(diskSet(cover))) {
+	if !coverageOK(c, inSet(diskSet(cover))) {
 		t.Fatal("full-mask cover leaves objects uncovered")
 	}
 	// A single node cannot host a replica of every object at r=3/6 nodes,
@@ -595,7 +595,7 @@ func TestPartialCoverLockstep(t *testing.T) {
 		t.Fatal("the surviving nodes cannot cover, yet CoverOnNodeMask reported a cover")
 	}
 	// Every object is either covered by a powered disk of the partial
-	// cover (CoverageOK's predicate) or uncoverable.
+	// cover (coverageOK's predicate) or uncoverable.
 	set := diskSet(partial)
 	for _, id := range partial {
 		if c.Node(id.Node).Failed {
@@ -614,7 +614,7 @@ func TestPartialCoverLockstep(t *testing.T) {
 	if covered+unc != c.Config().Objects {
 		t.Fatalf("covered %d + uncoverable %d != %d objects", covered, unc, c.Config().Objects)
 	}
-	if c.CoverageOK(inSet(set)) {
-		t.Fatal("CoverageOK accepted a cover with uncoverable objects")
+	if coverageOK(c, inSet(set)) {
+		t.Fatal("coverageOK accepted a cover with uncoverable objects")
 	}
 }

@@ -149,7 +149,7 @@ func TestTieredCoverage(t *testing.T) {
 			hasCold = true
 		}
 	}
-	if !c.CoverageOK(inSet(active)) {
+	if !coverageOK(c, inSet(active)) {
 		t.Fatal("tiered cover does not cover")
 	}
 	if !hasCold {
