@@ -1,26 +1,29 @@
 // Command gmchaos is the fault-injection chaos harness: it runs many
 // seeded random fault schedules — crash storms, supply dropouts and
 // curtailment, battery fade and charger outages, forecast corruption —
-// against the simulator, each run with the energy-conservation auditor
-// attached and executed twice — once with the event-driven slot-skipping
-// fast path, once forcing the full per-slot pipeline — to prove
-// byte-determinism of the full slot trace AND bit-exactness of slot
-// skipping under every fault schedule (-noskip forces the full pipeline in
-// both runs). Any conservation violation, determinism mismatch or degraded-mode
-// accounting inconsistency makes the command exit non-zero, printing one
-// line per offending seed so the failure is reproducible from the seed
-// alone.
+// against the simulator. By default every seed runs the built-in 8-node,
+// battery-equipped GreenMatch scenario on that seed's workload and sun
+// (-scenario and -policy replace it); the internal/core TestChaos property
+// test is a separate harness that cycles the whole policy arena. Each run
+// has the energy-conservation auditor attached and executes twice — once
+// with the event-driven slot-skipping fast path, once forcing the full
+// per-slot pipeline — to prove byte-determinism of the full slot trace AND
+// bit-exactness of slot skipping under every fault schedule (-noskip
+// forces the full pipeline in both runs). Any conservation violation,
+// determinism mismatch or degraded-mode accounting inconsistency makes the
+// command exit non-zero, printing one line per offending seed, in seed
+// order, so the failure is reproducible from the seed alone.
 //
 // Examples:
 //
-//	gmchaos                          # 200 seeds against the built-in small scenario
+//	gmchaos                          # 200 seeds against the built-in scenario
 //	gmchaos -runs 1000 -seed 5000 -j 8
 //	gmchaos -scenario scenarios/grid-brownout.json -runs 50
 //	gmchaos -policy cucumber         # chaos the probabilistic-admission policy
 //	gmchaos -v                       # one summary line per seed
 //
 // With -serve the harness goes live: each seed starts a real gmserve
-// daemon, replays the chaos workload over HTTP, SIGKILLs the daemon
+// daemon, replays the same seed's run over HTTP, SIGKILLs the daemon
 // mid-replay, restarts it against the same state directory, finishes the
 // run and asserts the recovered audit trace and Result are byte-identical
 // to a local batch simulation:
@@ -39,37 +42,33 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"sync"
 
 	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/runner"
 	"repro/internal/scenario"
-	"repro/internal/storage"
-	"repro/internal/units"
-	"repro/internal/workload"
 )
 
 func main() {
 	var (
 		runs     = flag.Int("runs", 200, "number of seeded chaos runs")
 		baseSeed = flag.Int64("seed", 1000, "first seed; run i uses seed+i")
-		scale    = flag.Float64("scale", 0.08, "workload scale of the built-in scenario")
-		slots    = flag.Int("slots", 200, "fault-schedule horizon in slots")
-		jobs     = flag.Int("j", 0, "parallel workers (0 = one per core)")
-		scenFile = flag.String("scenario", "", "base the runs on this scenario JSON instead of the built-in small scenario")
-		policy   = flag.String("policy", "", "override the scheduling policy (baseline, spindown, defer, greenmatch, mixed, edf, kchoices, cucumber)")
+		workers  = flag.Int("j", 0, "parallel workers (0 = $GREENMATCH_WORKERS, else one per core)")
 		noSkip   = flag.Bool("noskip", false, "disable the simulator's event-driven slot skipping in both runs (plain determinism check instead of skip-equivalence)")
 		verbose  = flag.Bool("v", false, "print one line per seed")
 		dumpFile = flag.String("dump-schedule", "", "write the generated fault schedule for -seed to this file and exit")
 		schedule = flag.String("schedule", "", "replay this fault-schedule JSON (see -dump-schedule) instead of generating one per seed")
 		serve    = flag.Bool("serve", false, "live mode: run each seed against a real gmserve daemon over HTTP with a SIGKILL and recovery mid-replay")
 		gmserve  = flag.String("gmserve", "gmserve", "path to the gmserve binary used by -serve")
+		sp       runSpec
 	)
+	flag.Float64Var(&sp.scale, "scale", 0.08, "workload scale of the built-in scenario")
+	flag.IntVar(&sp.slots, "slots", 200, "fault-schedule horizon in slots")
+	flag.StringVar(&sp.scenFile, "scenario", "", "base the runs on this scenario JSON instead of the built-in scenario")
+	flag.StringVar(&sp.policy, "policy", "", "override the scheduling policy (baseline, spindown, defer, greenmatch, mixed, edf, kchoices, cucumber)")
 	flag.Parse()
 
-	var sched *fault.Config
 	if *schedule != "" {
 		f, err := os.Open(*schedule)
 		if err != nil {
@@ -82,11 +81,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "gmchaos: %v\n", err)
 			os.Exit(1)
 		}
-		sched = &c
+		sp.sched = &c
 	}
 
 	if *dumpFile != "" {
-		if err := dumpSchedule(*dumpFile, *baseSeed, *scenFile, *scale, *slots); err != nil {
+		if err := dumpSchedule(*dumpFile, *baseSeed, sp); err != nil {
 			fmt.Fprintf(os.Stderr, "gmchaos: %v\n", err)
 			os.Exit(1)
 		}
@@ -98,7 +97,7 @@ func main() {
 		var failed int
 		for i := 0; i < *runs; i++ {
 			seed := *baseSeed + int64(i)
-			if err := serveSeed(seed, *gmserve, *scenFile, *policy, *scale, *slots, sched, *verbose); err != nil {
+			if err := serveSeed(seed, *gmserve, sp, *verbose); err != nil {
 				failed++
 				fmt.Fprintf(os.Stderr, "gmchaos: seed %d: %v\n", seed, err)
 			} else if *verbose {
@@ -112,65 +111,95 @@ func main() {
 		return
 	}
 
-	workers := *jobs
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-
-	type outcome struct {
-		seed   int64
-		err    error
-		faults int // degraded slots
-		crash  int
-	}
-	seeds := make(chan int64)
-	results := make(chan outcome)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for seed := range seeds {
-				res, err := chaosSeed(seed, *scenFile, *policy, *scale, *slots, *noSkip, sched)
-				o := outcome{seed: seed, err: err}
-				if res != nil {
-					o.faults = res.Degrade.DegradedSlots
-					o.crash = res.SLA.NodeFailures
-				}
-				results <- o
-			}
-		}()
-	}
-	go func() {
-		for i := 0; i < *runs; i++ {
-			seeds <- *baseSeed + int64(i)
-		}
-		close(seeds)
-		wg.Wait()
-		close(results)
-	}()
-
-	var done, failed, degraded, crashes int
-	for o := range results {
-		done++
-		if o.err != nil {
+	var failed, degraded, crashes int
+	for i, o := range chaosSweep(*baseSeed, *runs, *workers, sp, *noSkip) {
+		seed := *baseSeed + int64(i)
+		if o.Err != nil {
 			failed++
-			fmt.Fprintf(os.Stderr, "gmchaos: seed %d: %v\n", o.seed, o.err)
+			fmt.Fprintf(os.Stderr, "gmchaos: seed %d: %v\n", seed, o.Err)
 			continue
 		}
-		crashes += o.crash
-		if o.faults > 0 {
+		res := o.Value.(*core.Result)
+		crashes += res.SLA.NodeFailures
+		if res.Degrade.DegradedSlots > 0 {
 			degraded++
 		}
 		if *verbose {
-			fmt.Printf("seed %d: ok (degraded slots %d, crashes %d)\n", o.seed, o.faults, o.crash)
+			fmt.Printf("seed %d: ok (degraded slots %d, crashes %d)\n", seed, res.Degrade.DegradedSlots, res.SLA.NodeFailures)
 		}
 	}
 	fmt.Printf("gmchaos: %d runs, %d clean, %d failed; %d runs hit degraded mode, %d node crashes total\n",
-		done, done-failed, failed, degraded, crashes)
+		*runs, *runs-failed, failed, degraded, crashes)
 	if failed > 0 {
 		os.Exit(1)
 	}
+}
+
+// runSpec is what every seed of one invocation shares.
+type runSpec struct {
+	scenFile string        // -scenario; "" runs the built-in scenario
+	policy   string        // -policy; "" keeps the scenario's
+	scale    float64       // workload scale of the built-in scenario
+	slots    int           // horizon of a generated fault schedule
+	sched    *fault.Config // -schedule; nil generates one per seed when needed
+}
+
+// chaosScenario builds and compiles the run one seed executes, in batch
+// and -serve mode alike: the scenario file if given, otherwise the
+// built-in 8-node GreenMatch cluster. A -schedule replaces the scenario's
+// faults, legacy crash process included. Without one, a run whose
+// scenario declares no fault process gets a schedule generated from the
+// seed; a scenario that has one keeps it. The faults are part of the
+// returned scenario, so the -serve daemon compiles them in rather than
+// having them injected mid-run, which would change its trace against the
+// batch reference.
+func chaosScenario(seed int64, sp runSpec) (scenario.Scenario, core.Config, error) {
+	sc := scenario.Scenario{
+		Name:          "chaos",
+		Nodes:         8,
+		Objects:       400,
+		WorkloadScale: sp.scale,
+		AreaM2:        40,
+		BatteryKWh:    10,
+		Policy:        "greenmatch",
+		ReadsPerSlot:  50,
+	}
+	if sp.scenFile != "" {
+		var err error
+		if sc, err = scenario.Load(sp.scenFile); err != nil {
+			return scenario.Scenario{}, core.Config{}, err
+		}
+	}
+	sc.Seed = seed
+	if sp.policy != "" {
+		sc.Policy = sp.policy
+	}
+	if sp.sched != nil {
+		sc.Faults, sc.FailureMTBFHours, sc.NodeRepairSlots = sp.sched, 0, 0
+	}
+	cfg, err := sc.Compile()
+	if err != nil || sp.sched != nil || cfg.Faults.Enabled() {
+		return sc, cfg, err
+	}
+	fc := fault.Generate(seed, fault.GenSpec{Slots: sp.slots, Nodes: cfg.Cluster.TotalNodes(), AllowMTBF: true})
+	sc.Faults = &fc
+	cfg, err = sc.Compile()
+	return sc, cfg, err
+}
+
+// chaosSweep runs seeds base, base+1, ... base+runs-1 through chaosSeed on
+// the sweep runner: outcomes come back in seed order, each holding the
+// seed's *core.Result or its error, and a panicking seed becomes that
+// seed's error instead of ending the process.
+func chaosSweep(base int64, runs, workers int, sp runSpec, noSkip bool) []runner.Outcome {
+	jobs := make([]runner.Job, runs)
+	for i := range jobs {
+		seed := base + int64(i)
+		jobs[i] = runner.Job{Label: fmt.Sprintf("seed %d", seed), Run: func() (any, error) {
+			return chaosSeed(seed, sp, noSkip)
+		}}
+	}
+	return runner.Sweep(jobs, runner.Options{Workers: workers})
 }
 
 // chaosSeed executes one seed twice — audited, traced — and returns the
@@ -179,29 +208,10 @@ func main() {
 // full per-slot pipeline, so every seed doubles as a skip-equivalence
 // proof over a random fault schedule; with noSkip both runs take the full
 // pipeline and the comparison degrades to a plain determinism check.
-func chaosSeed(seed int64, scenFile, policy string, scale float64, slots int, noSkip bool, sched *fault.Config) (*core.Result, error) {
-	cfg, err := baseConfig(seed, scenFile, scale)
+func chaosSeed(seed int64, sp runSpec, noSkip bool) (*core.Result, error) {
+	_, cfg, err := chaosScenario(seed, sp)
 	if err != nil {
 		return nil, err
-	}
-	if policy != "" {
-		pol, err := scenario.PolicyFor(policy, 0, "", 0, 0)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Policy = pol
-	}
-	if sched != nil {
-		if err := sched.Validate(cfg.Cluster.TotalNodes()); err != nil {
-			return nil, err
-		}
-		cfg.Faults = *sched
-	} else if !cfg.Faults.Enabled() {
-		cfg.Faults = fault.Generate(seed, fault.GenSpec{
-			Slots:     slots,
-			Nodes:     cfg.Cluster.TotalNodes(),
-			AllowMTBF: true,
-		})
 	}
 	cfg.DisableSlotSkipping = noSkip
 
@@ -245,64 +255,20 @@ func auditedRun(cfg core.Config) (*core.Result, [32]byte, error) {
 	return res, sum, nil
 }
 
-// dumpSchedule generates the fault schedule a seed would run under and
-// writes it as JSON — the exact schedule, inspectable and replayable with
-// -schedule.
-func dumpSchedule(path string, seed int64, scenFile string, scale float64, slots int) error {
-	cfg, err := baseConfig(seed, scenFile, scale)
+// dumpSchedule writes the fault schedule a seed runs under as JSON — the
+// exact schedule, inspectable and replayable with -schedule.
+func dumpSchedule(path string, seed int64, sp runSpec) error {
+	_, cfg, err := chaosScenario(seed, sp)
 	if err != nil {
 		return err
-	}
-	sched := cfg.Faults
-	if !sched.Enabled() {
-		sched = fault.Generate(seed, fault.GenSpec{
-			Slots:     slots,
-			Nodes:     cfg.Cluster.TotalNodes(),
-			AllowMTBF: true,
-		})
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := fault.WriteSchedule(f, sched); err != nil {
+	if err := fault.WriteSchedule(f, cfg.Faults); err != nil {
 		_ = f.Close()
 		return err
 	}
 	return f.Close()
-}
-
-// baseConfig builds the per-seed scenario: the given scenario file, or the
-// built-in small battery-equipped cluster the chaos harness defaults to.
-func baseConfig(seed int64, scenFile string, scale float64) (core.Config, error) {
-	if scenFile != "" {
-		f, err := os.Open(scenFile)
-		if err != nil {
-			return core.Config{}, err
-		}
-		sc, err := scenario.Read(f)
-		_ = f.Close() // read-only handle
-		if err != nil {
-			return core.Config{}, err
-		}
-		sc.Seed = seed
-		return sc.Compile()
-	}
-	cfg := core.DefaultParams()
-	cl := storage.DefaultConfig()
-	cl.Nodes = 8
-	cl.Objects = 400
-	cfg.Cluster = cl
-	gen := workload.Scaled(scale)
-	gen.Seed = seed
-	tr, err := workload.Generate(gen)
-	if err != nil {
-		return core.Config{}, err
-	}
-	cfg.Trace = tr
-	cfg.Green = core.DefaultGreen(40)
-	cfg.BatteryCapacityWh = 10 * units.KilowattHour
-	cfg.ReadsPerSlot = 50
-	cfg.Seed = seed
-	return cfg.ApplyDefaults(), nil
 }

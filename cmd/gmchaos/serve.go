@@ -17,8 +17,6 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/core"
-	"repro/internal/fault"
-	"repro/internal/scenario"
 )
 
 // This file is the live half of the chaos harness: instead of calling the
@@ -30,48 +28,6 @@ import (
 // That closes the loop the in-process recovery tests can't: the journal,
 // checkpoint and audit files survive a real process death, not a
 // simulated one.
-
-// liveScenario builds the declarative scenario one -serve seed runs: the
-// scenario file if given, otherwise the built-in chaos cluster, always
-// with a fault schedule compiled in (live mid-run fault injection would
-// change the trace shape against the reference batch run).
-func liveScenario(seed int64, scenFile, policy string, scale float64, slots int, sched *fault.Config) (scenario.Scenario, error) {
-	var sc scenario.Scenario
-	if scenFile != "" {
-		f, err := os.Open(scenFile)
-		if err != nil {
-			return scenario.Scenario{}, err
-		}
-		sc, err = scenario.Read(f)
-		_ = f.Close() // read-only handle
-		if err != nil {
-			return scenario.Scenario{}, err
-		}
-		sc.Seed = seed
-	} else {
-		sc = scenario.Scenario{
-			Name:          "chaos-live",
-			Seed:          seed,
-			Nodes:         8,
-			Objects:       400,
-			WorkloadScale: scale,
-			AreaM2:        40,
-			BatteryKWh:    10,
-			Policy:        "greenmatch",
-			ReadsPerSlot:  50,
-		}
-	}
-	if policy != "" {
-		sc.Policy = policy
-	}
-	if sched != nil {
-		sc.Faults = sched
-	} else if sc.Faults == nil {
-		fc := fault.Generate(seed, fault.GenSpec{Slots: slots, Nodes: sc.Nodes, AllowMTBF: true})
-		sc.Faults = &fc
-	}
-	return sc, nil
-}
 
 // daemon wraps one gmserve subprocess.
 type daemon struct {
@@ -206,12 +162,8 @@ type serveStatus struct {
 // serveSeed runs one seed of the live chaos harness: reference batch run,
 // daemon replay over HTTP with a SIGKILL mid-replay and a restart, then
 // the byte-identity comparison.
-func serveSeed(seed int64, bin, scenFile, policy string, scale float64, slots int, sched *fault.Config, verbose bool) error {
-	sc, err := liveScenario(seed, scenFile, policy, scale, slots, sched)
-	if err != nil {
-		return err
-	}
-	cfg, err := sc.Compile()
+func serveSeed(seed int64, bin string, sp runSpec, verbose bool) error {
+	sc, cfg, err := chaosScenario(seed, sp)
 	if err != nil {
 		return err
 	}
@@ -254,10 +206,7 @@ func serveSeed(seed int64, bin, scenFile, policy string, scale float64, slots in
 	// SIGKILL the daemon while it is (most likely) mid-slot. Whether the
 	// tick's journal entry landed complete, torn or not at all, recovery
 	// must produce a consistent state the run can resume from.
-	killSlot := slots / 3
-	if killSlot < 2 {
-		killSlot = 2
-	}
+	killSlot := max(sp.slots/3, 2)
 	var st serveStatus
 	for st.NextSlot < killSlot-1 && !st.Drained {
 		if err := d.post("/v1/tick", map[string]any{"to": min(st.NextSlot+8, killSlot-1)}, nil, &st); err != nil {
@@ -320,11 +269,4 @@ func jsonEqual(raw json.RawMessage, v any) bool {
 		return false
 	}
 	return reflect.DeepEqual(a, b)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

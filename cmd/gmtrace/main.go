@@ -182,13 +182,8 @@ func realMain() int {
 func runScenario(w io.Writer, scenFile string, scale float64, format string, doAudit bool, slotCap int) error {
 	sc := scenario.Default()
 	if scenFile != "" {
-		f, err := os.Open(scenFile)
-		if err != nil {
-			return err
-		}
-		sc, err = scenario.Read(f)
-		_ = f.Close() // read-only handle
-		if err != nil {
+		var err error
+		if sc, err = scenario.Load(scenFile); err != nil {
 			return err
 		}
 	}

@@ -13,40 +13,37 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
-	"repro/internal/battery"
 	"repro/internal/core"
-	"repro/internal/forecast"
 	"repro/internal/metrics"
 	"repro/internal/scenario"
 	"repro/internal/solar"
-	"repro/internal/storage"
-	"repro/internal/units"
 	"repro/internal/wind"
-	"repro/internal/workload"
 )
 
 func main() {
+	var rf runFlags
+	flag.StringVar(&rf.policy, "policy", "greenmatch", "scheduling policy: baseline | spindown | defer | greenmatch | mixed | edf | kchoices | cucumber")
+	flag.Float64Var(&rf.fraction, "fraction", 1.0, "defer fraction for defer/mixed policies (0..1]")
+	flag.StringVar(&rf.solver, "solver", "flow", "greenmatch matching solver: flow | greedy")
+	flag.Float64Var(&rf.scale, "scale", 0.25, "workload scale factor, > 0 (1.0 = reference week: 787 web + 3148 batch jobs)")
+	flag.IntVar(&rf.nodes, "nodes", 0, "storage nodes (0 = scale the 30-node reference)")
+	flag.Float64Var(&rf.area, "area", 0, "solar panel area in m^2 (0 = scale the 165.6 m^2 reference)")
+	flag.StringVar(&rf.profile, "profile", "sunny", "weather profile: sunny | mixed | overcast | winter")
+	flag.StringVar(&rf.source, "source", "solar", "renewable source: solar | wind | hybrid")
+	flag.Float64Var(&rf.batteryKWh, "battery-kwh", 0, "ESD nominal capacity in kWh (0 = no ESD)")
+	flag.StringVar(&rf.chemistry, "chemistry", "lithium-ion", "ESD chemistry: lithium-ion | lead-acid")
+	flag.StringVar(&rf.forecaster, "forecast", "perfect", "forecaster: perfect | persistence | ma | ewma")
+	flag.Int64Var(&rf.seed, "seed", 1, "random seed")
+	flag.Float64Var(&rf.mtbf, "failure-mtbf", 0, "node failure MTBF in hours (0 = no failures)")
 	var (
-		policyName = flag.String("policy", "greenmatch", "scheduling policy: baseline | spindown | defer | greenmatch | mixed | edf | kchoices | cucumber")
-		fraction   = flag.Float64("fraction", 1.0, "defer fraction for defer/mixed policies (0..1]")
-		solver     = flag.String("solver", "flow", "greenmatch matching solver: flow | greedy")
-		scale      = flag.Float64("scale", 0.25, "workload scale factor (1.0 = reference week: 787 web + 3148 batch jobs)")
-		nodes      = flag.Int("nodes", 0, "storage nodes (0 = scale the 30-node reference)")
-		area       = flag.Float64("area", 0, "solar panel area in m^2 (0 = scale the 165.6 m^2 reference)")
-		profile    = flag.String("profile", "sunny", "weather profile: sunny | mixed | overcast | winter")
-		source     = flag.String("source", "solar", "renewable source: solar | wind | hybrid")
-		batteryKWh = flag.Float64("battery-kwh", 0, "ESD nominal capacity in kWh (0 = no ESD)")
-		chemistry  = flag.String("chemistry", "lithium-ion", "ESD chemistry: lithium-ion | lead-acid")
-		forecaster = flag.String("forecast", "perfect", "forecaster: perfect | persistence | ma | ewma")
-		seed       = flag.Int64("seed", 1, "random seed")
 		csvOut     = flag.Bool("csv", false, "emit the report as CSV instead of text")
 		jsonOut    = flag.Bool("json", false, "emit the raw result as JSON (machine-readable; includes the series when recorded)")
 		seriesPath = flag.String("series", "", "write the per-slot time series CSV to this file")
 		scenPath   = flag.String("scenario", "", "load the run from a JSON scenario file (overrides the other flags)")
 		saveScen   = flag.String("save-scenario", "", "write the default scenario JSON to this file and exit")
-		mtbf       = flag.Float64("failure-mtbf", 0, "node failure MTBF in hours (0 = no failures)")
 	)
 	flag.Parse()
 
@@ -72,25 +69,13 @@ func main() {
 	var cfg core.Config
 	var err error
 	if *scenPath != "" {
-		f, ferr := os.Open(*scenPath)
-		if ferr != nil {
-			fmt.Fprintln(os.Stderr, "greenmatch:", ferr)
-			os.Exit(2)
+		var scen scenario.Scenario
+		if scen, err = scenario.Load(*scenPath); err == nil {
+			scen.RecordSeries = scen.RecordSeries || *seriesPath != ""
+			cfg, err = scen.Compile()
 		}
-		scen, serr := scenario.Read(f)
-		_ = f.Close() // read-only handle
-		if serr != nil {
-			fmt.Fprintln(os.Stderr, "greenmatch:", serr)
-			os.Exit(2)
-		}
-		scen.RecordSeries = scen.RecordSeries || *seriesPath != ""
-		cfg, err = scen.Compile()
 	} else {
-		cfg, err = buildConfig(*policyName, *fraction, *solver, *scale, *nodes, *area,
-			*profile, *source, *batteryKWh, *chemistry, *forecaster, *seed, *seriesPath != "")
-		if err == nil && *mtbf > 0 {
-			cfg.Faults.CrashMTBFHours = *mtbf
-		}
+		cfg, err = buildConfig(rf, *seriesPath != "")
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "greenmatch:", err)
@@ -124,96 +109,72 @@ func main() {
 	}
 }
 
-func buildConfig(policyName string, fraction float64, solver string, scale float64,
-	nodes int, area float64, profile, source string, batteryKWh float64,
-	chemistry, forecaster string, seed int64, recordSeries bool) (core.Config, error) {
+// runFlags are the flags that describe a run when no -scenario file is given.
+type runFlags struct {
+	policy, solver, profile, source, chemistry, forecaster string
+	fraction, scale, area, batteryKWh, mtbf                float64
+	nodes                                                  int
+	seed                                                   int64
+}
 
-	cfg := core.DefaultParams()
-	cfg.Seed = seed
-	cfg.RecordSeries = recordSeries
+// buildConfig compiles the flag-described run: the reference-week scenario
+// scaled by -scale, with -nodes, -area, -battery-kwh and -failure-mtbf as
+// absolute overrides.
+func buildConfig(f runFlags, recordSeries bool) (core.Config, error) {
+	if !(f.scale > 0) || math.IsInf(f.scale, 1) {
+		return core.Config{}, fmt.Errorf("-scale must be positive and finite, got %v", f.scale)
+	}
+	switch f.source {
+	case "solar", "wind", "hybrid":
+	default:
+		return core.Config{}, fmt.Errorf("unknown source %q", f.source)
+	}
+	sc := scenario.Scenario{
+		Name:             "greenmatch",
+		Seed:             f.seed,
+		Nodes:            30,
+		Objects:          3000,
+		WorkloadScale:    1,
+		AreaM2:           165.6,
+		Profile:          f.profile,
+		Chemistry:        f.chemistry,
+		Policy:           f.policy,
+		Fraction:         f.fraction,
+		Solver:           f.solver,
+		Forecaster:       f.forecaster,
+		ReadsPerSlot:     200,
+		FailureMTBFHours: f.mtbf,
+		RecordSeries:     recordSeries,
+	}.Scaled(f.scale)
+	if f.nodes > 0 {
+		sc.Nodes = f.nodes
+	}
+	if f.area > 0 {
+		sc.AreaM2 = f.area
+	}
+	sc.BatteryKWh = f.batteryKWh
+	cfg, err := sc.Compile()
+	if err != nil || f.source == "solar" {
+		return cfg, err
+	}
 
-	// Cluster.
-	cl := storage.DefaultConfig()
-	if nodes > 0 {
-		cl.Nodes = nodes
+	// Scenario "wind" is the raw farm; here wind carries the solar week's
+	// total energy, so the sources compare at equal supply.
+	sol := cfg.Green.(solar.Series)
+	wcfg := wind.DefaultFarm()
+	wcfg.Slots = sol.Slots()
+	wcfg.Seed = f.seed
+	w, err := wind.Generate(wcfg)
+	if err != nil {
+		return core.Config{}, err
+	}
+	if tot := w.TotalEnergy(1); tot > 0 {
+		w = w.Scale(sol.TotalEnergy(1).Wh() / tot.Wh())
+	}
+	if f.source == "wind" {
+		cfg.Green = w
 	} else {
-		cl.Nodes = maxInt(4, int(30*scale+0.5))
-	}
-	cl.Objects = maxInt(100, int(3000*scale+0.5))
-	cfg.Cluster = cl
-	cfg.ReadsPerSlot = 200 * scale
-
-	// Workload.
-	gen := workload.Scaled(scale)
-	gen.Seed = seed
-	tr, err := workload.Generate(gen)
-	if err != nil {
-		return core.Config{}, err
-	}
-	cfg.Trace = tr
-
-	// Renewable supply.
-	if area <= 0 {
-		area = 165.6 * scale
-	}
-	scfg := solar.DefaultFarm(area)
-	scfg.Profile = solar.Profile(profile)
-	scfg.Slots = 24 * 21
-	scfg.Seed = seed
-	sol, err := solar.Generate(scfg)
-	if err != nil {
-		return core.Config{}, err
-	}
-	switch source {
-	case "solar":
-		cfg.Green = sol
-	case "wind", "hybrid":
-		wcfg := wind.DefaultFarm()
-		wcfg.Slots = scfg.Slots
-		wcfg.Seed = seed
-		w, err := wind.Generate(wcfg)
-		if err != nil {
-			return core.Config{}, err
-		}
-		// Match the solar trace's total energy so sources are comparable.
-		if tot := w.TotalEnergy(1); tot > 0 {
-			w = w.Scale(sol.TotalEnergy(1).Wh() / tot.Wh())
-		}
-		if source == "wind" {
-			cfg.Green = w
-		} else {
-			cfg.Green = wind.Hybrid(sol.Scale(0.5), w.Scale(0.5))
-		}
-	default:
-		return core.Config{}, fmt.Errorf("unknown source %q", source)
-	}
-
-	// ESD.
-	spec, err := battery.SpecFor(battery.Chemistry(chemistry))
-	if err != nil {
-		return core.Config{}, err
-	}
-	cfg.BatterySpec = spec
-	cfg.BatteryCapacityWh = units.Energy(batteryKWh * 1000)
-
-	// Forecaster.
-	switch forecaster {
-	case "perfect":
-		cfg.Forecaster = forecast.Perfect{}
-	case "persistence":
-		cfg.Forecaster = forecast.Persistence{}
-	case "ma":
-		cfg.Forecaster = forecast.MovingAverage{}
-	case "ewma":
-		cfg.Forecaster = forecast.EWMA{}
-	default:
-		return core.Config{}, fmt.Errorf("unknown forecaster %q", forecaster)
-	}
-
-	// Policy.
-	cfg.Policy, err = scenario.PolicyFor(policyName, fraction, solver, 0, 0)
-	if err != nil {
-		return core.Config{}, err
+		cfg.Green = wind.Hybrid(sol.Scale(0.5), w.Scale(0.5))
 	}
 	return cfg, nil
 }
@@ -281,11 +242,4 @@ func writeSeries(res *core.Result, path string) error {
 	// surface only here, and a silently truncated series file poisons every
 	// downstream plot.
 	return f.Close()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

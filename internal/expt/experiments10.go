@@ -31,8 +31,8 @@ func init() {
 func runE21(p Params) ([]*metrics.Table, error) {
 	base := baseScenario(p)
 	nodes := base.Cluster.Nodes
-	hotNodes := maxi(2, int(math.Round(float64(nodes)/3)))
-	coldNodes := maxi(2, nodes-hotNodes)
+	hotNodes := max(2, int(math.Round(float64(nodes)/3)))
+	coldNodes := max(2, nodes-hotNodes)
 
 	layouts := []struct {
 		name  string

@@ -33,7 +33,7 @@ func runE15(p Params) ([]*metrics.Table, error) {
 				cfg.Policy = pol
 				// Sparse layout + uniform popularity: many parkable disks, reads
 				// spread evenly, so the latency tail exposes the spin-down policy.
-				cfg.Cluster.Objects = maxi(60, cfg.Cluster.Objects/5)
+				cfg.Cluster.Objects = max(60, cfg.Cluster.Objects/5)
 				cfg.ZipfTheta = 0.01
 				return cfg
 			},

@@ -175,8 +175,8 @@ const ScarceAreaM2 = 150.0
 func baseScenario(p Params) core.Config {
 	s := p.scale()
 	cl := storage.DefaultConfig()
-	cl.Nodes = maxi(4, int(math.Round(30*s)))
-	cl.Objects = maxi(100, int(math.Round(3000*s)))
+	cl.Nodes = max(4, int(math.Round(30*s)))
+	cl.Objects = max(100, int(math.Round(3000*s)))
 	gen := workload.Scaled(s)
 	gen.Seed = p.seed()
 	cfg := core.DefaultParams()
@@ -225,13 +225,6 @@ func steadyLost(res *core.Result) units.Energy {
 		}
 	}
 	return e
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // kwhGrid builds a battery-capacity grid in Wh: 0..maxKWh step stepKWh,

@@ -44,7 +44,7 @@ func Generate(seed int64, spec GenSpec) Config {
 		switch r.Intn(9) {
 		case 0:
 			ev = Event{Kind: KindCrashStorm, At: at, Duration: 1 + r.Intn(8),
-				Count: 1 + r.Intn(maxInt(1, spec.Nodes/3))}
+				Count: 1 + r.Intn(max(1, spec.Nodes/3))}
 		case 1:
 			ev = Event{Kind: KindNodeCrash, At: at, Duration: 1 + r.Intn(8),
 				Nodes: []int{r.Intn(spec.Nodes)}}
@@ -78,11 +78,4 @@ func Generate(seed int64, spec GenSpec) Config {
 		cfg.Events = append(cfg.Events, ev)
 	}
 	return cfg
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -29,12 +29,7 @@ func TestShippedScenariosCompile(t *testing.T) {
 	for _, e := range entries {
 		e := e
 		t.Run(e.Name(), func(t *testing.T) {
-			f, err := os.Open(filepath.Join(dir, e.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			s, err := Read(f)
+			s, err := Load(filepath.Join(dir, e.Name()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -45,5 +40,11 @@ func TestShippedScenariosCompile(t *testing.T) {
 				t.Fatalf("compile: %v", err)
 			}
 		})
+	}
+}
+
+func TestLoadMissingFile(t *testing.T) {
+	if _, err := Load(filepath.Join(t.TempDir(), "absent.json")); !os.IsNotExist(err) {
+		t.Fatalf("got %v, want a not-exist error", err)
 	}
 }

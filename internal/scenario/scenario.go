@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 
 	"repro/internal/battery"
 	"repro/internal/core"
@@ -136,14 +137,14 @@ func (s Scenario) Scaled(f float64) Scenario {
 	if nodes == 0 {
 		nodes = storage.DefaultConfig().Nodes
 	}
-	s.Nodes = maxi(4, round(nodes))
+	s.Nodes = max(4, round(nodes))
 	objects := s.Objects
 	if objects == 0 {
 		objects = storage.DefaultConfig().Objects
 	}
-	s.Objects = maxi(100, round(objects))
+	s.Objects = max(100, round(objects))
 	if s.HotTierNodes > 0 {
-		s.HotTierNodes = maxi(1, round(s.HotTierNodes))
+		s.HotTierNodes = max(1, round(s.HotTierNodes))
 		if s.HotTierNodes >= s.Nodes {
 			s.HotTierNodes = s.Nodes - 1
 		}
@@ -155,18 +156,11 @@ func (s Scenario) Scaled(f float64) Scenario {
 	s.WorkloadScale = ws * f
 	s.AreaM2 *= f
 	if s.Turbines > 0 {
-		s.Turbines = maxi(1, round(s.Turbines))
+		s.Turbines = max(1, round(s.Turbines))
 	}
 	s.BatteryKWh *= f
 	s.ReadsPerSlot *= f
 	return s
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Read parses a scenario from JSON. Unknown fields are rejected so typos in
@@ -179,6 +173,16 @@ func Read(r io.Reader) (Scenario, error) {
 		return Scenario{}, fmt.Errorf("scenario: %w", err)
 	}
 	return s, nil
+}
+
+// Load reads the scenario file at path (see Read).
+func Load(path string) (Scenario, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return Scenario{}, err
+	}
+	defer f.Close() // read-only handle
+	return Read(f)
 }
 
 // Write serializes the scenario as indented JSON.
