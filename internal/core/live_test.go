@@ -14,6 +14,7 @@ import (
 	"repro/internal/audit"
 	"repro/internal/fault"
 	"repro/internal/power"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -453,7 +454,8 @@ func TestArrivalQueueFIFOTiebreak(t *testing.T) {
 // hours. submitted lists every submission in order. It also adds the
 // keep_mask array those checkpoints carried: the last power plan's
 // per-disk keep flags, which at a slot boundary with no disk wake are
-// exactly the spinning disks of powered nodes.
+// exactly the spinning disks of powered nodes. Those checkpoints also
+// stored one latency sample per read (see parentReads).
 func legacyCheckpoint(t *testing.T, blob []byte, submitted []workload.Job, slotHours float64) []byte {
 	t.Helper()
 	var fields map[string]json.RawMessage
@@ -494,11 +496,152 @@ func legacyCheckpoint(t *testing.T, blob []byte, submitted []workload.Job, slotH
 	if fields["keep_mask"], err = json.Marshal(keep); err != nil {
 		t.Fatal(err)
 	}
+	fields["reads"] = parentReads(t, fields["reads"])
 	out, err := json.Marshal(fields)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// parentReads rewrites a snapshot's reads field into the layout written
+// before latencies were counted: one sample per read in a "latencies"
+// array, here in a shuffled order, beside the running sum.
+func parentReads(t *testing.T, raw json.RawMessage) json.RawMessage {
+	t.Helper()
+	var st storage.ReadModelState
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	samples := []float64{}
+	for i, v := range st.LatencyValues {
+		for range st.LatencyCounts[i] {
+			samples = append(samples, v)
+		}
+	}
+	rand.New(rand.NewSource(int64(len(samples)))).Shuffle(len(samples), func(i, j int) {
+		samples[i], samples[j] = samples[j], samples[i]
+	})
+	out, err := json.Marshal(struct {
+		Draws      uint64    `json:"draws,omitempty"`
+		Latencies  []float64 `json:"latencies"`
+		LatencySum float64   `json:"latency_sum,omitempty"`
+	}{st.Draws, samples, st.LatencySum})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestLiveRestoresParentLatencies restores a checkpoint whose reads field
+// is in the layout written before latencies were counted and requires the
+// run to finish with the batch run's Result and audit trace, whose digests
+// are pinned.
+func TestLiveRestoresParentLatencies(t *testing.T) {
+	const (
+		seed, cut = 1003, 60
+		resSHA    = "417d926b8ce604133a5a3caebb3d57b1766dcc83ba809bd99f08c5ad1b565279"
+		traceSHA  = "524f362036f5b1bc6f5bc285069ae01d3d1361c18f27e153f9f694c5398563c5"
+	)
+	build := func() (Config, *bytes.Buffer) {
+		cfg := chaosConfig(seed)
+		var buf bytes.Buffer
+		cfg.Observer = audit.NewJSONL(&buf)
+		return cfg, &buf
+	}
+	bcfg, bbuf := build()
+	want := run(t, bcfg)
+	if got := sha256Hex(t, want); got != resSHA {
+		t.Errorf("batch Result sha256 = %s, want %s", got, resSHA)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(bbuf.Bytes())); got != traceSHA {
+		t.Errorf("batch audit trace sha256 = %s, want %s", got, traceSHA)
+	}
+
+	cfg, buf := build()
+	l, err := NewLive(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.StepTo(cut); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := l.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(blob, &fields); err != nil {
+		t.Fatal(err)
+	}
+	fields["reads"] = parentReads(t, fields["reads"])
+	if blob, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+	var decoded LiveSnapshot
+	if err := json.Unmarshal(blob, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	if decoded.Reads.LatencyValues != nil || len(decoded.Reads.Latencies) == 0 {
+		t.Fatalf("rewritten reads field is not in the parent layout: %+v", decoded.Reads)
+	}
+	rcfg, rbuf := build()
+	r, err := RestoreLive(rcfg, &decoded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := liveFinalize(t, r)
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("restored result differs from batch run:\nbatch    %+v\nrestored %+v", want, got)
+	}
+	if gotTrace := append(buf.Bytes(), rbuf.Bytes()...); !bytes.Equal(bbuf.Bytes(), gotTrace) {
+		t.Fatalf("restored trace differs from batch run (%d vs %d bytes)", bbuf.Len(), len(gotTrace))
+	}
+}
+
+// TestLiveSnapshotReadsFlat pins that the reads field of a snapshot grows
+// with the distinct latencies, not with the reads served: four times the
+// slots serve about four times the reads, and the field stays the same
+// size up to the digits of its counters.
+func TestLiveSnapshotReadsFlat(t *testing.T) {
+	const k = 40
+	l, err := NewLive(chaosConfig(1003))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := func(to int) (storage.ReadModelState, []byte) {
+		t.Helper()
+		if err := l.StepTo(to); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := l.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(snap.Reads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap.Reads, b
+	}
+	n := func(st storage.ReadModelState) (total int) {
+		for _, c := range st.LatencyCounts {
+			total += c
+		}
+		return total
+	}
+	before, bb := reads(k - 1)
+	after, ab := reads(4*k - 1)
+	if n(before) == 0 || n(after) < 3*n(before) {
+		t.Fatalf("served %d reads in %d slots and %d in %d", n(before), k, n(after), 4*k)
+	}
+	if len(after.LatencyValues) != len(before.LatencyValues) || len(ab) > len(bb)+16 {
+		t.Fatalf("reads field grew from %d B (%s) to %d B (%s)", len(bb), bb, len(ab), ab)
+	}
 }
 
 // sha256Hex digests v's JSON encoding.

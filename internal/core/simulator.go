@@ -232,7 +232,6 @@ func New(cfg Config) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	reads.Latencies = &stats.Distribution{}
 	s := &Simulator{
 		cfg:     cfg,
 		cluster: cluster,

@@ -59,7 +59,8 @@ const (
 
 // writeCheckpoint atomically persists a checkpoint under dir: the new file
 // is written to a temp name, synced, and renamed into place, with the
-// previous checkpoint kept as a fallback for recovery.
+// previous checkpoint kept as a fallback for recovery. The directory is
+// synced last, so the renames themselves survive a power loss.
 func writeCheckpoint(dir string, cp Checkpoint) error {
 	payload, err := json.Marshal(cp)
 	if err != nil {
@@ -96,6 +97,16 @@ func writeCheckpoint(dir string, cp Checkpoint) error {
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("serve: installing checkpoint: %w", err)
+	}
+	d, err := os.Open(dir)
+	if err == nil {
+		err = d.Sync()
+		if cerr := d.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("serve: syncing state dir: %w", err)
 	}
 	return nil
 }

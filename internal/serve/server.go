@@ -3,7 +3,9 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -138,14 +140,31 @@ func writeJSON(w http.ResponseWriter, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// maxRequestBody bounds a request body; a larger one is refused with 413.
+const maxRequestBody = 1 << 20
+
+// decodeJSON decodes a request body holding exactly one JSON value,
+// answering 413 for a body over maxRequestBody and 400 for anything else it
+// refuses, data after the value included.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	err := dec.Decode(v)
+	if err == nil {
+		var extra json.RawMessage
+		if err = dec.Decode(&extra); err == io.EOF {
+			return true
+		}
+		if err == nil {
+			err = errors.New("data after the JSON value")
+		}
+	}
+	if tooBig := new(http.MaxBytesError); errors.As(err, &tooBig) {
+		http.Error(w, fmt.Sprintf("request body over %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
 		return false
 	}
-	return true
+	http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	return false
 }
 
 // Handler returns the service's HTTP routes.

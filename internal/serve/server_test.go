@@ -421,3 +421,140 @@ func TestServerSubmitOverHTTPRecovery(t *testing.T) {
 		t.Fatal("recovered result differs from uninterrupted run")
 	}
 }
+
+// postRaw posts body verbatim and returns the status code.
+func postRaw(t *testing.T, url, body string) int {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// initServer starts an HTTP server over a fresh state directory and
+// initializes it with a small scenario.
+func initServer(t *testing.T) *httptest.Server {
+	t.Helper()
+	_, ts := newTestServer(t, t.TempDir(), ServerOptions{})
+	if resp, body := postJSON(t, ts.URL+"/v1/init", InitRequest{Scenario: testScenario(603, false)}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("init: %d %s", resp.StatusCode, body)
+	}
+	return ts
+}
+
+// appliedSeq reads the last applied journal sequence number over HTTP.
+func appliedSeq(t *testing.T, ts *httptest.Server) uint64 {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st Status
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st.AppliedSeq
+}
+
+// TestServerRejectsTrailingData pins that a body holds exactly one JSON
+// value: anything after it but whitespace is a 400, and the request is not
+// applied.
+func TestServerRejectsTrailingData(t *testing.T) {
+	ts := initServer(t)
+	for _, body := range []string{`{"to":3} junk`, `{"to":3}{"to":4}`, `{"to":3} {}`, `{"to":3}]`, `{"to":3} 7`} {
+		if code := postRaw(t, ts.URL+"/v1/tick", body); code != http.StatusBadRequest {
+			t.Errorf("tick %q returned %d, want 400", body, code)
+		}
+	}
+	if seq := appliedSeq(t, ts); seq != 1 {
+		t.Fatalf("refused ticks were journaled: applied seq %d, want 1 (the init)", seq)
+	}
+	if code := postRaw(t, ts.URL+"/v1/tick", "{\"to\":3} \r\n\t "); code != http.StatusOK {
+		t.Fatalf("tick with trailing whitespace returned %d, want 200", code)
+	}
+	if seq := appliedSeq(t, ts); seq != 2 {
+		t.Fatalf("tick with trailing whitespace not journaled: applied seq %d, want 2", seq)
+	}
+}
+
+// TestServerRejectsOversizedBody pins the request body bound: one byte
+// over maxRequestBody is a 413 and is not applied, a body of exactly the
+// bound is decoded as usual.
+func TestServerRejectsOversizedBody(t *testing.T) {
+	ts := initServer(t)
+	padded := func(n int) string {
+		const head, tail = `{"to":`, `3}`
+		return head + strings.Repeat(" ", n-len(head)-len(tail)) + tail
+	}
+	for _, route := range []string{"/v1/tick", "/v1/jobs", "/v1/supply"} {
+		if code := postRaw(t, ts.URL+route, padded(maxRequestBody+1)); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a %d-byte body returned %d, want 413", route, maxRequestBody+1, code)
+		}
+	}
+	if seq := appliedSeq(t, ts); seq != 1 {
+		t.Fatalf("oversized requests were journaled: applied seq %d, want 1 (the init)", seq)
+	}
+	if code := postRaw(t, ts.URL+"/v1/tick", padded(maxRequestBody)); code != http.StatusOK {
+		t.Fatalf("tick with a %d-byte body returned %d, want 200", maxRequestBody, code)
+	}
+	if seq := appliedSeq(t, ts); seq != 2 {
+		t.Fatalf("tick with a %d-byte body not journaled: applied seq %d, want 2", maxRequestBody, seq)
+	}
+}
+
+// FuzzHandlers posts arbitrary bodies to the POST routes of a freshly
+// initialized server. No body may panic a handler, every answer must be a
+// status the API documents, and the server must still answer /v1/status.
+// The server is initialized first, so a fuzzed /v1/init is refused before
+// it compiles a scenario of arbitrary size.
+func FuzzHandlers(f *testing.F) {
+	routes := []string{"/v1/init", "/v1/jobs", "/v1/tick", "/v1/fault", "/v1/supply", "/v1/finalize", "/v1/checkpoint"}
+	job, err := json.Marshal(SubmitRequest{Job: workload.Job{ID: 7, Class: workload.Batch, Submit: 2, Duration: 2, Deadline: 30, CPU: 1, RAMGB: 1}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	fault, err := json.Marshal(FaultRequest{Event: faultEvent(20)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i, body := range []string{`{"scenario":{}}`, string(job), `{"to":12}`, string(fault), `{"slot":9,"watts":120.5}`, ``, `null`} {
+		f.Add(uint8(i), []byte(body))
+	}
+	for _, body := range []string{``, `{}`, `null`, `[]`, `{"to":3} junk`, `{"to":1e400}`, `{"to":-9}`, `{"job":{"id":-1}}`,
+		`{"event":{"kind":"node-crash","at":5,"nodes":[99]}}`, `{"slot":3,"watts":-1}`, `{"to":"3"}`, "\x00", `{"to":3,"to":4}`} {
+		f.Add(uint8(2), []byte(body))
+		f.Add(uint8(1), []byte(body))
+	}
+	f.Fuzz(func(t *testing.T, route uint8, body []byte) {
+		r, err := Open(t.TempDir(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Init(InitRequest{Scenario: testScenario(604, false)}); err != nil {
+			t.Fatal(err)
+		}
+		s := NewServer(r, ServerOptions{})
+		defer func() {
+			if err := s.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}()
+		h := s.Handler()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, routes[int(route)%len(routes)], bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusMethodNotAllowed, http.StatusRequestEntityTooLarge,
+			http.StatusUnprocessableEntity, http.StatusTooManyRequests, http.StatusServiceUnavailable:
+		default:
+			t.Fatalf("%s %q returned %d: %s", routes[int(route)%len(routes)], body, rec.Code, rec.Body)
+		}
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/status", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("/v1/status returned %d after %s %q", rec.Code, routes[int(route)%len(routes)], body)
+		}
+	})
+}

@@ -1,49 +1,79 @@
 // Package stats provides the small descriptive-statistics toolkit the
-// simulator's service-quality reporting uses: an accumulating sample
-// distribution with exact percentiles (nearest-rank on the sorted sample)
-// and fixed-bucket histograms.
+// simulator's service-quality reporting uses: a counted distribution with
+// exact nearest-rank percentiles, whose size grows with the number of
+// distinct observations rather than with the number of observations.
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
-// Distribution accumulates float64 observations. The zero value is ready
-// to use. Not safe for concurrent use.
+// Distribution accumulates float64 observations in counted form: each
+// distinct value (by bit pattern) once, in ascending order, with the number
+// of times it was added, plus the running sum. The zero value is ready to
+// use. Not safe for concurrent use.
 //
 //gm:statemirror State RestoreState
 type Distribution struct {
 	values []float64
-	sorted bool //gm:ephemeral derived flag; canonical order is re-derived on demand
+	counts []int
 	sum    float64
 }
 
-// Add records one observation.
+// order sorts values ascending as sort.Float64s does (NaNs first) and
+// breaks ties between distinct bit patterns of one value by their signed
+// bits, which puts -0 before +0.
+func order(a, b float64) int {
+	if c := cmp.Compare(a, b); c != 0 {
+		return c
+	}
+	return cmp.Compare(int64(math.Float64bits(a)), int64(math.Float64bits(b)))
+}
+
+// Add records one observation. It allocates only for a value it has not
+// seen before. A seen value is found by a scan of the distinct values,
+// which for the few distinct latencies a read model produces is several
+// times faster than a binary search through order.
 func (d *Distribution) Add(v float64) {
-	d.values = append(d.values, v)
-	d.sorted = false
 	d.sum += v
+	bits := math.Float64bits(v)
+	for i, u := range d.values {
+		if math.Float64bits(u) == bits {
+			d.counts[i]++
+			return
+		}
+	}
+	i, _ := slices.BinarySearchFunc(d.values, v, order)
+	d.values = slices.Insert(d.values, i, v)
+	d.counts = slices.Insert(d.counts, i, 1)
 }
 
 // N returns the number of observations.
-func (d *Distribution) N() int { return len(d.values) }
+func (d *Distribution) N() int {
+	n := 0
+	for _, c := range d.counts {
+		n += c
+	}
+	return n
+}
 
 // Sum returns the total of all observations.
 func (d *Distribution) Sum() float64 { return d.sum }
 
 // Mean returns the arithmetic mean (0 for an empty distribution).
 func (d *Distribution) Mean() float64 {
-	if len(d.values) == 0 {
+	n := d.N()
+	if n == 0 {
 		return 0
 	}
-	return d.sum / float64(len(d.values))
+	return d.sum / float64(n)
 }
 
 // Min returns the smallest observation (0 when empty).
 func (d *Distribution) Min() float64 {
-	d.ensureSorted()
 	if len(d.values) == 0 {
 		return 0
 	}
@@ -52,7 +82,6 @@ func (d *Distribution) Min() float64 {
 
 // Max returns the largest observation (0 when empty).
 func (d *Distribution) Max() float64 {
-	d.ensureSorted()
 	if len(d.values) == 0 {
 		return 0
 	}
@@ -66,41 +95,17 @@ func (d *Distribution) Percentile(p float64) float64 {
 	if p < 0 || p > 100 {
 		panic(fmt.Sprintf("stats: percentile %v outside [0,100]", p))
 	}
-	d.ensureSorted()
-	n := len(d.values)
+	n := d.N()
 	if n == 0 {
 		return 0
 	}
-	if p == 0 {
-		return d.values[0]
-	}
-	rank := int(math.Ceil(p / 100 * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > n {
-		rank = n
-	}
-	return d.values[rank-1]
-}
-
-// Histogram counts observations per bucket. Boundaries must be ascending;
-// the result has len(bounds)+1 entries: (-inf, b0], (b0, b1], ...,
-// (b_last, +inf).
-func (d *Distribution) Histogram(bounds []float64) ([]int, error) {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			return nil, fmt.Errorf("stats: histogram bounds not ascending at %d", i)
+	rank := min(max(int(math.Ceil(p/100*float64(n))), 1), n)
+	for i, c := range d.counts {
+		if rank -= c; rank <= 0 {
+			return d.values[i]
 		}
 	}
-	counts := make([]int, len(bounds)+1)
-	for _, v := range d.values {
-		// The bucket index is the number of bounds strictly below v, which
-		// is exactly what SearchFloat64s (first index with bounds[i] >= v)
-		// returns.
-		counts[sort.SearchFloat64s(bounds, v)]++
-	}
-	return counts, nil
+	panic("unreachable: rank is at most N")
 }
 
 // Summary is a compact fixed-size digest of a distribution.
@@ -125,26 +130,17 @@ func (d *Distribution) Summarize() Summary {
 	}
 }
 
-// State returns a copy of the observations in their current internal order
-// plus the running sum, a complete serialization of the distribution.
-// Capturing the order (rather than a canonical sorted form) matters because
-// Mean divides the incrementally accumulated sum: restoring values and sum
-// verbatim keeps every later statistic bit-identical to an uninterrupted
-// accumulation.
-func (d *Distribution) State() (values []float64, sum float64) {
-	return append([]float64(nil), d.values...), d.sum
+// State returns copies of the distinct values (ascending) and their counts
+// plus the running sum, a complete serialization of the distribution. The
+// sum is carried as accumulated, not recomputed from the counts, so Mean
+// after a restore stays bit-identical to an uninterrupted accumulation.
+func (d *Distribution) State() (values []float64, counts []int, sum float64) {
+	return slices.Clone(d.values), slices.Clone(d.counts), d.sum
 }
 
 // RestoreState overwrites the distribution with a snapshot taken by State.
-func (d *Distribution) RestoreState(values []float64, sum float64) {
+func (d *Distribution) RestoreState(values []float64, counts []int, sum float64) {
 	d.values = append(d.values[:0], values...)
-	d.sorted = false
+	d.counts = append(d.counts[:0], counts...)
 	d.sum = sum
-}
-
-func (d *Distribution) ensureSorted() {
-	if !d.sorted {
-		sort.Float64s(d.values)
-		d.sorted = true
-	}
 }

@@ -22,9 +22,9 @@ type ReadModel struct {
 	// BaseLatencyMs is the service latency of a warm read (default 8 ms,
 	// a 7200 rpm seek+rotate+transfer budget).
 	BaseLatencyMs float64 //gm:ephemeral configuration, not state
-	// Latencies, when non-nil, receives one per-read latency sample in
-	// milliseconds (cold reads include the spin-up wait).
-	Latencies *stats.Distribution
+	// Latencies counts the latency of every served read in milliseconds
+	// (cold reads include the spin-up wait).
+	Latencies stats.Distribution
 
 	zipf   *rng.Zipf //gm:ephemeral rebuilt from the restored stream; position is determined by Draws
 	stream *rng.Stream
@@ -111,13 +111,11 @@ func (m *ReadModel) Step(c *Cluster) SlotReadResult {
 		}
 		served.Stats.Reads++
 		served.MarkBusy()
-		if m.Latencies != nil {
-			lat := m.BaseLatencyMs
-			if cold {
-				lat += served.Profile.SpinUpSeconds * 1000
-			}
-			m.Latencies.Add(lat)
+		lat := m.BaseLatencyMs
+		if cold {
+			lat += served.Profile.SpinUpSeconds * 1000
 		}
+		m.Latencies.Add(lat)
 	}
 	return res
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/power"
 	"repro/internal/rng"
+	"repro/internal/stats"
 	"repro/internal/units"
 )
 
@@ -102,14 +103,19 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 }
 
 // ReadModelState is the read model's mutable state: the RNG stream position
-// plus the latency sample, if one is attached.
+// plus the latency distribution in counted form.
 type ReadModelState struct {
 	// Draws is the stream position (rng.Stream.Draws).
 	Draws uint64 `json:"draws,omitempty"`
-	// Latencies and LatencySum serialize the attached latency
-	// distribution; Latencies is nil when none is attached.
-	Latencies  LatencySamples `json:"latencies,omitempty"`
-	LatencySum float64        `json:"latency_sum,omitempty"`
+	// LatencyValues, LatencyCounts and LatencySum serialize the latency
+	// distribution (stats.Distribution.State).
+	LatencyValues []float64 `json:"latency_values,omitempty"`
+	LatencyCounts []int     `json:"latency_counts,omitempty"`
+	LatencySum    float64   `json:"latency_sum,omitempty"`
+	// Latencies is the layout of checkpoints written before the counted
+	// form: one sample per read. State never sets it; RestoreState folds it
+	// into counts.
+	Latencies []float64 `json:"latencies,omitempty"`
 }
 
 // State captures the read model's mutable state for checkpointing.
@@ -118,14 +124,7 @@ func (m *ReadModel) State() ReadModelState {
 	if m.stream != nil {
 		st.Draws = m.stream.Draws()
 	}
-	if m.Latencies != nil {
-		st.Latencies, st.LatencySum = m.Latencies.State()
-		if st.Latencies == nil {
-			// Keep an attached-but-empty distribution distinguishable from
-			// "no distribution" across the JSON round trip.
-			st.Latencies = []float64{}
-		}
-	}
+	st.LatencyValues, st.LatencyCounts, st.LatencySum = m.Latencies.State()
 	return st
 }
 
@@ -136,7 +135,12 @@ func (m *ReadModel) RestoreState(seed int64, st ReadModelState) {
 		m.stream = rng.Restore(seed, "storage-reads", st.Draws)
 		m.zipf = rng.NewZipf(m.stream, m.zipf.N(), m.Theta)
 	}
-	if m.Latencies != nil && st.Latencies != nil {
-		m.Latencies.RestoreState(st.Latencies, st.LatencySum)
+	if st.Latencies != nil {
+		var folded stats.Distribution
+		for _, v := range st.Latencies {
+			folded.Add(v)
+		}
+		st.LatencyValues, st.LatencyCounts, _ = folded.State()
 	}
+	m.Latencies.RestoreState(st.LatencyValues, st.LatencyCounts, st.LatencySum)
 }

@@ -1,6 +1,10 @@
 package storage
 
 import (
+	"encoding/json"
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -439,6 +443,58 @@ func TestReadModelZeroRate(t *testing.T) {
 	}
 	if _, err := NewReadModel(c, -1, 0.9, 7); err == nil {
 		t.Error("negative rate should error")
+	}
+}
+
+// TestReadModelStateCounted checks the checkpoint layout of the latency
+// distribution on a run with warm and cold reads: the counted form
+// round-trips, and the layout written before it (one sample per read, in
+// any order) folds into the same counts with the recorded sum.
+func TestReadModelStateCounted(t *testing.T) {
+	c := MustNewCluster(smallConfig())
+	for _, n := range c.Nodes() {
+		for _, d := range n.Disks {
+			d.SpinDown()
+		}
+	}
+	m, _ := NewReadModel(c, 100, 0.9, 7)
+	var reads, cold int
+	for slot := 0; slot < 3; slot++ {
+		res := m.Step(c)
+		reads += res.Reads - res.Unserviceable
+		cold += res.ColdReads
+	}
+	st := m.State()
+	b, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf(`{"draws":%d,"latency_values":[8,10008],"latency_counts":[%d,%d],"latency_sum":%v}`,
+		st.Draws, reads-cold, cold, st.LatencySum)
+	if cold == 0 || string(b) != want {
+		t.Fatalf("state %s, want %s", b, want)
+	}
+
+	restore := func(blob string) ReadModelState {
+		t.Helper()
+		var in ReadModelState
+		if err := json.Unmarshal([]byte(blob), &in); err != nil {
+			t.Fatal(err)
+		}
+		r, _ := NewReadModel(MustNewCluster(smallConfig()), 100, 0.9, 7)
+		r.RestoreState(7, in)
+		return r.State()
+	}
+	if got := restore(string(b)); !reflect.DeepEqual(got, st) {
+		t.Fatalf("round trip gave %+v, want %+v", got, st)
+	}
+	samples := strings.Split(strings.Repeat("8,", reads-1)+"8", ",")
+	for i := 0; i < cold; i++ {
+		samples[i*(reads/cold)] = "10008" // cold reads spread among warm ones
+	}
+	legacy := fmt.Sprintf(`{"draws":%d,"latencies":[%s],"latency_sum":%v}`, st.Draws, strings.Join(samples, ","), st.LatencySum)
+	if got := restore(legacy); !reflect.DeepEqual(got, st) {
+		t.Fatalf("parent layout folded to %+v, want %+v", got, st)
 	}
 }
 
