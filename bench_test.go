@@ -227,14 +227,38 @@ func BenchmarkFFDPlace200Jobs(b *testing.B) {
 	}
 }
 
+// BenchmarkSolarGenerate times a 40,000-slot PV trace, the batch-sparse
+// horizon, where the clear-sky table reuses the first year's values. The
+// trace's total energy in Wh is the result canary.
+func BenchmarkSolarGenerate(b *testing.B) {
+	cfg := solar.DefaultFarm(165.6)
+	cfg.Slots = 40000
+	var s solar.Series
+	var err error
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if s, err = solar.Generate(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(s.TotalEnergy(cfg.SlotHours).Wh(), "result")
+}
+
+// BenchmarkMinimalCover times the greedy replica cover of the reference
+// cluster; the cover's size is the result canary.
 func BenchmarkMinimalCover(b *testing.B) {
 	cl := storage.MustNewCluster(storage.DefaultConfig())
+	var cover []storage.DiskID
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(cl.MinimalCover()) == 0 {
+		if cover = cl.MinimalCover(); len(cover) == 0 {
 			b.Fatal("empty cover")
 		}
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(len(cover)), "result")
 }
 
 func benchInstance(n, m int) match.Instance {

@@ -26,12 +26,7 @@ func (ClearSky) Name() string { return "clearsky" }
 
 // clearSkyPower returns the farm's deterministic production for a slot.
 func (c ClearSky) clearSkyPower(slot int) units.Power {
-	hourOfSim := (float64(slot) + 0.5) * c.Farm.SlotHours
-	day := c.Farm.StartDayOfYear + int(hourOfSim)/24
-	for day > 365 {
-		day -= 365
-	}
-	hourOfDay := hourOfSim - 24*float64(int(hourOfSim)/24)
+	day, hourOfDay := c.Farm.SlotTime(slot)
 	irr := solar.ClearSkyIrradiance(c.Farm.LatitudeDeg, day, hourOfDay)
 	return c.Farm.Panel.Output(irr)
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"repro/internal/units"
@@ -97,9 +98,38 @@ func DefaultFarm(areaM2 float64) FarmConfig {
 	}
 }
 
+// SlotTime returns the day of year and the local solar hour at slot's
+// midpoint: the inputs of its clear-sky irradiance. Days past 365 wrap to
+// the next year.
+func (cfg FarmConfig) SlotTime(slot int) (day int, hourOfDay float64) {
+	hourOfSim := (float64(slot) + 0.5) * cfg.SlotHours
+	day = cfg.StartDayOfYear + int(hourOfSim)/24
+	for day > 365 {
+		day -= 365
+	}
+	hourOfDay = hourOfSim - 24*float64(int(hourOfSim)/24)
+	return day, hourOfDay
+}
+
+// clearSkyEntry remembers one clear-sky evaluation by its exact inputs.
+type clearSkyEntry struct {
+	set  bool
+	day  int
+	hour uint64 // math.Float64bits of the local solar hour
+	irr  float64
+}
+
 // Generate produces the per-slot power trace for the farm. Each slot's
 // irradiance is evaluated at the slot midpoint, attenuated by one weather
 // step, and converted by the panel model.
+//
+// A year has int(365*24/SlotHours) slots, and a slot one year later
+// usually has the same (day, hour) inputs. Horizons longer than a year
+// therefore remember each clear-sky value at its slot's index modulo that
+// period, and a later slot reuses it only when its day and the bits of its
+// hour equal the remembered ones. The value is a pure function of those
+// inputs, so the trace is bit-identical to evaluating every slot, for any
+// SlotHours.
 func Generate(cfg FarmConfig) (Series, error) {
 	if err := cfg.Panel.Validate(); err != nil {
 		return nil, err
@@ -114,15 +144,24 @@ func Generate(cfg FarmConfig) (Series, error) {
 	if err != nil {
 		return nil, err
 	}
+	var year []clearSkyEntry
+	if period := int(365 * 24 / cfg.SlotHours); period > 0 && cfg.Slots > period {
+		year = make([]clearSkyEntry, period)
+	}
 	out := make(Series, cfg.Slots)
-	for i := 0; i < cfg.Slots; i++ {
-		hourOfSim := (float64(i) + 0.5) * cfg.SlotHours
-		day := cfg.StartDayOfYear + int(hourOfSim)/24
-		for day > 365 {
-			day -= 365
+	for i := range out {
+		day, hourOfDay := cfg.SlotTime(i)
+		var irr float64
+		if year == nil {
+			irr = ClearSkyIrradiance(cfg.LatitudeDeg, day, hourOfDay)
+		} else {
+			e := &year[i%len(year)]
+			hour := math.Float64bits(hourOfDay)
+			if !e.set || e.day != day || e.hour != hour {
+				*e = clearSkyEntry{true, day, hour, ClearSkyIrradiance(cfg.LatitudeDeg, day, hourOfDay)}
+			}
+			irr = e.irr
 		}
-		hourOfDay := hourOfSim - 24*float64(int(hourOfSim)/24)
-		irr := ClearSkyIrradiance(cfg.LatitudeDeg, day, hourOfDay)
 		att := weather.Step()
 		out[i] = cfg.Panel.Output(irr * att)
 	}

@@ -320,3 +320,76 @@ func TestSeriesImplementsProvider(t *testing.T) {
 	var _ Provider = MustGenerate(DefaultFarm(10))
 	_ = units.Power(0)
 }
+
+// generateReference is Generate without the clear-sky table: every slot
+// evaluates its irradiance afresh. It is the reference the table must
+// reproduce bit for bit.
+func generateReference(cfg FarmConfig) Series {
+	weather, err := NewWeather(cfg.Profile, cfg.Seed)
+	if err != nil {
+		panic(err)
+	}
+	out := make(Series, cfg.Slots)
+	for i := 0; i < cfg.Slots; i++ {
+		hourOfSim := (float64(i) + 0.5) * cfg.SlotHours
+		day := cfg.StartDayOfYear + int(hourOfSim)/24
+		for day > 365 {
+			day -= 365
+		}
+		hourOfDay := hourOfSim - 24*float64(int(hourOfSim)/24)
+		irr := ClearSkyIrradiance(cfg.LatitudeDeg, day, hourOfDay)
+		att := weather.Step()
+		out[i] = cfg.Panel.Output(irr * att)
+	}
+	return out
+}
+
+// TestGenerateMatchesReference requires the clear-sky table to leave every
+// trace bit-identical: slot lengths that divide an hour, that do not (0.3)
+// and that exceed one (7); horizons just under a week, exactly one year of
+// hourly slots, one slot past it and the batch-sparse horizon; and start
+// days at the year's start, midsummer and its last day, where the wrap
+// falls early.
+func TestGenerateMatchesReference(t *testing.T) {
+	profiles := []Profile{ProfileSunny, ProfileMixed, ProfileOvercast, ProfileWinter}
+	for _, slotHours := range []float64{1, 0.5, 0.25, 0.3, 7} {
+		for _, slots := range []int{167, 8760, 8761, 40000} {
+			for _, start := range []int{1, 173, 365} {
+				for _, p := range profiles {
+					cfg := DefaultFarm(165.6)
+					cfg.SlotHours, cfg.Slots, cfg.StartDayOfYear, cfg.Profile = slotHours, slots, start, p
+					got := MustGenerate(cfg)
+					want := generateReference(cfg)
+					for i := range want {
+						if math.Float64bits(got[i].Watts()) != math.Float64bits(want[i].Watts()) {
+							t.Fatalf("slotHours=%v slots=%d start=%d %s: slot %d = %v, reference %v",
+								slotHours, slots, start, p, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSlotTime pins the slot clock Generate and the clear-sky forecaster
+// share: slot midpoints, the day boundary and the year wrap.
+func TestSlotTime(t *testing.T) {
+	cfg := DefaultFarm(10)
+	cfg.StartDayOfYear = 365
+	for _, c := range []struct {
+		slot int
+		day  int
+		hour float64
+	}{
+		{0, 365, 0.5},
+		{23, 365, 23.5},
+		{24, 1, 0.5},
+		{24 * 366, 1, 0.5},
+	} {
+		day, hour := cfg.SlotTime(c.slot)
+		if day != c.day || hour != c.hour {
+			t.Errorf("SlotTime(%d) = (%d, %v), want (%d, %v)", c.slot, day, hour, c.day, c.hour)
+		}
+	}
+}

@@ -155,8 +155,9 @@ type Node struct {
 type Cluster struct {
 	cfg       Config //gm:ephemeral configuration, re-supplied by NewCluster at restore
 	nodes     []*Node
-	placement [][]DiskID // object id -> replica disk ids //gm:ephemeral pure function of Config (deterministic rendezvous hash)
-	cov       coverMemo  //gm:ephemeral coverage memo, a pure function of fleet state; a restored cluster starts cold
+	placement [][]DiskID   // object id -> replica disk ids //gm:ephemeral pure function of Config (deterministic rendezvous hash)
+	cov       coverMemo    //gm:ephemeral coverage memo, a pure function of fleet state; a restored cluster starts cold
+	setCover  coverScratch //gm:ephemeral set-cover scratch, overwritten by every cover call
 }
 
 // NewCluster builds a cluster with every node powered on, all disks idle,
@@ -203,6 +204,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	c.placeObjects()
 	words := (c.TotalDisks() + 63) / 64
 	c.cov = coverMemo{live: make([]uint64, words), cover: make([]uint64, words)}
+	c.setCover = c.newCoverScratch()
 	return c, nil
 }
 

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"math/bits"
-	"sort"
 
 	"repro/internal/units"
 )
@@ -154,99 +153,197 @@ func (c *Cluster) replicaIn(obj int, a, b []uint64) int {
 	return -1
 }
 
-// uncoveredOn is the set-cover pre-pass over the nodes allowed admits. It
-// marks every object with a replica on such a node as uncovered and counts
-// those objects (remaining) and the ones with no replica there
-// (uncoverable). Objects without replicas count as neither.
-func (c *Cluster) uncoveredOn(allowed func(n *Node) bool) (uncovered []bool, remaining, uncoverable int) {
-	uncovered = make([]bool, len(c.placement))
+// coverScratch is the set-cover working memory. NewCluster sizes it and
+// every cover call overwrites it, so a warm call allocates only the cover
+// it returns, and cover calls on one cluster must not run concurrently.
+type coverScratch struct {
+	admit     []bool       // node id -> the cover may use the node
+	uncovered []bool       // object id -> not yet covered
+	heap      []coverEntry // candidate disks, a binary heap in coverLess order
+	picked    []uint64     // bitset of the chosen disks' flat indices
+}
+
+// coverEntry is a candidate disk and an upper bound on its coverage gain:
+// the gain when the entry was last keyed, which only falls as objects get
+// covered.
+type coverEntry struct {
+	gain int32
+	disk int32 // flat index node*DisksPerNode + disk
+}
+
+// newCoverScratch sizes the set-cover scratch for c.
+func (c *Cluster) newCoverScratch() coverScratch {
+	return coverScratch{
+		admit:     make([]bool, len(c.nodes)),
+		uncovered: make([]bool, len(c.placement)),
+		heap:      make([]coverEntry, 0, c.TotalDisks()),
+		picked:    make([]uint64, (c.TotalDisks()+63)/64),
+	}
+}
+
+// uncoveredOn is the set-cover pre-pass over the nodes set in admit. It
+// marks every object with a replica on such a node as uncovered in the
+// scratch mask and counts those objects (remaining) and the ones with no
+// replica there (uncoverable). Objects without replicas count as neither.
+func (c *Cluster) uncoveredOn(admit []bool) (remaining, uncoverable int) {
+	uncovered := c.setCover.uncovered
 	for obj, reps := range c.placement {
-		if len(reps) == 0 {
-			continue
-		}
 		has := false
 		for _, id := range reps {
-			if allowed(c.nodes[id.Node]) {
+			if admit[id.Node] {
 				has = true
 				break
 			}
 		}
-		if !has {
+		uncovered[obj] = has
+		switch {
+		case has:
+			remaining++
+		case len(reps) > 0:
 			uncoverable++
-			continue
 		}
-		uncovered[obj] = true
-		remaining++
 	}
-	return uncovered, remaining, uncoverable
+	return remaining, uncoverable
 }
 
 // pickCover runs the classic greedy set-cover heuristic (ln n
-// approximation) over the disks of the nodes allowed admits: repeatedly
-// take the disk covering the most still-uncovered objects, ties broken on
+// approximation) over the disks of the nodes set in admit: repeatedly take
+// the disk covering the most still-uncovered objects, ties broken on
 // lowest DiskID for determinism, until the remaining objects are covered.
-// uncovered and remaining come from uncoveredOn, so every uncovered object
-// has a replica on some admitted disk. The returned slice is sorted by
-// DiskID.
+// The uncovered mask and remaining come from uncoveredOn, so every
+// uncovered object has a replica on some admitted disk. The returned slice
+// is sorted by DiskID.
 //
-// The implementation is deliberately allocation-light — a []bool uncovered
-// mask and integer counters — because the simulator calls it once per slot
-// on clusters with hundreds of disks and thousands of objects.
-func (c *Cluster) pickCover(allowed func(n *Node) bool, uncovered []bool, remaining int) []DiskID {
-	var chosen []DiskID
-	for remaining > 0 {
-		var best *Disk
-		bestGain := 0
+// It is Minoux's accelerated (lazy) greedy, which picks exactly what a
+// rescan of every disk per pick would. The heap orders disks by (gain
+// desc, DiskID asc) under keys that may be stale. A disk's gain only falls
+// as objects get covered, so every key bounds its disk's fresh gain from
+// above. Once the top entry is re-keyed with its fresh gain and still
+// leads, no other disk can beat it, on gain or on the DiskID tie-break.
+func (c *Cluster) pickCover(admit []bool, remaining int) []DiskID {
+	s := &c.setCover
+	perNode := c.cfg.NodeProfile.DisksPerNode
+	h, picks := s.heap[:0], 0
+	clear(s.picked)
+	if remaining > 0 {
 		for _, n := range c.nodes {
-			if !allowed(n) {
+			if !admit[n.ID] {
 				continue
 			}
-			for _, d := range n.Disks {
-				gain := 0
-				for _, obj := range d.Objects {
-					if uncovered[obj] {
-						gain++
-					}
-				}
-				if gain > bestGain || (gain == bestGain && gain > 0 && lessDisk(d.ID, best.ID)) {
-					best = d
-					bestGain = gain
+			for k, d := range n.Disks {
+				if g := c.uncoveredCount(d); g > 0 {
+					h = append(h, coverEntry{gain: g, disk: int32(n.ID*perNode + k)})
 				}
 			}
 		}
-		if best == nil {
-			// Unreachable: uncoveredOn marks only objects with a replica
-			// on an admitted disk.
-			break
+		for i := len(h)/2 - 1; i >= 0; i-- {
+			siftDown(h, i)
 		}
-		chosen = append(chosen, best.ID)
-		for _, obj := range best.Objects {
-			if uncovered[obj] {
-				uncovered[obj] = false
+	}
+	for remaining > 0 && len(h) > 0 {
+		top := h[0]
+		i := int(top.disk)
+		d := c.nodes[i/perNode].Disks[i%perNode]
+		if g := c.uncoveredCount(d); g < top.gain {
+			if g == 0 {
+				h = popCover(h)
+				continue
+			}
+			h[0].gain = g
+			if siftDown(h, 0) != 0 {
+				continue // another disk leads now
+			}
+		}
+		s.picked[i>>6] |= 1 << (i & 63)
+		picks++
+		for _, obj := range d.Objects {
+			if s.uncovered[obj] {
+				s.uncovered[obj] = false
 				remaining--
 			}
 		}
+		h = popCover(h)
 	}
-	sort.Slice(chosen, func(i, j int) bool { return lessDisk(chosen[i], chosen[j]) })
-	return chosen
+	s.heap = h[:0]
+	if picks == 0 {
+		return nil
+	}
+	cover := make([]DiskID, 0, picks)
+	for w, word := range s.picked {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 + bits.TrailingZeros64(word)
+			cover = append(cover, DiskID{Node: i / perNode, Disk: i % perNode})
+		}
+	}
+	return cover
 }
 
-// greedyCover covers every object on the nodes allowed admits. It returns
+// uncoveredCount returns how many of d's objects are still uncovered: its
+// fresh coverage gain.
+func (c *Cluster) uncoveredCount(d *Disk) int32 {
+	var g int32
+	for _, obj := range d.Objects {
+		if c.setCover.uncovered[obj] {
+			g++
+		}
+	}
+	return g
+}
+
+// coverLess orders the cover heap: higher gain first, then lower flat disk
+// index, which is DiskID order.
+func coverLess(a, b coverEntry) bool {
+	return a.gain > b.gain || (a.gain == b.gain && a.disk < b.disk)
+}
+
+// siftDown restores the heap order below h[i] and returns the entry's
+// final index.
+func siftDown(h []coverEntry, i int) int {
+	for {
+		least := i
+		if l := 2*i + 1; l < len(h) && coverLess(h[l], h[least]) {
+			least = l
+		}
+		if r := 2*i + 2; r < len(h) && coverLess(h[r], h[least]) {
+			least = r
+		}
+		if least == i {
+			return i
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+}
+
+// popCover removes the heap's top entry.
+func popCover(h []coverEntry) []coverEntry {
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	siftDown(h, 0)
+	return h
+}
+
+// greedyCover covers every object on the nodes set in admit. It returns
 // (nil, false) without running the pick loop when some object has no
 // replica there.
-func (c *Cluster) greedyCover(allowed func(n *Node) bool) ([]DiskID, bool) {
-	uncovered, remaining, uncoverable := c.uncoveredOn(allowed)
+func (c *Cluster) greedyCover(admit []bool) ([]DiskID, bool) {
+	remaining, uncoverable := c.uncoveredOn(admit)
 	if uncoverable > 0 {
 		return nil, false
 	}
-	return c.pickCover(allowed, uncovered, remaining), true
+	return c.pickCover(admit, remaining), true
 }
 
 // MinimalCover computes a small set of disks that covers every object,
 // considering all nodes regardless of power state (the caller powers the
 // hosting nodes as needed).
 func (c *Cluster) MinimalCover() []DiskID {
-	cover, _ := c.greedyCover(func(*Node) bool { return true })
+	admit := c.setCover.admit
+	for i := range admit {
+		admit[i] = true
+	}
+	cover, _ := c.greedyCover(admit)
 	return cover
 }
 
@@ -256,7 +353,9 @@ func (c *Cluster) MinimalCover() []DiskID {
 // (some object has no replica there); the simulator uses it to check
 // whether a consolidation plan is compatible with availability.
 func (c *Cluster) CoverOnNodeMask(nodes []bool) ([]DiskID, bool) {
-	return c.greedyCover(func(n *Node) bool { return n.ID < len(nodes) && nodes[n.ID] })
+	admit := c.setCover.admit
+	clear(admit[copy(admit, nodes):])
+	return c.greedyCover(admit)
 }
 
 // PartialCover covers every object that still has a replica on a
@@ -264,16 +363,12 @@ func (c *Cluster) CoverOnNodeMask(nodes []bool) ([]DiskID, bool) {
 // replica on a failed node). The failure-injection path uses it while a
 // failure partitions the placement and full coverage is impossible.
 func (c *Cluster) PartialCover() ([]DiskID, int) {
-	healthy := func(n *Node) bool { return !n.Failed }
-	uncovered, remaining, uncoverable := c.uncoveredOn(healthy)
-	return c.pickCover(healthy, uncovered, remaining), uncoverable
-}
-
-func lessDisk(a, b DiskID) bool {
-	if a.Node != b.Node {
-		return a.Node < b.Node
+	admit := c.setCover.admit
+	for i, n := range c.nodes {
+		admit[i] = !n.Failed
 	}
-	return a.Disk < b.Disk
+	remaining, uncoverable := c.uncoveredOn(admit)
+	return c.pickCover(admit, remaining), uncoverable
 }
 
 // ApplyDiskPlanMask spins disks up or down so that exactly the disks set in
