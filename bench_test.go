@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -210,21 +211,55 @@ func BenchmarkNewCluster(b *testing.B) {
 }
 
 // BenchmarkFFDPlace200Jobs times one reused Placer packing 200 jobs onto
-// 30 nodes, the simulator's per-slot placement call.
+// 30 nodes, the simulator's per-slot placement call: once with the items
+// in generated order, and once presorted in FFD order, as the simulator
+// now passes them.
 func BenchmarkFFDPlace200Jobs(b *testing.B) {
 	s := rng.New(1, "bench-ffd")
 	items := make([]sched.PlaceItem, 200)
 	for i := range items {
 		items[i] = sched.PlaceItem{ID: i, CPU: s.Uniform(0.5, 2), RAM: s.Uniform(1, 4), Pinned: -1}
 	}
-	var p sched.Placer
+	presorted := slices.Clone(items)
+	slices.SortFunc(presorted, sched.CompareFFD)
+	for _, bc := range []struct {
+		name  string
+		items []sched.PlaceItem
+	}{{"generated", items}, {"presorted", presorted}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var p sched.Placer
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := p.Place(bc.items, 30, 12, 32, 1.5, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkZipfNext times one Zipf draw over the reference cluster's
+// objects at the default skew, the read model's per-read call. The sum of
+// the first 10^5 draws at seed 1 is the result canary.
+func BenchmarkZipfNext(b *testing.B) {
+	objects, theta := storage.DefaultConfig().Objects, 0.9
+	z := rng.NewZipf(rng.New(1, "bench-zipf"), objects, theta)
+	sum := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := p.Place(items, 30, 12, 32, 1.5, nil); err != nil {
-			b.Fatal(err)
-		}
+		sum += z.Next()
 	}
+	b.StopTimer()
+	if sum < 0 {
+		b.Fatal("negative item index")
+	}
+	z = rng.NewZipf(rng.New(1, "bench-zipf"), objects, theta)
+	sum = 0
+	for i := 0; i < 100000; i++ {
+		sum += z.Next()
+	}
+	b.ReportMetric(float64(sum), "result")
 }
 
 // BenchmarkSolarGenerate times a 40,000-slot PV trace, the batch-sparse

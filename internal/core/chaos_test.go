@@ -46,16 +46,23 @@ func chaosConfig(seed int64) Config {
 	return cfg
 }
 
-// chaosRun simulates one seeded fault schedule with the conservation
-// auditor attached and the full slot trace captured as JSONL bytes.
-func chaosRun(t *testing.T, seed int64) (*Result, []byte) {
-	t.Helper()
+// chaosFaultConfig is chaosConfig under the seed's generated fault
+// schedule.
+func chaosFaultConfig(seed int64) Config {
 	cfg := chaosConfig(seed)
 	cfg.Faults = fault.Generate(seed, fault.GenSpec{
 		Slots:     200,
 		Nodes:     cfg.Cluster.Nodes,
 		AllowMTBF: true,
 	})
+	return cfg
+}
+
+// chaosRun simulates one seeded fault schedule with the conservation
+// auditor attached and the full slot trace captured as JSONL bytes.
+func chaosRun(t *testing.T, seed int64) (*Result, []byte) {
+	t.Helper()
+	cfg := chaosFaultConfig(seed)
 	auditor := audit.NewAuditor()
 	var buf bytes.Buffer
 	cfg.Observer = audit.Tee(auditor, audit.NewJSONL(&buf))

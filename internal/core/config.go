@@ -19,6 +19,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/audit"
 	"repro/internal/battery"
@@ -167,8 +168,8 @@ func DefaultParams() Config {
 // Validate reports a descriptive error for inconsistent parameters. It
 // normalizes nothing; use ApplyDefaults for that.
 func (c Config) Validate() error {
-	if c.SlotHours <= 0 {
-		return fmt.Errorf("core: non-positive slot hours %v", c.SlotHours)
+	if !(c.SlotHours > 0) || math.IsInf(c.SlotHours, 1) {
+		return fmt.Errorf("core: slot hours %v must be positive and finite", c.SlotHours)
 	}
 	if err := c.Cluster.Validate(); err != nil {
 		return err
@@ -191,8 +192,11 @@ func (c Config) Validate() error {
 	if c.Overcommit < 1 {
 		return fmt.Errorf("core: over-commit %v below 1", c.Overcommit)
 	}
-	if c.ReadsPerSlot < 0 {
-		return fmt.Errorf("core: negative read rate %v", c.ReadsPerSlot)
+	if !(c.ReadsPerSlot >= 0) {
+		return fmt.Errorf("core: read rate %v must be non-negative", c.ReadsPerSlot)
+	}
+	if !(c.ZipfTheta >= 0) {
+		return fmt.Errorf("core: Zipf theta %v must be non-negative", c.ZipfTheta)
 	}
 	if c.MaxOverrunSlots < 0 {
 		return fmt.Errorf("core: negative overrun %d", c.MaxOverrunSlots)

@@ -39,6 +39,20 @@ type jobState struct {
 	// sets the slot loop used to allocate, and is never meaningful across
 	// slot boundaries.
 	mark bool //gm:ephemeral per-slot scratch, never meaningful across slot boundaries
+	// item is the index of this job's PlaceItem in the current place call,
+	// which maps the placer's answer back to the job.
+	item int //gm:ephemeral per-slot scratch, never meaningful across slot boundaries
+}
+
+// placeItem is the job as the FFD placer sees it, pinned to pin (-1 for
+// free).
+func (st *jobState) placeItem(pin int) sched.PlaceItem {
+	return sched.PlaceItem{ID: st.job.ID, CPU: st.job.CPU, RAM: st.job.RAMGB, Pinned: pin}
+}
+
+// compareFFD orders jobs by sched.CompareFFD.
+func compareFFD(a, b *jobState) int {
+	return sched.CompareFFD(a.placeItem(-1), b.placeItem(-1))
 }
 
 // Result is the outcome of one simulation run.
@@ -138,6 +152,12 @@ type Simulator struct {
 	healthyPow  []int                  // healthy powered node ids (fault path) //gm:ephemeral per-slot scratch
 	placer      sched.Placer           // reusable FFD engine //gm:ephemeral stateless between slots
 	placeItems  []sched.PlaceItem      //gm:ephemeral per-slot scratch
+	// ffdOrder carries the jobs of the last place call in compareFFD
+	// order, so the next call re-sorts only its starters and merges them
+	// in (see placeOrder). Jobs that left the running set since are
+	// filtered out when it is next read.
+	ffdOrder []*jobState //gm:ephemeral carried sort order; placeOrder rebuilds it by one full sort when it no longer covers s.running
+	starters []*jobState //gm:ephemeral per-slot scratch, the slot's starters in compareFFD order
 
 	acct      metrics.EnergyAccount
 	sla       metrics.SLAAccount
@@ -1157,15 +1177,13 @@ func (s *Simulator) estMandatoryPower() units.Power {
 // pinned and only new jobs are placed. Returns the migration energy.
 func (s *Simulator) place(t int, toStart []*jobState, consolidate bool) units.Energy {
 	items := s.placeItems[:0]
-	for _, st := range s.running {
-		pin := st.node
-		if consolidate {
-			pin = -1
+	for i, st := range s.placeOrder(toStart) {
+		st.item = i
+		pin := -1
+		if st.running && !consolidate {
+			pin = st.node
 		}
-		items = append(items, sched.PlaceItem{ID: st.job.ID, CPU: st.job.CPU, RAM: st.job.RAMGB, Pinned: pin})
-	}
-	for _, st := range toStart {
-		items = append(items, sched.PlaceItem{ID: st.job.ID, CPU: st.job.CPU, RAM: st.job.RAMGB, Pinned: -1})
+		items = append(items, st.placeItem(pin))
 	}
 	s.placeItems = items
 	if err := s.placer.Place(items, s.cfg.Cluster.Nodes, s.cfg.Cluster.CPUPerNode,
@@ -1173,17 +1191,17 @@ func (s *Simulator) place(t int, toStart []*jobState, consolidate bool) units.En
 		panic(fmt.Sprintf("core: placement failed: %v", err))
 	}
 
-	// items indices line up with s.running then toStart; the placer keys
-	// its answer by that index, so no ID map is needed. nRunning is pinned
-	// before the seating loop below appends to s.running.
+	// The placer keys its answer by item index, which each job records in
+	// st.item. The settling below walks s.running, then toStart, not the
+	// item order: that order fixes the queue appends and the new s.running
+	// order, which later slots iterate.
 	var migE units.Energy
-	nRunning := len(s.running)
 
 	// Settle running jobs: migrations, or forced stay for unplaced (the
 	// job keeps its current node; capacity pressure is absorbed by
 	// over-commit clamping).
-	for i, st := range s.running {
-		newNode := s.placer.NodeOf(i)
+	for _, st := range s.running {
+		newNode := s.placer.NodeOf(st.item)
 		if newNode < 0 {
 			continue
 		}
@@ -1195,8 +1213,8 @@ func (s *Simulator) place(t int, toStart []*jobState, consolidate bool) units.En
 		}
 	}
 	// Seat starters; unplaced ones return to their queue.
-	for k, st := range toStart {
-		newNode := s.placer.NodeOf(nRunning + k)
+	for _, st := range toStart {
+		newNode := s.placer.NodeOf(st.item)
 		if newNode < 0 {
 			if st.mandatory {
 				s.mandQueue = appendUnique(s.mandQueue, st)
@@ -1228,6 +1246,49 @@ func (s *Simulator) place(t int, toStart []*jobState, consolidate bool) units.En
 	s.mandQueue = keptQ
 
 	return migE
+}
+
+// placeOrder returns the running jobs and the starters merged in
+// compareFFD order, and carries the result to the next call as ffdOrder.
+//
+// Running jobs come from the carried order, filtered by st.running. Every
+// job that becomes running does so in place, where it is a starter and so
+// is merged in; every job that stops running has st.running cleared. The
+// filtered order is therefore s.running in sorted order — unless the
+// simulator was rebuilt from a snapshot, which carries no order. Its
+// length then differs from len(s.running), and one full sort rebuilds it.
+// The placer sorts its items again whatever order they come in, so the
+// order only saves time: a stale one could cost speed, never a result.
+func (s *Simulator) placeOrder(toStart []*jobState) []*jobState {
+	running := s.ffdOrder[:0]
+	for _, st := range s.ffdOrder {
+		if st.running {
+			running = append(running, st)
+		}
+	}
+	if len(running) != len(s.running) {
+		running = append(running[:0], s.running...)
+		slices.SortFunc(running, compareFFD)
+	}
+	starters := append(s.starters[:0], toStart...)
+	slices.SortFunc(starters, compareFFD)
+	s.starters = starters
+
+	// Merge from the back, in place: the k-th slot written lies past every
+	// running job not yet moved, so none is overwritten before it is read.
+	merged := append(running, starters...)
+	i, j := len(running)-1, len(starters)-1
+	for k := len(merged) - 1; j >= 0; k-- {
+		if i >= 0 && compareFFD(running[i], starters[j]) > 0 {
+			merged[k] = running[i]
+			i--
+		} else {
+			merged[k] = starters[j]
+			j--
+		}
+	}
+	s.ffdOrder = merged
+	return merged
 }
 
 // appendUnique appends st if not already present (by pointer).

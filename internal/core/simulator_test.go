@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/battery"
@@ -257,6 +258,37 @@ func TestValidationErrors(t *testing.T) {
 		if _, err := New(c); err == nil {
 			t.Errorf("case %d should fail", i)
 		}
+	}
+}
+
+// TestValidationRejectsNaNAndInf pins the non-finite values a plain
+// "< 0" check lets through. Each used to be accepted: a NaN read rate
+// made Run loop forever in the Poisson draw, a NaN or infinite slot
+// length made every energy NaN, and a negative theta made New panic in
+// the Zipf sampler.
+func TestValidationRejectsNaNAndInf(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"reads-per-slot-NaN", func(c *Config) { c.ReadsPerSlot = math.NaN() }},
+		{"slot-hours-NaN", func(c *Config) { c.SlotHours = math.NaN() }},
+		{"slot-hours-+Inf", func(c *Config) { c.SlotHours = math.Inf(1) }},
+		{"slot-hours--Inf", func(c *Config) { c.SlotHours = math.Inf(-1) }},
+		{"zipf-theta-negative", func(c *Config) { c.ZipfTheta = -0.5 }},
+		{"zipf-theta-NaN", func(c *Config) { c.ZipfTheta = math.NaN() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := smallConfig()
+			tc.mut(&c)
+			_, err := New(c)
+			if err == nil {
+				t.Fatal("New accepted the config")
+			}
+			if !strings.HasPrefix(err.Error(), "core: ") {
+				t.Fatalf("error %q lacks the core: prefix", err)
+			}
+		})
 	}
 }
 

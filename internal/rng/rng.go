@@ -120,9 +120,10 @@ func (s *Stream) Exp(rate float64) float64 {
 // Poisson returns a draw from the Poisson distribution with the given mean.
 // It uses Knuth's product method for small means and a normal approximation
 // (rounded, floored at zero) for large means, which is accurate to well
-// within the needs of workload generation.
+// within the needs of workload generation. A mean that is not positive,
+// NaN included, returns 0 without drawing.
 func (s *Stream) Poisson(mean float64) int {
-	if mean <= 0 {
+	if !(mean > 0) {
 		return 0
 	}
 	if mean > 64 {
@@ -200,12 +201,17 @@ func (s *Stream) Shuffle(n int, swap func(i, j int)) {
 func (s *Stream) Perm(n int) []int { return s.r.Perm(n) }
 
 // Zipf is a bounded Zipf(θ) sampler over {0,...,n-1}, used for object
-// popularity in the storage read model. It precomputes the harmonic
-// normalizer and samples by inverse transform over the CDF (binary search),
-// making draws O(log n).
+// popularity in the storage read model. It samples by inverse transform
+// over the precomputed CDF: a draw u maps to min{i : cdf[i] >= u}.
+//
+// A guide table (Chen and Asau, 1974) makes each draw start next to its
+// answer instead of binary-searching the whole CDF: with m = len(guide),
+// guide[k] is the first index whose CDF reaches k/m, so a draw u starts at
+// guide[floor(u*m)].
 type Zipf struct {
-	cdf []float64
-	s   *Stream
+	cdf   []float64
+	guide []int32
+	s     *Stream
 }
 
 // NewZipf builds a Zipf sampler over n items with exponent theta >= 0.
@@ -215,7 +221,7 @@ func NewZipf(s *Stream, n int, theta float64) *Zipf {
 	if n <= 0 {
 		panic("rng: NewZipf requires n > 0")
 	}
-	if theta < 0 {
+	if !(theta >= 0) {
 		panic("rng: NewZipf requires theta >= 0")
 	}
 	cdf := make([]float64, n)
@@ -228,22 +234,41 @@ func NewZipf(s *Stream, n int, theta float64) *Zipf {
 		cdf[i] /= sum
 	}
 	cdf[n-1] = 1 // exact, despite rounding
-	return &Zipf{cdf: cdf, s: s}
+	// One guide entry per four items (at least one) keeps the table small
+	// beside the CDF while leaving each draw a short walk. cdf[n-1] = 1
+	// exceeds every k/m < 1, so the scan stops inside the CDF.
+	guide := make([]int32, max(n/4, 1))
+	i := 0
+	for k := range guide {
+		for cdf[i] < float64(k)/float64(len(guide)) {
+			i++
+		}
+		guide[k] = int32(i)
+	}
+	return &Zipf{cdf: cdf, guide: guide, s: s}
 }
 
-// Next returns the next item index, with item 0 the most popular.
-func (z *Zipf) Next() int {
-	u := z.s.Float64()
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// Next returns the next item index, with item 0 the most popular. It
+// takes one Float64 draw.
+func (z *Zipf) Next() int { return z.index(z.s.Float64()) }
+
+// index returns min{i : cdf[i] >= u} for u in [0, 1), the answer a binary
+// search over the CDF gives, from whatever index the guide starts it at:
+// the walk down stops at i = 0 or where cdf[i-1] < u, and the walk up then
+// stops at the first i with cdf[i] >= u, which exists because
+// cdf[n-1] = 1 > u. Every index passed on the way up has cdf < u, so the
+// answer is the least such i; the guide only decides how short the walk
+// is.
+func (z *Zipf) index(u float64) int {
+	m := len(z.guide)
+	i := int(z.guide[min(int(u*float64(m)), m-1)])
+	for i > 0 && z.cdf[i-1] >= u {
+		i--
 	}
-	return lo
+	for z.cdf[i] < u {
+		i++
+	}
+	return i
 }
 
 // N returns the number of items the sampler draws over.

@@ -77,8 +77,14 @@ func TestPoissonNonNegative(t *testing.T) {
 			t.Fatal("Poisson returned negative")
 		}
 	}
-	if s.Poisson(0) != 0 || s.Poisson(-1) != 0 {
-		t.Error("Poisson of non-positive mean should be 0")
+	// A NaN mean would never end the product loop: p <= exp(-NaN) is
+	// always false.
+	draws := s.Draws()
+	if s.Poisson(0) != 0 || s.Poisson(-1) != 0 || s.Poisson(math.NaN()) != 0 {
+		t.Error("Poisson of non-positive or NaN mean should be 0")
+	}
+	if s.Draws() != draws {
+		t.Errorf("Poisson of non-positive or NaN mean took %d draws, want 0", s.Draws()-draws)
 	}
 }
 
@@ -194,9 +200,93 @@ func TestZipfPanics(t *testing.T) {
 	s := New(1, "p")
 	assertPanic(t, func() { NewZipf(s, 0, 1) })
 	assertPanic(t, func() { NewZipf(s, 5, -1) })
+	assertPanic(t, func() { NewZipf(s, 5, math.NaN()) })
 	assertPanic(t, func() { s.Exp(0) })
 	assertPanic(t, func() { s.Weibull(0, 1) })
 	assertPanic(t, func() { s.Pareto(0, 1) })
+}
+
+// bisectZipf is the binary search Zipf.Next used before its guide table:
+// min{i : cdf[i] >= u}, the oracle the guided walk must match.
+func bisectZipf(cdf []float64, u float64) int {
+	lo, hi := 0, len(cdf)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cdf[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// TestZipfGuideMatchesBisect checks the guided walk against the binary
+// search on seeded draws, on every CDF value and guide boundary and on
+// their neighbours one ulp away, where an off-by-one would show.
+func TestZipfGuideMatchesBisect(t *testing.T) {
+	draws := New(1, "zipf-guide-u")
+	for _, n := range []int{1, 2, 3, 7, 300, 750, 3000} {
+		for _, theta := range []float64{0, 0.5, 0.9, 1.5, 3, 8} {
+			z := NewZipf(New(1, "zipf-guide"), n, theta)
+			check := func(u float64) {
+				if !(u >= 0 && u < 1) {
+					return
+				}
+				if got, want := z.index(u), bisectZipf(z.cdf, u); got != want {
+					t.Fatalf("n=%d theta=%v u=%v: guided walk %d, binary search %d", n, theta, u, got, want)
+				}
+			}
+			for i := 0; i < 20000; i++ {
+				check(draws.Float64())
+			}
+			edges := append([]float64{0}, z.cdf...)
+			for k := range z.guide {
+				edges = append(edges, float64(k)/float64(len(z.guide)))
+			}
+			for _, c := range edges {
+				check(math.Nextafter(c, math.Inf(-1)))
+				check(c)
+				check(math.Nextafter(c, math.Inf(1)))
+			}
+			// The walk is exact from any start, so a scrambled guide may
+			// only cost time.
+			for k := range z.guide {
+				z.guide[k] = int32(draws.Intn(n))
+			}
+			for i := 0; i < 2000; i++ {
+				check(draws.Float64())
+			}
+			for _, c := range z.cdf {
+				check(c)
+			}
+
+			// Next takes one Float64 draw and answers as the search would.
+			a, b := New(5, "zipf-guide-next"), New(5, "zipf-guide-next")
+			z = NewZipf(a, n, theta)
+			for i := 0; i < 1000; i++ {
+				if got, want := z.Next(), bisectZipf(z.cdf, b.Float64()); got != want {
+					t.Fatalf("n=%d theta=%v draw %d: Next %d, binary search %d", n, theta, i, got, want)
+				}
+			}
+			if a.Draws() != b.Draws() {
+				t.Fatalf("n=%d theta=%v: Next took %d draws, binary search %d", n, theta, a.Draws(), b.Draws())
+			}
+		}
+	}
+}
+
+// TestZipfNextAllocFree pins that a draw allocates nothing: the read model
+// calls Next once per read.
+func TestZipfNextAllocFree(t *testing.T) {
+	z := NewZipf(New(1, "zipf-alloc"), 3000, 0.9)
+	sum := 0
+	if avg := testing.AllocsPerRun(1000, func() { sum += z.Next() }); avg != 0 {
+		t.Fatalf("Zipf.Next allocates %.1f times per draw; want 0", avg)
+	}
+	if sum < 0 {
+		t.Fatal("negative item index")
+	}
 }
 
 func assertPanic(t *testing.T, f func()) {

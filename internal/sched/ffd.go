@@ -20,6 +20,20 @@ type PlaceItem struct {
 	Pinned int
 }
 
+// CompareFFD is the order in which First-Fit-Decreasing seats free items:
+// CPU descending, then RAM descending, then ID ascending. On items with
+// distinct IDs it is a total order, so sorting by it gives one answer
+// whatever order the items arrive in.
+func CompareFFD(a, b PlaceItem) int {
+	if c := cmp.Compare(b.CPU, a.CPU); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(b.RAM, a.RAM); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
+}
+
 // Placer is the reusable First-Fit-Decreasing engine. A zero Placer is
 // ready to use; after the first Place call its scratch state (order, node
 // loads, duplicate-detection set) is reset rather than reallocated, so a
@@ -37,16 +51,21 @@ type Placer struct {
 
 // Place packs items onto nodes with the First-Fit-Decreasing heuristic
 // under a resource over-commit factor: each of `nodes` nodes offers
-// cpuCap*overcommit cores and ramCap*overcommit GB. Items are sorted by
-// descending CPU (RAM as tiebreak, then ID for determinism) and each takes
-// the first node with room. Pinned items are seated first, in ID order.
-// disabled marks unusable nodes (failed or cordoned) by node id; no item
-// is placed there, and a pin to a disabled node reports the item unplaced
-// so the caller can re-route it. A nil or short mask reads as all-usable.
+// cpuCap*overcommit cores and ramCap*overcommit GB. Pinned items are
+// seated first, in ID order; free items follow in CompareFFD order, each
+// taking the first node with room. disabled marks unusable nodes (failed
+// or cordoned) by node id; no item is placed there, and a pin to a
+// disabled node reports the item unplaced so the caller can re-route it.
+// A nil or short mask reads as all-usable.
 //
 // FFD's classical guarantee FFD(L) <= 11/9*OPT(L) + 1 (Yue 1991) applies
 // per dimension; the 2-D variant used here inherits it as a heuristic, and
 // the test suite cross-checks small instances against brute force.
+//
+// Both sorts are total orders on distinct IDs, so the node each item gets
+// depends only on the item set, never on the order of items. A caller that
+// passes items already in CompareFFD order gets the same answer sooner:
+// pdqsort finishes sorted input in linear time.
 //
 // The results stay valid until the next Place call. items is read-only and
 // not retained past the queries below.
@@ -120,16 +139,7 @@ func (p *Placer) Place(items []PlaceItem, nodes int, cpuCap, ramCap, overcommit 
 	}
 
 	// First-Fit-Decreasing for the rest.
-	slices.SortFunc(free, func(ai, bi int) int {
-		a, b := items[ai], items[bi]
-		if c := cmp.Compare(b.CPU, a.CPU); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(b.RAM, a.RAM); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.ID, b.ID)
-	})
+	slices.SortFunc(free, func(ai, bi int) int { return CompareFFD(items[ai], items[bi]) })
 	for _, i := range free {
 		for n := 0; n < nodes; n++ {
 			if off(n) {

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -329,6 +330,68 @@ func TestFFDNilDisabledEqualsFFD(t *testing.T) {
 		for i := range items {
 			if p.NodeOf(i) != plain.NodeOf(i) {
 				t.Fatalf("mask %v: item %d on node %d, nil mask put it on %d", mask, i, p.NodeOf(i), plain.NodeOf(i))
+			}
+		}
+	}
+}
+
+// TestPlaceIgnoresItemOrder pins the property the simulator's carried FFD
+// order rests on: Place's answer, as a map from item ID to node, depends
+// only on the item set. Each seeded instance is placed as generated and
+// under random permutations. Instances mix consolidating (all free) and
+// pinned items, disabled and short masks, over-commit factors, and
+// demands drawn from a small grid, so equal items and CPU or RAM ties
+// broken by the next key are common.
+func TestPlaceIgnoresItemOrder(t *testing.T) {
+	s := rng.New(7, "ffd-item-order")
+	var ref, p Placer
+	for inst := 0; inst < 10000; inst++ {
+		nodes := 1 + s.Intn(8)
+		consolidate := s.Bernoulli(0.5)
+		items := make([]PlaceItem, s.Intn(40))
+		for i, id := range s.Perm(len(items) * 3)[:len(items)] {
+			pin := -1
+			if !consolidate && s.Bernoulli(0.4) {
+				pin = s.Intn(nodes)
+			}
+			items[i] = PlaceItem{
+				ID:     id,
+				CPU:    float64(1+s.Intn(6)) / 2,
+				RAM:    float64(1 + s.Intn(4)),
+				Pinned: pin,
+			}
+		}
+		var disabled []bool
+		if s.Bernoulli(0.5) {
+			disabled = make([]bool, s.Intn(nodes+1))
+			for n := range disabled {
+				disabled[n] = s.Bernoulli(0.3)
+			}
+		}
+		overcommit := []float64{1, 1.25, 1.5, 2}[s.Intn(4)]
+		cpuCap, ramCap := float64(2+s.Intn(6)), float64(4+s.Intn(8))
+
+		if err := ref.Place(items, nodes, cpuCap, ramCap, overcommit, disabled); err != nil {
+			t.Fatalf("instance %d: %v", inst, err)
+		}
+		want := make(map[int]int, len(items))
+		for i, it := range items {
+			want[it.ID] = ref.NodeOf(i)
+		}
+		for perm := 0; perm < 3; perm++ {
+			shuffled := slices.Clone(items)
+			s.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			if perm == 0 {
+				slices.SortFunc(shuffled, CompareFFD)
+			}
+			if err := p.Place(shuffled, nodes, cpuCap, ramCap, overcommit, disabled); err != nil {
+				t.Fatalf("instance %d: %v", inst, err)
+			}
+			for i, it := range shuffled {
+				if got := p.NodeOf(i); got != want[it.ID] {
+					t.Fatalf("instance %d, permutation %d: item %d on node %d, %d in generated order",
+						inst, perm, it.ID, got, want[it.ID])
+				}
 			}
 		}
 	}

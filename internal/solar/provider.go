@@ -137,8 +137,8 @@ func Generate(cfg FarmConfig) (Series, error) {
 	if cfg.Slots <= 0 {
 		return nil, fmt.Errorf("solar: non-positive slot count %d", cfg.Slots)
 	}
-	if cfg.SlotHours <= 0 {
-		return nil, fmt.Errorf("solar: non-positive slot hours %v", cfg.SlotHours)
+	if !(cfg.SlotHours > 0) || math.IsInf(cfg.SlotHours, 1) {
+		return nil, fmt.Errorf("solar: slot hours %v must be positive and finite", cfg.SlotHours)
 	}
 	weather, err := NewWeather(cfg.Profile, cfg.Seed)
 	if err != nil {

@@ -242,10 +242,13 @@ func TestGenerateErrors(t *testing.T) {
 	if _, err := Generate(cfg); err == nil {
 		t.Error("zero slots should error")
 	}
-	cfg = DefaultFarm(10)
-	cfg.SlotHours = 0
-	if _, err := Generate(cfg); err == nil {
-		t.Error("zero slot hours should error")
+	// A NaN or infinite slot length would give an all-NaN trace.
+	for _, h := range []float64{0, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg = DefaultFarm(10)
+		cfg.SlotHours = h
+		if _, err := Generate(cfg); err == nil {
+			t.Errorf("slot hours %v should error", h)
+		}
 	}
 	cfg = DefaultFarm(-1)
 	if _, err := Generate(cfg); err == nil {
