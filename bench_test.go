@@ -187,27 +187,49 @@ func BenchmarkSolarGenerateWeek(b *testing.B) {
 	}
 }
 
+// BenchmarkWorkloadGenerateWeek times generating the reference week's job
+// trace. The result canary, Σ ID·(position+1) mod 2^31, moves if the
+// trace's order changes.
 func BenchmarkWorkloadGenerateWeek(b *testing.B) {
 	cfg := workload.DefaultGen()
+	var tr workload.Trace
+	var err error
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := workload.Generate(cfg); err != nil {
+		if tr, err = workload.Generate(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	sum := 0
+	for pos, j := range tr {
+		sum = (sum + j.ID*(pos+1)) % (1 << 31)
+	}
+	b.ReportMetric(float64(sum), "result")
 }
 
 // BenchmarkNewCluster times building the reference cluster: node and disk
 // construction plus the rendezvous placement of every object's replicas,
-// the set-up cost every run, service open and recovery pays.
+// the set-up cost every run, service open and recovery pays. The result
+// canary, the sum over objects of the first replica's flat disk index,
+// moves if the layout changes.
 func BenchmarkNewCluster(b *testing.B) {
 	cfg := storage.DefaultConfig()
+	var c *storage.Cluster
+	var err error
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := storage.NewCluster(cfg); err != nil {
+		if c, err = storage.NewCluster(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	sum := 0
+	for obj := 0; obj < cfg.Objects; obj++ {
+		first := c.Replicas(obj)[0]
+		sum += first.Node*cfg.NodeProfile.DisksPerNode + first.Disk
+	}
+	b.ReportMetric(float64(sum), "result")
 }
 
 // BenchmarkFFDPlace200Jobs times one reused Placer packing 200 jobs onto

@@ -11,7 +11,7 @@ import (
 // TestPlacerSteadyStateAllocFree pins down the Placer's reuse contract: a
 // warmed Placer calling Place with a same-shaped item set — the simulator
 // does exactly this once per slot — must not allocate. Its scratch (order
-// and load slices, the duplicate-detection map) is reset in place.
+// and load slices, the duplicate-detection set) is reset in place.
 func TestPlacerSteadyStateAllocFree(t *testing.T) {
 	s := rng.New(7, "alloc-placer")
 	items := make([]PlaceItem, 50)

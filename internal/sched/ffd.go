@@ -3,6 +3,7 @@ package sched
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -46,7 +47,59 @@ type Placer struct {
 	order  []int // pinned item indices (by ID), then free (FFD order)
 	cpu    []float64
 	ram    []float64
-	seen   map[int]bool
+	seen   idSet
+}
+
+// idSet is an exact set of item IDs for Place's duplicate check: open
+// addressing with linear probing over a power-of-two table kept at most
+// half full. A slot belongs to the current call only when its stamp equals
+// the set's epoch, so starting a new call is one increment, not a clear.
+type idSet struct {
+	slots []idSlot
+	shift uint // 64 - log2(len(slots)): the hash's top bits pick a slot
+	epoch uint32
+}
+
+type idSlot struct {
+	id    int
+	epoch uint32
+}
+
+// reset empties the set and sizes it for n insertions. It allocates only
+// when n outgrows every earlier call.
+func (s *idSet) reset(n int) {
+	if len(s.slots) < 2*n {
+		size := 16
+		for size < 2*n {
+			size *= 2
+		}
+		s.slots = make([]idSlot, size)
+		s.shift = uint(64 - bits.TrailingZeros(uint(size)))
+		s.epoch = 0
+	}
+	s.epoch++
+	if s.epoch == 0 {
+		// The stamp wrapped: stale slots could now read as current.
+		clear(s.slots)
+		s.epoch = 1
+	}
+}
+
+// add inserts id and reports whether it was absent.
+func (s *idSet) add(id int) bool {
+	mask := len(s.slots) - 1
+	i := int((uint64(id) * 0x9E3779B97F4A7C15) >> s.shift)
+	for {
+		slot := &s.slots[i]
+		if slot.epoch != s.epoch {
+			*slot = idSlot{id: id, epoch: s.epoch}
+			return true
+		}
+		if slot.id == id {
+			return false
+		}
+		i = (i + 1) & mask
+	}
 }
 
 // Place packs items onto nodes with the First-Fit-Decreasing heuristic
@@ -86,18 +139,13 @@ func (p *Placer) Place(items []PlaceItem, nodes int, cpuCap, ramCap, overcommit 
 	p.nodeOf = resizeInts(p.nodeOf, len(items))
 	p.cpu = resizeFloats(p.cpu, nodes)
 	p.ram = resizeFloats(p.ram, nodes)
-	if p.seen == nil {
-		p.seen = make(map[int]bool, len(items))
-	} else {
-		clear(p.seen)
-	}
+	p.seen.reset(len(items))
 	for i := range items {
 		p.nodeOf[i] = -1
 		it := &items[i]
-		if p.seen[it.ID] {
+		if !p.seen.add(it.ID) {
 			return fmt.Errorf("sched: duplicate item id %d", it.ID)
 		}
-		p.seen[it.ID] = true
 		if it.CPU < 0 || it.RAM < 0 {
 			return fmt.Errorf("sched: item %d has negative demand", it.ID)
 		}

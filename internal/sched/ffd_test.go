@@ -1,7 +1,11 @@
 package sched
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/rng"
@@ -394,5 +398,89 @@ func TestPlaceIgnoresItemOrder(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// mapCheck is the item check Place ran before its epoch-stamped ID set:
+// in item order, a repeated ID, then a negative demand, is an error. It is
+// kept only as the oracle of the differential test below.
+func mapCheck(items []PlaceItem) error {
+	seen := make(map[int]bool, len(items))
+	for _, it := range items {
+		if seen[it.ID] {
+			return fmt.Errorf("sched: duplicate item id %d", it.ID)
+		}
+		seen[it.ID] = true
+		if it.CPU < 0 || it.RAM < 0 {
+			return fmt.Errorf("sched: item %d has negative demand", it.ID)
+		}
+	}
+	return nil
+}
+
+// TestPlacerDuplicateCheckMatchesMap runs one reused Placer over item sets
+// of varying size whose IDs mix small, negative and extreme values, with
+// and without repeats, and checks each verdict against the map version.
+// It then wraps the set's stamp, which must not let an earlier call's
+// entries read as current.
+func TestPlacerDuplicateCheckMatchesMap(t *testing.T) {
+	rnd := rand.New(rand.NewSource(3))
+	extremes := []int{0, -1, 1, math.MinInt, math.MaxInt, math.MinInt + 1, math.MaxInt - 1, 1 << 40, -(1 << 40), 1 << 62}
+	randomID := func(pool int) int {
+		switch rnd.Intn(4) {
+		case 0:
+			return extremes[rnd.Intn(len(extremes))]
+		case 1:
+			return rnd.Intn(pool) - pool/2
+		case 2:
+			return (rnd.Intn(pool) - pool/2) << 44 // equal low bits, distinct high bits
+		default:
+			return int(rnd.Uint64())
+		}
+	}
+	var p Placer
+	dups, negs := 0, 0
+	for trial := 0; trial < 800; trial++ {
+		n := rnd.Intn(300)
+		pool := 1 + rnd.Intn(4*n+1) // small pools force repeats
+		items := make([]PlaceItem, 0, n)
+		used := map[int]bool{}
+		for len(items) < n {
+			id := randomID(pool)
+			if trial%2 == 0 && used[id] {
+				continue // half the trials are repeat-free
+			}
+			used[id] = true
+			cpu := 0.1 + 0.9*rnd.Float64()
+			if rnd.Intn(200) == 0 {
+				cpu = -cpu
+			}
+			items = append(items, PlaceItem{ID: id, CPU: cpu, RAM: 1, Pinned: -1})
+		}
+		want := mapCheck(items)
+		err := p.Place(items, 4, 12, 32, 1, nil)
+		if fmt.Sprint(err) != fmt.Sprint(want) {
+			t.Fatalf("trial %d (%d items): Place error %v, want %v", trial, n, err, want)
+		}
+		switch {
+		case want == nil:
+		case strings.Contains(want.Error(), "duplicate"):
+			dups++
+		default:
+			negs++
+		}
+	}
+	if dups == 0 || negs == 0 {
+		t.Fatalf("trials saw %d duplicate and %d negative-demand errors; want both", dups, negs)
+	}
+
+	items := []PlaceItem{{ID: 1, CPU: 1, RAM: 1, Pinned: -1}, {ID: 2, CPU: 1, RAM: 1, Pinned: -1}}
+	var q Placer
+	if err := q.Place(items, 1, 12, 32, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	q.seen.epoch = math.MaxUint32
+	if err := q.Place(items, 1, 12, 32, 1, nil); err != nil {
+		t.Fatalf("after the stamp wrapped: %v", err)
 	}
 }

@@ -39,7 +39,7 @@ func planReference(t *testing.T, g GreenMatch, v View) skipRef {
 	capacity := make([]int, h)
 	total := 0
 	for k := range capacity {
-		head := greenAt(v, k).Watts() - v.EstMandatoryPowerW.Watts()
+		head := greenAt(v.GreenForecast, k).Watts() - v.EstMandatoryPowerW.Watts()
 		if head > 0 {
 			capacity[k] = int(head / v.PerJobPowerW.Watts())
 		}
@@ -149,7 +149,7 @@ func planReference(t *testing.T, g GreenMatch, v View) skipRef {
 		ref.d.StartWaiting = enforceBacklogBound(v, ref.d.StartWaiting)
 		return ref
 	}
-	headroomNow := greenAt(v, 0).Watts() - v.EstMandatoryPowerW.Watts()
+	headroomNow := greenAt(v.GreenForecast, 0).Watts() - v.EstMandatoryPowerW.Watts()
 	if headroomNow < v.PerJobPowerW.Watts()*float64(len(v.RunningDeferrable)) {
 		buffers := g.BatteryAware && v.BatteryEfficiency > 0 &&
 			v.BatteryUsableWh.Wh() >= 2*v.EstMandatoryPowerW.Watts()

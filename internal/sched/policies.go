@@ -54,7 +54,7 @@ func (p DeferFraction) Name() string { return fmt.Sprintf("defer%.0f%%", p.Fract
 // Plan implements Policy.
 func (p DeferFraction) Plan(v View) Decision {
 	d := Decision{Consolidate: true, SpinDownDisks: true}
-	headroom := greenAt(v, 0).Watts() - v.EstMandatoryPowerW.Watts()
+	headroom := greenAt(v.GreenForecast, 0).Watts() - v.EstMandatoryPowerW.Watts()
 	// Power the already-running deferrable work is drawing.
 	runningW := v.PerJobPowerW.Watts() * float64(len(v.RunningDeferrable))
 
@@ -230,7 +230,7 @@ func (g GreenMatch) Plan(v View) Decision {
 	capacity := scratchInts(&sc.capacity, h)
 	headroomNow := 0.0
 	for k := 0; k < h; k++ {
-		head := greenAt(v, k).Watts() - v.EstMandatoryPowerW.Watts()
+		head := greenAt(v.GreenForecast, k).Watts() - v.EstMandatoryPowerW.Watts()
 		if k == 0 {
 			headroomNow = head
 		}
@@ -295,7 +295,7 @@ func (g GreenMatch) Plan(v View) Decision {
 			// classes and the assignment collapses to a small
 			// transportation problem — exactly equivalent to the per-job
 			// flow (tested), but with cost independent of the job count.
-			starts = g.planGrouped(v, parts, capacity, h, sc, starts)
+			starts = g.planGrouped(&v, parts, capacity, h, sc, starts)
 		}
 	}
 	sc.starts = starts
@@ -386,14 +386,14 @@ type part struct {
 // the exact online instance for differential testing.
 func (g GreenMatch) WeightRow(v View, h, latestStart, remaining int) []float64 {
 	row := make([]float64, h)
-	g.weightRowInto(v, h, latestStart, remaining, row)
+	g.weightRowInto(&v, h, latestStart, remaining, row)
 	return row
 }
 
 // weightRowInto writes the weight row into the caller's buffer (len h); the
 // arithmetic is shared with weightRow so scratch-backed and allocating
 // planning produce bit-identical rows.
-func (g GreenMatch) weightRowInto(v View, h, latestStart, remaining int, row []float64) {
+func (g GreenMatch) weightRowInto(v *View, h, latestStart, remaining int, row []float64) {
 	if remaining < 1 {
 		remaining = 1
 	}
@@ -413,12 +413,13 @@ func (g GreenMatch) weightRowInto(v View, h, latestStart, remaining int, row []f
 			}
 		}
 	}
+	mandatoryW := v.EstMandatoryPowerW.Watts()
 	for k := 0; k < h; k++ {
 		if v.Slot+k > latestStart {
 			row[k] = match.Forbidden
 			continue
 		}
-		score := greenCoverage(v, h, k, remaining, perJob) * greenValue
+		score := greenCoverage(v.GreenForecast, mandatoryW, h, k, remaining, perJob) * greenValue
 		row[k] = score + earlinessBonus*float64(h-k)/float64(h)
 	}
 }
@@ -427,11 +428,12 @@ func (g GreenMatch) weightRowInto(v View, h, latestStart, remaining int, row []f
 // remaining-slot run starting at forecast offset k that green headroom
 // covers, each slot contributing up to one perJob-power's worth. GreenMatch
 // weight rows and KChoices probe scoring both use it, so their notions of
-// "how green is this start" agree by construction.
-func greenCoverage(v View, h, k, remaining int, perJob float64) float64 {
+// "how green is this start" agree by construction. It takes the forecast
+// and the mandatory draw rather than the View, which is large to copy.
+func greenCoverage(forecast []units.Power, mandatoryW float64, h, k, remaining int, perJob float64) float64 {
 	covered := 0.0
 	for t := k; t < k+remaining && t < h; t++ {
-		head := greenAt(v, t).Watts() - v.EstMandatoryPowerW.Watts()
+		head := greenAt(forecast, t).Watts() - mandatoryW
 		if head <= 0 {
 			continue
 		}
@@ -452,7 +454,7 @@ func greenCoverage(v View, h, k, remaining int, perJob float64) float64 {
 // members in parts order, all without allocating once the scratch is warm.
 // The transportation solve itself runs on the scratch's match.Solver,
 // which reuses its graph memory from slot to slot.
-func (g GreenMatch) planGrouped(v View, parts []part, capacity []int, h int, sc *PlanScratch, starts []int) []int {
+func (g GreenMatch) planGrouped(v *View, parts []part, capacity []int, h int, sc *PlanScratch, starts []int) []int {
 	stride := h + 1
 	cellGroup := scratchInts(&sc.cellGroup, stride*stride)
 	partCell := scratchIntsNoZero(&sc.partCell, len(parts))
@@ -531,12 +533,12 @@ func (g GreenMatch) planGrouped(v View, parts []part, capacity []int, h int, sc 
 	return starts
 }
 
-// greenAt reads the forecast with zero-padding past its horizon.
-func greenAt(v View, k int) units.Power {
-	if k < 0 || k >= len(v.GreenForecast) {
+// greenAt reads a forecast with zero-padding past its horizon.
+func greenAt(forecast []units.Power, k int) units.Power {
+	if k < 0 || k >= len(forecast) {
 		return 0
 	}
-	return v.GreenForecast[k]
+	return forecast[k]
 }
 
 func minf(a, b float64) float64 {

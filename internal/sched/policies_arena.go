@@ -115,6 +115,7 @@ func (p KChoices) Plan(v View) Decision {
 	}
 	h := lookahead
 	perJob := v.PerJobPowerW.Watts()
+	mandatoryW := v.EstMandatoryPowerW.Watts()
 	budget := v.SpaceJobs()
 	var starts []int
 	for i, r := range v.Waiting {
@@ -137,11 +138,11 @@ func (p KChoices) Plan(v View) Decision {
 		// "Now" is always the first probe; a sampled alternative must be
 		// strictly greener to win, so ties keep work early (the same
 		// tie-direction GreenMatch's earliness bonus encodes).
-		best := greenCoverage(v, h, 0, rem, perJob)
+		best := greenCoverage(v.GreenForecast, mandatoryW, h, 0, rem, perJob)
 		startNow := true
 		for probe := 1; probe < p.k() && maxOff >= 1; probe++ {
 			off := probeOffset(r.Job.ID, probe, maxOff)
-			if s := greenCoverage(v, h, off, rem, perJob); s > best {
+			if s := greenCoverage(v.GreenForecast, mandatoryW, h, off, rem, perJob); s > best {
 				best = s
 				startNow = false
 			}
@@ -211,7 +212,7 @@ func (p Cucumber) Plan(v View) Decision {
 		// covers the job right now there is nothing to wait for. This branch
 		// is confidence-independent by design (see the monotonicity note on
 		// the type).
-		if greenAt(v, 0).Watts()-v.EstMandatoryPowerW.Watts() >= perJob {
+		if greenAt(v.GreenForecast, 0).Watts()-v.EstMandatoryPowerW.Watts() >= perJob {
 			starts = append(starts, i)
 			continue
 		}
@@ -227,7 +228,7 @@ func (p Cucumber) Plan(v View) Decision {
 		}
 		confident := 0
 		for k := 1; k <= maxUse; k++ {
-			if greenAt(v, k).Watts()*scale-v.EstMandatoryPowerW.Watts() >= perJob {
+			if greenAt(v.GreenForecast, k).Watts()*scale-v.EstMandatoryPowerW.Watts() >= perJob {
 				confident++
 			}
 		}

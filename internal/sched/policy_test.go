@@ -363,10 +363,10 @@ func TestSpaceJobs(t *testing.T) {
 
 func TestGreenAtPadding(t *testing.T) {
 	v := View{GreenForecast: flatForecast(100, 4)}
-	if greenAt(v, 2) != 100 {
+	if greenAt(v.GreenForecast, 2) != 100 {
 		t.Error("in-range read wrong")
 	}
-	if greenAt(v, -1) != 0 || greenAt(v, 10) != 0 {
+	if greenAt(v.GreenForecast, -1) != 0 || greenAt(v.GreenForecast, 10) != 0 {
 		t.Error("out-of-range forecast should read as zero")
 	}
 }

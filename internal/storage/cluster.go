@@ -173,7 +173,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		server power.ServerProfile
 		disk   power.DiskProfile
 	}
-	var specs []nodeSpec
+	specs := make([]nodeSpec, 0, cfg.TotalNodes())
 	if len(cfg.Tiers) == 0 {
 		for n := 0; n < cfg.Nodes; n++ {
 			specs = append(specs, nodeSpec{0, cfg.NodeProfile.Server, cfg.NodeProfile.Disk})
@@ -187,17 +187,27 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 	cfg.Nodes = len(specs)
 
+	// Nodes and disks live in one array each, carved into the pointer
+	// lists the rest of the package walks: construction costs a handful
+	// of allocations whatever the fleet size.
 	c := &Cluster{cfg: cfg}
+	perNode := cfg.NodeProfile.DisksPerNode
+	nodes := make([]Node, cfg.Nodes)
+	disks := make([]Disk, cfg.Nodes*perNode)
+	diskPtrs := make([]*Disk, len(disks))
 	c.nodes = make([]*Node, cfg.Nodes)
 	for n := range specs {
-		node := &Node{ID: n, Tier: specs[n].tier, Server: specs[n].server, Powered: true}
-		node.Disks = make([]*Disk, cfg.NodeProfile.DisksPerNode)
-		for d := 0; d < cfg.NodeProfile.DisksPerNode; d++ {
-			node.Disks[d] = &Disk{
+		node := &nodes[n]
+		*node = Node{ID: n, Tier: specs[n].tier, Server: specs[n].server, Powered: true}
+		node.Disks = diskPtrs[n*perNode : (n+1)*perNode : (n+1)*perNode]
+		for d := range node.Disks {
+			disk := &disks[n*perNode+d]
+			*disk = Disk{
 				ID:      DiskID{Node: n, Disk: d},
 				Profile: specs[n].disk,
 				State:   power.DiskIdle,
 			}
+			node.Disks[d] = disk
 		}
 		c.nodes[n] = node
 	}
@@ -217,11 +227,28 @@ func MustNewCluster(cfg Config) *Cluster {
 	return c
 }
 
+// The rendezvous hash mixes one odd multiplier per coordinate.
+const (
+	objectMul = 0x9E3779B97F4A7C15
+	nodeMul   = 0xC2B2AE3D27D4EB4F
+	diskMul   = 0x165667B19E3779F9
+)
+
 // rendezvousScore hashes (object, disk) to a comparable weight using a
 // splitmix64-style finalizer, which gives the full-avalanche mixing that
 // highest-random-weight placement needs for balance.
 func rendezvousScore(object int, id DiskID) uint64 {
-	x := uint64(object)*0x9E3779B97F4A7C15 ^ uint64(id.Node)*0xC2B2AE3D27D4EB4F ^ uint64(id.Disk)*0x165667B19E3779F9
+	return mix64(uint64(object)*objectMul ^ diskTerm(id))
+}
+
+// diskTerm is the disk's share of the hashed key. XOR is associative, so
+// placeObjects computes it once per disk and reuses it for every object.
+func diskTerm(id DiskID) uint64 {
+	return uint64(id.Node)*nodeMul ^ uint64(id.Disk)*diskMul
+}
+
+// mix64 is the splitmix64 finalizer.
+func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9
 	x ^= x >> 27
@@ -275,6 +302,20 @@ func insertTop(top []scoredDisk, cd scoredDisk, k int) []scoredDisk {
 	return top
 }
 
+// bestDisk returns the highest rendezvous score among the disks whose hash
+// terms are given, for the object whose key is key, and the position of
+// the first disk with that score. It is the placement pass's inner loop,
+// kept in its own small function so its loop state stays in registers.
+func bestDisk(key uint64, terms []uint64) (score uint64, disk int) {
+	score = mix64(key ^ terms[0])
+	for d := 1; d < len(terms); d++ {
+		if s := mix64(key ^ terms[d]); s > score {
+			score, disk = s, d
+		}
+	}
+	return score, disk
+}
+
 // placeObjects assigns each object to Replicas distinct disks by rendezvous
 // (highest-random-weight) hashing, constrained to distinct nodes whenever
 // the eligible node set has at least Replicas nodes. With tiers, an
@@ -290,46 +331,84 @@ func insertTop(top []scoredDisk, cd scoredDisk, k int) []scoredDisk {
 // exactly that in one pass over the disks, keeping the running top
 // Replicas in a small insertion buffer: O(disks·Replicas) per object, with
 // no per-object scratch beyond the replica list itself.
+//
+// The pass runs over flat tables: each disk's hash term is computed once,
+// tiers are contiguous node ranges (NewCluster lays them out in order), and
+// a candidate that cannot beat the weakest held one skips insertTop, since
+// insertTop would return the buffer unchanged. Each disk's Objects list is
+// then counted and filled into one exactly sized array, in ascending
+// object order.
 func (c *Cluster) placeObjects() {
 	r := c.cfg.Replicas
-	// Untiered clusters have every node in tier 0, which is also what
-	// tierOf returns, so one eligibility test serves both shapes.
-	tierNodes := make([]int, max(1, len(c.cfg.Tiers)))
-	for _, n := range c.nodes {
-		tierNodes[n.Tier]++
+	perNode := c.cfg.NodeProfile.DisksPerNode
+	terms := make([]uint64, c.TotalDisks())
+	for i := range terms {
+		terms[i] = diskTerm(DiskID{Node: i / perNode, Disk: i % perNode})
 	}
+	// tierEnd[t] is one past tier t's last node; tier t starts where tier
+	// t-1 ends. Untiered clusters are one tier spanning every node.
+	tierEnd := make([]int, max(1, len(c.cfg.Tiers)))
+	for _, n := range c.nodes {
+		tierEnd[n.Tier] = n.ID + 1
+	}
+
 	c.placement = make([][]DiskID, c.cfg.Objects)
 	backing := make([]DiskID, c.cfg.Objects*r)
+	counts := make([]int, len(terms)+1) // counts[i+1]: objects on flat disk i
 	top := make([]scoredDisk, 0, r)
 	for obj := 0; obj < c.cfg.Objects; obj++ {
 		tier := c.tierOf(obj)
-		distinctNodes := tierNodes[tier] >= r
+		lo := 0
+		if tier > 0 {
+			lo = tierEnd[tier-1]
+		}
+		hi := tierEnd[tier]
+		key := uint64(obj) * objectMul
 		top = top[:0]
-		for _, n := range c.nodes {
-			if n.Tier != tier {
-				continue
-			}
-			if !distinctNodes {
-				for _, d := range n.Disks {
-					top = insertTop(top, scoredDisk{d.ID, rendezvousScore(obj, d.ID)}, r)
+		if hi-lo >= r {
+			for n := lo; n < hi; n++ {
+				s, d := bestDisk(key, terms[n*perNode:(n+1)*perNode])
+				if len(top) == r && s <= top[r-1].score {
+					continue
 				}
-				continue
+				top = insertTop(top, scoredDisk{DiskID{n, d}, s}, r)
 			}
-			best := scoredDisk{n.Disks[0].ID, rendezvousScore(obj, n.Disks[0].ID)}
-			for _, d := range n.Disks[1:] {
-				if s := rendezvousScore(obj, d.ID); s > best.score {
-					best = scoredDisk{d.ID, s}
+		} else {
+			for i := lo * perNode; i < hi*perNode; i++ {
+				s := mix64(key ^ terms[i])
+				if len(top) == r && s <= top[r-1].score {
+					continue
 				}
+				top = insertTop(top, scoredDisk{DiskID{i / perNode, i % perNode}, s}, r)
 			}
-			top = insertTop(top, best, r)
 		}
 		replicas := backing[obj*r : obj*r+len(top) : obj*r+len(top)]
 		for i, cd := range top {
 			replicas[i] = cd.id
-			disk := c.DiskByID(cd.id)
-			disk.Objects = append(disk.Objects, obj)
+			counts[cd.id.Node*perNode+cd.id.Disk+1]++
 		}
 		c.placement[obj] = replicas
+	}
+
+	// Count, then fill: after the prefix sum, disk i's list is
+	// objects[counts[i]:counts[i+1]]. Its capacity is exact, so the appends
+	// below fill it in place, in ascending object order.
+	for i := 1; i < len(counts); i++ {
+		counts[i] += counts[i-1]
+	}
+	objects := make([]int, counts[len(counts)-1])
+	for n, node := range c.nodes {
+		for d, disk := range node.Disks {
+			if lo, hi := counts[n*perNode+d], counts[n*perNode+d+1]; hi > lo {
+				disk.Objects = objects[lo:lo:hi]
+			}
+		}
+	}
+	for obj, reps := range c.placement {
+		for _, id := range reps {
+			d := c.nodes[id.Node].Disks[id.Disk]
+			d.Objects = append(d.Objects, obj)
+		}
 	}
 }
 

@@ -176,13 +176,67 @@ func TestInsertTopTies(t *testing.T) {
 	}
 }
 
-// TestNewClusterAllocCeiling guards against per-object scratch in
-// placement: construction may allocate per disk and in amortized append
-// growth, but must stay well below two allocations per object.
+// TestNewClusterAllocCeiling guards the flat construction: nodes, disks,
+// replica lists and per-disk object lists each come from one array, so the
+// allocation count is a small constant, whatever the node, disk and object
+// counts.
 func TestNewClusterAllocCeiling(t *testing.T) {
-	cfg := DefaultConfig()
-	avg := testing.AllocsPerRun(3, func() { MustNewCluster(cfg) })
-	if limit := float64(2 * cfg.Objects); avg >= limit {
-		t.Fatalf("NewCluster(DefaultConfig()) allocates %.0f times, want < %.0f", avg, limit)
+	big := DefaultConfig()
+	big.Nodes, big.NodeProfile.DisksPerNode, big.Objects = 120, 24, 20000
+	const limit = 32
+	for _, cfg := range []Config{DefaultConfig(), big} {
+		avg := testing.AllocsPerRun(3, func() { MustNewCluster(cfg) })
+		if avg >= limit {
+			t.Fatalf("NewCluster(%d nodes x %d disks, %d objects) allocates %.0f times, want < %d",
+				cfg.Nodes, cfg.NodeProfile.DisksPerNode, cfg.Objects, avg, limit)
+		}
 	}
+}
+
+// FuzzPlacement compares NewCluster with referencePlacement on fuzzed
+// topologies: node count, disks per node, r, object count and an optional
+// two-tier split. It also checks every disk's Objects list against the
+// reference layout: each object with a replica on the disk, ascending.
+func FuzzPlacement(f *testing.F) {
+	f.Add(uint8(30), uint8(12), uint8(3), uint16(3000), uint8(0), uint16(0))
+	f.Add(uint8(2), uint8(4), uint8(3), uint16(500), uint8(0), uint16(0))
+	f.Add(uint8(30), uint8(12), uint8(3), uint16(3000), uint8(10), uint16(200))
+	f.Add(uint8(5), uint8(1), uint8(4), uint16(77), uint8(1), uint16(900))
+	f.Add(uint8(1), uint8(7), uint8(1), uint16(0), uint8(0), uint16(0))
+	f.Fuzz(func(t *testing.T, nodes, disks, r uint8, objects uint16, hot uint8, shareMilli uint16) {
+		cfg := DefaultConfig()
+		cfg.Nodes = 1 + int(nodes)%48
+		cfg.NodeProfile.DisksPerNode = 1 + int(disks)%16
+		cfg.Replicas = 1 + int(r)%6
+		cfg.Objects = int(objects) % 4000
+		if hot > 0 && cfg.Nodes >= 2 {
+			h := 1 + int(hot)%(cfg.Nodes-1)
+			share := 0.01 + 0.98*float64(shareMilli%1000)/1000
+			cfg.Tiers = []Tier{
+				{Name: "hot", Nodes: h, Server: power.R720(), Disk: power.EnterpriseHDD(), ObjectShare: share},
+				{Name: "cold", Nodes: cfg.Nodes - h, Server: power.R720(), Disk: power.ArchiveHDD(), ObjectShare: 1 - share},
+			}
+		}
+		if cfg.Validate() != nil {
+			return
+		}
+		c := MustNewCluster(cfg)
+		want := referencePlacement(c)
+		onDisk := map[DiskID][]int{}
+		for obj, reps := range want {
+			if !slices.Equal(c.Replicas(obj), reps) {
+				t.Fatalf("object %d replicas %v, want %v", obj, c.Replicas(obj), reps)
+			}
+			for _, id := range reps {
+				onDisk[id] = append(onDisk[id], obj)
+			}
+		}
+		for _, n := range c.Nodes() {
+			for _, d := range n.Disks {
+				if !slices.Equal(d.Objects, onDisk[d.ID]) {
+					t.Fatalf("disk %v objects %v, want %v", d.ID, d.Objects, onDisk[d.ID])
+				}
+			}
+		}
+	})
 }

@@ -1,10 +1,8 @@
 package workload
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/rng"
 )
@@ -125,7 +123,7 @@ func Generate(cfg GenConfig) (Trace, error) {
 		cum[i] = acc
 	}
 
-	var tr Trace
+	tr := make(Trace, 0, cfg.WebJobs+cfg.BatchJobs+cfg.ScrubJobs+cfg.BackupJobs+cfg.RepairJobs)
 	id := 0
 	add := func(j Job) {
 		j.ID = id
@@ -202,18 +200,31 @@ func Generate(cfg GenConfig) (Trace, error) {
 		add(Job{Class: Repair, Submit: sub, Duration: d, Deadline: sub + d + 8, CPU: 1, RAMGB: 1, IOBound: true, UtilMean: 0.9})
 	}
 
-	// IDs are unique, so (Submit, ID) is a total order and an unstable sort
-	// gives the one order a stable sort by Submit would.
-	slices.SortFunc(tr, func(a, b Job) int {
-		if a.Submit != b.Submit {
-			return cmp.Compare(a.Submit, b.Submit)
-		}
-		return cmp.Compare(a.ID, b.ID)
-	})
+	tr = sortBySubmit(tr, cfg.Slots)
 	if err := tr.Validate(); err != nil {
 		return nil, fmt.Errorf("workload: generator produced invalid trace: %w", err)
 	}
 	return tr, nil
+}
+
+// sortBySubmit returns the jobs in (Submit, ID) order. They arrive in ID
+// order with every Submit in [0, slots), so a stable counting sort by
+// Submit gives exactly that order.
+func sortBySubmit(jobs Trace, slots int) Trace {
+	next := make([]int, slots+1) // next[s+1]: jobs submitted at s
+	for i := range jobs {
+		next[jobs[i].Submit+1]++
+	}
+	for s := 1; s < len(next); s++ {
+		next[s] += next[s-1]
+	}
+	sorted := make(Trace, len(jobs))
+	for i := range jobs {
+		s := jobs[i].Submit
+		sorted[next[s]] = jobs[i]
+		next[s]++
+	}
+	return sorted
 }
 
 // MustGenerate is Generate that panics on error, for tests and examples.
