@@ -744,7 +744,7 @@ func (s *Simulator) replan(t int) (dec sched.Decision, promoted, started, attemp
 	// 2. Ask the policy for a plan.
 	view := s.buildView(t)
 	dec = s.cfg.Policy.Plan(view)
-	if err := dec.Check(view); err != nil {
+	if err := dec.Check(&view); err != nil {
 		panic(fmt.Sprintf("core: policy %s returned invalid decision: %v", s.cfg.Policy.Name(), err))
 	}
 

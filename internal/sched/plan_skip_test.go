@@ -146,7 +146,7 @@ func planReference(t *testing.T, g GreenMatch, v View) skipRef {
 	}
 	ref.d = Decision{StartWaiting: starts, Consolidate: true, SpinDownDisks: true}
 	if v.Degraded {
-		ref.d.StartWaiting = enforceBacklogBound(v, ref.d.StartWaiting)
+		ref.d.StartWaiting = enforceBacklogBound(&v, ref.d.StartWaiting)
 		return ref
 	}
 	headroomNow := greenAt(v.GreenForecast, 0).Watts() - v.EstMandatoryPowerW.Watts()

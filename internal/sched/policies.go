@@ -66,24 +66,25 @@ func (p DeferFraction) Plan(v View) Decision {
 		if sj := v.SpaceJobs(); budget > sj {
 			budget = sj
 		}
-		d.StartWaiting = p.selectStarts(v, budget)
+		d.StartWaiting = p.selectStarts(&v, budget)
 		if v.Degraded {
-			d.StartWaiting = enforceBacklogBound(v, d.StartWaiting)
+			d.StartWaiting = enforceBacklogBound(&v, d.StartWaiting)
 		}
 		return d
 	}
 	// Deficit: hold participants, and suspend running participants that
 	// still have slack to spare.
-	d.StartWaiting = p.selectStarts(v, 0)
+	d.StartWaiting = p.selectStarts(&v, 0)
 	if v.Degraded {
 		// Graceful degradation: with crashed nodes, suspending running work
 		// only adds churn to a fleet already short on capacity, and an
 		// unbounded deferred backlog piles up work the survivors cannot
 		// drain; hold what runs and cap the backlog instead.
-		d.StartWaiting = enforceBacklogBound(v, d.StartWaiting)
+		d.StartWaiting = enforceBacklogBound(&v, d.StartWaiting)
 		return d
 	}
-	for i, r := range v.RunningDeferrable {
+	for i := range v.RunningDeferrable {
+		r := &v.RunningDeferrable[i]
 		if stickyDefer(r.Job.ID, p.Fraction) && r.SlackAt(v.Slot) > ReserveSlack {
 			d.SuspendRunning = append(d.SuspendRunning, i)
 		}
@@ -95,14 +96,15 @@ func (p DeferFraction) Plan(v View) Decision {
 // (most-urgent first). Participants whose slack has shrunk to the reserve
 // start regardless of budget — the simulator would promote them next slot
 // anyway, and starting now avoids a needless miss risk.
-func (p DeferFraction) selectStarts(v View, budget int) []int {
+func (p DeferFraction) selectStarts(v *View, budget int) []int {
 	var starts []int
 	type cand struct {
 		idx   int
 		slack int
 	}
 	var parts []cand
-	for i, r := range v.Waiting {
+	for i := range v.Waiting {
+		r := &v.Waiting[i]
 		if !stickyDefer(r.Job.ID, p.Fraction) {
 			starts = append(starts, i)
 			continue
@@ -246,7 +248,8 @@ func (g GreenMatch) Plan(v View) Decision {
 	// start now; participants enter the matching.
 	starts := sc.starts[:0]
 	parts := sc.parts[:0]
-	for i, r := range v.Waiting {
+	for i := range v.Waiting {
+		r := &v.Waiting[i]
 		if !stickyDefer(r.Job.ID, g.fraction()) || r.SlackAt(v.Slot) <= ReserveSlack {
 			starts = append(starts, i)
 			continue
@@ -288,7 +291,7 @@ func (g GreenMatch) Plan(v View) Decision {
 	// to — so grouping, weight rows and the solve are skipped.
 	if len(parts) > 0 && capacity[0] > 0 {
 		if g.solver() == SolverGreedy {
-			starts = g.planGreedy(v, parts, capacity, h, starts)
+			starts = g.planGreedy(&v, parts, capacity, h, starts)
 		} else {
 			// Weights depend on a job only through its latest-start slot
 			// and remaining work, so jobs group into a few interchangeable
@@ -310,7 +313,7 @@ func (g GreenMatch) Plan(v View) Decision {
 		// capacity is impaired, and bound the deferred backlog to what the
 		// surviving nodes can drain (overflow starts now, most urgent
 		// first, so shedding shows up as explicit deadline accounting).
-		d.StartWaiting = enforceBacklogBound(v, d.StartWaiting)
+		d.StartWaiting = enforceBacklogBound(&v, d.StartWaiting)
 		return d
 	}
 
@@ -328,8 +331,8 @@ func (g GreenMatch) Plan(v View) Decision {
 			v.BatteryUsableWh.Wh() >= 2*v.EstMandatoryPowerW.Watts()
 		if !batteryBuffers {
 			suspends := sc.suspends[:0]
-			for i, r := range v.RunningDeferrable {
-				if stickyDefer(r.Job.ID, g.fraction()) && r.SlackAt(v.Slot) > ReserveSlack {
+			for i := range v.RunningDeferrable {
+				if r := &v.RunningDeferrable[i]; stickyDefer(r.Job.ID, g.fraction()) && r.SlackAt(v.Slot) > ReserveSlack {
 					suspends = append(suspends, i)
 				}
 			}
@@ -345,13 +348,14 @@ func (g GreenMatch) Plan(v View) Decision {
 // planGreedy solves the matching on the per-job instance with the greedy
 // heuristic and appends the View.Waiting indices matched to the current
 // slot onto starts.
-func (g GreenMatch) planGreedy(v View, parts []part, capacity []int, h int, starts []int) []int {
+func (g GreenMatch) planGreedy(v *View, parts []part, capacity []int, h int, starts []int) []int {
 	in := match.Instance{
 		Weights:  make([][]float64, len(parts)),
 		Capacity: capacity,
 	}
 	for j, p := range parts {
-		in.Weights[j] = g.WeightRow(v, h, p.latestStart, p.remaining)
+		in.Weights[j] = make([]float64, h)
+		g.weightRowInto(v, h, p.latestStart, p.remaining, in.Weights[j])
 	}
 	res, err := match.Greedy(in)
 	if err != nil {

@@ -61,7 +61,7 @@ func (EDF) Plan(v View) Decision {
 	}
 	d.StartWaiting = starts
 	if v.Degraded {
-		d.StartWaiting = enforceBacklogBound(v, d.StartWaiting)
+		d.StartWaiting = enforceBacklogBound(&v, d.StartWaiting)
 	}
 	return d
 }
@@ -118,7 +118,8 @@ func (p KChoices) Plan(v View) Decision {
 	mandatoryW := v.EstMandatoryPowerW.Watts()
 	budget := v.SpaceJobs()
 	var starts []int
-	for i, r := range v.Waiting {
+	for i := range v.Waiting {
+		r := &v.Waiting[i]
 		slack := r.SlackAt(v.Slot)
 		if slack <= ReserveSlack {
 			starts = append(starts, i)
@@ -154,7 +155,7 @@ func (p KChoices) Plan(v View) Decision {
 	}
 	d.StartWaiting = starts
 	if v.Degraded {
-		d.StartWaiting = enforceBacklogBound(v, d.StartWaiting)
+		d.StartWaiting = enforceBacklogBound(&v, d.StartWaiting)
 	}
 	return d
 }
@@ -202,7 +203,8 @@ func (p Cucumber) Plan(v View) Decision {
 	perJob := v.PerJobPowerW.Watts()
 	scale := forecast.ConfidenceScale(p.confidence())
 	var starts []int
-	for i, r := range v.Waiting {
+	for i := range v.Waiting {
+		r := &v.Waiting[i]
 		slack := r.SlackAt(v.Slot)
 		if slack <= ReserveSlack {
 			starts = append(starts, i)
@@ -239,7 +241,7 @@ func (p Cucumber) Plan(v View) Decision {
 	}
 	d.StartWaiting = starts
 	if v.Degraded {
-		d.StartWaiting = enforceBacklogBound(v, d.StartWaiting)
+		d.StartWaiting = enforceBacklogBound(&v, d.StartWaiting)
 	}
 	return d
 }

@@ -45,7 +45,7 @@ type JobRef struct {
 }
 
 // SlackAt returns the job's remaining slack at the given slot.
-func (r JobRef) SlackAt(slot int) int {
+func (r *JobRef) SlackAt(slot int) int {
 	return r.Job.SlackAt(slot, r.Remaining)
 }
 
@@ -118,7 +118,7 @@ type Decision struct {
 // index must address View.Waiting and every suspend index
 // View.RunningDeferrable. The simulator treats a failed check as a policy
 // bug and panics with the returned error.
-func (d Decision) Check(v View) error {
+func (d Decision) Check(v *View) error {
 	for _, idx := range d.StartWaiting {
 		if idx < 0 || idx >= len(v.Waiting) {
 			return fmt.Errorf("sched: start index %d outside waiting set of %d", idx, len(v.Waiting))
@@ -145,7 +145,7 @@ type Policy interface {
 // deferrable work, at the average waiting-job CPU demand (1.25 cores when
 // there is nothing to average). Zero when the view carries no capacity
 // information (tests that only exercise the power budget).
-func (v View) SpaceJobs() int {
+func (v *View) SpaceJobs() int {
 	if v.TotalCPUCapacity <= 0 {
 		return 1 << 30 // capacity unknown: unbounded
 	}
@@ -159,12 +159,12 @@ func (v View) SpaceJobs() int {
 // avgWaitingCPU returns the mean CPU demand of the waiting jobs (1.25 cores
 // when there is nothing to average), the planning constant SpaceJobs and
 // backlogBound share.
-func (v View) avgWaitingCPU() float64 {
+func (v *View) avgWaitingCPU() float64 {
 	avg := 1.25
 	if len(v.Waiting) > 0 {
 		sum := 0.0
-		for _, r := range v.Waiting {
-			sum += r.Job.CPU
+		for i := range v.Waiting {
+			sum += v.Waiting[i].Job.CPU
 		}
 		avg = sum / float64(len(v.Waiting))
 	}
@@ -181,7 +181,7 @@ func (v View) avgWaitingCPU() float64 {
 // instead (most urgent first), making the shed explicit in deadline-miss
 // accounting rather than silent. Unbounded when the view carries no
 // capacity information.
-func (v View) backlogBound() int {
+func (v *View) backlogBound() int {
 	if v.TotalCPUCapacity <= 0 {
 		return 1 << 30
 	}
@@ -192,7 +192,7 @@ func (v View) backlogBound() int {
 // list: when more jobs would stay deferred than backlogBound allows, the
 // most urgent of them (smallest slack, index tiebreak) are started too.
 // Returns the augmented start list.
-func enforceBacklogBound(v View, starts []int) []int {
+func enforceBacklogBound(v *View, starts []int) []int {
 	bound := v.backlogBound()
 	deferred := len(v.Waiting) - len(starts)
 	if deferred <= bound {
@@ -204,8 +204,8 @@ func enforceBacklogBound(v View, starts []int) []int {
 	}
 	type cand struct{ idx, slack int }
 	var held []cand
-	for i, r := range v.Waiting {
-		if !started[i] {
+	for i := range v.Waiting {
+		if r := &v.Waiting[i]; !started[i] {
 			held = append(held, cand{idx: i, slack: r.SlackAt(v.Slot)})
 		}
 	}

@@ -334,7 +334,7 @@ func TestPolicyNames(t *testing.T) {
 
 func TestSpaceJobs(t *testing.T) {
 	// Unknown capacity: unbounded.
-	if (View{}).SpaceJobs() < 1<<29 {
+	if (&View{}).SpaceJobs() < 1<<29 {
 		t.Error("capacity-less view should be unbounded")
 	}
 	// Free capacity divided by the mean waiting-job demand.

@@ -18,7 +18,9 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
 	"strconv"
+	"sync"
 )
 
 // Entry is one journaled state mutation. Seq numbers are contiguous from 1;
@@ -171,7 +173,7 @@ func bareJSON(b []byte) bool {
 	if len(b) == 0 || isSpace(b[0]) || isSpace(b[len(b)-1]) {
 		return false
 	}
-	return json.Valid(b)
+	return validJSON(b)
 }
 
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
@@ -201,29 +203,97 @@ func internKind(b []byte) string {
 // breaks the sequence or fails its CRC, and the byte length of that
 // prefix. Lines in the layout Append writes are parsed in place; any other
 // line goes through json.Unmarshal. Entry data aliases buf.
+//
+// A journal of at least parallelScanMin bytes is scanned in up to
+// GOMAXPROCS chunks at once, one per parallelScanMin bytes: a smaller one
+// costs less to scan than to hand to another goroutine.
 func scanJournal(buf []byte) ([]Entry, int64) {
-	entries := make([]Entry, 0, bytes.Count(buf, []byte{'\n'}))
-	good := 0
-	for {
-		n := bytes.IndexByte(buf[good:], '\n')
-		if n < 0 {
+	chunks := min(runtime.GOMAXPROCS(0), len(buf)/parallelScanMin)
+	return scanJournalChunks(buf, max(chunks, 1))
+}
+
+// parallelScanMin is the journal size, and the least chunk size, from
+// which scanJournal splits the scan across goroutines.
+const parallelScanMin = 64 << 10
+
+// scanJournalChunks is scanJournal cutting buf, at line boundaries, into at
+// most chunks pieces of about equal size and scanning each on a goroutine
+// of its own, the first on the caller's. Every line stands alone — its entry must carry the seq one
+// past its line number — so each piece is judged without the others, into
+// its own range of one presized slice. The intact prefix then runs
+// through every piece that was intact to its end and stops inside the
+// first that was not, which is exactly where the serial scan stops.
+func scanJournalChunks(buf []byte, chunks int) ([]Entry, int64) {
+	type piece struct {
+		start, end int // byte range in buf, ending just past a newline or at len(buf)
+		first      int // line number of its first line
+		lines      int // newline-terminated lines in the range
+		intact     int // leading lines that scanned intact
+		good       int // their byte length
+	}
+	pieces := make([]piece, 0, chunks)
+	total := 0
+	for start := 0; start < len(buf); {
+		// Piece k ends at the first newline from k+1 chunks' share of
+		// buf on; the last share ends at len(buf), so that piece takes
+		// the rest, torn tail included.
+		end := len(buf)
+		cut := max(start, len(buf)*(len(pieces)+1)/chunks)
+		if n := bytes.IndexByte(buf[cut:], '\n'); n >= 0 {
+			end = cut + n + 1
+		}
+		lines := bytes.Count(buf[start:end], []byte{'\n'})
+		pieces = append(pieces, piece{start: start, end: end, first: total, lines: lines})
+		total += lines
+		start = end
+	}
+	entries := make([]Entry, total)
+	scan := func(p *piece) {
+		p.intact, p.good = scanLines(buf[p.start:p.end], entries[p.first:p.first+p.lines], uint64(p.first)+1)
+	}
+	var wg sync.WaitGroup
+	for k := 1; k < len(pieces); k++ {
+		wg.Add(1)
+		go func(p *piece) {
+			defer wg.Done()
+			scan(p)
+		}(&pieces[k])
+	}
+	if len(pieces) > 0 {
+		scan(&pieces[0])
+	}
+	wg.Wait()
+	n, good := 0, 0
+	for _, p := range pieces {
+		n += p.intact
+		good += p.good
+		if p.intact < p.lines {
 			break
 		}
+	}
+	return entries[:n], int64(good)
+}
+
+// scanLines parses the newline-terminated lines of buf into out, which
+// has one slot per line, stopping at the first line that does not decode,
+// does not carry the next seq (starting from seq) or fails its CRC. It
+// returns how many lines were intact and their byte length.
+func scanLines(buf []byte, out []Entry, seq uint64) (int, int) {
+	good := 0
+	for k := range out {
+		n := bytes.IndexByte(buf[good:], '\n')
 		line := buf[good : good+n]
 		e, ok := parseLine(line)
 		if !ok {
 			e, ok = decodeLine(line)
 		}
-		if !ok {
-			break
+		if !ok || e.Seq != seq+uint64(k) || e.CRC != entryCRC(e.Seq, e.Kind, e.Data) {
+			return k, good
 		}
-		if e.Seq != uint64(len(entries))+1 || e.CRC != entryCRC(e.Seq, e.Kind, e.Data) {
-			break
-		}
-		entries = append(entries, e)
+		out[k] = e
 		good += n + 1
 	}
-	return entries, int64(good)
+	return len(out), good
 }
 
 // decodeLine decodes a line outside the layout generically. It is a
@@ -324,9 +394,6 @@ func (j *Journal) Append(kind string, data any) (uint64, error) {
 	j.next++
 	return j.next - 1, nil
 }
-
-// NextSeq returns the sequence number the next Append will assign.
-func (j *Journal) NextSeq() uint64 { return j.next }
 
 // Close syncs and closes the journal file.
 func (j *Journal) Close() error {

@@ -232,8 +232,8 @@ func scanSeeds(t testing.TB) []string {
 
 // FuzzJournalScan holds the layout parser to the generic decode it
 // replaced: on any newline-terminated, carriage-return-free journal image
-// both scanners must yield identical entries and the same truncation
-// offset.
+// the scan, cut into one to four chunks, must yield the oracle's entries
+// and truncation offset.
 func FuzzJournalScan(f *testing.F) {
 	for _, s := range scanSeeds(f) {
 		f.Add([]byte(s))
@@ -243,20 +243,111 @@ func FuzzJournalScan(f *testing.F) {
 		if len(buf) > 0 && buf[len(buf)-1] != '\n' {
 			buf = append(buf, '\n')
 		}
-		got, good := scanJournal(buf)
 		want, wantGood := oracleScan(buf)
-		if good != wantGood {
-			t.Fatalf("truncation offset %d, oracle %d", good, wantGood)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%d entries, oracle %d", len(got), len(want))
-		}
-		for i := range got {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Fatalf("entry %d: %+v, oracle %+v", i, got[i], want[i])
+		for chunks := 1; chunks <= 4; chunks++ {
+			got, good := scanJournalChunks(buf, chunks)
+			if good != wantGood {
+				t.Fatalf("%d chunks: truncation offset %d, oracle %d", chunks, good, wantGood)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%d chunks: %d entries, oracle %d", chunks, len(got), len(want))
+			}
+			for i := range got {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("%d chunks: entry %d: %+v, oracle %+v", chunks, i, got[i], want[i])
+				}
 			}
 		}
 	})
+}
+
+// TestChunkedScanMatchesOracle holds the chunked scan, at one to four
+// chunks, to the encoding/json scan on a 300-entry history with one defect
+// injected at each line in turn, so every defect also lands on the first
+// and last line of some chunk (every seventh line in short mode). A defect
+// that breaks the line must stop both scans exactly there; a respelling
+// only json.Unmarshal reads must stop neither.
+func TestChunkedScanMatchesOracle(t *testing.T) {
+	const n = 300
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	historyJournal(t, path, n)
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(blob, []byte("\n"))
+	lines = lines[:len(lines)-1] // the empty remainder after the last newline
+	if len(lines) != n {
+		t.Fatalf("history has %d lines, want %d", len(lines), n)
+	}
+	withSeq := func(line []byte, seq uint64, data []byte) []byte {
+		e, ok := parseLine(line[:len(line)-1])
+		if !ok {
+			t.Fatalf("history line is not in the layout: %s", line)
+		}
+		return appendLine(nil, seq, e.Kind, data, entryCRC(seq, e.Kind, data))
+	}
+	defects := []struct {
+		name  string
+		stops bool
+		image func(k int) []byte // the history with line k (seq k+1) damaged
+	}{
+		{"torn last line", true, func(k int) []byte {
+			img := bytes.Join(lines[:k], nil)
+			return append(img, lines[k][:len(lines[k])/2]...)
+		}},
+		{"flipped CRC digit", true, func(k int) []byte {
+			line := bytes.Clone(lines[k])
+			d := len(line) - 3 // the CRC's last digit, before "}\n"
+			line[d] = '0' + (line[d]-'0'+1)%10
+			return splice(lines, k, line)
+		}},
+		{"seq gap", true, func(k int) []byte {
+			e, _ := parseLine(lines[k][:len(lines[k])-1])
+			return splice(lines, k, withSeq(lines[k], uint64(k)+2, e.Data))
+		}},
+		{"respelled", false, func(k int) []byte {
+			line := bytes.Replace(lines[k], []byte(lineSeq), []byte(lineSeq+" "), 1)
+			return splice(lines, k, line)
+		}},
+		{"empty line", true, func(k int) []byte {
+			return splice(lines, k, append([]byte("\n"), lines[k]...))
+		}},
+		{"data not JSON, CRC intact", true, func(k int) []byte {
+			return splice(lines, k, withSeq(lines[k], uint64(k)+1, []byte(`{"to":1,}`)))
+		}},
+	}
+	stride := 1
+	if testing.Short() {
+		stride = 7
+	}
+	for _, d := range defects {
+		for k := 0; k < n; k += stride {
+			img := d.image(k)
+			want, wantGood := oracleScan(img)
+			wantN := n
+			if d.stops {
+				wantN = k
+			}
+			if len(want) != wantN {
+				t.Fatalf("%s at line %d: oracle kept %d entries, want %d", d.name, k+1, len(want), wantN)
+			}
+			for chunks := 1; chunks <= 4; chunks++ {
+				got, good := scanJournalChunks(img, chunks)
+				if good != wantGood || len(got) != len(want) || len(got) > 0 && !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s at line %d, %d chunks: %d entries to offset %d, oracle %d to %d",
+						d.name, k+1, chunks, len(got), good, len(want), wantGood)
+				}
+			}
+		}
+	}
+}
+
+// splice returns the lines joined with line k replaced by repl.
+func splice(lines [][]byte, k int, repl []byte) []byte {
+	img := bytes.Join(lines[:k], nil)
+	img = append(img, repl...)
+	return append(img, bytes.Join(lines[k+1:], nil)...)
 }
 
 // TestAppendLineMatchesMarshal pins the writer half of the layout: for a
@@ -353,21 +444,31 @@ func TestOpenJournalAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkOpenJournal scans a ~4k-entry journal.
+// BenchmarkOpenJournal scans a ~4k-entry journal. Its result is the
+// entries recovered times 1e7 plus the intact bytes the file is truncated
+// to.
 func BenchmarkOpenJournal(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "journal.jsonl")
 	historyJournal(b, path, 4200)
+	var recovered int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j, _, err := OpenJournal(path, false)
+		j, entries, err := OpenJournal(path, false)
 		if err != nil {
 			b.Fatal(err)
 		}
+		recovered = len(entries)
 		if err := j.Close(); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	st, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(recovered)*1e7+float64(st.Size()), "result")
 }
 
 // BenchmarkRecover recovers a session of ~4k journal entries — a week's

@@ -409,11 +409,57 @@ func (r *Runner) apply(seq uint64, kind string, data json.RawMessage) error {
 // errNotInitialized gates every pre-init mutation.
 var errNotInitialized = fmt.Errorf("serve: scheduler not initialized")
 
+// Bounds on what an init may ask the service to build, checked on the
+// scenario after InitRequest.Scale is applied and before it is compiled,
+// so that a request body of a few hundred bytes cannot make the service
+// generate an arbitrarily large cluster, trace, supply series or read
+// load. Each admits at least ten times what the largest scenario in
+// scenarios/ asks for at scale 1.
+const (
+	maxInitNodes         = 300     // 10x the shipped scenarios' 30
+	maxInitObjects       = 100_000 // 11x tiered-archive's 9,000
+	maxInitReplicas      = 10      // 3x the default of 3
+	maxInitWorkloadScale = 10      // ten reference weeks of jobs
+	maxInitSupplySlots   = 87_600  // ten years of hourly slots
+	maxInitTurbines      = 100     // 50x wind-hybrid's 2
+	maxInitReadsPerSlot  = 100_000 // 500x the default of 200
+)
+
+// checkInitBounds refuses an init whose scaled scenario exceeds one of the
+// service's resource bounds.
+func checkInitBounds(req InitRequest) error {
+	sc := req.Scenario
+	if req.Scale > 0 {
+		sc = sc.Scaled(req.Scale)
+	}
+	for _, b := range []struct {
+		field    string
+		got, max float64
+	}{
+		{"nodes", float64(sc.Nodes), maxInitNodes},
+		{"objects", float64(sc.Objects), maxInitObjects},
+		{"replicas", float64(sc.Replicas), maxInitReplicas},
+		{"workload_scale", sc.WorkloadScale, maxInitWorkloadScale},
+		{"supply_slots", float64(sc.SupplySlots), maxInitSupplySlots},
+		{"turbines", float64(sc.Turbines), maxInitTurbines},
+		{"reads_per_slot", sc.ReadsPerSlot, maxInitReadsPerSlot},
+	} {
+		if !(b.got <= b.max) {
+			return fmt.Errorf("serve: scenario %s %v exceeds the service bound %v", b.field, b.got, b.max)
+		}
+	}
+	return nil
+}
+
 // Init initializes the scheduler. A second init is rejected: the journal
-// describes exactly one run.
+// describes exactly one run. A scenario beyond the service's resource
+// bounds is refused before it is compiled.
 func (r *Runner) Init(req InitRequest) error {
 	if r.initReq != nil {
 		return fmt.Errorf("serve: already initialized")
+	}
+	if err := checkInitBounds(req); err != nil {
+		return err
 	}
 	// Compile eagerly so an invalid scenario is rejected without ever
 	// reaching the journal.

@@ -357,11 +357,11 @@ func TestRunnerIdempotentSubmit(t *testing.T) {
 	if first != second {
 		t.Fatalf("idempotent replay returned %+v, want %+v", second, first)
 	}
-	seqAfter := r.journal.NextSeq()
+	seqAfter := r.journal.next
 	if _, _, err := r.Submit("retry-key", job); err != nil {
 		t.Fatal(err)
 	}
-	if r.journal.NextSeq() != seqAfter {
+	if r.journal.next != seqAfter {
 		t.Fatal("idempotent replay appended a journal entry")
 	}
 	// The table survives a crash: retry after recovery still replays.
@@ -421,8 +421,8 @@ func TestJournalTornTail(t *testing.T) {
 		if len(entries) != 3 {
 			t.Fatalf("tail %q: recovered %d entries, want 3", tail, len(entries))
 		}
-		if j2.NextSeq() != 4 {
-			t.Fatalf("tail %q: next seq %d, want 4", tail, j2.NextSeq())
+		if j2.next != 4 {
+			t.Fatalf("tail %q: next seq %d, want 4", tail, j2.next)
 		}
 		// The torn tail must be gone from disk.
 		after, err := os.ReadFile(path)
@@ -642,11 +642,11 @@ func TestRunnerRejections(t *testing.T) {
 	if err := r.Fault(FaultRequest{Event: fault.Event{Kind: fault.KindNodeCrash, At: 50, Nodes: []int{99}}}); err == nil {
 		t.Error("out-of-cluster crash target accepted")
 	}
-	seq := r.journal.NextSeq()
+	seq := r.journal.next
 	if err := r.Supply(SupplyRequest{Slot: 2, Watts: 100}); err == nil {
 		t.Error("second settled-slot override accepted")
 	}
-	if r.journal.NextSeq() != seq {
+	if r.journal.next != seq {
 		t.Error("rejected request reached the journal")
 	}
 }

@@ -14,7 +14,9 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/scenario"
 	"repro/internal/workload"
+	"repro/scenarios"
 )
 
 func newTestServer(t *testing.T, dir string, sopts ServerOptions) (*Server, *httptest.Server) {
@@ -502,6 +504,72 @@ func TestServerRejectsOversizedBody(t *testing.T) {
 	}
 	if seq := appliedSeq(t, ts); seq != 2 {
 		t.Fatalf("tick with a %d-byte body not journaled: applied seq %d, want 2", maxRequestBody, seq)
+	}
+}
+
+// TestServerRejectsOversizedInit pins the init resource bounds: on a
+// fresh server a scenario past any bound, as written or once Scale is
+// applied, is a 422 and leaves the journal empty; a valid init then
+// succeeds.
+func TestServerRejectsOversizedInit(t *testing.T) {
+	_, ts := newTestServer(t, t.TempDir(), ServerOptions{})
+	withScale := func(scale float64, edit func(*scenario.Scenario)) InitRequest {
+		sc := testScenario(605, false)
+		edit(&sc)
+		return InitRequest{Scenario: sc, Scale: scale}
+	}
+	for _, c := range []struct {
+		field string
+		req   InitRequest
+	}{
+		{"nodes", withScale(0, func(sc *scenario.Scenario) { sc.Nodes = maxInitNodes + 1 })},
+		{"objects", withScale(0, func(sc *scenario.Scenario) { sc.Objects = maxInitObjects + 1 })},
+		{"replicas", withScale(0, func(sc *scenario.Scenario) { sc.Replicas = maxInitReplicas + 1 })},
+		{"workload_scale", withScale(0, func(sc *scenario.Scenario) { sc.WorkloadScale = maxInitWorkloadScale * 1.01 })},
+		{"supply_slots", withScale(0, func(sc *scenario.Scenario) { sc.SupplySlots = maxInitSupplySlots + 1 })},
+		{"turbines", withScale(0, func(sc *scenario.Scenario) { sc.Source, sc.Turbines = "wind", maxInitTurbines+1 })},
+		{"reads_per_slot", withScale(0, func(sc *scenario.Scenario) { sc.ReadsPerSlot = maxInitReadsPerSlot * 1.01 })},
+		// Within every bound as written, past one once scaled. At a scale
+		// of 1e300 the scaled counts overflow int, and where they land
+		// depends on the platform, so any bound may be the one that
+		// refuses it; the read rate's always does.
+		{"nodes", withScale(maxInitNodes, func(*scenario.Scenario) {})},
+		{"", withScale(1e300, func(sc *scenario.Scenario) { sc.WorkloadScale = 1e-300 })},
+	} {
+		resp, body := postJSON(t, ts.URL+"/v1/init", c.req, nil)
+		if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), "scenario "+c.field) {
+			t.Errorf("init past the %s bound at scale %v returned %d %s, want 422 naming it", c.field, c.req.Scale, resp.StatusCode, body)
+		}
+	}
+	if seq := appliedSeq(t, ts); seq != 0 {
+		t.Fatalf("refused inits were journaled: applied seq %d", seq)
+	}
+	if resp, body := postJSON(t, ts.URL+"/v1/init", InitRequest{Scenario: testScenario(605, false)}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid init after refusals: %d %s", resp.StatusCode, body)
+	}
+	if seq := appliedSeq(t, ts); seq != 1 {
+		t.Fatalf("valid init not journaled: applied seq %d, want 1", seq)
+	}
+}
+
+// TestInitBoundsAdmitShippedScenarios checks that the init bounds admit
+// every scenario in scenarios/ at each scale the tests, the chaos harness
+// and the benchmark run them at, and at scale 1.
+func TestInitBoundsAdmitShippedScenarios(t *testing.T) {
+	for _, name := range scenarios.Names() {
+		raw, err := scenarios.Bytes(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := scenario.Read(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, scale := range []float64{0, 0.08, 0.25, 1} {
+			if err := checkInitBounds(InitRequest{Scenario: sc, Scale: scale}); err != nil {
+				t.Errorf("%s at scale %v: %v", name, scale, err)
+			}
+		}
 	}
 }
 
