@@ -149,7 +149,10 @@ func BenchmarkOracleRatio(b *testing.B) {
 // --- substrate micro-benchmarks ---
 
 func BenchmarkBatterySlotCycle(b *testing.B) {
-	bat := battery.MustNew(battery.MustSpec(battery.LithiumIon), 100*units.KilowattHour)
+	bat, err := battery.New(battery.MustSpec(battery.LithiumIon), 100*units.KilowattHour)
+	if err != nil {
+		b.Fatal(err)
+	}
 	cycle := func() {
 		bat.Charge(5*units.KilowattHour, 1)
 		bat.Discharge(4*units.KilowattHour, 1)
@@ -305,7 +308,10 @@ func BenchmarkSolarGenerate(b *testing.B) {
 // BenchmarkMinimalCover times the greedy replica cover of the reference
 // cluster; the cover's size is the result canary.
 func BenchmarkMinimalCover(b *testing.B) {
-	cl := storage.MustNewCluster(storage.DefaultConfig())
+	cl, err := storage.NewCluster(storage.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
 	var cover []storage.DiskID
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -8,11 +8,11 @@
 // has the energy-conservation auditor attached and executes twice — once
 // with the event-driven slot-skipping fast path, once forcing the full
 // per-slot pipeline — to prove byte-determinism of the full slot trace AND
-// bit-exactness of slot skipping under every fault schedule (-noskip
-// forces the full pipeline in both runs). Any conservation violation,
-// determinism mismatch or degraded-mode accounting inconsistency makes the
-// command exit non-zero, printing one line per offending seed, in seed
-// order, so the failure is reproducible from the seed alone.
+// bit-exactness of slot skipping under every fault schedule. Any
+// conservation violation, determinism mismatch or degraded-mode accounting
+// inconsistency makes the command exit non-zero, printing one line per
+// offending seed, in seed order, so the failure is reproducible from the
+// seed alone.
 //
 // Examples:
 //
@@ -55,7 +55,6 @@ func main() {
 		runs     = flag.Int("runs", 200, "number of seeded chaos runs")
 		baseSeed = flag.Int64("seed", 1000, "first seed; run i uses seed+i")
 		workers  = flag.Int("j", 0, "parallel workers (0 = $GREENMATCH_WORKERS, else one per core)")
-		noSkip   = flag.Bool("noskip", false, "disable the simulator's event-driven slot skipping in both runs (plain determinism check instead of skip-equivalence)")
 		verbose  = flag.Bool("v", false, "print one line per seed")
 		dumpFile = flag.String("dump-schedule", "", "write the generated fault schedule for -seed to this file and exit")
 		schedule = flag.String("schedule", "", "replay this fault-schedule JSON (see -dump-schedule) instead of generating one per seed")
@@ -112,7 +111,7 @@ func main() {
 	}
 
 	var failed, degraded, crashes int
-	for i, o := range chaosSweep(*baseSeed, *runs, *workers, sp, *noSkip) {
+	for i, o := range chaosSweep(*baseSeed, *runs, *workers, sp) {
 		seed := *baseSeed + int64(i)
 		if o.Err != nil {
 			failed++
@@ -191,12 +190,12 @@ func chaosScenario(seed int64, sp runSpec) (scenario.Scenario, core.Config, erro
 // the sweep runner: outcomes come back in seed order, each holding the
 // seed's *core.Result or its error, and a panicking seed becomes that
 // seed's error instead of ending the process.
-func chaosSweep(base int64, runs, workers int, sp runSpec, noSkip bool) []runner.Outcome {
+func chaosSweep(base int64, runs, workers int, sp runSpec) []runner.Outcome {
 	jobs := make([]runner.Job, runs)
 	for i := range jobs {
 		seed := base + int64(i)
 		jobs[i] = runner.Job{Label: fmt.Sprintf("seed %d", seed), Run: func() (any, error) {
-			return chaosSeed(seed, sp, noSkip)
+			return chaosSeed(seed, sp)
 		}}
 	}
 	return runner.Sweep(jobs, runner.Options{Workers: workers})
@@ -206,14 +205,12 @@ func chaosSweep(base int64, runs, workers int, sp runSpec, noSkip bool) []runner
 // first run's result, or an error describing the violation. The first run
 // uses the simulator's event-driven slot skipping, the second forces the
 // full per-slot pipeline, so every seed doubles as a skip-equivalence
-// proof over a random fault schedule; with noSkip both runs take the full
-// pipeline and the comparison degrades to a plain determinism check.
-func chaosSeed(seed int64, sp runSpec, noSkip bool) (*core.Result, error) {
+// proof over a random fault schedule.
+func chaosSeed(seed int64, sp runSpec) (*core.Result, error) {
 	_, cfg, err := chaosScenario(seed, sp)
 	if err != nil {
 		return nil, err
 	}
-	cfg.DisableSlotSkipping = noSkip
 
 	res1, sum1, err := auditedRun(cfg)
 	if err != nil {

@@ -100,7 +100,7 @@ func TestChaosScenarioSchedule(t *testing.T) {
 	if _, _, err := chaosScenario(1003, sp); err == nil {
 		t.Error("a schedule crashing node 8 of an 8-node cluster was accepted")
 	}
-	if _, err := chaosSeed(1003, sp, false); err == nil {
+	if _, err := chaosSeed(1003, sp); err == nil {
 		t.Error("chaosSeed ran a schedule naming a node outside the cluster")
 	}
 }
@@ -135,7 +135,7 @@ func TestServeCompilesBatchConfig(t *testing.T) {
 // TestChaosSweepSeedOrder: a parallel sweep comes back clean with seed i's
 // outcome at index i, equal to running that seed alone.
 func TestChaosSweepSeedOrder(t *testing.T) {
-	outs := chaosSweep(1000, 4, 2, builtin, false)
+	outs := chaosSweep(1000, 4, 2, builtin)
 	if len(outs) != 4 {
 		t.Fatalf("%d outcomes, want 4", len(outs))
 	}
@@ -147,7 +147,7 @@ func TestChaosSweepSeedOrder(t *testing.T) {
 		if want := fmt.Sprintf("seed %d", seed); o.Label != want {
 			t.Errorf("outcome %d labelled %q, want %q", i, o.Label, want)
 		}
-		alone, err := chaosSeed(seed, builtin, false)
+		alone, err := chaosSeed(seed, builtin)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func TestChaosSweepSeedOrder(t *testing.T) {
 func TestChaosSweepReportsErrors(t *testing.T) {
 	sp := builtin
 	sp.policy = "magic"
-	for i, o := range chaosSweep(1000, 2, 2, sp, false) {
+	for i, o := range chaosSweep(1000, 2, 2, sp) {
 		if o.Err == nil || !strings.Contains(o.Err.Error(), "unknown policy") {
 			t.Errorf("seed %d: got %v, want the unknown-policy error", 1000+i, o.Err)
 		}

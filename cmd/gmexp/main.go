@@ -34,7 +34,6 @@ var (
 	html       = flag.String("html", "", "also write a self-contained HTML report (tables + SVG charts) to this file")
 	jobs       = flag.Int("j", 0, "sweep workers per experiment: 0 = one per core (GREENMATCH_WORKERS overrides), 1 = sequential")
 	doAudit    = flag.Bool("audit", false, "attach the energy-conservation auditor to every run; violations fail the experiment")
-	noSkip     = flag.Bool("noskip", false, "disable the simulator's event-driven slot skipping (bit-identical results, slower runs)")
 	auditTrace = flag.String("audit-trace", "", "write every run's per-slot audit trace as JSONL to this file")
 	cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file (inspect with `go tool pprof`)")
 	memprofile = flag.String("memprofile", "", "write a heap profile to this file after the experiments finish")
@@ -103,7 +102,7 @@ func run() (code int) {
 		return 2
 	}
 
-	p := expt.Params{Scale: *scale, Seed: *seed, Workers: *jobs, Audit: *doAudit, NoSkip: *noSkip}
+	p := expt.Params{Scale: *scale, Seed: *seed, Workers: *jobs, Audit: *doAudit}
 	if *auditTrace != "" {
 		f, err := os.Create(*auditTrace)
 		if err != nil {

@@ -1,7 +1,7 @@
 // Command gmlint is the GreenMatch domain-linter multichecker: it runs
 // the internal/lint analyzer suite (unitsafety, determinism, floateq,
-// observerhot, snapstate, applypath, durabilityerr, hotalloc) over the
-// module and exits non-zero on any finding.
+// observerhot, snapstate, applypath, durabilityerr, hotalloc, deadexport)
+// over the module and exits non-zero on any finding.
 //
 // Usage:
 //

@@ -66,8 +66,8 @@ func TestJSONReport(t *testing.T) {
 	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
 		t.Fatalf("output is not valid JSON: %v\n%s", err, out.String())
 	}
-	if len(rep.Analyzers) != 8 {
-		t.Errorf("report lists %d analyzers, want 8: %v", len(rep.Analyzers), rep.Analyzers)
+	if len(rep.Analyzers) != 9 {
+		t.Errorf("report lists %d analyzers, want 9: %v", len(rep.Analyzers), rep.Analyzers)
 	}
 	counts := map[string]int{}
 	for _, d := range rep.Diagnostics {

@@ -234,15 +234,6 @@ func New(spec Spec, capacity units.Energy) (*Battery, error) {
 	return &Battery{spec: spec, capacity: capacity}, nil
 }
 
-// MustNew is New that panics on error; for tests and examples.
-func MustNew(spec Spec, capacity units.Energy) *Battery {
-	b, err := New(spec, capacity)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
 // Infinite returns a battery that can absorb and deliver any amount at any
 // rate with the chemistry's efficiency. It is used by the sizing
 // experiments ("assume an ideal ESD") to compute panel-area break-evens.

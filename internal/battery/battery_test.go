@@ -11,6 +11,15 @@ import (
 func li() Spec { return MustSpec(LithiumIon) }
 func la() Spec { return MustSpec(LeadAcid) }
 
+// MustNew is New that panics on error.
+func MustNew(spec Spec, capacity units.Energy) *Battery {
+	b, err := New(spec, capacity)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
 func TestSpecPresets(t *testing.T) {
 	l := la()
 	if l.Efficiency != 0.75 || l.ChargeRatePerHour != 0.125 || l.DischargeChargeRatio != 10 {

@@ -94,9 +94,9 @@ type Config struct {
 	// quiescent slots (empty queues, settled placement, no structural fault
 	// change). Skipping is bit-exact by construction — both paths share the
 	// same settlement code and RNG draw discipline — so this switch exists
-	// for verification (the SkipEquivalence suite, the -noskip escape hatch
-	// in gmexp/gmchaos) and benchmarking, not correctness. Skipping is also
-	// automatically disabled when the policy does not implement
+	// for verification (the skip-equivalence suites and gmchaos's
+	// full-pipeline twin run) and benchmarking, not correctness. Skipping
+	// is also automatically disabled when the policy does not implement
 	// sched.QuiescentPlanner or when ModelUtilization is on.
 	DisableSlotSkipping bool
 	// ModelUtilization enables the VM utilization model: jobs draw CPU at

@@ -89,7 +89,7 @@ func TestRepairReturnsCapacity(t *testing.T) {
 	cfg := failureConfig(400)
 	cfg.Faults.CrashRepairSlots = 6
 	res := run(t, cfg)
-	missRate := res.SLA.MissRate()
+	missRate := float64(res.SLA.DeadlineMisses) / float64(res.SLA.Submitted)
 	if missRate > 0.05 {
 		t.Fatalf("miss rate %v too high for a self-healing cluster", missRate)
 	}

@@ -53,20 +53,12 @@ type Params struct {
 	// — so a partial trace behind a buffered writer still lands on disk
 	// as complete lines.
 	AuditSink audit.Observer
-	// NoSkip forces the simulator's full per-slot pipeline on every run
-	// (core.Config.DisableSlotSkipping), the gmexp/gmchaos -noskip escape
-	// hatch. Results are bit-identical either way; this exists to verify
-	// that claim and to measure the fast path's effect.
-	NoSkip bool
 }
 
 // instrument attaches the audit observer chain to one labeled grid-point
-// config and applies the NoSkip override. A no-op (nil Observer, zero
-// simulator overhead) unless auditing, a sink or NoSkip was requested.
+// config. A no-op (nil Observer, zero simulator overhead) unless auditing
+// or a sink was requested.
 func (p Params) instrument(run string, cfg core.Config) core.Config {
-	if p.NoSkip {
-		cfg.DisableSlotSkipping = true
-	}
 	var obs []audit.Observer
 	if p.Audit {
 		obs = append(obs, audit.NewAuditor())

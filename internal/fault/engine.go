@@ -62,9 +62,6 @@ func NewEngine(cfg Config, seed int64, slotHours float64) *Engine {
 	return e
 }
 
-// Config returns the schedule the engine was compiled from.
-func (e *Engine) Config() Config { return e.cfg }
-
 // AddEvent appends a scheduled event to a running engine (live fault
 // injection). The event must validate against the node count; a first
 // crash-storm event lazily creates the storm stream, exactly as NewEngine

@@ -2,8 +2,12 @@
 // small set of static analyzers that enforce, at compile time, the
 // invariants the simulator otherwise only checks at runtime — typed
 // watt/watt-hour accounting (unitsafety), byte-reproducible runs
-// (determinism), epsilon-disciplined float comparison (floateq), and the
-// zero-cost-when-disabled observability contract (observerhot).
+// (determinism), epsilon-disciplined float comparison (floateq), the
+// zero-cost-when-disabled observability contract (observerhot), and the
+// crash-recovery contracts of the live service (snapstate, applypath,
+// durabilityerr, hotalloc) — plus one on the code's own shape: no exported
+// identifier of an internal/ package without a non-test caller
+// (deadexport).
 //
 // The package is deliberately self-contained: it mirrors the shape of
 // golang.org/x/tools/go/analysis (Analyzer / Pass / Diagnostic, testdata
@@ -56,7 +60,8 @@ type Pass struct {
 	// passes that neither export nor import facts).
 	Facts *FactStore
 
-	diags *[]Diagnostic
+	diags  *[]Diagnostic
+	loader *Loader // the loader that read Pkg; deadexport reads the module through it
 }
 
 // Reportf records a diagnostic at pos.
@@ -80,7 +85,7 @@ func (d Diagnostic) String() string {
 }
 
 // Analyzers returns the full gmlint suite in stable order: the original
-// four domain analyzers followed by the recovery-safety suite.
+// four domain analyzers, the recovery-safety suite, then deadexport.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		UnitSafety,
@@ -91,6 +96,7 @@ func Analyzers() []*Analyzer {
 		ApplyPath,
 		DurabilityErr,
 		HotAlloc,
+		DeadExport,
 	}
 }
 
@@ -112,6 +118,7 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			Info:     pkg.Info,
 			Facts:    store,
 			diags:    &diags,
+			loader:   pkg.loader,
 		}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s: %s: %w", pkg.Path, a.Name, err)

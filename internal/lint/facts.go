@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"go/types"
-	"sort"
-)
+import "go/types"
 
 // Fact is one piece of analyzer knowledge attached to a types.Object and
 // visible across packages. The recovery-safety analyzers use facts to see
@@ -33,7 +30,6 @@ type Fact struct {
 // built over.
 type FactStore struct {
 	facts map[types.Object][]Fact
-	objs  []types.Object // insertion order, for deterministic dumps
 }
 
 // NewFactStore returns an empty fact store.
@@ -54,9 +50,6 @@ func (s *FactStore) Export(obj types.Object, f Fact) {
 			return
 		}
 	}
-	if _, seen := s.facts[obj]; !seen {
-		s.objs = append(s.objs, obj)
-	}
 	s.facts[obj] = append(s.facts[obj], f)
 }
 
@@ -71,60 +64,6 @@ func (s *FactStore) Get(obj types.Object, analyzer, name string) (Fact, bool) {
 		}
 	}
 	return Fact{}, false
-}
-
-// ObjectFact pairs an object with one of its facts, for dumps and tests.
-type ObjectFact struct {
-	// Object is the qualified object name ("pkgpath.Name" or
-	// "pkgpath.Recv.Name" for methods).
-	Object string
-	Fact   Fact
-}
-
-// All returns every recorded fact, sorted by object name then fact fields —
-// a deterministic dump for tests and debugging.
-func (s *FactStore) All() []ObjectFact {
-	var out []ObjectFact
-	for _, obj := range s.objs {
-		for _, f := range s.facts[obj] {
-			out = append(out, ObjectFact{Object: qualifiedName(obj), Fact: f})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Object != b.Object {
-			return a.Object < b.Object
-		}
-		if a.Fact.Analyzer != b.Fact.Analyzer {
-			return a.Fact.Analyzer < b.Fact.Analyzer
-		}
-		if a.Fact.Name != b.Fact.Name {
-			return a.Fact.Name < b.Fact.Name
-		}
-		return a.Fact.Detail < b.Fact.Detail
-	})
-	return out
-}
-
-// qualifiedName renders obj as pkgpath.Name, with the receiver type
-// interposed for methods.
-func qualifiedName(obj types.Object) string {
-	name := obj.Name()
-	if fn, ok := obj.(*types.Func); ok {
-		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-			t := recv.Type()
-			if p, ok := t.(*types.Pointer); ok {
-				t = p.Elem()
-			}
-			if n, ok := t.(*types.Named); ok {
-				name = n.Obj().Name() + "." + name
-			}
-		}
-	}
-	if obj.Pkg() != nil {
-		return obj.Pkg().Path() + "." + name
-	}
-	return name
 }
 
 // ExportObjectFact records a fact on obj in the pass's analyzer namespace.

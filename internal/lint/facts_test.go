@@ -11,7 +11,7 @@ import (
 )
 
 // TestFactStore pins the store's semantics: dedup of identical triples,
-// per-(analyzer, kind) lookup, and a deterministic sorted dump.
+// a dropped nil object, and per-(analyzer, kind) lookup.
 func TestFactStore(t *testing.T) {
 	s := NewFactStore()
 	pkg := types.NewPackage("example/p", "p")
@@ -33,34 +33,8 @@ func TestFactStore(t *testing.T) {
 	if _, ok := s.Get(nil, "x", "mark"); ok {
 		t.Error("Get(nil) should miss")
 	}
-
-	all := s.All()
-	if len(all) != 3 {
-		t.Fatalf("All() = %d facts %v, want 3 (duplicate collapsed, nil dropped)", len(all), all)
-	}
-	for i := 1; i < len(all); i++ {
-		a, b := all[i-1], all[i]
-		if a.Object > b.Object {
-			t.Errorf("All() not sorted: %q before %q", a.Object, b.Object)
-		}
-	}
-	if all[0].Object != "example/p.A" {
-		t.Errorf("qualifiedName = %q, want example/p.A", all[0].Object)
-	}
-}
-
-// TestQualifiedName covers the method and no-package renderings.
-func TestQualifiedName(t *testing.T) {
-	pkg := types.NewPackage("example/p", "p")
-	named := types.NewNamed(types.NewTypeName(token.NoPos, pkg, "T", nil), types.NewStruct(nil, nil), nil)
-	recv := types.NewVar(token.NoPos, pkg, "t", types.NewPointer(named))
-	sig := types.NewSignatureType(recv, nil, nil, nil, nil, false)
-	method := types.NewFunc(token.NoPos, pkg, "Close", sig)
-	if got := qualifiedName(method); got != "example/p.T.Close" {
-		t.Errorf("qualifiedName(method) = %q, want example/p.T.Close", got)
-	}
-	if got := qualifiedName(types.Universe.Lookup("len")); got != "len" {
-		t.Errorf("qualifiedName(builtin) = %q, want bare name", got)
+	if len(s.facts) != 2 || len(s.facts[objA]) != 2 || len(s.facts[objB]) != 1 {
+		t.Fatalf("facts = %v, want 2 on A and 1 on B (duplicate collapsed, nil dropped)", s.facts)
 	}
 }
 

@@ -30,6 +30,14 @@ func TestApplyPathFixture(t *testing.T)     { runFixture(t, "applypath", ApplyPa
 func TestDurabilityErrFixture(t *testing.T) { runFixture(t, "durabilityerr", DurabilityErr) }
 func TestHotAllocFixture(t *testing.T)      { runFixture(t, "hotalloc", HotAlloc) }
 
+// TestDeadExportFixture runs deadexport over the internal package of a
+// two-package fixture tree and over the package that imports it, whose
+// own exports lie outside internal/ and are never checked.
+func TestDeadExportFixture(t *testing.T) {
+	runFixture(t, "deadexport/internal/lib", DeadExport)
+	runFixture(t, "deadexport/user", DeadExport)
+}
+
 // TestMirrorDepClean proves the dependency side of the cross-package
 // fixtures is itself clean: the mirrordep/mutatordep packages carry the
 // directives but no findings.
@@ -130,7 +138,7 @@ func TestAnalyzersCatalog(t *testing.T) {
 		}
 		names = append(names, a.Name)
 	}
-	want := "unitsafety,determinism,floateq,observerhot,snapstate,applypath,durabilityerr,hotalloc"
+	want := "unitsafety,determinism,floateq,observerhot,snapstate,applypath,durabilityerr,hotalloc,deadexport"
 	if got := strings.Join(names, ","); got != want {
 		t.Errorf("Analyzers() = %s, want %s", got, want)
 	}

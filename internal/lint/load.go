@@ -32,6 +32,8 @@ type Package struct {
 	// module or a fixture root (standard-library imports are absent), in
 	// sorted import-path order. The fact-export phase walks this graph.
 	Imports []*Package
+
+	loader *Loader
 }
 
 // Loader parses and type-checks packages without any dependency on
@@ -60,6 +62,7 @@ type Loader struct {
 	pkgs    map[string]*Package
 	loading map[string]bool
 	std     types.ImporterFrom
+	uses    map[string]*useIndex // deadexport's module-wide index, by module
 }
 
 // NewLoader returns a loader rooted at the module containing dir, reading
@@ -99,14 +102,6 @@ func NewLoader(dir string) (*Loader, error) {
 	l := &Loader{ModulePath: modPath, ModuleDir: root}
 	l.init()
 	return l, nil
-}
-
-// NewFixtureLoader returns a loader that resolves bare import paths from
-// the given GOPATH-src-style roots (analysistest layout).
-func NewFixtureLoader(srcRoots ...string) *Loader {
-	l := &Loader{SrcRoots: srcRoots}
-	l.init()
-	return l
 }
 
 func (l *Loader) init() {
@@ -215,7 +210,7 @@ func (l *Loader) loadDir(path, dir string) (*Package, error) {
 		files = append(files, f)
 	}
 
-	pkg := &Package{Path: path, Dir: dir, Fset: l.Fset, Files: files}
+	pkg := &Package{Path: path, Dir: dir, Fset: l.Fset, Files: files, loader: l}
 	pkg.Info = &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -292,28 +287,33 @@ func (l *Loader) ModulePackages(patterns ...string) ([]string, error) {
 			}
 			continue
 		}
-		err := filepath.WalkDir(base, func(p string, d os.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if !d.IsDir() {
-				return nil
-			}
-			name := d.Name()
-			if p != base && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
-			if hasGoFiles(p, l.IncludeTests) {
-				add(l.pathFor(p))
-			}
-			return nil
-		})
-		if err != nil {
+		if err := walkPackages(base, l.IncludeTests, func(dir string) { add(l.pathFor(dir)) }); err != nil {
 			return nil, err
 		}
 	}
 	sort.Strings(out)
 	return out, nil
+}
+
+// walkPackages calls add for base and every directory below it that holds
+// Go files, skipping testdata, hidden and underscore-prefixed directories.
+func walkPackages(base string, includeTests bool, add func(dir string)) error {
+	return filepath.WalkDir(base, func(p string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if !d.IsDir() {
+			return nil
+		}
+		name := d.Name()
+		if p != base && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		if hasGoFiles(p, includeTests) {
+			add(p)
+		}
+		return nil
+	})
 }
 
 func (l *Loader) pathFor(dir string) string {

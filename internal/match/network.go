@@ -9,8 +9,8 @@ import "fmt"
 // Flow/Solver front-ends.
 //
 // Usage: NewNetwork(n), AddEdge for every arc, then MaxFlow once. A Network
-// is single-shot: after MaxFlow the edge flows are readable via EdgeFlow
-// but no further edges may be added. Not safe for concurrent use.
+// is single-shot: no edges may be added after MaxFlow. Not safe for
+// concurrent use.
 type Network struct {
 	g      flowGraph
 	solved bool
@@ -26,11 +26,11 @@ func NewNetwork(n int) *Network {
 	return nw
 }
 
-// AddEdge inserts a directed edge with the given integer capacity and
-// returns a handle usable with EdgeFlow. Misuse — out-of-range nodes,
-// negative capacity, adding after MaxFlow — is a programming error and
-// panics, mirroring the loud-failure convention of checkFeasible.
-func (nw *Network) AddEdge(from, to, capacity int) int {
+// AddEdge inserts a directed edge with the given integer capacity. Misuse —
+// out-of-range nodes, negative capacity, adding after MaxFlow — is a
+// programming error and panics, mirroring the loud-failure convention of
+// checkFeasible.
+func (nw *Network) AddEdge(from, to, capacity int) {
 	if nw.solved {
 		panic("match: AddEdge after MaxFlow")
 	}
@@ -40,7 +40,7 @@ func (nw *Network) AddEdge(from, to, capacity int) int {
 	if capacity < 0 {
 		panic(fmt.Sprintf("match: negative edge capacity %d", capacity))
 	}
-	return nw.g.addEdge(from, to, capacity, 0)
+	nw.g.addEdge(from, to, capacity, 0)
 }
 
 // MaxFlow pushes as much flow as possible from s to t and returns the flow
@@ -54,13 +54,4 @@ func (nw *Network) MaxFlow(s, t int) int {
 	nw.solved = true
 	flow, _ := nw.g.minCostMaxFlow(s, t)
 	return flow
-}
-
-// EdgeFlow returns the flow MaxFlow routed through the edge with the given
-// handle (as returned by AddEdge).
-func (nw *Network) EdgeFlow(handle int) int {
-	if !nw.solved {
-		panic("match: EdgeFlow before MaxFlow")
-	}
-	return nw.g.edges[handle].flow
 }

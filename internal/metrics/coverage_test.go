@@ -30,31 +30,6 @@ func TestSLAAccountSub(t *testing.T) {
 	}
 }
 
-func TestTimeSeriesColumnAllNames(t *testing.T) {
-	ts := &TimeSeries{}
-	ts.Add(SlotSample{Slot: 0, DemandW: 1, GreenW: 2, GreenUsedW: 3,
-		BatteryOutW: 4, BatteryInW: 5, GreenLostW: 6, BrownW: 7,
-		BatterySoC: 0.5, NodesOn: 8, DisksSpun: 9, JobsRunning: 10,
-		JobsWaiting: 11})
-	want := map[string]float64{
-		"demand": 1, "green": 2, "green_used": 3, "battery_out": 4,
-		"battery_in": 5, "green_lost": 6, "brown": 7, "soc": 0.5,
-		"nodes_on": 8, "disks_spun": 9, "jobs_running": 10, "jobs_waiting": 11,
-	}
-	for name, v := range want {
-		col, err := ts.Column(name)
-		if err != nil {
-			t.Fatalf("Column(%q): %v", name, err)
-		}
-		if len(col) != 1 || col[0] != v {
-			t.Fatalf("Column(%q) = %v, want [%v]", name, col, v)
-		}
-	}
-	if _, err := ts.Column("no-such-column"); err == nil {
-		t.Fatal("unknown column must error")
-	}
-}
-
 func TestTableRaggedRowsRejected(t *testing.T) {
 	tb := &Table{Title: "t", Headers: []string{"a", "b"}}
 	tb.AddRow(1) // one cell for two headers

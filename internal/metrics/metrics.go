@@ -89,12 +89,6 @@ func (a EnergyAccount) BrownFraction() float64 {
 	return a.Brown.Wh() / a.TotalSupplied().Wh()
 }
 
-// TotalLosses returns everything dissipated or wasted: battery-internal
-// losses plus surplus green energy lost plus scheduling overheads.
-func (a EnergyAccount) TotalLosses() units.Energy {
-	return a.BatteryEffLoss + a.BatterySelfLoss + a.GreenLost + a.MigrationOverhead + a.TransitionOverhead
-}
-
 // SLAAccount tracks job-level service quality.
 type SLAAccount struct {
 	// Submitted, Completed count jobs over the run.
@@ -164,14 +158,6 @@ func (s SLAAccount) MeanWaitSlots() float64 {
 	return float64(s.TotalWaitSlots) / float64(s.Completed)
 }
 
-// MissRate returns the fraction of submitted jobs that missed deadlines.
-func (s SLAAccount) MissRate() float64 {
-	if s.Submitted == 0 {
-		return 0
-	}
-	return float64(s.DeadlineMisses) / float64(s.Submitted)
-}
-
 // DegradeAccount tracks how a run behaved while fault injection impaired
 // it. A degradation episode starts when faults become active (crashed nodes
 // or a scheduled fault-event window) and ends when the backlog has drained
@@ -190,9 +176,6 @@ type DegradeAccount struct {
 	// to its pre-episode level: the recovery time, summed over episodes.
 	RecoverySlots int
 }
-
-// Degraded reports whether any fault ever impaired the run.
-func (d DegradeAccount) Degraded() bool { return d.DegradedSlots > 0 }
 
 // SlotSample is one row of the per-slot time series.
 type SlotSample struct {
@@ -222,42 +205,4 @@ func (ts *TimeSeries) Add(s SlotSample) {
 		panic(fmt.Sprintf("metrics: out-of-order slot %d", s.Slot))
 	}
 	ts.Samples = append(ts.Samples, s)
-}
-
-// Column extracts a named column; recognised names are the SlotSample
-// field semantics: "demand", "green", "green_used", "battery_out", "brown",
-// "soc", "nodes_on", "disks_spun", "jobs_running", "jobs_waiting".
-func (ts *TimeSeries) Column(name string) ([]float64, error) {
-	out := make([]float64, len(ts.Samples))
-	for i, s := range ts.Samples {
-		switch name {
-		case "demand":
-			out[i] = s.DemandW
-		case "green":
-			out[i] = s.GreenW
-		case "green_used":
-			out[i] = s.GreenUsedW
-		case "battery_out":
-			out[i] = s.BatteryOutW
-		case "battery_in":
-			out[i] = s.BatteryInW
-		case "green_lost":
-			out[i] = s.GreenLostW
-		case "brown":
-			out[i] = s.BrownW
-		case "soc":
-			out[i] = s.BatterySoC
-		case "nodes_on":
-			out[i] = float64(s.NodesOn)
-		case "disks_spun":
-			out[i] = float64(s.DisksSpun)
-		case "jobs_running":
-			out[i] = float64(s.JobsRunning)
-		case "jobs_waiting":
-			out[i] = float64(s.JobsWaiting)
-		default:
-			return nil, fmt.Errorf("metrics: unknown column %q", name)
-		}
-	}
-	return out, nil
 }

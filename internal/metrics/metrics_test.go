@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"repro/internal/units"
 )
 
 func balancedAccount() EnergyAccount {
@@ -60,9 +58,6 @@ func TestDerivedRatios(t *testing.T) {
 	if got := a.BrownFraction(); got != wantBF {
 		t.Errorf("BrownFraction %v, want %v", got, wantBF)
 	}
-	if got := a.TotalLosses(); got != units.Energy(375+25+500+100+50) {
-		t.Errorf("TotalLosses %v", got)
-	}
 }
 
 func TestZeroDivisionGuards(t *testing.T) {
@@ -77,12 +72,9 @@ func TestSLAAccount(t *testing.T) {
 	if s.MeanWaitSlots() != 2 {
 		t.Errorf("mean wait %v", s.MeanWaitSlots())
 	}
-	if s.MissRate() != 0.05 {
-		t.Errorf("miss rate %v", s.MissRate())
-	}
 	var zero SLAAccount
-	if zero.MeanWaitSlots() != 0 || zero.MissRate() != 0 {
-		t.Error("zero SLA account should report zero rates")
+	if zero.MeanWaitSlots() != 0 {
+		t.Error("zero SLA account should report a zero mean wait")
 	}
 }
 
@@ -96,33 +88,6 @@ func TestTimeSeriesOrderEnforced(t *testing.T) {
 		}
 	}()
 	ts.Add(SlotSample{Slot: 1})
-}
-
-func TestTimeSeriesColumns(t *testing.T) {
-	var ts TimeSeries
-	ts.Add(SlotSample{Slot: 0, DemandW: 100, GreenW: 50, BrownW: 60, BatterySoC: 0.5, NodesOn: 3, JobsRunning: 7})
-	ts.Add(SlotSample{Slot: 1, DemandW: 200, GreenW: 70, BrownW: 10, BatterySoC: 0.6, NodesOn: 4, JobsRunning: 9})
-	for name, want := range map[string][]float64{
-		"demand":       {100, 200},
-		"green":        {50, 70},
-		"brown":        {60, 10},
-		"soc":          {0.5, 0.6},
-		"nodes_on":     {3, 4},
-		"jobs_running": {7, 9},
-	} {
-		got, err := ts.Column(name)
-		if err != nil {
-			t.Fatalf("Column(%q): %v", name, err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("Column(%q) = %v, want %v", name, got, want)
-			}
-		}
-	}
-	if _, err := ts.Column("nope"); err == nil {
-		t.Error("unknown column should error")
-	}
 }
 
 func TestTableText(t *testing.T) {

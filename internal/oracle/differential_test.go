@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/match"
 	"repro/internal/sched"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -108,7 +109,7 @@ func TestSingleSlotDifferential(t *testing.T) {
 			}
 			online := append([]int(nil), g.Plan(v).StartWaiting...)
 			sort.Ints(online)
-			offline := SingleSlotStarts(g, v)
+			offline := SingleSlotStarts(v)
 			if fmt.Sprint(online) != fmt.Sprint(offline) {
 				t.Errorf("online plan %v != offline flow %v", online, offline)
 			}
@@ -138,10 +139,103 @@ func TestSingleSlotDifferentialSweep(t *testing.T) {
 			}
 			online := append([]int(nil), g.Plan(v).StartWaiting...)
 			sort.Ints(online)
-			offline := SingleSlotStarts(g, v)
+			offline := SingleSlotStarts(v)
 			if fmt.Sprint(online) != fmt.Sprint(offline) {
 				t.Errorf("n=%d green=%v: online %v != offline %v", n, greenW, online, offline)
 			}
 		}
 	}
+}
+
+// SingleSlotStarts replays GreenMatch's plan for a one-slot horizon as an
+// explicit per-job assignment solved by match.Flow: the same capacity
+// derivation, forced-start partition, and weight row as
+// sched.GreenMatch.Plan at Horizon 1, but through the offline per-job
+// formulation instead of the online grouped match.Solver. The
+// differential test asserts both produce the identical start set — the
+// "same instance, same matching" bridge between the oracle's offline
+// world and the online planner. The redundancy is deliberate: match.Flow
+// shares only the SSP kernel with match.Solver, not its grouping, graph
+// build or settlement, so it stays an independent reference for the one
+// production solve. Only full-participation configurations
+// are supported (Fraction 0 or 1); fractional mixes partition jobs by a
+// hash this helper deliberately does not replicate.
+func SingleSlotStarts(v sched.View) []int {
+	head := forecastAt(v, 0).Watts() - v.EstMandatoryPowerW.Watts()
+	capacity := 0
+	if head > 0 {
+		capacity = int(head / v.PerJobPowerW.Watts())
+	}
+	if sj := v.SpaceJobs(); capacity > sj {
+		capacity = sj
+	}
+
+	var starts, parts []int
+	for i, r := range v.Waiting {
+		if r.SlackAt(v.Slot) <= sched.ReserveSlack {
+			starts = append(starts, i)
+			continue
+		}
+		parts = append(parts, i)
+	}
+	// Mirror Plan's no-green degradation: a horizon with zero capacity
+	// starts everything.
+	if capacity == 0 {
+		return allWaiting(v)
+	}
+	if capacity > len(starts) {
+		capacity -= len(starts)
+	} else {
+		capacity = 0
+	}
+	if len(parts) > 0 {
+		in := match.Instance{
+			Weights:  make([][]float64, len(parts)),
+			Capacity: []int{capacity},
+		}
+		for j := range parts {
+			in.Weights[j] = singleSlotRow(v)
+		}
+		res, err := match.Flow(in)
+		if err != nil {
+			panic("oracle: invalid single-slot instance: " + err.Error())
+		}
+		for j, slot := range res.Assign {
+			if slot == 0 {
+				starts = append(starts, parts[j])
+			}
+		}
+	}
+	sort.Ints(starts)
+	return starts
+}
+
+// singleSlotRow is GreenMatch's weight row at Horizon 1 with BatteryAware
+// off: the share of one job-power that the slot's green headroom covers,
+// plus the whole earliness bonus (0.05 in internal/sched). At one slot the
+// online planner clamps every job's latest start and remaining duration to
+// the same cell, so every participant gets this row and the matching turns
+// only on the capacity and on how each solver settles equal weights.
+func singleSlotRow(v sched.View) []float64 {
+	perJob := v.PerJobPowerW.Watts()
+	covered := 0.0
+	if head := forecastAt(v, 0).Watts() - v.EstMandatoryPowerW.Watts(); head > 0 {
+		covered = min(head, perJob) / perJob
+	}
+	return []float64{covered + 0.05}
+}
+
+func forecastAt(v sched.View, k int) units.Power {
+	if k < 0 || k >= len(v.GreenForecast) {
+		return 0
+	}
+	return v.GreenForecast[k]
+}
+
+func allWaiting(v sched.View) []int {
+	out := make([]int, len(v.Waiting))
+	for i := range out {
+		out[i] = i
+	}
+	return out
 }

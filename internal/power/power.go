@@ -208,24 +208,6 @@ func (d DiskProfile) SpinDownEnergy() units.Energy {
 	return d.SpinDownW.Over(d.SpinDownSeconds / 3600)
 }
 
-// CycleEnergy returns the energy of a full spin-down + spin-up cycle; a
-// policy should only park a disk if the expected standby savings exceed
-// this.
-func (d DiskProfile) CycleEnergy() units.Energy {
-	return d.SpinUpEnergy() + d.SpinDownEnergy()
-}
-
-// BreakEvenHours returns the minimum time a disk must remain in standby for
-// a spin-down to save energy relative to staying idle: cycleEnergy /
-// (idleW - standbyW). It returns +Inf when standby saves nothing.
-func (d DiskProfile) BreakEvenHours() float64 {
-	saving := (d.IdleW - d.StandbyW).Watts()
-	if saving <= 0 {
-		return math.Inf(1)
-	}
-	return d.CycleEnergy().Wh() / saving
-}
-
 // NodeProfile bundles a server profile with the disk population of a
 // storage node.
 type NodeProfile struct {
@@ -252,11 +234,6 @@ func (n NodeProfile) Validate() error {
 		return fmt.Errorf("power: node needs at least one disk, got %d", n.DisksPerNode)
 	}
 	return nil
-}
-
-// MaxNodePower returns the draw of a node at full CPU with all disks active.
-func (n NodeProfile) MaxNodePower() units.Power {
-	return n.Server.PeakW + n.Disk.ActiveW.Scale(float64(n.DisksPerNode))
 }
 
 // MinOnNodePower returns the draw of a powered-on node at idle with all

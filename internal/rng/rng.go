@@ -21,9 +21,8 @@ import (
 //
 //gm:statemirror Draws Restore
 type Stream struct {
-	r    *rand.Rand //gm:ephemeral reconstructed by New from (seed, name)
-	src  *countingSource
-	name string //gm:ephemeral reconstructed by New from (seed, name)
+	r   *rand.Rand //gm:ephemeral reconstructed by New from (seed, name)
+	src *countingSource
 }
 
 // countingSource wraps the underlying rand.Source64 and counts how many
@@ -57,7 +56,7 @@ func New(seed int64, name string) *Stream {
 	_, _ = h.Write([]byte(name))
 	sub := int64(h.Sum64()) ^ (seed * 0x4F1BBCDCBFA53E0B)
 	src := &countingSource{src: rand.NewSource(sub).(rand.Source64)}
-	return &Stream{r: rand.New(src), src: src, name: name}
+	return &Stream{r: rand.New(src), src: src}
 }
 
 // Restore rebuilds the sub-stream (seed, name) advanced past its first
@@ -69,9 +68,6 @@ func Restore(seed int64, name string, draws uint64) *Stream {
 	s.Skip(draws)
 	return s
 }
-
-// Name returns the stream's name, useful in error messages.
-func (s *Stream) Name() string { return s.name }
 
 // Draws returns how many source steps the stream has consumed. Together
 // with the (seed, name) pair passed to New it is a complete serialization
@@ -106,15 +102,6 @@ func (s *Stream) Normal(mu, sigma float64) float64 {
 // normal has parameters (mu, sigma).
 func (s *Stream) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(s.Normal(mu, sigma))
-}
-
-// Exp returns a draw from the exponential distribution with the given rate
-// (mean 1/rate). It panics if rate <= 0.
-func (s *Stream) Exp(rate float64) float64 {
-	if rate <= 0 {
-		panic("rng: Exp requires rate > 0")
-	}
-	return s.r.ExpFloat64() / rate
 }
 
 // Poisson returns a draw from the Poisson distribution with the given mean.
@@ -159,19 +146,6 @@ func (s *Stream) Weibull(k, lambda float64) float64 {
 	return lambda * math.Pow(-math.Log(u), 1/k)
 }
 
-// Pareto returns a draw from the Pareto distribution with minimum xm and
-// tail index alpha.
-func (s *Stream) Pareto(xm, alpha float64) float64 {
-	if xm <= 0 || alpha <= 0 {
-		panic("rng: Pareto requires positive xm and alpha")
-	}
-	u := s.r.Float64()
-	for u == 0 {
-		u = s.r.Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
-}
-
 // Bernoulli returns true with probability p.
 func (s *Stream) Bernoulli(p float64) bool {
 	return s.r.Float64() < p
@@ -190,11 +164,6 @@ func (s *Stream) BoundedBeta(mean, spread float64) float64 {
 		return 1
 	}
 	return v
-}
-
-// Shuffle permutes the n-element collection using swap.
-func (s *Stream) Shuffle(n int, swap func(i, j int)) {
-	s.r.Shuffle(n, swap)
 }
 
 // Perm returns a random permutation of [0,n).

@@ -88,20 +88,6 @@ func TestPoissonNonNegative(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	s := New(7, "exp")
-	rate := 2.0
-	n := 50000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += s.Exp(rate)
-	}
-	got := sum / float64(n)
-	if math.Abs(got-0.5) > 0.02 {
-		t.Errorf("Exp(2) sample mean %v, want ~0.5", got)
-	}
-}
-
 func TestWeibullMean(t *testing.T) {
 	s := New(7, "weibull")
 	// k=2, lambda=8 has mean lambda*Gamma(1+1/2)=8*sqrt(pi)/2 ~= 7.0898
@@ -118,15 +104,6 @@ func TestWeibullMean(t *testing.T) {
 	got := sum / float64(n)
 	if math.Abs(got-want) > 0.15 {
 		t.Errorf("Weibull(2,8) sample mean %v, want ~%v", got, want)
-	}
-}
-
-func TestParetoSupport(t *testing.T) {
-	s := New(7, "pareto")
-	for i := 0; i < 1000; i++ {
-		if v := s.Pareto(1.5, 2.5); v < 1.5 {
-			t.Fatalf("Pareto below xm: %v", v)
-		}
 	}
 }
 
@@ -201,9 +178,7 @@ func TestZipfPanics(t *testing.T) {
 	assertPanic(t, func() { NewZipf(s, 0, 1) })
 	assertPanic(t, func() { NewZipf(s, 5, -1) })
 	assertPanic(t, func() { NewZipf(s, 5, math.NaN()) })
-	assertPanic(t, func() { s.Exp(0) })
 	assertPanic(t, func() { s.Weibull(0, 1) })
-	assertPanic(t, func() { s.Pareto(0, 1) })
 }
 
 // bisectZipf is the binary search Zipf.Next used before its guide table:
@@ -299,7 +274,7 @@ func assertPanic(t *testing.T, f func()) {
 	f()
 }
 
-func TestPermAndShuffle(t *testing.T) {
+func TestPerm(t *testing.T) {
 	s := New(3, "perm")
 	p := s.Perm(10)
 	seen := make(map[int]bool)
@@ -308,14 +283,5 @@ func TestPermAndShuffle(t *testing.T) {
 			t.Fatalf("bad permutation %v", p)
 		}
 		seen[v] = true
-	}
-	xs := []int{0, 1, 2, 3, 4, 5}
-	s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	sum := 0
-	for _, v := range xs {
-		sum += v
-	}
-	if sum != 15 {
-		t.Fatalf("shuffle lost elements: %v", xs)
 	}
 }

@@ -96,11 +96,6 @@ type Scenario struct {
 
 	// RecordSeries keeps the per-slot time series in the result.
 	RecordSeries bool `json:"record_series,omitempty"`
-
-	// DisableSlotSkipping forces the simulator's full per-slot pipeline,
-	// turning off the bit-exact event-driven fast path. For verification
-	// and benchmarking (see core.Config.DisableSlotSkipping).
-	DisableSlotSkipping bool `json:"disable_slot_skipping,omitempty"`
 }
 
 // Default returns the quarter-scale reference scenario.
@@ -197,7 +192,6 @@ func (s Scenario) Compile() (core.Config, error) {
 	cfg := core.DefaultParams()
 	cfg.Seed = s.Seed
 	cfg.RecordSeries = s.RecordSeries
-	cfg.DisableSlotSkipping = s.DisableSlotSkipping
 	if s.Faults != nil {
 		cfg.Faults = *s.Faults
 	}

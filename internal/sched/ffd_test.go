@@ -384,7 +384,10 @@ func TestPlaceIgnoresItemOrder(t *testing.T) {
 		}
 		for perm := 0; perm < 3; perm++ {
 			shuffled := slices.Clone(items)
-			s.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			for i := len(shuffled) - 1; i > 0; i-- {
+				j := s.Intn(i + 1)
+				shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+			}
 			if perm == 0 {
 				slices.SortFunc(shuffled, CompareFFD)
 			}

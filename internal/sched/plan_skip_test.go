@@ -91,7 +91,7 @@ func planReference(t *testing.T, g GreenMatch, v View) skipRef {
 		rows := make([][]float64, len(cells))
 		supply := make([]int, len(cells))
 		for gi, c := range cells {
-			rows[gi] = g.WeightRow(v, h, v.Slot+c.off, c.rem)
+			rows[gi] = weightRow(g, v, h, v.Slot+c.off, c.rem)
 			supply[gi] = len(members[c])
 		}
 		var sv match.Solver
@@ -106,7 +106,7 @@ func planReference(t *testing.T, g GreenMatch, v View) skipRef {
 		// Per-job instance.
 		in := match.Instance{Weights: make([][]float64, len(parts)), Capacity: capacity}
 		for j, p := range parts {
-			in.Weights[j] = g.WeightRow(v, h, p.latestStart, p.remaining)
+			in.Weights[j] = weightRow(g, v, h, p.latestStart, p.remaining)
 		}
 		var greedy match.Result
 		for _, ps := range []struct {

@@ -379,24 +379,14 @@ type part struct {
 	remaining   int
 }
 
-// WeightRow builds the per-slot attractiveness row for a job with the given
-// latest start and remaining duration. The score of starting at offset k is
-// the fraction of the job's remaining runtime [k, k+remaining) that the
-// forecast green headroom can cover (each slot contributes up to one
-// job-power's worth), so multi-slot jobs prefer windows where their whole
-// run is green, not just their first hour. The row depends on the job only
-// through (latestStart, remaining), which is what keeps the grouped fast
-// path exact. Exported so the offline oracle (internal/oracle) can rebuild
-// the exact online instance for differential testing.
-func (g GreenMatch) WeightRow(v View, h, latestStart, remaining int) []float64 {
-	row := make([]float64, h)
-	g.weightRowInto(&v, h, latestStart, remaining, row)
-	return row
-}
-
-// weightRowInto writes the weight row into the caller's buffer (len h); the
-// arithmetic is shared with weightRow so scratch-backed and allocating
-// planning produce bit-identical rows.
+// weightRowInto writes into row (len h) the per-slot attractiveness row for
+// a job with the given latest start and remaining duration. The score of
+// starting at offset k is the fraction of the job's remaining runtime
+// [k, k+remaining) that the forecast green headroom can cover (each slot
+// contributes up to one job-power's worth), so multi-slot jobs prefer
+// windows where their whole run is green, not just their first hour. The
+// row depends on the job only through (latestStart, remaining), which is
+// what keeps the grouped fast path exact.
 func (g GreenMatch) weightRowInto(v *View, h, latestStart, remaining int, row []float64) {
 	if remaining < 1 {
 		remaining = 1

@@ -377,6 +377,14 @@ func TestMinf(t *testing.T) {
 	}
 }
 
+// weightRow returns GreenMatch's weight row for one (latest start,
+// remaining) cell in a fresh slice.
+func weightRow(g GreenMatch, v View, h, latestStart, remaining int) []float64 {
+	row := make([]float64, h)
+	g.weightRowInto(&v, h, latestStart, remaining, row)
+	return row
+}
+
 func TestWeightRowDurationAwareness(t *testing.T) {
 	// Green for 3 slots starting at +2; a 1-slot job scores higher at +2
 	// than a 6-slot job does (most of the long job runs past the window).
@@ -386,13 +394,13 @@ func TestWeightRowDurationAwareness(t *testing.T) {
 	}
 	v := View{Slot: 0, GreenForecast: fc, EstMandatoryPowerW: 100, PerJobPowerW: 25}
 	g := GreenMatch{}
-	short := g.WeightRow(v, 24, 20, 1)
-	long := g.WeightRow(v, 24, 20, 6)
+	short := weightRow(g, v, 24, 20, 1)
+	long := weightRow(g, v, 24, 20, 6)
 	if short[2] <= long[2] {
 		t.Errorf("1-slot job at k=2 scores %v, 6-slot job %v; duration-awareness broken", short[2], long[2])
 	}
 	// Forbidden beyond the latest start.
-	row := g.WeightRow(v, 24, 3, 1)
+	row := weightRow(g, v, 24, 3, 1)
 	if row[4] != match.Forbidden || row[3] == match.Forbidden {
 		t.Error("forbidden boundary wrong")
 	}

@@ -637,9 +637,6 @@ func (r *Runner) Status() Status {
 	return st
 }
 
-// Result returns the finalized result, or nil before Finalize.
-func (r *Runner) Result() (*core.Result, error) { return r.result, r.resultErr }
-
 // AuditSHA256 returns the hex sha256 of the audit file's current contents
 // — the determinism fingerprint gmchaos -serve compares against a local
 // batch run.

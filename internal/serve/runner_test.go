@@ -592,7 +592,7 @@ func TestRunnerFinalizeSurvivesRestart(t *testing.T) {
 	if !r2.Status().Finished {
 		t.Fatal("recovered runner lost its finalized state")
 	}
-	res2, err := r2.Result()
+	res2, err := r2.result, r2.resultErr
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -605,6 +605,60 @@ func TestRunnerFinalizeSurvivesRestart(t *testing.T) {
 	}
 	if sha2 != sha {
 		t.Fatalf("recovered audit sha %s != pre-crash %s", sha2, sha)
+	}
+}
+
+// TestRecoverInitWithRetiredSkipField pins journal compatibility for the
+// retired scenario field disable_slot_skipping. A journal written while the
+// field existed still recovers, because apply decodes with plain
+// json.Unmarshal and ignores it, and the recovered run's audit sha256 is
+// that of the same init without the field (slot skipping never changed a
+// trace byte). A scenario file naming the field is refused by
+// scenario.Read as unknown.
+func TestRecoverInitWithRetiredSkipField(t *testing.T) {
+	sc := testScenario(505, true)
+	_, wantSHA := batchSHA(t, sc)
+	raw, err := json.Marshal(InitRequest{Scenario: sc, WithTrace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := bytes.Replace(raw, []byte(`"scenario":{`), []byte(`"scenario":{"disable_slot_skipping":true,`), 1)
+	if bytes.Equal(legacy, raw) {
+		t.Fatalf("init %s has no scenario object to extend", raw)
+	}
+
+	dir := t.TempDir()
+	j, _, err := OpenJournal(filepath.Join(dir, "journal.jsonl"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Append(kindInit, json.RawMessage(legacy)); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("recovering a journal whose init names disable_slot_skipping: %v", err)
+	}
+	defer r.Close()
+	drive(t, r)
+	sum, err := r.AuditSHA256()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum != wantSHA {
+		t.Fatalf("recovered audit sha %s != batch %s of the init without the field", sum, wantSHA)
+	}
+
+	var scJSON bytes.Buffer
+	if err := sc.Write(&scJSON); err != nil {
+		t.Fatal(err)
+	}
+	file := bytes.Replace(scJSON.Bytes(), []byte("{"), []byte(`{"disable_slot_skipping": true,`), 1)
+	if _, err := scenario.Read(bytes.NewReader(file)); err == nil || !strings.Contains(err.Error(), "disable_slot_skipping") {
+		t.Fatalf("scenario.Read of a file naming disable_slot_skipping: err = %v, want an unknown-field error", err)
 	}
 }
 

@@ -70,20 +70,3 @@ func ClearSkyIrradiance(latitudeDeg float64, dayOfYear int, hour float64) float6
 	direct := solarConstant * math.Pow(0.7, math.Pow(am, 0.678))
 	return direct * sinElev
 }
-
-// DayLengthHours returns the approximate number of daylight hours at the
-// given latitude (degrees) and day of year, from the sunset hour angle
-// cos(ws) = -tan(lat)tan(delta). Polar day/night clamp to 24/0.
-func DayLengthHours(latitudeDeg float64, dayOfYear int) float64 {
-	lat := degToRad(latitudeDeg)
-	delta := Declination(dayOfYear)
-	x := -math.Tan(lat) * math.Tan(delta)
-	if x <= -1 {
-		return 24
-	}
-	if x >= 1 {
-		return 0
-	}
-	ws := math.Acos(x)
-	return 2 * ws * 180 / math.Pi / 15
-}

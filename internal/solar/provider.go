@@ -192,42 +192,3 @@ func (s Series) WriteCSV(w io.Writer) error {
 	cw.Flush()
 	return cw.Error()
 }
-
-// ReadCSV parses a series written by WriteCSV. Rows must be in slot order
-// starting at zero; gaps or disorder are reported as errors rather than
-// silently reindexed.
-func ReadCSV(r io.Reader) (Series, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("solar: reading trace: %w", err)
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("solar: empty trace")
-	}
-	if rows[0][0] == "slot" {
-		rows = rows[1:]
-	}
-	out := make(Series, 0, len(rows))
-	for i, row := range rows {
-		if len(row) != 2 {
-			return nil, fmt.Errorf("solar: row %d has %d fields, want 2", i, len(row))
-		}
-		slot, err := strconv.Atoi(row[0])
-		if err != nil {
-			return nil, fmt.Errorf("solar: row %d slot: %w", i, err)
-		}
-		if slot != i {
-			return nil, fmt.Errorf("solar: row %d has slot %d, want %d (trace must be dense and ordered)", i, slot, i)
-		}
-		w, err := strconv.ParseFloat(row[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("solar: row %d watts: %w", i, err)
-		}
-		if w < 0 {
-			return nil, fmt.Errorf("solar: row %d negative power %v", i, w)
-		}
-		out = append(out, units.Power(w))
-	}
-	return out, nil
-}

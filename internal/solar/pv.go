@@ -30,11 +30,6 @@ func DefaultPanel(areaM2 float64) Panel {
 	return Panel{AreaM2: areaM2, Efficiency: 0.173, InverterEfficiency: 0.94, DeratingFactor: 0.95}
 }
 
-// PanelsOfCount returns a DefaultPanel sized as n standard 1.38 m^2 modules.
-func PanelsOfCount(n int) Panel {
-	return DefaultPanel(1.38 * float64(n))
-}
-
 // Validate reports a descriptive error when a field is out of range.
 func (p Panel) Validate() error {
 	if p.AreaM2 < 0 {

@@ -60,9 +60,6 @@ func (d *Distribution) N() int {
 	return n
 }
 
-// Sum returns the total of all observations.
-func (d *Distribution) Sum() float64 { return d.sum }
-
 // Mean returns the arithmetic mean (0 for an empty distribution).
 func (d *Distribution) Mean() float64 {
 	n := d.N()
@@ -70,14 +67,6 @@ func (d *Distribution) Mean() float64 {
 		return 0
 	}
 	return d.sum / float64(n)
-}
-
-// Min returns the smallest observation (0 when empty).
-func (d *Distribution) Min() float64 {
-	if len(d.values) == 0 {
-		return 0
-	}
-	return d.values[0]
 }
 
 // Max returns the largest observation (0 when empty).

@@ -218,15 +218,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// MustNewCluster is NewCluster that panics on error, for tests and examples.
-func MustNewCluster(cfg Config) *Cluster {
-	c, err := NewCluster(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // The rendezvous hash mixes one odd multiplier per coordinate.
 const (
 	objectMul = 0x9E3779B97F4A7C15

@@ -12,6 +12,15 @@ import (
 	"repro/internal/units"
 )
 
+// MustNewCluster is NewCluster that panics on error.
+func MustNewCluster(cfg Config) *Cluster {
+	c, err := NewCluster(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 func smallConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Nodes = 6

@@ -19,15 +19,17 @@ type Power float64
 // Energy is an amount of electrical energy in watt-hours (Wh).
 type Energy float64
 
-// Common scale constants.
+// Common scale constants. unitsafety's diagnostics tell code that adds a
+// bare literal to a quantity to write one of these instead, so they stay
+// whether or not some caller uses them today.
 const (
-	Watt     Power = 1
-	Kilowatt Power = 1000
-	Megawatt Power = 1000 * 1000
+	Watt     Power = 1           //lint:allow deadexport named by unitsafety's bare-literal diagnostic
+	Kilowatt Power = 1000        //lint:allow deadexport named by unitsafety's bare-literal diagnostic
+	Megawatt Power = 1000 * 1000 //lint:allow deadexport named by unitsafety's bare-literal diagnostic
 
-	WattHour     Energy = 1
-	KilowattHour Energy = 1000
-	MegawattHour Energy = 1000 * 1000
+	WattHour     Energy = 1           //lint:allow deadexport named by unitsafety's bare-literal diagnostic
+	KilowattHour Energy = 1000        //lint:allow deadexport named by unitsafety's bare-literal diagnostic
+	MegawattHour Energy = 1000 * 1000 //lint:allow deadexport named by unitsafety's bare-literal diagnostic
 )
 
 // Over returns the energy produced or consumed by holding power p constant
@@ -50,6 +52,8 @@ func (e Energy) Rate(hours float64) Power {
 func (e Energy) KWh() float64 { return float64(e) / 1000 }
 
 // KW reports p in kilowatts.
+//
+//lint:allow deadexport named by unitsafety's raw-float diagnostic
 func (p Power) KW() float64 { return float64(p) / 1000 }
 
 // Wh reports e in watt-hours as a raw float. It is the blessed escape
@@ -122,36 +126,6 @@ func MinEnergy(a, b Energy) Energy {
 	return b
 }
 
-// MaxEnergy returns the larger of a and b.
-func MaxEnergy(a, b Energy) Energy {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// ClampPower restricts p to the inclusive range [lo, hi].
-func ClampPower(p, lo, hi Power) Power {
-	if p < lo {
-		return lo
-	}
-	if p > hi {
-		return hi
-	}
-	return p
-}
-
-// ClampEnergy restricts e to the inclusive range [lo, hi].
-func ClampEnergy(e, lo, hi Energy) Energy {
-	if e < lo {
-		return lo
-	}
-	if e > hi {
-		return hi
-	}
-	return e
-}
-
 // NonNegE returns e, floored at zero. It exists because energy settlements
 // subtract measured quantities and tiny negative residues from floating-point
 // rounding must not propagate into accumulators.
@@ -171,6 +145,8 @@ func NonNegP(p Power) Power {
 }
 
 // ApproxEqual reports whether a and b differ by at most tol watt-hours.
+//
+//lint:allow deadexport named by floateq's diagnostic as the epsilon helper
 func ApproxEqual(a, b Energy, tol float64) bool {
 	return math.Abs(float64(a-b)) <= tol
 }

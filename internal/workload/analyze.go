@@ -11,23 +11,6 @@ func (tr Trace) ArrivalHistogram() [24]int {
 	return h
 }
 
-// DemandCurve returns the per-slot total CPU demand (cores) of the trace
-// under run-at-submit execution — the shape the Baseline policy induces and
-// the upper envelope any deferral policy redistributes. Slots past the
-// given horizon accumulate into the final entry's tail jobs naturally
-// (jobs running past `slots` are truncated).
-func (tr Trace) DemandCurve(slots int) []float64 {
-	curve := make([]float64, slots)
-	for _, j := range tr {
-		for t := j.Submit; t < j.Submit+j.Duration && t < slots; t++ {
-			if t >= 0 {
-				curve[t] += j.CPU
-			}
-		}
-	}
-	return curve
-}
-
 // PeakConcurrency returns the maximum simultaneous job count under
 // run-at-submit execution, a quick capacity-planning figure.
 func (tr Trace) PeakConcurrency() int {

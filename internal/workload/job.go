@@ -175,29 +175,3 @@ func ComputeStats(tr Trace) Stats {
 	}
 	return st
 }
-
-// ByClass filters a trace to one class.
-func (tr Trace) ByClass(c Class) Trace {
-	var out Trace
-	for _, j := range tr {
-		if j.Class == c {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
-// ArrivalsAt returns the jobs submitted exactly at the given slot.
-// The trace must be sorted by Submit (as produced by Generate/ReadCSV).
-func (tr Trace) ArrivalsAt(slot int) Trace {
-	var out Trace
-	for _, j := range tr {
-		if j.Submit == slot {
-			out = append(out, j)
-		}
-		if j.Submit > slot {
-			break
-		}
-	}
-	return out
-}

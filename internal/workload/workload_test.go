@@ -134,8 +134,10 @@ func TestGenerateValidTrace(t *testing.T) {
 func TestGenerateDiurnalShape(t *testing.T) {
 	tr := MustGenerate(DefaultGen())
 	byHour := make([]int, 24)
-	for _, j := range tr.ByClass(Web) {
-		byHour[j.Submit%24]++
+	for _, j := range tr {
+		if j.Class == Web {
+			byHour[j.Submit%24]++
+		}
 	}
 	night := byHour[2] + byHour[3] + byHour[4]
 	day := byHour[9] + byHour[10] + byHour[11]
@@ -168,21 +170,6 @@ func TestGenerateErrors(t *testing.T) {
 		if _, err := Generate(c); err == nil {
 			t.Errorf("case %d should fail", i)
 		}
-	}
-}
-
-func TestArrivalsAt(t *testing.T) {
-	tr := Trace{
-		{ID: 0, Class: Web, Submit: 0, Duration: 1, Deadline: 1, CPU: 1},
-		{ID: 1, Class: Web, Submit: 2, Duration: 1, Deadline: 3, CPU: 1},
-		{ID: 2, Class: Web, Submit: 2, Duration: 1, Deadline: 3, CPU: 1},
-		{ID: 3, Class: Web, Submit: 5, Duration: 1, Deadline: 6, CPU: 1},
-	}
-	if got := tr.ArrivalsAt(2); len(got) != 2 || got[0].ID != 1 || got[1].ID != 2 {
-		t.Fatalf("ArrivalsAt(2) = %+v", got)
-	}
-	if got := tr.ArrivalsAt(4); len(got) != 0 {
-		t.Fatalf("ArrivalsAt(4) = %+v", got)
 	}
 }
 
@@ -275,25 +262,6 @@ func TestArrivalHistogram(t *testing.T) {
 	h := tr.ArrivalHistogram()
 	if h[0] != 2 || h[5] != 1 {
 		t.Fatalf("histogram wrong: %v", h)
-	}
-}
-
-func TestDemandCurve(t *testing.T) {
-	tr := Trace{
-		{ID: 0, Class: Web, Submit: 0, Duration: 2, Deadline: 2, CPU: 2},
-		{ID: 1, Class: Batch, Submit: 1, Duration: 2, Deadline: 15, CPU: 1},
-	}
-	c := tr.DemandCurve(4)
-	want := []float64{2, 3, 1, 0}
-	for i := range want {
-		if c[i] != want[i] {
-			t.Fatalf("demand curve %v, want %v", c, want)
-		}
-	}
-	// Truncation at the horizon must not panic.
-	short := tr.DemandCurve(1)
-	if short[0] != 2 {
-		t.Fatalf("truncated curve %v", short)
 	}
 }
 
