@@ -7,18 +7,20 @@ import (
 	"testing"
 )
 
-// TestE8Golden pins the E8 policy table at 0.2 scale, seed 1, against a
-// committed golden file. This catches accidental nondeterminism (map
-// iteration leaking into decisions) and unintended behavioural drift
-// across refactors. After an intentional simulator change, regenerate
-// with:
+// checkGolden runs experiment id at scale 0.2, seed 1 and compares its
+// tables, each rendered by WriteText with no separator, to the committed
+// file testdata/e<N>_scale02.golden. This catches accidental
+// nondeterminism (map iteration leaking into decisions) and unintended
+// behavioural drift across refactors. After an intentional simulator
+// change, regenerate with:
 //
-//	UPDATE_GOLDEN=1 go test ./internal/expt -run TestE8Golden
-func TestE8Golden(t *testing.T) {
+//	UPDATE_GOLDEN=1 go test ./internal/expt -run 'Golden'
+func checkGolden(t *testing.T, id string) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("golden comparison in -short mode")
 	}
-	tables, err := ByIDMust("E8").Run(Params{Scale: 0.2, Seed: 1})
+	tables, err := ByIDMust(id).Run(Params{Scale: 0.2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +32,7 @@ func TestE8Golden(t *testing.T) {
 	}
 	got := b.String()
 
-	path := filepath.Join("testdata", "e8_scale02.golden")
+	path := filepath.Join("testdata", strings.ToLower(id)+"_scale02.golden")
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -46,41 +48,26 @@ func TestE8Golden(t *testing.T) {
 		t.Fatalf("golden file missing (run with UPDATE_GOLDEN=1 to create): %v", err)
 	}
 	if got != string(want) {
-		t.Fatalf("E8 output drifted from golden file.\n--- got ---\n%s\n--- want ---\n%s", got, want)
+		t.Fatalf("%s output drifted from golden file.\n--- got ---\n%s\n--- want ---\n%s", id, got, want)
 	}
 }
 
-// TestE14Golden pins the failure-injection table the same way: the crash /
-// eviction / repair machinery is the most state-heavy path in the
-// simulator and the most likely to pick up accidental nondeterminism.
-func TestE14Golden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("golden comparison in -short mode")
-	}
-	tables, err := ByIDMust("E14").Run(Params{Scale: 0.2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	for _, tb := range tables {
-		if err := tb.WriteText(&b); err != nil {
-			t.Fatal(err)
+// TestE8Golden pins the headline policy table.
+func TestE8Golden(t *testing.T) { checkGolden(t, "E8") }
+
+// TestE14Golden pins the failure-injection table: the crash / eviction /
+// repair machinery is the most state-heavy path in the simulator and the
+// most likely to pick up accidental nondeterminism.
+func TestE14Golden(t *testing.T) { checkGolden(t, "E14") }
+
+// TestExperimentGoldens pins every other registered experiment the same
+// way, except E9, whose columns are wall-clock solver timings.
+func TestExperimentGoldens(t *testing.T) {
+	for _, e := range All() {
+		switch e.ID {
+		case "E9", "E8", "E14":
+			continue
 		}
-	}
-	got := b.String()
-	path := filepath.Join("testdata", "e14_scale02.golden")
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("golden file updated: %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("golden file missing (run with UPDATE_GOLDEN=1 to create): %v", err)
-	}
-	if got != string(want) {
-		t.Fatalf("E14 output drifted from golden file.\n--- got ---\n%s\n--- want ---\n%s", got, want)
+		t.Run(e.ID, func(t *testing.T) { checkGolden(t, e.ID) })
 	}
 }
