@@ -11,7 +11,6 @@ package greenmatch
 // throughput) follow the experiment benches.
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"runtime"
@@ -24,7 +23,6 @@ import (
 	"repro/internal/match"
 	"repro/internal/metrics"
 	"repro/internal/rng"
-	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/solar"
 	"repro/internal/storage"
@@ -112,11 +110,7 @@ func BenchmarkE22Arena(b *testing.B)             { runExperiment(b, "E22") }
 func BenchmarkOracleRatio(b *testing.B) {
 	for _, name := range scenarios.Names() {
 		b.Run(name, func(b *testing.B) {
-			raw, err := scenarios.Bytes(name)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sc, err := scenario.Read(bytes.NewReader(raw))
+			sc, err := scenarios.Load(name)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -54,7 +54,7 @@ func main() {
 	var (
 		runs     = flag.Int("runs", 200, "number of seeded chaos runs")
 		baseSeed = flag.Int64("seed", 1000, "first seed; run i uses seed+i")
-		workers  = flag.Int("j", 0, "parallel workers (0 = $GREENMATCH_WORKERS, else one per core)")
+		workers  = flag.Int("j", 0, "parallel workers (0 = one per core)")
 		verbose  = flag.Bool("v", false, "print one line per seed")
 		dumpFile = flag.String("dump-schedule", "", "write the generated fault schedule for -seed to this file and exit")
 		schedule = flag.String("schedule", "", "replay this fault-schedule JSON (see -dump-schedule) instead of generating one per seed")

@@ -32,7 +32,7 @@ var (
 	seed       = flag.Int64("seed", 1, "random seed")
 	csv        = flag.Bool("csv", false, "emit CSV instead of text tables")
 	html       = flag.String("html", "", "also write a self-contained HTML report (tables + SVG charts) to this file")
-	jobs       = flag.Int("j", 0, "sweep workers per experiment: 0 = one per core (GREENMATCH_WORKERS overrides), 1 = sequential")
+	jobs       = flag.Int("j", 0, "sweep workers per experiment: 0 = one per core, 1 = sequential")
 	doAudit    = flag.Bool("audit", false, "attach the energy-conservation auditor to every run; violations fail the experiment")
 	auditTrace = flag.String("audit-trace", "", "write every run's per-slot audit trace as JSONL to this file")
 	cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file (inspect with `go tool pprof`)")

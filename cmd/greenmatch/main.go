@@ -21,6 +21,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/solar"
 	"repro/internal/wind"
+	"repro/scenarios"
 )
 
 func main() {
@@ -117,35 +118,27 @@ type runFlags struct {
 	seed                                                   int64
 }
 
-// buildConfig compiles the flag-described run: the reference-week scenario
+// buildConfig compiles the flag-described run: scenarios/reference.json
 // scaled by -scale, with -nodes, -area, -battery-kwh and -failure-mtbf as
 // absolute overrides.
 func buildConfig(f runFlags, recordSeries bool) (core.Config, error) {
 	if !(f.scale > 0) || math.IsInf(f.scale, 1) {
 		return core.Config{}, fmt.Errorf("-scale must be positive and finite, got %v", f.scale)
 	}
-	switch f.source {
-	case "solar", "wind", "hybrid":
-	default:
-		return core.Config{}, fmt.Errorf("unknown source %q", f.source)
+	sc, err := scenarios.Load("reference")
+	if err != nil {
+		return core.Config{}, err
 	}
-	sc := scenario.Scenario{
-		Name:             "greenmatch",
-		Seed:             f.seed,
-		Nodes:            30,
-		Objects:          3000,
-		WorkloadScale:    1,
-		AreaM2:           165.6,
-		Profile:          f.profile,
-		Chemistry:        f.chemistry,
-		Policy:           f.policy,
-		Fraction:         f.fraction,
-		Solver:           f.solver,
-		Forecaster:       f.forecaster,
-		ReadsPerSlot:     200,
-		FailureMTBFHours: f.mtbf,
-		RecordSeries:     recordSeries,
-	}.Scaled(f.scale)
+	sc = sc.Scaled(f.scale)
+	sc.Seed = f.seed
+	sc.Profile = f.profile
+	sc.Chemistry = f.chemistry
+	sc.Policy = f.policy
+	sc.Fraction = f.fraction
+	sc.Solver = f.solver
+	sc.Forecaster = f.forecaster
+	sc.FailureMTBFHours = f.mtbf
+	sc.RecordSeries = recordSeries
 	if f.nodes > 0 {
 		sc.Nodes = f.nodes
 	}
@@ -154,28 +147,17 @@ func buildConfig(f runFlags, recordSeries bool) (core.Config, error) {
 	}
 	sc.BatteryKWh = f.batteryKWh
 	cfg, err := sc.Compile()
-	if err != nil || f.source == "solar" {
-		return cfg, err
-	}
-
-	// Scenario "wind" is the raw farm; here wind carries the solar week's
-	// total energy, so the sources compare at equal supply.
-	sol := cfg.Green.(solar.Series)
-	wcfg := wind.DefaultFarm()
-	wcfg.Slots = sol.Slots()
-	wcfg.Seed = f.seed
-	w, err := wind.Generate(wcfg)
 	if err != nil {
 		return core.Config{}, err
 	}
-	if tot := w.TotalEnergy(1); tot > 0 {
-		w = w.Scale(sol.TotalEnergy(1).Wh() / tot.Wh())
+
+	// Scenario "wind" is the raw farm; -source compares the sources at the
+	// solar week's total energy instead.
+	green, err := wind.EqualEnergy(f.source, cfg.Green.(solar.Series), f.seed)
+	if err != nil {
+		return core.Config{}, err
 	}
-	if f.source == "wind" {
-		cfg.Green = w
-	} else {
-		cfg.Green = wind.Hybrid(sol.Scale(0.5), w.Scale(0.5))
-	}
+	cfg.Green = green
 	return cfg, nil
 }
 

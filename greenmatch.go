@@ -119,8 +119,7 @@ type (
 	// SweepOutcome is one job's result slot.
 	SweepOutcome = runner.Outcome
 	// SweepOptions holds the pool size, its one field: Workers 0 = one
-	// per core with a GREENMATCH_WORKERS env override, 1 = run inline
-	// sequentially.
+	// per core (runtime.GOMAXPROCS), 1 = run inline sequentially.
 	SweepOptions = runner.Options
 )
 

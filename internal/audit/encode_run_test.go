@@ -8,7 +8,6 @@ import (
 	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/scenario"
 	"repro/internal/storage"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -84,11 +83,7 @@ func (d *marshalDiff) EndRun(tot audit.RunTotals) error {
 func TestJSONLMatchesMarshalOnScenarios(t *testing.T) {
 	for _, name := range scenarios.Names() {
 		t.Run(name, func(t *testing.T) {
-			raw, err := scenarios.Bytes(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sc, err := scenario.Read(bytes.NewReader(raw))
+			sc, err := scenarios.Load(name)
 			if err != nil {
 				t.Fatal(err)
 			}

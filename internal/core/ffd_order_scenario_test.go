@@ -1,11 +1,9 @@
 package core_test
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/scenario"
 	"repro/scenarios"
 )
 
@@ -19,11 +17,7 @@ func TestCarriedOrderOnScenarios(t *testing.T) {
 	for _, name := range scenarios.Names() {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			raw, err := scenarios.Bytes(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sc, err := scenario.Read(bytes.NewReader(raw))
+			sc, err := scenarios.Load(name)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/battery"
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/units"
 )
@@ -51,13 +52,16 @@ func init() {
 
 // runE1 produces the supply/demand series of the reference week.
 func runE1(p Params) ([]*metrics.Table, error) {
-	cfg := baseScenario(p)
-	cfg.Green = greenFor(p, ReferenceAreaM2)
-	cfg.RecordSeries = true
-	res, err := runOrErr("E1", p, cfg)
+	results, err := sweep("E1", p, []gridPoint{p.refPoint("ref",
+		func(s *scenario.Scenario) {
+			s.BatteryKWh = 0
+			s.RecordSeries = true
+		},
+		func(c *core.Config) { c.Policy = sched.Baseline{} })})
 	if err != nil {
 		return nil, err
 	}
+	res := results[0]
 	t := &metrics.Table{
 		Title:   "E1: workload power vs solar supply (first week, hourly)",
 		Headers: []string{"slot", "workload_w", "solar_w", "brown_w"},
@@ -85,17 +89,14 @@ func runE2(p Params) ([]*metrics.Table, error) {
 	var points []gridPoint
 	for _, area := range areas {
 		for _, pol := range pols {
-			points = append(points, gridPoint{
-				label: fmt.Sprintf("area=%g policy=%s", area, pol.Name()),
-				build: func() core.Config {
-					cfg := baseScenario(p)
-					cfg.Green = greenFor(p, area)
-					cfg.InfiniteBattery = true
-					cfg.Policy = pol
-					cfg.RecordSeries = true
-					return cfg
+			points = append(points, p.refPoint(fmt.Sprintf("area=%g policy=%s", area, pol.Name()),
+				func(s *scenario.Scenario) {
+					s.AreaM2 = area * p.scale()
+					s.BatteryKWh = 0
+					s.InfiniteBattery = true
+					s.RecordSeries = true
 				},
-			})
+				func(c *core.Config) { c.Policy = pol }))
 		}
 	}
 	results, err := sweep("E2", p, points)
@@ -138,20 +139,15 @@ func runE2(p Params) ([]*metrics.Table, error) {
 func runE3(p Params) ([]*metrics.Table, error) {
 	caps := kwhGrid(p, 160, 20)
 	pols := []sched.Policy{sched.Baseline{}, sched.GreenMatch{}}
+	sized := func(s *scenario.Scenario) {
+		s.AreaM2 = IdealAreaM2 * p.scale()
+		s.RecordSeries = true
+	}
 	var points []gridPoint
 	for _, cap := range caps {
 		for _, pol := range pols {
-			points = append(points, gridPoint{
-				label: fmt.Sprintf("battery=%gkWh policy=%s", cap.KWh(), pol.Name()),
-				build: func() core.Config {
-					cfg := baseScenario(p)
-					cfg.Green = greenFor(p, IdealAreaM2)
-					cfg.BatteryCapacityWh = cap
-					cfg.Policy = pol
-					cfg.RecordSeries = true
-					return cfg
-				},
-			})
+			points = append(points, p.refPoint(fmt.Sprintf("battery=%gkWh policy=%s", cap.KWh(), pol.Name()),
+				sized, func(c *core.Config) { c.BatteryCapacityWh, c.Policy = cap, pol }))
 		}
 	}
 	results, err := sweep("E3", p, points)
@@ -195,32 +191,19 @@ func runE3(p Params) ([]*metrics.Table, error) {
 func runE4(p Params) ([]*metrics.Table, error) {
 	fractions := []float64{0.3, 0.5, 0.7, 0.9, 1.0}
 	caps := kwhGrid(p, 120, 20)
-	// Column order per capacity: the baseline (default policy) first, then
-	// the defer-fraction family.
+	scarce := func(s *scenario.Scenario) {
+		s.AreaM2 = ScarceAreaM2 * p.scale()
+		s.RecordSeries = true
+	}
+	// Column order per capacity: the baseline first, then the
+	// defer-fraction family.
 	var points []gridPoint
 	for _, cap := range caps {
-		points = append(points, gridPoint{
-			label: fmt.Sprintf("battery=%gkWh policy=baseline", cap.KWh()),
-			build: func() core.Config {
-				cfg := baseScenario(p)
-				cfg.Green = greenFor(p, ScarceAreaM2)
-				cfg.BatteryCapacityWh = cap
-				cfg.RecordSeries = true
-				return cfg
-			},
-		})
+		points = append(points, p.refPoint(fmt.Sprintf("battery=%gkWh policy=baseline", cap.KWh()),
+			scarce, func(c *core.Config) { c.BatteryCapacityWh, c.Policy = cap, sched.Baseline{} }))
 		for _, f := range fractions {
-			points = append(points, gridPoint{
-				label: fmt.Sprintf("battery=%gkWh fraction=%g", cap.KWh(), f),
-				build: func() core.Config {
-					cfg := baseScenario(p)
-					cfg.Green = greenFor(p, ScarceAreaM2)
-					cfg.BatteryCapacityWh = cap
-					cfg.Policy = sched.GreenMatch{Fraction: f}
-					cfg.RecordSeries = true
-					return cfg
-				},
-			})
+			points = append(points, p.refPoint(fmt.Sprintf("battery=%gkWh fraction=%g", cap.KWh(), f),
+				scarce, func(c *core.Config) { c.BatteryCapacityWh, c.Policy = cap, sched.GreenMatch{Fraction: f} }))
 		}
 	}
 	results, err := sweep("E4", p, points)
@@ -256,20 +239,15 @@ func runE5(p Params) ([]*metrics.Table, error) {
 	// Baseline is included because it soaks surplus into idle hardware.
 	caps := kwhGrid(p, 120, 20)
 	pols := []sched.Policy{sched.Baseline{}, sched.SpinDown{}, sched.GreenMatch{}}
+	scarce := func(s *scenario.Scenario) {
+		s.AreaM2 = ScarceAreaM2 * p.scale()
+		s.RecordSeries = true
+	}
 	var points []gridPoint
 	for _, cap := range caps {
 		for _, pol := range pols {
-			points = append(points, gridPoint{
-				label: fmt.Sprintf("battery=%gkWh policy=%s", cap.KWh(), pol.Name()),
-				build: func() core.Config {
-					cfg := baseScenario(p)
-					cfg.Green = greenFor(p, ScarceAreaM2)
-					cfg.BatteryCapacityWh = cap
-					cfg.Policy = pol
-					cfg.RecordSeries = true
-					return cfg
-				},
-			})
+			points = append(points, p.refPoint(fmt.Sprintf("battery=%gkWh policy=%s", cap.KWh(), pol.Name()),
+				scarce, func(c *core.Config) { c.BatteryCapacityWh, c.Policy = cap, pol }))
 		}
 	}
 	results, err := sweep("E5", p, points)
@@ -297,19 +275,12 @@ func runE5(p Params) ([]*metrics.Table, error) {
 func runE6(p Params) ([]*metrics.Table, error) {
 	pols := []sched.Policy{sched.Baseline{}, sched.GreenMatch{}, sched.GreenMatch{Fraction: 0.3}}
 	caps := kwhGrid(p, 120, 20)
+	scarce := func(s *scenario.Scenario) { s.AreaM2 = ScarceAreaM2 * p.scale() }
 	var points []gridPoint
 	for _, cap := range caps {
 		for _, pol := range pols {
-			points = append(points, gridPoint{
-				label: fmt.Sprintf("battery=%gkWh policy=%s", cap.KWh(), pol.Name()),
-				build: func() core.Config {
-					cfg := baseScenario(p)
-					cfg.Green = greenFor(p, ScarceAreaM2)
-					cfg.BatteryCapacityWh = cap
-					cfg.Policy = pol
-					return cfg
-				},
-			})
+			points = append(points, p.refPoint(fmt.Sprintf("battery=%gkWh policy=%s", cap.KWh(), pol.Name()),
+				scarce, func(c *core.Config) { c.BatteryCapacityWh, c.Policy = cap, pol }))
 		}
 	}
 	results, err := sweep("E6", p, points)

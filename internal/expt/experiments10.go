@@ -6,10 +6,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/power"
+	"repro/internal/scenario"
 	"repro/internal/sched"
-	"repro/internal/storage"
-	"repro/internal/units"
 )
 
 func init() {
@@ -29,36 +27,22 @@ func init() {
 // claim is that the tiered cluster draws less power for the same service
 // (same availability, reads still mostly land on warm enterprise disks).
 func runE21(p Params) ([]*metrics.Table, error) {
-	base := baseScenario(p)
-	nodes := base.Cluster.Nodes
-	hotNodes := max(2, int(math.Round(float64(nodes)/3)))
-	coldNodes := max(2, nodes-hotNodes)
-
 	layouts := []struct {
-		name  string
-		tiers []storage.Tier
+		name string
+		scen func(*scenario.Scenario)
 	}{
 		{"homogeneous", nil},
-		{"tiered", []storage.Tier{
-			{Name: "hot", Nodes: hotNodes, Server: power.R720(), Disk: power.EnterpriseHDD(), ObjectShare: 0.2},
-			{Name: "cold", Nodes: coldNodes, Server: power.R720(), Disk: power.ArchiveHDD(), ObjectShare: 0.8},
+		{"tiered", func(s *scenario.Scenario) {
+			s.HotTierNodes = max(2, int(math.Round(float64(s.Nodes)/3)))
+			s.HotShare = 0.2
 		}},
 	}
 	pols := []sched.Policy{sched.Baseline{}, sched.GreenMatch{}}
 	var points []gridPoint
 	for _, layout := range layouts {
 		for _, pol := range pols {
-			points = append(points, gridPoint{
-				label: fmt.Sprintf("layout=%s policy=%s", layout.name, pol.Name()),
-				build: func() core.Config {
-					cfg := baseScenario(p)
-					cfg.Green = greenFor(p, ReferenceAreaM2)
-					cfg.BatteryCapacityWh = units.Energy(40_000 * p.scale())
-					cfg.Policy = pol
-					cfg.Cluster.Tiers = layout.tiers
-					return cfg
-				},
-			})
+			points = append(points, p.refPoint(fmt.Sprintf("layout=%s policy=%s", layout.name, pol.Name()),
+				layout.scen, func(c *core.Config) { c.BatteryCapacityWh, c.Policy = p.kwh(40), pol }))
 		}
 	}
 	results, err := sweep("E21", p, points)

@@ -1,13 +1,11 @@
 package expt
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/oracle"
-	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/scenarios"
 )
@@ -55,11 +53,7 @@ func runE22(p Params) ([]*metrics.Table, error) {
 	}
 	arenas := make([]arena, 0, len(names))
 	for _, name := range names {
-		raw, err := scenarios.Bytes(name)
-		if err != nil {
-			return nil, fmt.Errorf("expt E22: %w", err)
-		}
-		sc, err := scenario.Read(bytes.NewReader(raw))
+		sc, err := scenarios.Load(name)
 		if err != nil {
 			return nil, fmt.Errorf("expt E22: %s: %w", name, err)
 		}

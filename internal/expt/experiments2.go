@@ -10,10 +10,10 @@ import (
 	"repro/internal/match"
 	"repro/internal/metrics"
 	"repro/internal/rng"
+	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/solar"
 	"repro/internal/storage"
-	"repro/internal/units"
 	"repro/internal/wind"
 )
 
@@ -60,20 +60,16 @@ func init() {
 // scarce-surplus regime, where charging efficiency determines brown energy.
 func runE7(p Params) ([]*metrics.Table, error) {
 	chems := []battery.Chemistry{battery.LeadAcid, battery.LithiumIon}
-	capWh := units.Energy(90_000 * p.scale())
+	capWh := p.kwh(90)
 	var points []gridPoint
 	for _, chem := range chems {
-		points = append(points, gridPoint{
-			label: "chemistry=" + string(chem),
-			build: func() core.Config {
-				cfg := baseScenario(p)
-				cfg.Green = greenFor(p, ScarceAreaM2)
-				cfg.BatterySpec = battery.MustSpec(chem)
-				cfg.BatteryCapacityWh = capWh
-				cfg.RecordSeries = true
-				return cfg
+		points = append(points, p.refPoint("chemistry="+string(chem),
+			func(s *scenario.Scenario) {
+				s.AreaM2 = ScarceAreaM2 * p.scale()
+				s.Chemistry = string(chem)
+				s.RecordSeries = true
 			},
-		})
+			func(c *core.Config) { c.BatteryCapacityWh, c.Policy = capWh, sched.Baseline{} }))
 	}
 	results, err := sweep("E7", p, points)
 	if err != nil {
@@ -111,16 +107,8 @@ func runE8(p Params) ([]*metrics.Table, error) {
 	}
 	var points []gridPoint
 	for _, pol := range pols {
-		points = append(points, gridPoint{
-			label: "policy=" + pol.Name(),
-			build: func() core.Config {
-				cfg := baseScenario(p)
-				cfg.Green = greenFor(p, ReferenceAreaM2)
-				cfg.BatteryCapacityWh = units.Energy(40_000 * p.scale())
-				cfg.Policy = pol
-				return cfg
-			},
-		})
+		points = append(points, p.refPoint("policy="+pol.Name(), nil,
+			func(c *core.Config) { c.BatteryCapacityWh, c.Policy = p.kwh(40), pol }))
 	}
 	results, err := sweep("E8", p, points)
 	if err != nil {
@@ -253,33 +241,32 @@ func runE9(p Params) ([]*metrics.Table, error) {
 
 // runE10 ablates the forecaster under the noisy mixed-weather profile.
 func runE10(p Params) ([]*metrics.Table, error) {
-	// Mixed-weather supply at the reference area. The series is built once
-	// and shared read-only across the sweep's workers.
-	scfg := solar.DefaultFarm(ReferenceAreaM2 * p.scale())
-	scfg.Profile = solar.ProfileMixed
-	scfg.Slots = 24 * 21
-	scfg.Seed = p.seed()
-	green := solar.MustGenerate(scfg)
+	// The reference under mixed weather and with no ESD, compiled once:
+	// the forecasters' points share it read-only, and its supply is what
+	// their errors are scored against.
+	ref, err := p.reference()
+	if err != nil {
+		return nil, fmt.Errorf("expt E10: %w", err)
+	}
+	ref.Profile = string(solar.ProfileMixed)
+	ref.BatteryKWh = 0
+	base, err := ref.Compile()
+	if err != nil {
+		return nil, fmt.Errorf("expt E10: %w", err)
+	}
 
 	fcs := []forecast.Forecaster{
 		forecast.Perfect{},
 		forecast.Persistence{},
 		forecast.MovingAverage{},
 		forecast.EWMA{},
-		forecast.ClearSky{Farm: scfg},
+		forecast.ClearSky{Farm: solar.DefaultFarm(ref.AreaM2)},
 	}
 	var points []gridPoint
 	for _, fc := range fcs {
-		points = append(points, gridPoint{
-			label: "forecaster=" + fc.Name(),
-			build: func() core.Config {
-				cfg := baseScenario(p)
-				cfg.Green = green
-				cfg.Forecaster = fc
-				cfg.Policy = sched.GreenMatch{}
-				return cfg
-			},
-		})
+		cfg := base
+		cfg.Forecaster = fc
+		points = append(points, point("forecaster="+fc.Name(), cfg))
 	}
 	results, err := sweep("E10", p, points)
 	if err != nil {
@@ -292,7 +279,7 @@ func runE10(p Params) ([]*metrics.Table, error) {
 	}
 	for fi, fc := range fcs {
 		res := results[fi]
-		errs := forecast.Evaluate(fc, green, 24)
+		errs := forecast.Evaluate(fc, base.Green, 24)
 		t.AddRow(fc.Name(), errs.MAE, errs.RMSE, res.Energy.Brown.KWh(),
 			res.SLA.DeadlineMisses, res.SLA.MeanWaitSlots())
 	}
@@ -303,18 +290,17 @@ func runE10(p Params) ([]*metrics.Table, error) {
 // letting spin-down park more disks, at the price of more cold reads.
 func runE11(p Params) ([]*metrics.Table, error) {
 	replicas := []int{1, 2, 3}
+	// Each point records the cluster it ran, so the report can size its
+	// cover without compiling the scenario again.
+	clusters := make([]storage.Config, len(replicas))
 	var points []gridPoint
-	for _, r := range replicas {
-		points = append(points, gridPoint{
-			label: fmt.Sprintf("replicas=%d", r),
-			build: func() core.Config {
-				cfg := baseScenario(p)
-				cfg.Green = greenFor(p, ReferenceAreaM2)
-				cfg.Cluster.Replicas = r
-				cfg.Policy = sched.GreenMatch{}
-				return cfg
+	for ri, r := range replicas {
+		points = append(points, p.refPoint(fmt.Sprintf("replicas=%d", r),
+			func(s *scenario.Scenario) {
+				s.Replicas = r
+				s.BatteryKWh = 0
 			},
-		})
+			func(c *core.Config) { clusters[ri] = c.Cluster }))
 	}
 	results, err := sweep("E11", p, points)
 	if err != nil {
@@ -325,13 +311,10 @@ func runE11(p Params) ([]*metrics.Table, error) {
 		Title:   "E11: coverage-constrained spin-down vs replication factor",
 		Headers: []string{"replicas", "min_cover_disks", "total_disks", "brown_kwh", "disk_spun_hours", "cold_reads", "unserved_reads"},
 	}
-	baseCluster := baseScenario(p).Cluster
 	for ri, r := range replicas {
 		res := results[ri]
 		// Recompute the cover size on a fresh cluster for reporting.
-		ccfg := baseCluster
-		ccfg.Replicas = r
-		cl, err := storage.NewCluster(ccfg)
+		cl, err := storage.NewCluster(clusters[ri])
 		if err != nil {
 			return nil, err
 		}
@@ -344,43 +327,26 @@ func runE11(p Params) ([]*metrics.Table, error) {
 // runE12 compares solar, wind and hybrid supplies of (approximately) equal
 // weekly energy.
 func runE12(p Params) ([]*metrics.Table, error) {
-	solarSeries := greenFor(p, ReferenceAreaM2)
-	target := solarSeries.TotalEnergy(1)
-
-	// Scale a wind farm to the same total energy.
-	wcfg := wind.DefaultFarm()
-	wcfg.Slots = solarSeries.Slots()
-	wcfg.Seed = p.seed()
-	raw := wind.MustGenerate(wcfg)
-	rawTotal := raw.TotalEnergy(1)
-	windSeries := raw
-	if rawTotal > 0 {
-		windSeries = raw.Scale(target.Wh() / rawTotal.Wh())
+	// The reference, compiled once: its solar week sets the energy the
+	// other sources are scaled to, and the points share it read-only.
+	base, err := p.compile(nil)
+	if err != nil {
+		return nil, fmt.Errorf("expt E12: %w", err)
 	}
-	hybrid := wind.Hybrid(solarSeries.Scale(0.5), windSeries.Scale(0.5))
-
-	sources := []struct {
-		name   string
-		series solar.Series
-	}{
-		{"solar", solarSeries},
-		{"wind", windSeries},
-		{"hybrid", hybrid},
+	sources := []string{"solar", "wind", "hybrid"}
+	series := make([]solar.Series, len(sources))
+	for si, src := range sources {
+		if series[si], err = wind.EqualEnergy(src, base.Green.(solar.Series), p.seed()); err != nil {
+			return nil, fmt.Errorf("expt E12: %w", err)
+		}
 	}
 	pols := []sched.Policy{sched.Baseline{}, sched.GreenMatch{}}
 	var points []gridPoint
-	for _, src := range sources {
+	for si, src := range sources {
 		for _, pol := range pols {
-			points = append(points, gridPoint{
-				label: fmt.Sprintf("source=%s policy=%s", src.name, pol.Name()),
-				build: func() core.Config {
-					cfg := baseScenario(p)
-					cfg.Green = src.series
-					cfg.BatteryCapacityWh = units.Energy(40_000 * p.scale())
-					cfg.Policy = pol
-					return cfg
-				},
-			})
+			cfg := base
+			cfg.Green, cfg.BatteryCapacityWh, cfg.Policy = series[si], p.kwh(40), pol
+			points = append(points, point(fmt.Sprintf("source=%s policy=%s", src, pol.Name()), cfg))
 		}
 	}
 	results, err := sweep("E12", p, points)
@@ -393,10 +359,10 @@ func runE12(p Params) ([]*metrics.Table, error) {
 		Headers: []string{"source", "produced_kwh", "baseline_brown_kwh", "greenmatch_brown_kwh"},
 	}
 	for si, src := range sources {
-		base := results[si*len(pols)]
+		bl := results[si*len(pols)]
 		gm := results[si*len(pols)+1]
-		t.AddRow(src.name, src.series.TotalEnergy(1).KWh(),
-			base.Energy.Brown.KWh(), gm.Energy.Brown.KWh())
+		t.AddRow(src, series[si].TotalEnergy(1).KWh(),
+			bl.Energy.Brown.KWh(), gm.Energy.Brown.KWh())
 	}
 	return []*metrics.Table{t}, nil
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/metrics"
+	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/units"
 )
@@ -43,16 +44,9 @@ func runE13(p Params) ([]*metrics.Table, error) {
 	var points []gridPoint
 	for _, capWh := range caps {
 		for _, f := range fractions {
-			points = append(points, gridPoint{
-				label: fmt.Sprintf("battery=%gkWh fraction=%g", capWh.KWh(), f),
-				build: func() core.Config {
-					cfg := baseScenario(p)
-					cfg.Green = greenFor(p, ScarceAreaM2)
-					cfg.BatteryCapacityWh = capWh
-					cfg.Policy = polFor(f)
-					return cfg
-				},
-			})
+			points = append(points, p.refPoint(fmt.Sprintf("battery=%gkWh fraction=%g", capWh.KWh(), f),
+				func(s *scenario.Scenario) { s.AreaM2 = area },
+				func(c *core.Config) { c.BatteryCapacityWh, c.Policy = capWh, polFor(f) }))
 		}
 	}
 	results, err := sweep("E13", p, points)

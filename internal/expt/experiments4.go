@@ -4,9 +4,10 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/metrics"
+	"repro/internal/scenario"
 	"repro/internal/sched"
-	"repro/internal/units"
 )
 
 func init() {
@@ -31,17 +32,9 @@ func runE14(p Params) ([]*metrics.Table, error) {
 	var points []gridPoint
 	for _, mtbf := range mtbfs {
 		for _, pol := range pols {
-			points = append(points, gridPoint{
-				label: fmt.Sprintf("mtbf=%g policy=%s", mtbf, pol.Name()),
-				build: func() core.Config {
-					cfg := baseScenario(p)
-					cfg.Green = greenFor(p, ReferenceAreaM2)
-					cfg.BatteryCapacityWh = units.Energy(40_000 * p.scale())
-					cfg.Policy = pol
-					cfg.Faults.CrashMTBFHours = mtbf
-					return cfg
-				},
-			})
+			points = append(points, p.refPoint(fmt.Sprintf("mtbf=%g policy=%s", mtbf, pol.Name()),
+				func(s *scenario.Scenario) { s.Faults = &fault.Config{CrashMTBFHours: mtbf} },
+				func(c *core.Config) { c.BatteryCapacityWh, c.Policy = p.kwh(40), pol }))
 		}
 	}
 	results, err := sweep("E14", p, points)

@@ -3,6 +3,7 @@ package expt
 import (
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/scenario"
 	"repro/internal/sched"
 )
 
@@ -25,19 +26,15 @@ func runE15(p Params) ([]*metrics.Table, error) {
 	pols := []sched.Policy{sched.Baseline{}, sched.SpinDown{}, sched.GreenMatch{}}
 	var points []gridPoint
 	for _, pol := range pols {
-		points = append(points, gridPoint{
-			label: "policy=" + pol.Name(),
-			build: func() core.Config {
-				cfg := baseScenario(p)
-				cfg.Green = greenFor(p, ReferenceAreaM2)
-				cfg.Policy = pol
+		points = append(points, p.refPoint("policy="+pol.Name(),
+			func(s *scenario.Scenario) {
 				// Sparse layout + uniform popularity: many parkable disks, reads
 				// spread evenly, so the latency tail exposes the spin-down policy.
-				cfg.Cluster.Objects = max(60, cfg.Cluster.Objects/5)
-				cfg.ZipfTheta = 0.01
-				return cfg
+				s.Objects = max(60, s.Objects/5)
+				s.ZipfTheta = 0.01
+				s.BatteryKWh = 0
 			},
-		})
+			func(c *core.Config) { c.Policy = pol }))
 	}
 	results, err := sweep("E15", p, points)
 	if err != nil {

@@ -4,8 +4,8 @@ import (
 	"repro/internal/carbon"
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/scenario"
 	"repro/internal/sched"
-	"repro/internal/units"
 )
 
 func init() {
@@ -28,17 +28,9 @@ func runE16(p Params) ([]*metrics.Table, error) {
 	pols := []sched.Policy{sched.Baseline{}, sched.SpinDown{}, sched.DeferFraction{Fraction: 1}, sched.GreenMatch{}}
 	var points []gridPoint
 	for _, pol := range pols {
-		points = append(points, gridPoint{
-			label: "policy=" + pol.Name(),
-			build: func() core.Config {
-				cfg := baseScenario(p)
-				cfg.Green = greenFor(p, ReferenceAreaM2)
-				cfg.BatteryCapacityWh = units.Energy(40_000 * p.scale())
-				cfg.Policy = pol
-				cfg.RecordSeries = true
-				return cfg
-			},
-		})
+		points = append(points, p.refPoint("policy="+pol.Name(),
+			func(s *scenario.Scenario) { s.RecordSeries = true },
+			func(c *core.Config) { c.BatteryCapacityWh, c.Policy = p.kwh(40), pol }))
 	}
 	results, err := sweep("E16", p, points)
 	if err != nil {

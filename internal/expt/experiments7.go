@@ -36,17 +36,11 @@ func runE17(p Params) ([]*metrics.Table, error) {
 	var points []gridPoint
 	for _, alpha := range alphas {
 		for _, pol := range pols {
-			points = append(points, gridPoint{
-				label: fmt.Sprintf("alpha=%g policy=%s", alpha, pol.Name()),
-				build: func() core.Config {
-					cfg := baseScenario(p)
-					cfg.Green = greenFor(p, ReferenceAreaM2)
-					cfg.BatteryCapacityWh = units.Energy(40_000 * p.scale())
-					cfg.Cluster.NodeProfile.Server = cfg.Cluster.NodeProfile.Server.WithDVFS(alpha)
-					cfg.Policy = pol
-					return cfg
-				},
-			})
+			points = append(points, p.refPoint(fmt.Sprintf("alpha=%g policy=%s", alpha, pol.Name()), nil,
+				func(c *core.Config) {
+					c.BatteryCapacityWh, c.Policy = p.kwh(40), pol
+					c.Cluster.NodeProfile.Server = c.Cluster.NodeProfile.Server.WithDVFS(alpha)
+				}))
 		}
 	}
 	results, err := sweep("E17", p, points)
@@ -89,11 +83,19 @@ func runE18(p Params) ([]*metrics.Table, error) {
 		{"summer-overcast", 173, solar.ProfileOvercast},
 		{"winter", 355, solar.ProfileWinter},
 	}
-	// Each season's supply series is generated once and shared read-only
-	// by its two policy runs.
+	// The reference is compiled once and each season's supply generated
+	// once; a season's two policy runs share them read-only.
+	ref, err := p.reference()
+	if err != nil {
+		return nil, fmt.Errorf("expt E18: %w", err)
+	}
+	base, err := ref.Compile()
+	if err != nil {
+		return nil, fmt.Errorf("expt E18: %w", err)
+	}
 	greens := make([]solar.Series, len(seasons))
 	for i, season := range seasons {
-		scfg := solar.DefaultFarm(ReferenceAreaM2 * p.scale())
+		scfg := solar.DefaultFarm(ref.AreaM2)
 		scfg.StartDayOfYear = season.day
 		scfg.Profile = season.profile
 		scfg.Slots = 24 * 21
@@ -109,16 +111,9 @@ func runE18(p Params) ([]*metrics.Table, error) {
 	for si, season := range seasons {
 		green := greens[si]
 		for _, pol := range pols {
-			points = append(points, gridPoint{
-				label: fmt.Sprintf("season=%s policy=%s", season.name, pol.Name()),
-				build: func() core.Config {
-					cfg := baseScenario(p)
-					cfg.Green = green
-					cfg.BatteryCapacityWh = units.Energy(40_000 * p.scale())
-					cfg.Policy = pol
-					return cfg
-				},
-			})
+			cfg := base
+			cfg.Green, cfg.BatteryCapacityWh, cfg.Policy = green, p.kwh(40), pol
+			points = append(points, point(fmt.Sprintf("season=%s policy=%s", season.name, pol.Name()), cfg))
 		}
 	}
 	results, err := sweep("E18", p, points)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/scenario"
 	"repro/internal/sched"
 )
 
@@ -35,16 +36,9 @@ func runE19(p Params) ([]*metrics.Table, error) {
 	var points []gridPoint
 	for _, cap := range caps {
 		for _, pol := range pols {
-			points = append(points, gridPoint{
-				label: fmt.Sprintf("battery=%gkWh policy=%s", cap.KWh(), pol.Name()),
-				build: func() core.Config {
-					cfg := baseScenario(p)
-					cfg.Green = greenFor(p, ScarceAreaM2)
-					cfg.BatteryCapacityWh = cap
-					cfg.Policy = pol
-					return cfg
-				},
-			})
+			points = append(points, p.refPoint(fmt.Sprintf("battery=%gkWh policy=%s", cap.KWh(), pol.Name()),
+				func(s *scenario.Scenario) { s.AreaM2 = ScarceAreaM2 * p.scale() },
+				func(c *core.Config) { c.BatteryCapacityWh, c.Policy = cap, pol }))
 		}
 	}
 	results, err := sweep("E19", p, points)

@@ -5,8 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/sched"
-	"repro/internal/units"
 )
 
 func init() {
@@ -29,18 +27,12 @@ func runE20(p Params) ([]*metrics.Table, error) {
 	overcommits := []float64{1.0, 1.25, 1.5, 1.75, 2.0}
 	var points []gridPoint
 	for _, oc := range overcommits {
-		points = append(points, gridPoint{
-			label: fmt.Sprintf("overcommit=%g", oc),
-			build: func() core.Config {
-				cfg := baseScenario(p)
-				cfg.Green = greenFor(p, ReferenceAreaM2)
-				cfg.BatteryCapacityWh = units.Energy(40_000 * p.scale())
-				cfg.Policy = sched.GreenMatch{}
-				cfg.ModelUtilization = true
-				cfg.Overcommit = oc
-				return cfg
-			},
-		})
+		points = append(points, p.refPoint(fmt.Sprintf("overcommit=%g", oc), nil,
+			func(c *core.Config) {
+				c.BatteryCapacityWh = p.kwh(40)
+				c.ModelUtilization = true
+				c.Overcommit = oc
+			}))
 	}
 	results, err := sweep("E20", p, points)
 	if err != nil {

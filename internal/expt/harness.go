@@ -1,14 +1,13 @@
 // Package expt is the GreenMatch experiment harness: it defines every
-// figure and table of the reconstructed evaluation (see DESIGN.md §3),
-// parameterized scenario builders, and a registry the CLI and the benchmark
-// suite both drive.
+// figure and table of the reconstructed evaluation (see DESIGN.md §3) as
+// grid points over the reference scenario, and a registry the CLI and the
+// benchmark suite both drive.
 //
 // Every experiment is deterministic: same Params, same rows.
 package expt
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -17,24 +16,27 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/runner"
-	"repro/internal/solar"
-	"repro/internal/storage"
+	"repro/internal/scenario"
 	"repro/internal/units"
-	"repro/internal/workload"
+	"repro/scenarios"
 )
 
-// Params scales an experiment. Scale 1.0 is the paper-scale reference
-// scenario (30 nodes, the full reference week); smaller scales shrink the
+// Params scales an experiment. Every grid point starts from
+// scenarios/reference.json scaled by Scale: 1.0 is the paper-scale
+// reference (30 nodes, the full reference week); smaller scales shrink the
 // cluster, trace, panel areas and battery grids proportionally, preserving
 // the qualitative shapes while running much faster.
 type Params struct {
 	// Scale is the proportional scenario size (default 1.0).
 	Scale float64
-	// Seed offsets the stochastic components (default 1).
+	// Seed replaces the reference scenario's seed, so it drives the
+	// workload and the weather of every grid point (default 1). E9 seeds
+	// its synthetic instances with it; E22's arena scenarios keep their
+	// own seeds.
 	Seed int64
 	// Workers bounds the sweep worker pool: 0 (the default) uses one
-	// worker per core (with a GREENMATCH_WORKERS env override), 1 forces
-	// the historical sequential execution, N > 1 uses N workers. Every
+	// worker per core (runtime.GOMAXPROCS), 1 forces the historical
+	// sequential execution, N > 1 uses N workers. Every
 	// experiment produces identical tables at any worker count — grid
 	// points are independent core.Run invocations and rows are assembled
 	// from index-addressed result slots.
@@ -150,10 +152,6 @@ func register(e Experiment) {
 	byID[e.ID] = e
 }
 
-// ReferenceAreaM2 is the paper-scale PV area used by the supply/demand
-// figure (E1), chosen near the steady-state break-even E2 computes.
-const ReferenceAreaM2 = 165.6
-
 // IdealAreaM2 is the paper-scale "sized" PV area used by the
 // battery-sizing experiments: comfortably above E2's break-even so the
 // battery, not the panels, is the binding resource.
@@ -163,26 +161,37 @@ const IdealAreaM2 = 250.0
 // cover the workload and the scheduling-vs-storage trade-off is sharpest.
 const ScarceAreaM2 = 150.0
 
-// baseScenario builds the reference configuration at the given scale.
-func baseScenario(p Params) core.Config {
-	s := p.scale()
-	cl := storage.DefaultConfig()
-	cl.Nodes = max(4, int(math.Round(30*s)))
-	cl.Objects = max(100, int(math.Round(3000*s)))
-	gen := workload.Scaled(s)
-	gen.Seed = p.seed()
-	cfg := core.DefaultParams()
-	cfg.Cluster = cl
-	cfg.Trace = workload.MustGenerate(gen)
-	cfg.Green = core.DefaultGreen(ReferenceAreaM2)
-	cfg.ReadsPerSlot = 200 * s
-	cfg.Seed = p.seed()
-	return cfg
+// reference returns the run every grid point starts from: the embedded
+// scenarios/reference.json (GreenMatch, a 40 kWh lithium-ion ESD, 165.6 m2
+// of PV under sunny weather), scaled by p's scale and seeded by p's seed.
+func (p Params) reference() (scenario.Scenario, error) {
+	sc, err := scenarios.Load("reference")
+	if err != nil {
+		return scenario.Scenario{}, err
+	}
+	sc = sc.Scaled(p.scale())
+	sc.Seed = p.seed()
+	return sc, nil
 }
 
-// greenFor returns the extended solar trace for a paper-scale area, scaled.
-func greenFor(p Params, paperScaleArea float64) solar.Series {
-	return core.DefaultGreen(paperScaleArea * p.scale())
+// compile compiles the reference scenario after applying edit (nil for
+// none).
+func (p Params) compile(edit func(*scenario.Scenario)) (core.Config, error) {
+	sc, err := p.reference()
+	if err != nil {
+		return core.Config{}, err
+	}
+	if edit != nil {
+		edit(&sc)
+	}
+	return sc.Compile()
+}
+
+// kwh converts a paper-scale battery size to scaled Wh. A grid point sets
+// it on the compiled Config rather than as battery_kwh, which would round
+// through (kWh·scale)·1000 and move the last bit at some scales.
+func (p Params) kwh(paperScaleKWh float64) units.Energy {
+	return units.Energy(paperScaleKWh * 1000 * p.scale())
 }
 
 // steadyBrown sums brown energy after the first-day warm-up (the battery
@@ -224,19 +233,9 @@ func steadyLost(res *core.Result) units.Energy {
 func kwhGrid(p Params, maxKWh, stepKWh float64) []units.Energy {
 	var out []units.Energy
 	for v := 0.0; v <= maxKWh+1e-9; v += stepKWh {
-		out = append(out, units.Energy(v*1000*p.scale()))
+		out = append(out, p.kwh(v))
 	}
 	return out
-}
-
-// runOrErr wraps core.Run with experiment-context errors and the Params'
-// audit instrumentation.
-func runOrErr(id string, p Params, cfg core.Config) (*core.Result, error) {
-	res, err := core.Run(p.instrument(id+"/ref", cfg))
-	if err != nil {
-		return nil, fmt.Errorf("expt %s: %w", id, err)
-	}
-	return res, nil
 }
 
 // gridPoint is one cell of an experiment's parameter grid: a label for
@@ -245,12 +244,27 @@ func runOrErr(id string, p Params, cfg core.Config) (*core.Result, error) {
 // of small-scale runs — parallelizes along with the simulation.
 type gridPoint struct {
 	label string
-	build func() core.Config
+	build func() (core.Config, error)
 }
 
-// point makes a gridPoint from a label and an already-built Config.
+// refPoint is a grid point on the reference scenario: scen edits the
+// scenario fields the point varies, the worker compiles it, and set edits
+// the compiled Config for what no scenario field expresses (a sched.Policy
+// value, a battery size in Wh, a power model). Either may be nil.
+func (p Params) refPoint(label string, scen func(*scenario.Scenario), set func(*core.Config)) gridPoint {
+	return gridPoint{label: label, build: func() (core.Config, error) {
+		cfg, err := p.compile(scen)
+		if err == nil && set != nil {
+			set(&cfg)
+		}
+		return cfg, err
+	}}
+}
+
+// point makes a gridPoint from a label and an already-compiled Config,
+// for experiments whose points share one compiled scenario.
 func point(label string, cfg core.Config) gridPoint {
-	return gridPoint{label: label, build: func() core.Config { return cfg }}
+	return gridPoint{label: label, build: func() (core.Config, error) { return cfg, nil }}
 }
 
 // sweep runs every grid point through the bounded worker pool and returns
@@ -261,7 +275,11 @@ func sweep(id string, p Params, points []gridPoint) ([]*core.Result, error) {
 	jobs := make([]runner.Job, len(points))
 	for i, pt := range points {
 		jobs[i] = runner.Job{Label: pt.label, Run: func() (any, error) {
-			return core.Run(p.instrument(id+"/"+pt.label, pt.build()))
+			cfg, err := pt.build()
+			if err != nil {
+				return nil, err
+			}
+			return core.Run(p.instrument(id+"/"+pt.label, cfg))
 		}}
 	}
 	outs := runner.Sweep(jobs, runner.Options{Workers: p.Workers})

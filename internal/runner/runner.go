@@ -17,24 +17,17 @@
 //
 // Worker count resolution: Options.Workers > 0 wins; Workers == 1 runs the
 // jobs inline on the calling goroutine (exactly the historical sequential
-// behaviour); Workers == 0 consults the GREENMATCH_WORKERS environment
-// variable and falls back to runtime.GOMAXPROCS(0).
+// behaviour); Workers == 0 uses runtime.GOMAXPROCS(0), which Go's own
+// GOMAXPROCS environment variable already throttles.
 package runner
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"runtime/debug"
-	"strconv"
 	"strings"
 	"sync"
 )
-
-// WorkersEnv is the environment variable consulted when Options.Workers is
-// zero, so CLIs, tests and benchmarks can be throttled without plumbing a
-// flag everywhere.
-const WorkersEnv = "GREENMATCH_WORKERS"
 
 // Job is one point of a sweep.
 type Job struct {
@@ -74,7 +67,7 @@ func (e *PanicError) Error() string {
 // Options configures a sweep.
 type Options struct {
 	// Workers bounds the pool: N > 0 uses N workers, 1 runs inline
-	// sequentially, 0 resolves GREENMATCH_WORKERS then GOMAXPROCS(0).
+	// sequentially, 0 uses GOMAXPROCS(0).
 	Workers int
 }
 
@@ -83,11 +76,6 @@ type Options struct {
 func (o Options) ResolveWorkers() int {
 	if o.Workers > 0 {
 		return o.Workers
-	}
-	if v := os.Getenv(WorkersEnv); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
 	}
 	return runtime.GOMAXPROCS(0)
 }

@@ -3,6 +3,7 @@ package runner
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -122,12 +123,7 @@ func TestResolveWorkers(t *testing.T) {
 	if got := (Options{Workers: 7}).ResolveWorkers(); got != 7 {
 		t.Fatalf("explicit workers: got %d", got)
 	}
-	t.Setenv(WorkersEnv, "3")
-	if got := (Options{}).ResolveWorkers(); got != 3 {
-		t.Fatalf("env workers: got %d", got)
-	}
-	t.Setenv(WorkersEnv, "not-a-number")
-	if got := (Options{}).ResolveWorkers(); got < 1 {
-		t.Fatalf("fallback workers must be >= 1, got %d", got)
+	if got, want := (Options{}).ResolveWorkers(), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("default workers: got %d, want GOMAXPROCS %d", got, want)
 	}
 }

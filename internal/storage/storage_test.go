@@ -424,6 +424,24 @@ func TestReadModelWakesStandbyDisks(t *testing.T) {
 	if res.LatencyPenaltySeconds <= 0 {
 		t.Fatal("cold reads must register latency penalty")
 	}
+	// Each cold read records the warm service time plus its disk's
+	// spin-up wait; every other served read is warm.
+	coldMs := m.BaseLatencyMs + c.Config().NodeProfile.Disk.SpinUpSeconds*1000
+	values, counts, _ := m.Latencies.State()
+	var cold, warm int
+	for i, v := range values {
+		switch v {
+		case coldMs:
+			cold += counts[i]
+		case m.BaseLatencyMs:
+			warm += counts[i]
+		default:
+			t.Fatalf("read latency %v ms is neither warm (%v) nor cold (%v)", v, m.BaseLatencyMs, coldMs)
+		}
+	}
+	if cold != res.ColdReads || cold+warm != res.Reads-res.Unserviceable {
+		t.Fatalf("latencies: %d cold + %d warm, want %d cold of %d served", cold, warm, res.ColdReads, res.Reads-res.Unserviceable)
+	}
 	// Popular objects' disks are now awake: a second slot has fewer colds.
 	res2 := m.Step(c)
 	if res2.ColdReads >= res.ColdReads {

@@ -132,13 +132,32 @@ func Generate(cfg FarmConfig) (solar.Series, error) {
 	return out, nil
 }
 
-// MustGenerate is Generate that panics on error, for tests and examples.
-func MustGenerate(cfg FarmConfig) solar.Series {
-	s, err := Generate(cfg)
-	if err != nil {
-		panic(err)
+// EqualEnergy returns the supply of source ("solar", "wind" or "hybrid")
+// at sol's total energy, so the sources compare at equal supply. Wind is
+// the default farm over sol's slots, seeded by seed and scaled to sol's
+// energy; hybrid is half of each; solar is sol itself.
+func EqualEnergy(source string, sol solar.Series, seed int64) (solar.Series, error) {
+	switch source {
+	case "solar":
+		return sol, nil
+	case "wind", "hybrid":
+	default:
+		return nil, fmt.Errorf("wind: unknown source %q (want solar, wind or hybrid)", source)
 	}
-	return s
+	cfg := DefaultFarm()
+	cfg.Slots = sol.Slots()
+	cfg.Seed = seed
+	w, err := Generate(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if tot := w.TotalEnergy(1); tot > 0 {
+		w = w.Scale(sol.TotalEnergy(1).Wh() / tot.Wh())
+	}
+	if source == "wind" {
+		return w, nil
+	}
+	return Hybrid(sol.Scale(0.5), w.Scale(0.5)), nil
 }
 
 // Hybrid sums a solar and a wind trace slot-wise, producing the combined

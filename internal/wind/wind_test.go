@@ -81,8 +81,8 @@ func TestGenerate(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	a := MustGenerate(DefaultFarm())
-	b := MustGenerate(DefaultFarm())
+	a := mustGenerate(DefaultFarm())
+	b := mustGenerate(DefaultFarm())
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("not deterministic at slot %d", i)
@@ -95,7 +95,7 @@ func TestGenerateNightProduction(t *testing.T) {
 	// positive night slots over a long trace.
 	cfg := DefaultFarm()
 	cfg.Slots = 24 * 60
-	s := MustGenerate(cfg)
+	s := mustGenerate(cfg)
 	nightPositive := 0
 	for d := 0; d < 60; d++ {
 		if s.Power(d*24+2) > 0 { // 02:00 each day
@@ -133,8 +133,8 @@ func TestCountScaling(t *testing.T) {
 	one := DefaultFarm()
 	three := DefaultFarm()
 	three.Count = 3
-	a := MustGenerate(one)
-	b := MustGenerate(three)
+	a := mustGenerate(one)
+	b := mustGenerate(three)
 	for i := range a {
 		if b[i] != units.Power(3*float64(a[i])) {
 			t.Fatalf("count scaling broken at slot %d: %v vs %v", i, a[i], b[i])
@@ -151,5 +151,38 @@ func TestHybrid(t *testing.T) {
 	}
 	if h[0] != 110 || h[1] != 220 || h[2] != 30 {
 		t.Fatalf("hybrid values wrong: %v", h)
+	}
+}
+
+// mustGenerate is Generate that panics on error.
+func mustGenerate(cfg FarmConfig) solar.Series {
+	s, err := Generate(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+func TestEqualEnergy(t *testing.T) {
+	sol := make(solar.Series, 48)
+	for i := 8; i < 16; i++ {
+		sol[i] = units.Power(1000)
+		sol[24+i] = units.Power(1000)
+	}
+	want := sol.TotalEnergy(1)
+	for _, src := range []string{"solar", "wind", "hybrid"} {
+		got, err := EqualEnergy(src, sol, 3)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if got.Slots() != sol.Slots() {
+			t.Errorf("%s: %d slots, want %d", src, got.Slots(), sol.Slots())
+		}
+		if e := got.TotalEnergy(1); e < want*0.999 || e > want*1.001 {
+			t.Errorf("%s: energy %v, want %v", src, e, want)
+		}
+	}
+	if _, err := EqualEnergy("coal", sol, 3); err == nil {
+		t.Error("unknown source should fail")
 	}
 }

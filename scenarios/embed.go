@@ -1,15 +1,18 @@
 // Package scenarios embeds the shipped scenario files so library code —
-// the experiment registry's arena family, benchmarks, property tests — can
-// enumerate and load them without knowing where the repository lives on
-// disk. The on-disk files stay the source of truth: the embedded copies
+// the experiment harness (every grid point starts from "reference"), the
+// arena family, benchmarks, property tests — can enumerate and load them
+// without knowing where the repository lives on disk. The on-disk files stay the source of truth: the embedded copies
 // are byte-identical by construction, and the golden tests keep reading
 // the files directly.
 package scenarios
 
 import (
+	"bytes"
 	"embed"
 	"sort"
 	"strings"
+
+	"repro/internal/scenario"
 )
 
 //go:embed *.json
@@ -34,4 +37,13 @@ func Names() []string {
 // Bytes returns the raw JSON of the named scenario.
 func Bytes(name string) ([]byte, error) {
 	return files.ReadFile(name + ".json")
+}
+
+// Load parses the named scenario.
+func Load(name string) (scenario.Scenario, error) {
+	raw, err := Bytes(name)
+	if err != nil {
+		return scenario.Scenario{}, err
+	}
+	return scenario.Read(bytes.NewReader(raw))
 }
