@@ -438,23 +438,21 @@ func BenchmarkMatchPlan(b *testing.B) {
 // generation would otherwise dominate the measurement, and the Run
 // contract guarantees a Config may be shared across (even concurrent)
 // Runs unmutated.
-func benchCfg() Config {
-	cfg := DefaultConfig()
-	cl := cfg.Cluster
-	cl.Nodes = 6
-	cl.Objects = 600
-	cfg.Cluster = cl
-	cfg.Trace = workload.MustGenerate(workload.Scaled(0.2))
-	cfg.Green = DefaultGreen(33)
-	cfg.ReadsPerSlot = 40
-	cfg.Policy = GreenMatch{}
+func benchCfg(b *testing.B) Config {
+	b.Helper()
+	sc := Scenario{Seed: 1, Nodes: 6, Objects: 600, WorkloadScale: 0.2,
+		AreaM2: 33, ReadsPerSlot: 40, Policy: "greenmatch"}
+	cfg, err := sc.Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
 	return cfg
 }
 
 // BenchmarkSimulatorSlotThroughput measures end-to-end simulated slots per
 // second for the GreenMatch policy at 20% scale.
 func BenchmarkSimulatorSlotThroughput(b *testing.B) {
-	cfg := benchCfg()
+	cfg := benchCfg(b)
 	slots := 0
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -476,7 +474,7 @@ func BenchmarkSimulatorSlotThroughput(b *testing.B) {
 // metric, so the gmbench drift gate pins the decision stream itself, not
 // just its speed.
 func BenchmarkLiveDecisionThroughput(b *testing.B) {
-	cfg := benchCfg()
+	cfg := benchCfg(b)
 	decisions, perRun := 0, 0
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -509,15 +507,21 @@ func BenchmarkLiveDecisionThroughput(b *testing.B) {
 // cost of the full pipeline grows with cluster size (power planning, draw
 // summation, placement all scan nodes and disks) while the fast kernel's
 // does not, so this measures the fast path at the scale it targets.
-func sparseBenchCfg() Config {
+func sparseBenchCfg(b *testing.B) Config {
+	b.Helper()
 	const (
 		horizon = 40000
 		gap     = 200
 	)
-	cfg := DefaultConfig()
-	cl := cfg.Cluster
-	cl.Objects = 300 // full fleet, slim catalog: keeps one-time cluster construction from dominating the 40k-slot loop
-	cfg.Cluster = cl
+	// Full fleet, slim catalog: keeps one-time cluster construction from
+	// dominating the 40k-slot loop. Cold archive: most slots see no reads
+	// at all.
+	sc := Scenario{Seed: 1, Nodes: 30, Objects: 300, AreaM2: 165.6,
+		SupplySlots: horizon, ReadsPerSlot: 0.1, Policy: "greenmatch"}
+	cfg, err := sc.Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
 	var trace []workload.Job
 	id := 0
 	for submit := 0; submit+gap/2 < horizon; submit += gap {
@@ -531,11 +535,6 @@ func sparseBenchCfg() Config {
 		}
 	}
 	cfg.Trace = trace
-	farm := solar.DefaultFarm(165.6)
-	farm.Slots = horizon
-	cfg.Green = solar.MustGenerate(farm)
-	cfg.ReadsPerSlot = 0.1 // cold archive: most slots see no reads at all
-	cfg.Policy = GreenMatch{}
 	return cfg
 }
 
@@ -549,7 +548,7 @@ func BenchmarkSimulatorSlotThroughputSparse(b *testing.B) {
 		noSkip bool
 	}{{"skip", false}, {"noskip", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			cfg := sparseBenchCfg()
+			cfg := sparseBenchCfg(b)
 			cfg.DisableSlotSkipping = mode.noSkip
 			slots := 0
 			b.ReportAllocs()
@@ -575,10 +574,10 @@ func BenchmarkSimulatorSlotThroughputSparse(b *testing.B) {
 func BenchmarkObservedSlotThroughput(b *testing.B) {
 	for _, shape := range []struct {
 		name string
-		cfg  func() Config
+		cfg  func(*testing.B) Config
 	}{{"week", benchCfg}, {"sparse", sparseBenchCfg}} {
 		b.Run(shape.name, func(b *testing.B) {
-			cfg := shape.cfg()
+			cfg := shape.cfg(b)
 			cfg.Observer = NewJSONLSink(io.Discard)
 			slots := 0
 			b.ReportAllocs()
@@ -601,7 +600,7 @@ func BenchmarkObservedSlotThroughput(b *testing.B) {
 // multi-core machine the j=GOMAXPROCS case should approach a linear
 // multiple of j=1; on a single-core machine the two converge.
 func BenchmarkSweepThroughput(b *testing.B) {
-	cfg := benchCfg()
+	cfg := benchCfg(b)
 	const points = 8
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("j%d", workers), func(b *testing.B) {

@@ -11,7 +11,7 @@
 //	gmtrace -kind wind -turbines 2 -out wind.csv
 //	gmtrace -kind workload -stats            # print population statistics
 //	gmtrace -kind run -scenario scenarios/reference.json -scale 0.25 -audit -out trace.jsonl
-//	gmtrace -kind run -format csv -slots 48  # default scenario, first 48 slots
+//	gmtrace -kind run -scale 0.25 -format csv -slots 48  # embedded reference, first 48 slots
 package main
 
 import (
@@ -27,6 +27,7 @@ import (
 	"repro/internal/solar"
 	"repro/internal/wind"
 	"repro/internal/workload"
+	"repro/scenarios"
 )
 
 // main wraps realMain so every exit path — errors included — flushes and
@@ -48,7 +49,7 @@ func realMain() int {
 		profile  = flag.String("profile", "sunny", "solar weather profile")
 		slots    = flag.Int("slots", 168, "trace length in slots; for -kind run, cap on emitted slot traces")
 		turbines = flag.Int("turbines", 1, "wind turbine count")
-		scenFile = flag.String("scenario", "", "scenario JSON for -kind run (default: built-in quarter-scale reference)")
+		scenFile = flag.String("scenario", "", "scenario JSON for -kind run (default: the embedded scenarios/reference.json)")
 		doAudit  = flag.Bool("audit", false, "for -kind run: check energy-conservation invariants, fail on violation")
 		format   = flag.String("format", "jsonl", "for -kind run: trace format jsonl | csv | prom")
 	)
@@ -176,16 +177,20 @@ func realMain() int {
 	return 0
 }
 
-// runScenario simulates a scenario and streams its audit trace to w. The
-// sink is closed on every path — including a failed or violating run — so
-// the partial trace is still complete lines.
+// runScenario simulates the scenario file scenFile (the embedded reference
+// when empty) scaled by scale and streams its audit trace to w. The sink
+// is closed on every path — including a failed or violating run — so the
+// partial trace is still complete lines.
 func runScenario(w io.Writer, scenFile string, scale float64, format string, doAudit bool, slotCap int) error {
-	sc := scenario.Default()
-	if scenFile != "" {
-		var err error
-		if sc, err = scenario.Load(scenFile); err != nil {
-			return err
-		}
+	var sc scenario.Scenario
+	var err error
+	if scenFile == "" {
+		sc, err = scenarios.Load("reference")
+	} else {
+		sc, err = scenario.Load(scenFile)
+	}
+	if err != nil {
+		return err
 	}
 	sc = sc.Scaled(scale)
 	cfg, err := sc.Compile()

@@ -7,6 +7,7 @@
 //	greenmatch -policy greenmatch -area 165.6 -battery-kwh 40
 //	greenmatch -policy defer -fraction 0.5 -profile mixed -chemistry lead-acid
 //	greenmatch -policy baseline -nodes 30 -scale 1.0 -series series.csv
+//	greenmatch -save-scenario run.json -scale 0.5 && greenmatch -scenario run.json
 package main
 
 import (
@@ -44,22 +45,12 @@ func main() {
 		jsonOut    = flag.Bool("json", false, "emit the raw result as JSON (machine-readable; includes the series when recorded)")
 		seriesPath = flag.String("series", "", "write the per-slot time series CSV to this file")
 		scenPath   = flag.String("scenario", "", "load the run from a JSON scenario file (overrides the other flags)")
-		saveScen   = flag.String("save-scenario", "", "write the default scenario JSON to this file and exit")
+		saveScen   = flag.String("save-scenario", "", "write the reference scenario, scaled by -scale, as JSON to this file and exit")
 	)
 	flag.Parse()
 
 	if *saveScen != "" {
-		f, err := os.Create(*saveScen)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "greenmatch:", err)
-			os.Exit(1)
-		}
-		err = scenario.Default().Write(f)
-		cerr := f.Close()
-		if err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := saveScenario(*saveScen, rf.scale); err != nil {
 			fmt.Fprintln(os.Stderr, "greenmatch:", err)
 			os.Exit(1)
 		}
@@ -118,18 +109,46 @@ type runFlags struct {
 	seed                                                   int64
 }
 
+// reference loads scenarios/reference.json scaled by scale, which must be
+// a positive finite number: Scaled reads a non-positive factor as the
+// identity.
+func reference(scale float64) (scenario.Scenario, error) {
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return scenario.Scenario{}, fmt.Errorf("-scale must be positive and finite, got %v", scale)
+	}
+	sc, err := scenarios.Load("reference")
+	if err != nil {
+		return scenario.Scenario{}, err
+	}
+	return sc.Scaled(scale), nil
+}
+
+// saveScenario writes the reference scenario scaled by scale to path, as
+// a template for -scenario.
+func saveScenario(path string, scale float64) error {
+	sc, err := reference(scale)
+	if err != nil {
+		return err
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = sc.Write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 // buildConfig compiles the flag-described run: scenarios/reference.json
 // scaled by -scale, with -nodes, -area, -battery-kwh and -failure-mtbf as
 // absolute overrides.
 func buildConfig(f runFlags, recordSeries bool) (core.Config, error) {
-	if !(f.scale > 0) || math.IsInf(f.scale, 1) {
-		return core.Config{}, fmt.Errorf("-scale must be positive and finite, got %v", f.scale)
-	}
-	sc, err := scenarios.Load("reference")
+	sc, err := reference(f.scale)
 	if err != nil {
 		return core.Config{}, err
 	}
-	sc = sc.Scaled(f.scale)
 	sc.Seed = f.seed
 	sc.Profile = f.profile
 	sc.Chemistry = f.chemistry

@@ -21,6 +21,7 @@ import (
 	"repro/internal/units"
 	"repro/internal/wind"
 	"repro/internal/workload"
+	"repro/scenarios"
 )
 
 func testConfig(t *testing.T, policy, source, chemistry, forecaster string) core.Config {
@@ -90,13 +91,14 @@ func TestBuildConfigErrors(t *testing.T) {
 }
 
 // legacyBuildConfig is the flag-to-config builder greenmatch used before it
-// compiled a scenario, kept verbatim as the oracle the scenario path must
-// reproduce exactly.
+// compiled a scenario, kept as the oracle the scenario path must reproduce
+// exactly. It starts from the zero Config; the comparison fills the rest
+// with Config.ApplyDefaults, the one defaults table.
 func legacyBuildConfig(policyName string, fraction float64, solver string, scale float64,
 	nodes int, area float64, profile, source string, batteryKWh float64,
 	chemistry, forecaster string, seed int64, recordSeries bool) (core.Config, error) {
 
-	cfg := core.DefaultParams()
+	var cfg core.Config
 	cfg.Seed = seed
 	cfg.RecordSeries = recordSeries
 
@@ -284,13 +286,7 @@ func TestBuildConfigRejectsBadScale(t *testing.T) {
 // TestBadScaleExitsTwo drives the built command: a bad -scale is a usage
 // error (exit 2) reported before anything is simulated.
 func TestBadScaleExitsTwo(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the command")
-	}
-	bin := filepath.Join(t.TempDir(), "greenmatch")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildCommand(t)
 	for _, sc := range []string{"0", "-1"} {
 		out, err := exec.Command(bin, "-scale", sc).CombinedOutput()
 		var exit *exec.ExitError
@@ -300,6 +296,75 @@ func TestBadScaleExitsTwo(t *testing.T) {
 		if !strings.Contains(string(out), "-scale must be positive") {
 			t.Errorf("-scale %s: message missing:\n%s", sc, out)
 		}
+	}
+}
+
+// buildCommand builds greenmatch into a temporary directory, skipping the
+// test under -short.
+func buildCommand(t *testing.T) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("builds the command")
+	}
+	bin := filepath.Join(t.TempDir(), "greenmatch")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// TestSaveScenarioRoundTrip: -save-scenario writes the embedded reference
+// scaled by -scale, so the file loads back equal to it, and a bad scale
+// writes nothing.
+func TestSaveScenarioRoundTrip(t *testing.T) {
+	ref, err := scenarios.Load("reference")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, scale := range []float64{0.1, 0.25, 1} {
+		path := filepath.Join(t.TempDir(), "run.json")
+		if err := saveScenario(path, scale); err != nil {
+			t.Fatalf("scale %g: %v", scale, err)
+		}
+		got, err := scenario.Load(path)
+		if err != nil {
+			t.Fatalf("scale %g: %v", scale, err)
+		}
+		if want := ref.Scaled(scale); !reflect.DeepEqual(got, want) {
+			t.Errorf("scale %g: saved %+v, want %+v", scale, got, want)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "bad.json")
+	if err := saveScenario(path, 0); err == nil {
+		t.Error("scale 0 should be rejected")
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("a rejected scale left a file behind: %v", err)
+	}
+}
+
+// TestSavedScenarioRuns drives the built command: the template written at
+// the default -scale of 0.25 is the quarter-scale reference (750 objects)
+// and runs through -scenario.
+func TestSavedScenarioRuns(t *testing.T) {
+	bin := buildCommand(t)
+	path := filepath.Join(t.TempDir(), "run.json")
+	if out, err := exec.Command(bin, "-save-scenario", path).CombinedOutput(); err != nil {
+		t.Fatalf("-save-scenario: %v\n%s", err, out)
+	}
+	sc, err := scenario.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc.Objects != 750 || sc.Nodes != 8 {
+		t.Errorf("default template has %d nodes and %d objects, want 8 and 750", sc.Nodes, sc.Objects)
+	}
+	out, err := exec.Command(bin, "-scenario", path).CombinedOutput()
+	if err != nil {
+		t.Fatalf("-scenario: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "jobs completed") {
+		t.Errorf("report missing from the -scenario run:\n%s", out)
 	}
 }
 

@@ -5,24 +5,24 @@ import (
 	"log"
 
 	greenmatch "repro"
+	"repro/scenarios"
 )
 
 // Example runs a small renewable-powered storage data center under the
 // GreenMatch policy and prints whether every job met its deadline.
 func Example() {
-	cfg := greenmatch.DefaultConfig()
-	cl := cfg.Cluster
-	cl.Nodes = 6
-	cl.Objects = 300
-	cfg.Cluster = cl
-
-	trace, err := greenmatch.GenerateWorkload(0.1, 1)
+	// The reference run, shrunk to a tenth of its week on a 6-node
+	// cluster with 20 m^2 of PV and no battery.
+	sc, err := scenarios.Load("reference")
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg.Trace = trace
-	cfg.Green = greenmatch.DefaultGreen(20)
-	cfg.ReadsPerSlot = 20
+	sc.Nodes, sc.Objects, sc.WorkloadScale = 6, 300, 0.1
+	sc.AreaM2, sc.BatteryKWh, sc.ReadsPerSlot = 20, 0, 20
+	cfg, err := sc.Compile()
+	if err != nil {
+		log.Fatal(err)
+	}
 	cfg.Policy = greenmatch.GreenMatch{}
 
 	res, err := greenmatch.Run(cfg)
@@ -45,18 +45,6 @@ func ExampleBatterySpecFor() {
 	fmt.Printf("efficiency %.2f, volume %.0f L, price $%.0f\n",
 		li.Efficiency, li.VolumeLiters(capWh), li.PriceDollars(capWh))
 	// Output: efficiency 0.85, volume 600 L, price $47250
-}
-
-// ExampleGenerateSolar builds a week of synthetic PV production and reports
-// its totals; the trace is deterministic under the seed.
-func ExampleGenerateSolar() {
-	series, err := greenmatch.GenerateSolar(165.6, "sunny", 168, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("slots=%d night(02:00)=%v peak>10kW=%v\n",
-		series.Slots(), series.Power(2), series.Peak() > 10_000)
-	// Output: slots=168 night(02:00)=0.0 W peak>10kW=true
 }
 
 // ExampleExperiments lists the first entries of the evaluation registry the

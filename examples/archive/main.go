@@ -10,28 +10,53 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"os"
 
 	greenmatch "repro"
-	"repro/internal/power"
-	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
+	// Tiered layout: a small hot tier of enterprise spindles holds the 15%
+	// hottest objects; archive-class disks hold the cold bulk of a dense
+	// archival placement. Reads are sparse and Zipf-skewed, and there is
+	// no battery.
+	sc := greenmatch.Scenario{
+		Seed:         1,
+		Nodes:        10,
+		Objects:      5000,
+		HotTierNodes: 3,
+		HotShare:     0.15,
+		AreaM2:       50,
+		ReadsPerSlot: 30,
+		ZipfTheta:    1.1,
+	}
+	cfg, err := sc.Compile()
+	if err != nil {
+		return err
+	}
+
 	// Maintenance-heavy workload: few web VMs, a modest batch load, and a
-	// large scrub/backup/repair population with long deadlines.
+	// large scrub/backup/repair population with long deadlines. A scenario
+	// only scales the reference week, so this trace replaces the compiled
+	// one.
 	gen := workload.DefaultGen()
 	gen.WebJobs = 40
 	gen.BatchJobs = 200
 	gen.ScrubJobs = 600
 	gen.BackupJobs = 300
 	gen.RepairJobs = 100
-	gen.Seed = 1
-	trace, err := workload.Generate(gen)
-	if err != nil {
-		log.Fatal(err)
+	gen.Seed = sc.Seed
+	if cfg.Trace, err = workload.Generate(gen); err != nil {
+		return err
 	}
 
 	table := &greenmatch.Table{
@@ -44,25 +69,10 @@ func main() {
 		greenmatch.SpinDown{},
 		greenmatch.GreenMatch{},
 	} {
-		cfg := greenmatch.DefaultConfig()
-		cl := cfg.Cluster
-		cl.Objects = 5000 // dense archival placement
-		// Tiered layout: a small hot tier of enterprise spindles holds the
-		// 15% hottest objects; archive-class disks hold the cold bulk.
-		cl.Tiers = []storage.Tier{
-			{Name: "hot", Nodes: 3, Server: power.R720(), Disk: power.EnterpriseHDD(), ObjectShare: 0.15},
-			{Name: "cold", Nodes: 7, Server: power.R720(), Disk: power.ArchiveHDD(), ObjectShare: 0.85},
-		}
-		cfg.Cluster = cl
-		cfg.Trace = trace
-		cfg.Green = greenmatch.DefaultGreen(50)
-		cfg.ReadsPerSlot = 30 // cold tier: sparse reads, Zipf-skewed
-		cfg.ZipfTheta = 1.1
 		cfg.Policy = policy
-
 		res, err := greenmatch.Run(cfg)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		table.AddRow(res.Policy,
 			res.Energy.Brown.KWh(),
@@ -72,9 +82,10 @@ func main() {
 			res.SLA.ColdReads,
 			res.SLA.DeadlineMisses)
 	}
-	if err := table.WriteText(os.Stdout); err != nil {
-		log.Fatal(err)
+	if err := table.WriteText(w); err != nil {
+		return err
 	}
-	fmt.Println("\nOn a cold tier the coverage set is what keeps disks spinning; GreenMatch")
-	fmt.Println("additionally times the scrub/backup waves to the solar window.")
+	fmt.Fprintln(w, "\nOn a cold tier the coverage set is what keeps disks spinning; GreenMatch")
+	fmt.Fprintln(w, "additionally times the scrub/backup waves to the solar window.")
+	return nil
 }

@@ -8,14 +8,36 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"os"
 
 	greenmatch "repro"
+	"repro/scenarios"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	capacitiesKWh := []float64{0, 5, 10, 15, 20, 25, 30, 40}
+
+	// The reference run at quarter scale, with its panels enlarged to
+	// comfortably above break-even; only the battery and policy vary.
+	sc, err := scenarios.Load("reference")
+	if err != nil {
+		return err
+	}
+	sc = sc.Scaled(0.25)
+	sc.AreaM2 = 62.5
+	sc.RecordSeries = true
+	cfg, err := sc.Compile()
+	if err != nil {
+		return err
+	}
 
 	table := &greenmatch.Table{
 		Title:   "Steady-state brown energy (kWh) vs battery size — sized panels (62.5 m2), 8 nodes",
@@ -26,25 +48,11 @@ func main() {
 	for _, capKWh := range capacitiesKWh {
 		row := []any{capKWh}
 		for _, policy := range []greenmatch.Policy{greenmatch.Baseline{}, greenmatch.GreenMatch{}} {
-			cfg := greenmatch.DefaultConfig()
-			cl := cfg.Cluster
-			cl.Nodes = 8
-			cl.Objects = 800
-			cfg.Cluster = cl
-			trace, err := greenmatch.GenerateWorkload(0.25, 1)
-			if err != nil {
-				log.Fatal(err)
-			}
-			cfg.Trace = trace
-			cfg.Green = greenmatch.DefaultGreen(62.5) // comfortably above break-even
 			cfg.BatteryCapacityWh = greenmatch.Energy(capKWh * 1000)
-			cfg.ReadsPerSlot = 50
 			cfg.Policy = policy
-			cfg.RecordSeries = true
-
 			res, err := greenmatch.Run(cfg)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			// Steady-state brown: skip the first day (the battery starts
 			// empty, so the first pre-dawn hours are unavoidably brown).
@@ -61,25 +69,26 @@ func main() {
 		}
 		table.AddRow(row...)
 	}
-	if err := table.WriteText(os.Stdout); err != nil {
-		log.Fatal(err)
+	if err := table.WriteText(w); err != nil {
+		return err
 	}
 
 	li, err := greenmatch.BatterySpecFor(greenmatch.LithiumIon)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for _, name := range []string{"baseline", "greenmatch"} {
 		k := zero[name]
 		if k < 0 {
-			fmt.Printf("%-11s never reaches zero brown in this sweep\n", name)
+			fmt.Fprintf(w, "%-11s never reaches zero brown in this sweep\n", name)
 			continue
 		}
 		capWh := greenmatch.Energy(k * 1000)
-		fmt.Printf("%-11s reaches zero steady-state brown at %4.0f kWh  (LI: %.0f L, $%.0f)\n",
+		fmt.Fprintf(w, "%-11s reaches zero steady-state brown at %4.0f kWh  (LI: %.0f L, $%.0f)\n",
 			name, k, li.VolumeLiters(capWh), li.PriceDollars(capWh))
 	}
-	fmt.Println("\nGreenMatch needs the smaller battery: deferred jobs consume solar directly")
-	fmt.Println("instead of round-tripping it through the ESD's charging losses.")
+	fmt.Fprintln(w, "\nGreenMatch needs the smaller battery: deferred jobs consume solar directly")
+	fmt.Fprintln(w, "instead of round-tripping it through the ESD's charging losses.")
+	return nil
 }

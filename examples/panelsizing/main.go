@@ -7,38 +7,48 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"os"
 
 	greenmatch "repro"
+	"repro/scenarios"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
+	// The reference run at quarter scale under an ideal ESD; only the
+	// panel area varies. The area is a scenario field, so each grid point
+	// compiles its own supply.
+	sc, err := scenarios.Load("reference")
+	if err != nil {
+		return err
+	}
+	sc = sc.Scaled(0.25)
+	sc.InfiniteBattery = true
+	sc.RecordSeries = true
+
 	table := &greenmatch.Table{
 		Title:   "Brown energy vs PV area — infinite ideal ESD, baseline policy, 8 nodes",
 		Headers: []string{"area_m2", "produced_kwh", "supply_ratio", "steady_brown_kwh"},
 	}
 	breakEven := -1.0
 	for _, area := range []float64{0, 10, 20, 30, 40, 50, 60, 80, 100} {
-		cfg := greenmatch.DefaultConfig()
-		cl := cfg.Cluster
-		cl.Nodes = 8
-		cl.Objects = 800
-		cfg.Cluster = cl
-		trace, err := greenmatch.GenerateWorkload(0.25, 1)
+		sc.AreaM2 = area
+		cfg, err := sc.Compile()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		cfg.Trace = trace
-		cfg.Green = greenmatch.DefaultGreen(area)
-		cfg.InfiniteBattery = true
-		cfg.ReadsPerSlot = 50
-		cfg.RecordSeries = true
-
+		cfg.Policy = greenmatch.Baseline{}
 		res, err := greenmatch.Run(cfg)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		var steady float64
 		for _, s := range res.Series.Samples {
@@ -52,14 +62,15 @@ func main() {
 			breakEven = area
 		}
 	}
-	if err := table.WriteText(os.Stdout); err != nil {
-		log.Fatal(err)
+	if err := table.WriteText(w); err != nil {
+		return err
 	}
 	if breakEven >= 0 {
 		side := math.Sqrt(breakEven)
-		fmt.Printf("\nBreak-even panel dimension: ~%.0f m^2 (%.1f x %.1f m): beyond this,\n", breakEven, side, side)
-		fmt.Println("an ideal ESD can time-shift the surplus to cover every night.")
+		fmt.Fprintf(w, "\nBreak-even panel dimension: ~%.0f m^2 (%.1f x %.1f m): beyond this,\n", breakEven, side, side)
+		fmt.Fprintln(w, "an ideal ESD can time-shift the surplus to cover every night.")
 	} else {
-		fmt.Println("\nNo break-even in this sweep; widen the area grid.")
+		fmt.Fprintln(w, "\nNo break-even in this sweep; widen the area grid.")
 	}
+	return nil
 }

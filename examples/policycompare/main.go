@@ -12,6 +12,7 @@ import (
 	"os"
 
 	greenmatch "repro"
+	"repro/scenarios"
 )
 
 func main() {
@@ -30,28 +31,24 @@ func run(w io.Writer) error {
 		greenmatch.GreenMatch{},
 	}
 
-	// The scenario substrate is built once and shared read-only by every
-	// concurrent run (the documented Config contract).
-	trace, err := greenmatch.GenerateWorkload(0.25, 1)
+	// The reference run at quarter scale is compiled once and shared
+	// read-only by every concurrent run (the documented Config contract);
+	// each run copies it and sets its own policy.
+	sc, err := scenarios.Load("reference")
 	if err != nil {
 		return err
 	}
-	green := greenmatch.DefaultGreen(41.4)
+	base, err := sc.Scaled(0.25).Compile()
+	if err != nil {
+		return err
+	}
 
 	jobs := make([]greenmatch.SweepJob, len(policies))
 	for i, policy := range policies {
 		jobs[i] = greenmatch.SweepJob{
 			Label: policy.Name(),
 			Run: func() (any, error) {
-				cfg := greenmatch.DefaultConfig()
-				cl := cfg.Cluster
-				cl.Nodes = 8
-				cl.Objects = 800
-				cfg.Cluster = cl
-				cfg.Trace = trace
-				cfg.Green = green
-				cfg.BatteryCapacityWh = 10_000
-				cfg.ReadsPerSlot = 50
+				cfg := base
 				cfg.Policy = policy
 				return greenmatch.Run(cfg)
 			},

@@ -11,6 +11,7 @@ import (
 	"os"
 
 	greenmatch "repro"
+	"repro/scenarios"
 )
 
 func main() {
@@ -20,31 +21,23 @@ func main() {
 }
 
 func run(w io.Writer) error {
-	// A quarter-scale data center: ~8 nodes, ~1000 jobs over one week,
-	// a 41 m^2 rooftop solar farm and a 10 kWh lithium-ion battery.
-	trace, err := greenmatch.GenerateWorkload(0.25, 1)
+	// The reference run at quarter scale: 8 nodes, ~1000 jobs over one
+	// week, a 41 m^2 rooftop solar farm and a 10 kWh lithium-ion battery.
+	sc, err := scenarios.Load("reference")
 	if err != nil {
 		return err
 	}
-	mkConfig := func(policy greenmatch.Policy) greenmatch.Config {
-		cfg := greenmatch.DefaultConfig()
-		cl := cfg.Cluster
-		cl.Nodes = 8
-		cl.Objects = 800
-		cfg.Cluster = cl
-		cfg.Trace = trace
-		cfg.Green = greenmatch.DefaultGreen(41.4)
-		cfg.BatteryCapacityWh = 10_000
-		cfg.ReadsPerSlot = 50
-		cfg.Policy = policy
-		return cfg
+	cfg, err := sc.Scaled(0.25).Compile()
+	if err != nil {
+		return err
 	}
 
 	for _, policy := range []greenmatch.Policy{
 		greenmatch.Baseline{},
 		greenmatch.GreenMatch{},
 	} {
-		res, err := greenmatch.Run(mkConfig(policy))
+		cfg.Policy = policy
+		res, err := greenmatch.Run(cfg)
 		if err != nil {
 			return err
 		}

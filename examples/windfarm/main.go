@@ -16,6 +16,8 @@ import (
 	"os"
 
 	greenmatch "repro"
+	"repro/internal/wind"
+	"repro/scenarios"
 )
 
 func main() {
@@ -25,51 +27,33 @@ func main() {
 }
 
 func run(w io.Writer) error {
-	const slots = 24 * 21
-
-	solar, err := greenmatch.GenerateSolar(41.4, "sunny", slots, 1)
+	// The reference run at quarter scale supplies the solar week; wind and
+	// the 50/50 hybrid are scaled to its total energy so the sources are
+	// compared fairly.
+	sc, err := scenarios.Load("reference")
 	if err != nil {
 		return err
 	}
-	windRaw, err := greenmatch.GenerateWind(1, slots, 1)
+	cfg, err := sc.Scaled(0.25).Compile()
 	if err != nil {
 		return err
 	}
-	// Scale the wind trace to the solar trace's total energy so the two
-	// sources are compared fairly.
-	wind := windRaw.Scale(solar.TotalEnergy(1).Wh() / windRaw.TotalEnergy(1).Wh())
-	hybrid := make(greenmatch.SolarSeries, slots)
-	for i := range hybrid {
-		hybrid[i] = (solar.Power(i) + wind.Power(i)) / 2
-	}
-
-	trace, err := greenmatch.GenerateWorkload(0.25, 1)
-	if err != nil {
-		return err
-	}
+	solar := cfg.Green.(greenmatch.SolarSeries)
 
 	table := &greenmatch.Table{
 		Title:   "Renewable source comparison — equal weekly energy, 8 nodes, quarter-scale week",
 		Headers: []string{"source", "battery_kwh", "baseline_brown_kwh", "greenmatch_brown_kwh", "gm_advantage_%"},
 	}
-	sources := []struct {
-		name   string
-		series greenmatch.SolarSeries
-	}{{"solar", solar}, {"wind", wind}, {"hybrid", hybrid}}
-
-	for _, src := range sources {
+	for _, src := range []string{"solar", "wind", "hybrid"} {
+		green, err := wind.EqualEnergy(src, solar, sc.Seed)
+		if err != nil {
+			return err
+		}
+		cfg.Green = green
 		for _, batKWh := range []float64{0, 20} {
 			var browns []float64
 			for _, policy := range []greenmatch.Policy{greenmatch.Baseline{}, greenmatch.GreenMatch{}} {
-				cfg := greenmatch.DefaultConfig()
-				cl := cfg.Cluster
-				cl.Nodes = 8
-				cl.Objects = 800
-				cfg.Cluster = cl
-				cfg.Trace = trace
-				cfg.Green = src.series
 				cfg.BatteryCapacityWh = greenmatch.Energy(batKWh * 1000)
-				cfg.ReadsPerSlot = 50
 				cfg.Policy = policy
 				res, err := greenmatch.Run(cfg)
 				if err != nil {
@@ -81,7 +65,7 @@ func run(w io.Writer) error {
 			if browns[0] > 0 {
 				adv = 100 * (browns[0] - browns[1]) / browns[0]
 			}
-			table.AddRow(src.name, batKWh, browns[0], browns[1], adv)
+			table.AddRow(src, batKWh, browns[0], browns[1], adv)
 		}
 	}
 	if err := table.WriteText(w); err != nil {

@@ -8,16 +8,21 @@
 // replica-coverage constraint on disk spin-down.
 //
 // This package is the stable facade over the internal packages; see
-// README.md for a tour and DESIGN.md for the system inventory. The typical
-// entry points:
+// README.md for a tour and DESIGN.md for the system inventory. A run is
+// described by a scenario: load the shipped reference run from package
+// repro/scenarios, edit its fields, compile it, and set on the Config only
+// what a scenario cannot express (a Policy value, a custom Trace):
 //
-//	cfg := greenmatch.DefaultConfig()
-//	cfg.Policy = greenmatch.GreenMatch{}
+//	sc, err := scenarios.Load("reference") // 30 nodes, the reference week, 165.6 m^2 PV
+//	if err != nil { ... }
+//	cfg, err := sc.Scaled(0.25).Compile()
+//	if err != nil { ... }
+//	cfg.Policy = greenmatch.GreenMatch{BatteryAware: true}
 //	res, err := greenmatch.Run(cfg)
 //	fmt.Println(res.Energy.Brown, res.Energy.GreenUtilization())
 //
-// and the experiment harness that regenerates every figure and table of
-// the evaluation:
+// The experiment harness regenerates every figure and table of the
+// evaluation:
 //
 //	for _, e := range greenmatch.Experiments() { ... e.Run(greenmatch.ExperimentParams{}) ... }
 package greenmatch
@@ -41,13 +46,12 @@ import (
 	"repro/internal/solar"
 	"repro/internal/storage"
 	"repro/internal/units"
-	"repro/internal/wind"
 	"repro/internal/workload"
 )
 
 // Core simulator types.
 type (
-	// Config assembles one simulation run; see DefaultConfig.
+	// Config assembles one simulation run; compile one from a Scenario.
 	Config = core.Config
 	// Result is the outcome of one run: energy account, SLA account,
 	// battery account, disk stats, optional time series.
@@ -142,14 +146,6 @@ const (
 	UltraCapacitor = battery.UltraCapacitor
 )
 
-// DefaultConfig returns the reference scenario: 30-node storage cluster,
-// the reference week workload (787 web + 3148 batch jobs plus storage
-// maintenance), a 165.6 m^2 solar farm, no battery, Baseline policy.
-func DefaultConfig() Config { return core.DefaultConfig() }
-
-// DefaultGreen returns the reference extended solar trace for a panel area.
-func DefaultGreen(areaM2 float64) SolarSeries { return core.DefaultGreen(areaM2) }
-
 // Run executes one simulation run.
 func Run(cfg Config) (*Result, error) { return core.Run(cfg) }
 
@@ -158,34 +154,6 @@ func NewSimulator(cfg Config) (*Simulator, error) { return core.New(cfg) }
 
 // BatterySpecFor returns the parameter preset for a chemistry.
 func BatterySpecFor(c battery.Chemistry) (BatterySpec, error) { return battery.SpecFor(c) }
-
-// GenerateWorkload produces the deterministic synthetic reference trace at
-// the given scale (1.0 reproduces the genre's reference week populations).
-func GenerateWorkload(scale float64, seed int64) (Trace, error) {
-	cfg := workload.Scaled(scale)
-	cfg.Seed = seed
-	return workload.Generate(cfg)
-}
-
-// GenerateSolar produces a synthetic solar trace for the given farm area,
-// weather profile ("sunny", "mixed", "overcast", "winter") and length.
-func GenerateSolar(areaM2 float64, profile string, slots int, seed int64) (SolarSeries, error) {
-	cfg := solar.DefaultFarm(areaM2)
-	cfg.Profile = solar.Profile(profile)
-	cfg.Slots = slots
-	cfg.Seed = seed
-	return solar.Generate(cfg)
-}
-
-// GenerateWind produces a synthetic wind trace from the default turbine
-// farm scaled to `turbines` units.
-func GenerateWind(turbines, slots int, seed int64) (SolarSeries, error) {
-	cfg := wind.DefaultFarm()
-	cfg.Count = turbines
-	cfg.Slots = slots
-	cfg.Seed = seed
-	return wind.Generate(cfg)
-}
 
 // Experiments returns the full evaluation registry (E1..E22) in order.
 func Experiments() []Experiment { return expt.All() }
@@ -244,11 +212,9 @@ func TeeObservers(obs ...Observer) Observer { return audit.Tee(obs...) }
 func LabeledObserver(run string, o Observer) Observer { return audit.Labeled(run, o) }
 
 // Scenario is the JSON-serializable run description; see
-// internal/scenario for the field documentation.
+// internal/scenario for the field documentation. Package repro/scenarios
+// loads the shipped ones, "reference" among them.
 type Scenario = scenario.Scenario
-
-// DefaultScenario returns the quarter-scale reference scenario.
-func DefaultScenario() Scenario { return scenario.Default() }
 
 // CostConfig and CostBreakdown expose the economics layer.
 type (

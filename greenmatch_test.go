@@ -2,23 +2,25 @@ package greenmatch
 
 import (
 	"testing"
+
+	"repro/scenarios"
 )
 
-// fastConfig shrinks the reference scenario for facade-level smoke tests.
+// fastConfig shrinks the reference scenario for facade-level smoke tests:
+// a tenth of the week on 6 nodes, 30 m^2 of PV, no battery, Baseline.
 func fastConfig(t *testing.T) Config {
 	t.Helper()
-	cfg := DefaultConfig()
-	cl := cfg.Cluster
-	cl.Nodes = 6
-	cl.Objects = 300
-	cfg.Cluster = cl
-	tr, err := GenerateWorkload(0.1, 1)
+	sc, err := scenarios.Load("reference")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Trace = tr
-	cfg.Green = DefaultGreen(30)
-	cfg.ReadsPerSlot = 20
+	sc.Nodes, sc.Objects, sc.WorkloadScale = 6, 300, 0.1
+	sc.AreaM2, sc.BatteryKWh, sc.ReadsPerSlot = 30, 0, 20
+	sc.Policy = "baseline"
+	cfg, err := sc.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
 	return cfg
 }
 
@@ -66,24 +68,6 @@ func TestFacadeBatterySpec(t *testing.T) {
 	}
 }
 
-func TestFacadeGenerators(t *testing.T) {
-	tr, err := GenerateWorkload(0.05, 7)
-	if err != nil || len(tr) == 0 {
-		t.Fatalf("workload: %v, %d jobs", err, len(tr))
-	}
-	sol, err := GenerateSolar(50, "mixed", 168, 7)
-	if err != nil || sol.Slots() != 168 {
-		t.Fatalf("solar: %v", err)
-	}
-	if _, err := GenerateSolar(50, "hurricane", 168, 7); err == nil {
-		t.Fatal("bad profile should error")
-	}
-	w, err := GenerateWind(2, 168, 7)
-	if err != nil || w.Slots() != 168 {
-		t.Fatalf("wind: %v", err)
-	}
-}
-
 func TestFacadeExperimentRegistry(t *testing.T) {
 	if len(Experiments()) != 22 {
 		t.Fatalf("want 22 experiments, got %d", len(Experiments()))
@@ -124,9 +108,11 @@ func TestFacadeCostAndCarbon(t *testing.T) {
 }
 
 func TestFacadeScenario(t *testing.T) {
-	s := DefaultScenario()
-	s.WorkloadScale = 0.05
-	cfg, err := s.Compile()
+	sc, err := scenarios.Load("reference")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := sc.Scaled(0.05).Compile()
 	if err != nil {
 		t.Fatal(err)
 	}

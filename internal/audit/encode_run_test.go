@@ -8,8 +8,7 @@ import (
 	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/storage"
-	"repro/internal/units"
+	"repro/internal/scenario"
 	"repro/internal/workload"
 	"repro/scenarios"
 )
@@ -109,19 +108,21 @@ func TestJSONLMatchesMarshalOnScenarios(t *testing.T) {
 func TestJSONLMatchesMarshalUnderChaos(t *testing.T) {
 	var faults, supply, fade, degraded int
 	for _, seed := range []int64{4242, 4243, 4244, 4245} {
-		cfg := core.DefaultConfig()
-		cl := storage.DefaultConfig()
-		cl.Nodes = 8
-		cl.Objects = 400
-		cfg.Cluster = cl
-		gen := workload.Scaled(0.08)
+		sc := scenario.Scenario{Seed: 1, Nodes: 8, Objects: 400, WorkloadScale: 0.08,
+			AreaM2: 40, BatteryKWh: 10, ReadsPerSlot: 50, Policy: "baseline"}
+		cfg, err := sc.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The seed drives the trace, the reads and the faults; the sun
+		// stays seed 1's.
+		gen := workload.Scaled(sc.WorkloadScale)
 		gen.Seed = seed
-		cfg.Trace = workload.MustGenerate(gen)
-		cfg.Green = core.DefaultGreen(40)
-		cfg.BatteryCapacityWh = 10 * units.KilowattHour
-		cfg.ReadsPerSlot = 50
+		if cfg.Trace, err = workload.Generate(gen); err != nil {
+			t.Fatal(err)
+		}
 		cfg.Seed = seed
-		cfg.Faults = fault.Generate(seed, fault.GenSpec{Slots: 200, Nodes: cl.Nodes, AllowMTBF: true})
+		cfg.Faults = fault.Generate(seed, fault.GenSpec{Slots: 200, Nodes: sc.Nodes, AllowMTBF: true})
 		d := newMarshalDiff(t)
 		cfg.Observer = d
 		if _, err := core.Run(cfg); err != nil {

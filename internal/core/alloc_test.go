@@ -43,7 +43,7 @@ func driveUntilDrained(tb testing.TB, cfg Config) (*Simulator, int) {
 // hit, mask-based power plan, read service and battery settlement all run
 // on reused scratch.
 func TestSlotStepDrainedAllocFree(t *testing.T) {
-	sim, slot := driveUntilDrained(t, tinyConfig())
+	sim, slot := driveUntilDrained(t, tinyConfig(t))
 	// One warm-up step past drain lets one-off transitions (final
 	// consolidation, cover-cache misses for the drained node set) happen
 	// outside the measured window.
@@ -66,7 +66,7 @@ func TestSlotStepDrainedAllocFree(t *testing.T) {
 // by the reusable sched.PlanScratch and is allocation-free once warm too;
 // see "The matching solver" in docs/PROFILING.md.)
 func TestSlotStepBusyMandatoryAllocFree(t *testing.T) {
-	cfg := tinyConfig()
+	cfg := tinyConfig(t)
 	cfg.Policy = sched.Baseline{}
 	trace := make([]workload.Job, 6)
 	for i := range trace {
@@ -111,7 +111,7 @@ func TestSlotStepBusyMandatoryAllocFree(t *testing.T) {
 // allocation-free: the key is built in the reusable scratch buffer and
 // the map lookup's []byte-to-string conversion does not materialize.
 func TestCoveredOnCacheHitAllocFree(t *testing.T) {
-	sim, err := New(tinyConfig())
+	sim, err := New(tinyConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,11 +35,11 @@ var chaosPolicies = []sched.Policy{
 // small enough that hundreds of seeded runs stay a unit test. The policy
 // cycles with the seed, so the 16-seed -short pass still covers the whole
 // arena twice.
-func chaosConfig(seed int64) Config {
-	cfg := smallConfig()
+func chaosConfig(t testing.TB, seed int64) Config {
+	cfg := smallConfig(t)
 	gen := workload.Scaled(0.08)
 	gen.Seed = seed
-	cfg.Trace = workload.MustGenerate(gen)
+	cfg.Trace = genTrace(t, gen)
 	cfg.BatteryCapacityWh = 10 * units.KilowattHour
 	cfg.Seed = seed
 	cfg.Policy = chaosPolicies[int(seed)%len(chaosPolicies)]
@@ -48,8 +48,8 @@ func chaosConfig(seed int64) Config {
 
 // chaosFaultConfig is chaosConfig under the seed's generated fault
 // schedule.
-func chaosFaultConfig(seed int64) Config {
-	cfg := chaosConfig(seed)
+func chaosFaultConfig(t testing.TB, seed int64) Config {
+	cfg := chaosConfig(t, seed)
 	cfg.Faults = fault.Generate(seed, fault.GenSpec{
 		Slots:     200,
 		Nodes:     cfg.Cluster.Nodes,
@@ -62,7 +62,7 @@ func chaosFaultConfig(seed int64) Config {
 // auditor attached and the full slot trace captured as JSONL bytes.
 func chaosRun(t *testing.T, seed int64) (*Result, []byte) {
 	t.Helper()
-	cfg := chaosFaultConfig(seed)
+	cfg := chaosFaultConfig(t, seed)
 	auditor := audit.NewAuditor()
 	var buf bytes.Buffer
 	cfg.Observer = audit.Tee(auditor, audit.NewJSONL(&buf))
@@ -105,7 +105,7 @@ func TestChaos(t *testing.T) {
 					res.SLA.Submitted, res.SLA.Completed, res.SLA.DeadlineMisses)
 			}
 
-			cfg := chaosConfig(seed)
+			cfg := chaosConfig(t, seed)
 			cfg.Faults = fault.Generate(seed, fault.GenSpec{
 				Slots:     200,
 				Nodes:     cfg.Cluster.Nodes,
@@ -129,7 +129,7 @@ func TestChaos(t *testing.T) {
 // TestChaosNoFaultControl pins the control case: with no fault schedule
 // configured the degraded-mode account stays identically zero.
 func TestChaosNoFaultControl(t *testing.T) {
-	res := run(t, chaosConfig(7))
+	res := run(t, chaosConfig(t, 7))
 	if res.Degrade != (metrics.DegradeAccount{}) {
 		t.Fatalf("fault-free run reported degraded-mode metrics: %+v", res.Degrade)
 	}

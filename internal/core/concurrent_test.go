@@ -14,15 +14,15 @@ import (
 // tinyConfig returns a quick scenario small enough for short-mode race
 // runs yet still exercising spin-down, consolidation, the battery and the
 // read model.
-func tinyConfig() Config {
-	cfg := DefaultConfig()
+func tinyConfig(t testing.TB) Config {
+	cfg := referenceConfig(t)
 	cl := storage.DefaultConfig()
 	cl.Nodes = 4
 	cl.Objects = 120
 	cfg.Cluster = cl
 	gen := workload.Scaled(0.05)
-	cfg.Trace = workload.MustGenerate(gen)
-	cfg.Green = DefaultGreen(10)
+	cfg.Trace = genTrace(t, gen)
+	cfg.Green = referenceSupply(t, 10)
 	cfg.ReadsPerSlot = 10
 	cfg.BatteryCapacityWh = 2000
 	cfg.Policy = sched.GreenMatch{}
@@ -66,7 +66,7 @@ func TestConcurrentRunsShareNothing(t *testing.T) {
 	}
 
 	t.Run("run", func(t *testing.T) {
-		cfg := tinyConfig()
+		cfg := tinyConfig(t)
 		want, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -75,7 +75,7 @@ func TestConcurrentRunsShareNothing(t *testing.T) {
 	})
 
 	t.Run("live", func(t *testing.T) {
-		cfg := tinyConfig()
+		cfg := tinyConfig(t)
 		last := cfg.Trace[len(cfg.Trace)-1]
 		extra := func(i int) workload.Job {
 			return workload.Job{
@@ -116,7 +116,7 @@ func TestConcurrentRunsShareNothing(t *testing.T) {
 // policies sharing the same Trace and Green series) to catch read-only
 // violations on the shared substrate slices.
 func TestConcurrentRunsMixedPolicies(t *testing.T) {
-	base := tinyConfig()
+	base := tinyConfig(t)
 	pols := []sched.Policy{
 		sched.Baseline{}, sched.SpinDown{},
 		sched.DeferFraction{Fraction: 0.5}, sched.GreenMatch{},

@@ -124,47 +124,6 @@ const (
 	perJobPowerW units.Power = 25
 )
 
-// DefaultGreen returns the reference solar supply for the given panel
-// area: the standard farm, but with the trace extended to three weeks so
-// that jobs deferred past the one-week arrival horizon still see the real
-// diurnal supply while the simulation drains (the physical sun does not
-// stop shining when arrivals do).
-func DefaultGreen(areaM2 float64) solar.Series {
-	cfg := solar.DefaultFarm(areaM2)
-	cfg.Slots = 24 * 21
-	return solar.MustGenerate(cfg)
-}
-
-// DefaultConfig returns the reference scenario used across the experiment
-// suite: the default cluster, the reference week trace, a sized solar farm,
-// a Perfect forecaster, no battery, Baseline policy.
-func DefaultConfig() Config {
-	cfg := DefaultParams()
-	cfg.Trace = workload.MustGenerate(workload.DefaultGen())
-	cfg.Green = DefaultGreen(165.6)
-	return cfg
-}
-
-// DefaultParams returns DefaultConfig without its generated inputs: no
-// trace and no renewable supply. A caller that brings its own, as
-// scenario.Compile does, starts here instead of generating a week it
-// would discard.
-func DefaultParams() Config {
-	return Config{
-		SlotHours:         1,
-		Cluster:           storage.DefaultConfig(),
-		Forecaster:        forecast.Perfect{},
-		BatterySpec:       battery.MustSpec(battery.LithiumIon),
-		BatteryCapacityWh: 0,
-		Policy:            sched.Baseline{},
-		Overcommit:        1.5,
-		ReadsPerSlot:      200,
-		ZipfTheta:         0.9,
-		Seed:              1,
-		MaxOverrunSlots:   336,
-	}
-}
-
 // Validate reports a descriptive error for inconsistent parameters. It
 // normalizes nothing; use ApplyDefaults for that.
 func (c Config) Validate() error {

@@ -9,7 +9,7 @@ import (
 // allocated a fresh key byte-slice (plus a string on every hit) per call;
 // now the steady-state hit path reports 0 allocs/op.
 func BenchmarkCoveredOnCacheHit(b *testing.B) {
-	sim, err := New(tinyConfig())
+	sim, err := New(tinyConfig(b))
 	if err != nil {
 		b.Fatal(err)
 	}

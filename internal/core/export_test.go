@@ -1,6 +1,9 @@
 package core
 
-// CheckCarriedOrder exposes checkCarriedOrder to the external test
-// package, which can compile the shipped scenarios without an import
-// cycle.
-var CheckCarriedOrder = checkCarriedOrder
+// CheckCarriedOrder and ReferenceConfig expose checkCarriedOrder and the
+// referenceConfig fixture to the external test package, which can compile
+// the shipped scenarios without an import cycle.
+var (
+	CheckCarriedOrder = checkCarriedOrder
+	ReferenceConfig   = referenceConfig
+)

@@ -8,14 +8,14 @@ import (
 )
 
 // failureConfig returns a small scenario with aggressive failure injection.
-func failureConfig(mtbf float64) Config {
-	cfg := smallConfig()
+func failureConfig(t testing.TB, mtbf float64) Config {
+	cfg := smallConfig(t)
 	cfg.Faults.CrashMTBFHours = mtbf
 	return cfg
 }
 
 func TestFailureInjectionProducesFailures(t *testing.T) {
-	cfg := failureConfig(500) // 8 nodes x ~180 slots / 500h MTBF => ~3 crashes expected
+	cfg := failureConfig(t, 500) // 8 nodes x ~180 slots / 500h MTBF => ~3 crashes expected
 	res := run(t, cfg)
 	if res.SLA.NodeFailures == 0 {
 		t.Fatal("aggressive MTBF produced no failures")
@@ -31,7 +31,7 @@ func TestFailureInjectionProducesFailures(t *testing.T) {
 
 func TestFailureConservationHolds(t *testing.T) {
 	for _, p := range []sched.Policy{sched.Baseline{}, sched.GreenMatch{}} {
-		cfg := failureConfig(300)
+		cfg := failureConfig(t, 300)
 		cfg.Policy = p
 		res := run(t, cfg) // Run() asserts conservation internally
 		tol := 1e-6 * (1 + float64(res.Energy.TotalLoad()))
@@ -42,8 +42,8 @@ func TestFailureConservationHolds(t *testing.T) {
 }
 
 func TestFailureDeterminism(t *testing.T) {
-	a := run(t, failureConfig(400))
-	b := run(t, failureConfig(400))
+	a := run(t, failureConfig(t, 400))
+	b := run(t, failureConfig(t, 400))
 	if a.SLA != b.SLA {
 		t.Fatalf("failure runs diverged:\n%+v\n%+v", a.SLA, b.SLA)
 	}
@@ -53,7 +53,7 @@ func TestFailureDeterminism(t *testing.T) {
 }
 
 func TestFailureEvictionsKeepJobsAlive(t *testing.T) {
-	cfg := failureConfig(300)
+	cfg := failureConfig(t, 300)
 	res := run(t, cfg)
 	if res.SLA.Evictions == 0 {
 		t.Skip("no running job was on a crashing node in this draw")
@@ -66,7 +66,7 @@ func TestFailureEvictionsKeepJobsAlive(t *testing.T) {
 }
 
 func TestFailedNodeNeverHostsJobs(t *testing.T) {
-	cfg := failureConfig(200) // very aggressive
+	cfg := failureConfig(t, 200) // very aggressive
 	sim, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestFailedNodeNeverHostsJobs(t *testing.T) {
 func TestRepairReturnsCapacity(t *testing.T) {
 	// With a short repair time the cluster self-heals: an aggressive
 	// failure regime must still complete the overwhelming majority of jobs.
-	cfg := failureConfig(400)
+	cfg := failureConfig(t, 400)
 	cfg.Faults.CrashRepairSlots = 6
 	res := run(t, cfg)
 	missRate := float64(res.SLA.DeadlineMisses) / float64(res.SLA.Submitted)
@@ -96,34 +96,34 @@ func TestRepairReturnsCapacity(t *testing.T) {
 }
 
 func TestNoFailuresWhenDisabled(t *testing.T) {
-	res := run(t, smallConfig())
+	res := run(t, smallConfig(t))
 	if res.SLA.NodeFailures != 0 || res.SLA.Evictions != 0 || res.SLA.RepairJobsGenerated != 0 {
 		t.Fatalf("failure counters nonzero with injection disabled: %+v", res.SLA)
 	}
 }
 
 func TestFailureConfigValidation(t *testing.T) {
-	cfg := failureConfig(-1)
+	cfg := failureConfig(t, -1)
 	if _, err := New(cfg); err == nil {
 		t.Error("negative MTBF should fail")
 	}
-	cfg = failureConfig(100)
+	cfg = failureConfig(t, 100)
 	cfg.Faults.CrashRepairSlots = -1
 	if _, err := New(cfg); err == nil {
 		t.Error("negative repair slots should fail")
 	}
 	// An unset repair time runs exactly like an explicit 24 slots, and
 	// unlike a shorter one.
-	unset := run(t, failureConfig(100))
+	unset := run(t, failureConfig(t, 100))
 	if unset.SLA.NodeFailures == 0 {
 		t.Fatal("MTBF 100h produced no failures; the default is untested")
 	}
-	cfg = failureConfig(100)
+	cfg = failureConfig(t, 100)
 	cfg.Faults.CrashRepairSlots = 24
 	if explicit := run(t, cfg); !reflect.DeepEqual(unset, explicit) {
 		t.Fatalf("unset repair time differs from 24 slots:\n%+v\n%+v", unset.SLA, explicit.SLA)
 	}
-	cfg = failureConfig(100)
+	cfg = failureConfig(t, 100)
 	cfg.Faults.CrashRepairSlots = 6
 	if short := run(t, cfg); reflect.DeepEqual(unset, short) {
 		t.Fatal("a 6-slot repair time ran like the default; the comparison is vacuous")

@@ -17,8 +17,8 @@ import (
 
 // sparseTraceConfig returns a scenario with long quiet gaps between
 // arrivals — the shape the event-driven fast path exists for.
-func sparseTraceConfig() Config {
-	cfg := tinyConfig()
+func sparseTraceConfig(t testing.TB) Config {
+	cfg := tinyConfig(t)
 	trace := []workload.Job{{
 		ID: 0, Class: workload.Web, Submit: 0, Duration: 60, Deadline: 60, CPU: 1, RAMGB: 2,
 	}}
@@ -43,26 +43,26 @@ func sparseTraceConfig() Config {
 // DisableSlotSkipping, except for the FastSlots diagnostic, which must be
 // nonzero when skipping is on and zero when it is off.
 func TestFastForwardEquivalence(t *testing.T) {
-	cases := map[string]func() Config{
+	cases := map[string]func(testing.TB) Config{
 		"sparse": sparseTraceConfig,
-		"sparse-mtbf": func() Config {
-			cfg := sparseTraceConfig()
+		"sparse-mtbf": func(t testing.TB) Config {
+			cfg := sparseTraceConfig(t)
 			cfg.Faults.CrashMTBFHours = 2000 // random crash process on the fast path
 			return cfg
 		},
-		"io-quiet": func() Config {
-			cfg := sparseTraceConfig()
+		"io-quiet": func(t testing.TB) Config {
+			cfg := sparseTraceConfig(t)
 			cfg.Trace[0].IOBound = true // quiet slots carry an I/O-bound job
 			return cfg
 		},
 	}
 	for name, mk := range cases {
 		t.Run(name, func(t *testing.T) {
-			fast, err := Run(mk())
+			fast, err := Run(mk(t))
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := mk()
+			cfg := mk(t)
 			cfg.DisableSlotSkipping = true
 			slow, err := Run(cfg)
 			if err != nil {
@@ -88,7 +88,7 @@ func TestFastForwardEquivalence(t *testing.T) {
 // slot replans and restores the plan, and the slot after that is quiet
 // again.
 func TestWakeEndsQuietStreak(t *testing.T) {
-	cfg := sparseTraceConfig()
+	cfg := sparseTraceConfig(t)
 	cfg.Trace[0].IOBound = true
 	sim, err := New(cfg)
 	if err != nil {
@@ -153,7 +153,7 @@ func TestWakeEndsQuietStreak(t *testing.T) {
 func TestCrashEndsQuietStreak(t *testing.T) {
 	// Find a slot whose two predecessors and itself are quiet in the
 	// fault-free run, and the node the long Web job runs on there.
-	probe, err := NewLive(sparseTraceConfig())
+	probe, err := NewLive(sparseTraceConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestCrashEndsQuietStreak(t *testing.T) {
 	// checking on the skipping run that the crash slot was quiet-eligible
 	// but took the full path.
 	drive := func(t *testing.T, injected, noskip bool) (*Result, [32]byte) {
-		cfg := sparseTraceConfig()
+		cfg := sparseTraceConfig(t)
 		cfg.DisableSlotSkipping = noskip
 		if !injected {
 			cfg.Faults = fault.Config{Events: []fault.Event{ev}}
@@ -246,7 +246,7 @@ func TestCrashEndsQuietStreak(t *testing.T) {
 // utilization modeling couples draw to per-slot job phase, which the fast
 // path does not model, so skipping must stay off.
 func TestFastPathDisabledForUtilizationModel(t *testing.T) {
-	cfg := sparseTraceConfig()
+	cfg := sparseTraceConfig(t)
 	cfg.ModelUtilization = true
 	res, err := Run(cfg)
 	if err != nil {
@@ -292,7 +292,7 @@ func (deferringForecast) PredictInto(dst []units.Power, actual solar.Provider, n
 // regression guard for the solver's reused graph memory; without it,
 // every such slot would allocate a fresh flow graph.
 func TestSlotStepBusyDeferredAllocFree(t *testing.T) {
-	cfg := tinyConfig()
+	cfg := tinyConfig(t)
 	cfg.Forecaster = deferringForecast{}
 	var trace []workload.Job
 	id := 0
@@ -338,7 +338,7 @@ func TestSlotStepBusyDeferredAllocFree(t *testing.T) {
 // once a run is quiescent, each skipped slot costs only reads, settlement
 // and bookkeeping on reused scratch.
 func TestFastStepAllocFree(t *testing.T) {
-	cfg := tinyConfig()
+	cfg := tinyConfig(t)
 	cfg.Trace = workload.Trace{{
 		ID: 0, Class: workload.Batch, Submit: 0, Duration: 1, Deadline: 4, CPU: 1, RAMGB: 2,
 	}}

@@ -60,7 +60,7 @@ func TestCarriedOrderUnderChaos(t *testing.T) {
 		seed := int64(1000 + i)
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			full, err := checkCarriedOrder(chaosFaultConfig(seed))
+			full, err := checkCarriedOrder(chaosFaultConfig(t, seed))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -43,10 +43,10 @@ func TestSlotIdentityGolden(t *testing.T) {
 		{"defer60", sched.DeferFraction{Fraction: 0.6}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := smallConfig()
+			cfg := smallConfig(t)
 			gen := workload.Scaled(0.08)
 			gen.Seed = 11
-			cfg.Trace = workload.MustGenerate(gen)
+			cfg.Trace = genTrace(t, gen)
 			cfg.BatteryCapacityWh = 10 * units.KilowattHour
 			cfg.Policy = tc.policy
 			cfg.Faults = fault.Config{

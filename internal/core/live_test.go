@@ -40,7 +40,7 @@ func TestLiveMatchesRun(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
 				build := func() (Config, *bytes.Buffer) {
-					cfg := chaosConfig(seed)
+					cfg := chaosConfig(t, seed)
 					if withFaults {
 						cfg.Faults = fault.Generate(seed, fault.GenSpec{
 							Slots: 200, Nodes: cfg.Cluster.Nodes, AllowMTBF: true,
@@ -103,7 +103,7 @@ func TestLiveStepGranularityInvariant(t *testing.T) {
 	var wantRes *Result
 	var wantTrace []byte
 	for _, v := range variants {
-		cfg := chaosConfig(1002)
+		cfg := chaosConfig(t, 1002)
 		cfg.Faults = fault.Generate(1002, fault.GenSpec{
 			Slots: 200, Nodes: cfg.Cluster.Nodes, AllowMTBF: true,
 		})
@@ -134,7 +134,7 @@ func TestLiveStepGranularityInvariant(t *testing.T) {
 // with an empty trace and fed the same jobs through Submit before any slot
 // executes is byte-identical to the batch run of the full trace.
 func TestLiveSubmitMatchesTrace(t *testing.T) {
-	cfg := chaosConfig(1003)
+	cfg := chaosConfig(t, 1003)
 
 	var bbuf bytes.Buffer
 	bcfg := cfg
@@ -175,7 +175,7 @@ func TestLiveSnapshotRoundTrip(t *testing.T) {
 			t.Run(fmt.Sprintf("seed=%d/cut=%d", seed, cut), func(t *testing.T) {
 				t.Parallel()
 				build := func() (Config, *bytes.Buffer) {
-					cfg := chaosConfig(seed)
+					cfg := chaosConfig(t, seed)
 					cfg.Faults = fault.Generate(seed, fault.GenSpec{
 						Slots: 200, Nodes: cfg.Cluster.Nodes, AllowMTBF: true,
 					})
@@ -281,7 +281,7 @@ func TestLiveSnapshotWithPendingSubmissions(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			build := func() (Config, *bytes.Buffer) {
-				c := chaosConfig(seed)
+				c := chaosConfig(t, seed)
 				var buf bytes.Buffer
 				c.Observer = audit.NewJSONL(&buf)
 				return c, &buf
@@ -369,7 +369,7 @@ func TestLiveSnapshotWithPendingSubmissions(t *testing.T) {
 // submissions land among jobs already due.
 func TestArrivalQueueOrder(t *testing.T) {
 	type key struct{ due, seq int }
-	cfg := tinyConfig()
+	cfg := tinyConfig(t)
 	cfg.Trace = nil
 	rnd := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
@@ -414,7 +414,7 @@ func TestArrivalQueueOrder(t *testing.T) {
 // slot: they are admitted in submission order, whatever their IDs, and a
 // job whose submit slot has already passed queues behind them.
 func TestArrivalQueueFIFOTiebreak(t *testing.T) {
-	cfg := tinyConfig()
+	cfg := tinyConfig(t)
 	cfg.Trace = nil
 	s, err := New(cfg)
 	if err != nil {
@@ -544,7 +544,7 @@ func TestLiveRestoresParentLatencies(t *testing.T) {
 		traceSHA  = "524f362036f5b1bc6f5bc285069ae01d3d1361c18f27e153f9f694c5398563c5"
 	)
 	build := func() (Config, *bytes.Buffer) {
-		cfg := chaosConfig(seed)
+		cfg := chaosConfig(t, seed)
 		var buf bytes.Buffer
 		cfg.Observer = audit.NewJSONL(&buf)
 		return cfg, &buf
@@ -609,7 +609,7 @@ func TestLiveRestoresParentLatencies(t *testing.T) {
 // size up to the digits of its counters.
 func TestLiveSnapshotReadsFlat(t *testing.T) {
 	const k = 40
-	l, err := NewLive(chaosConfig(1003))
+	l, err := NewLive(chaosConfig(t, 1003))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -663,13 +663,13 @@ func TestLiveInjectFault(t *testing.T) {
 		{Kind: fault.KindPVDerate, At: 20, Duration: 30, Magnitude: 0.5},
 	}
 
-	bcfg := chaosConfig(1001)
+	bcfg := chaosConfig(t, 1001)
 	bcfg.Faults = fault.Config{Events: events}
 	var bbuf bytes.Buffer
 	bcfg.Observer = audit.NewJSONL(&bbuf)
 	want := run(t, bcfg)
 
-	lcfg := chaosConfig(1001)
+	lcfg := chaosConfig(t, 1001)
 	var lbuf bytes.Buffer
 	lcfg.Observer = audit.NewJSONL(&lbuf)
 	l, err := NewLive(lcfg)
@@ -695,7 +695,7 @@ func TestLiveInjectFault(t *testing.T) {
 // TestLiveRejections pins the API edges: past-slot faults, submissions
 // after drain, and operations after finalize all error cleanly.
 func TestLiveRejections(t *testing.T) {
-	l, err := NewLive(chaosConfig(1001))
+	l, err := NewLive(chaosConfig(t, 1001))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func (r *recorder) EndRun(t audit.RunTotals) error {
 }
 
 func TestObserverTraceMatchesResult(t *testing.T) {
-	cfg := smallConfig()
+	cfg := smallConfig(t)
 	cfg.Policy = sched.GreenMatch{}
 	cfg.BatteryCapacityWh = 20 * units.KilowattHour
 	rec := &recorder{}
@@ -82,7 +82,7 @@ func TestAuditorCleanAcrossPolicies(t *testing.T) {
 	for _, p := range policies {
 		p := p
 		t.Run(p.Name(), func(t *testing.T) {
-			cfg := smallConfig()
+			cfg := smallConfig(t)
 			cfg.Policy = p
 			cfg.BatteryCapacityWh = 20 * units.KilowattHour
 			a := audit.NewAuditor()
@@ -96,7 +96,7 @@ func TestAuditorCleanAcrossPolicies(t *testing.T) {
 }
 
 func TestAuditorCleanWithInfiniteBattery(t *testing.T) {
-	cfg := smallConfig()
+	cfg := smallConfig(t)
 	cfg.Policy = sched.GreenMatch{}
 	cfg.InfiniteBattery = true
 	a := audit.NewAuditor()
@@ -108,7 +108,7 @@ func TestAuditorCleanWithInfiniteBattery(t *testing.T) {
 }
 
 func TestAuditorCleanUnderFailures(t *testing.T) {
-	cfg := smallConfig()
+	cfg := smallConfig(t)
 	cfg.Policy = sched.GreenMatch{}
 	cfg.BatteryCapacityWh = 10 * units.KilowattHour
 	cfg.Faults.CrashMTBFHours = 300
@@ -128,7 +128,7 @@ func TestAuditorCleanUnderFailures(t *testing.T) {
 // observational: the same config with and without an observer produces an
 // identical result.
 func TestObserverDoesNotPerturbRun(t *testing.T) {
-	cfg := smallConfig()
+	cfg := smallConfig(t)
 	cfg.Policy = sched.GreenMatch{}
 	cfg.BatteryCapacityWh = 20 * units.KilowattHour
 	base := run(t, cfg)
@@ -145,7 +145,7 @@ func TestObserverDoesNotPerturbRun(t *testing.T) {
 // TestAuditorFailsRunOnViolation wires an observer whose EndRun always
 // errors and asserts Run surfaces it.
 func TestAuditorFailsRunOnViolation(t *testing.T) {
-	cfg := smallConfig()
+	cfg := smallConfig(t)
 	cfg.Observer = corrupting{}
 	sim, err := New(cfg)
 	if err != nil {

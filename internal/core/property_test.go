@@ -36,19 +36,19 @@ func TestSimulatorInvariantsProperty(t *testing.T) {
 	batteries := []units.Energy{0, 5_000, 25_000}
 
 	f := func(k knobs) bool {
-		cfg := DefaultConfig()
+		cfg := referenceConfig(t)
 		cl := storage.DefaultConfig()
 		cl.Nodes = 5
 		cl.Objects = 150
 		cfg.Cluster = cl
 		gen := workload.Scaled(0.06)
 		gen.Seed = k.Seed
-		cfg.Trace = workload.MustGenerate(gen)
+		cfg.Trace = genTrace(t, gen)
 		area := areas[int(k.AreaIdx)%len(areas)]
 		if area == 0 {
 			cfg.Green = solar.Series{}
 		} else {
-			cfg.Green = DefaultGreen(area)
+			cfg.Green = referenceSupply(t, area)
 		}
 		cfg.Policy = policies[int(k.PolicyIdx)%len(policies)]
 		cfg.BatteryCapacityWh = batteries[int(k.BatteryIdx)%len(batteries)]

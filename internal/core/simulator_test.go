@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -16,14 +15,14 @@ import (
 
 // smallConfig returns a fast, fully deterministic scenario: 8 nodes,
 // half-scale trace, modest panels.
-func smallConfig() Config {
-	cfg := DefaultConfig()
+func smallConfig(t testing.TB) Config {
+	cfg := referenceConfig(t)
 	cl := storage.DefaultConfig()
 	cl.Nodes = 8
 	cl.Objects = 400
 	cfg.Cluster = cl
-	cfg.Trace = workload.MustGenerate(workload.Scaled(0.15))
-	cfg.Green = DefaultGreen(40)
+	cfg.Trace = genTrace(t, workload.Scaled(0.15))
+	cfg.Green = referenceSupply(t, 40)
 	cfg.ReadsPerSlot = 50
 	return cfg
 }
@@ -42,7 +41,7 @@ func run(t *testing.T, cfg Config) *Result {
 }
 
 func TestRunBaselineCompletesAllJobs(t *testing.T) {
-	cfg := smallConfig()
+	cfg := smallConfig(t)
 	res := run(t, cfg)
 	if res.SLA.Completed != len(cfg.Trace) {
 		t.Fatalf("completed %d of %d jobs", res.SLA.Completed, len(cfg.Trace))
@@ -68,7 +67,7 @@ func TestEnergyConservationAcrossPolicies(t *testing.T) {
 	for _, p := range policies {
 		p := p
 		t.Run(p.Name(), func(t *testing.T) {
-			cfg := smallConfig()
+			cfg := smallConfig(t)
 			cfg.Policy = p
 			cfg.BatteryCapacityWh = 20 * units.KilowattHour
 			res := run(t, cfg) // Run() already asserts conservation; double-check here
@@ -85,7 +84,7 @@ func TestEnergyConservationAcrossPolicies(t *testing.T) {
 
 func TestNoDeadlineMissesUnderDeferralPolicies(t *testing.T) {
 	for _, p := range []sched.Policy{sched.DeferFraction{Fraction: 1}, sched.GreenMatch{}} {
-		cfg := smallConfig()
+		cfg := smallConfig(t)
 		cfg.Policy = p
 		res := run(t, cfg)
 		if res.SLA.DeadlineMisses != 0 {
@@ -95,7 +94,7 @@ func TestNoDeadlineMissesUnderDeferralPolicies(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	cfg := smallConfig()
+	cfg := smallConfig(t)
 	cfg.Policy = sched.GreenMatch{}
 	cfg.BatteryCapacityWh = 10 * units.KilowattHour
 	a := run(t, cfg)
@@ -109,8 +108,8 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestBatteryReducesBrown(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Green = DefaultGreen(120) // ample midday surplus
+	cfg := smallConfig(t)
+	cfg.Green = referenceSupply(t, 120) // ample midday surplus
 	noBat := run(t, cfg)
 
 	cfg.BatteryCapacityWh = 50 * units.KilowattHour
@@ -127,8 +126,8 @@ func TestBatteryReducesBrown(t *testing.T) {
 }
 
 func TestInfiniteBatteryAbsorbsAllSurplus(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Green = DefaultGreen(120)
+	cfg := smallConfig(t)
+	cfg.Green = referenceSupply(t, 120)
 	cfg.InfiniteBattery = true
 	res := run(t, cfg)
 	if res.Energy.GreenLost > 1e-6 {
@@ -139,11 +138,11 @@ func TestInfiniteBatteryAbsorbsAllSurplus(t *testing.T) {
 func TestGreenMatchBeatsBaselineWithoutBattery(t *testing.T) {
 	// The headline claim: with no ESD, shifting deferrable work into the
 	// solar window consumes less brown energy than running ASAP.
-	base := smallConfig()
+	base := smallConfig(t)
 	base.Policy = sched.Baseline{}
 	baseline := run(t, base)
 
-	gm := smallConfig()
+	gm := smallConfig(t)
 	gm.Policy = sched.GreenMatch{}
 	green := run(t, gm)
 
@@ -162,10 +161,10 @@ func TestGreenMatchBeatsBaselineWithoutBattery(t *testing.T) {
 }
 
 func TestSpinDownReducesDemand(t *testing.T) {
-	base := smallConfig()
+	base := smallConfig(t)
 	baseline := run(t, base)
 
-	sd := smallConfig()
+	sd := smallConfig(t)
 	sd.Policy = sched.SpinDown{}
 	spin := run(t, sd)
 
@@ -181,7 +180,7 @@ func TestSpinDownReducesDemand(t *testing.T) {
 }
 
 func TestConsolidationCausesMigrations(t *testing.T) {
-	cfg := smallConfig()
+	cfg := smallConfig(t)
 	cfg.Policy = sched.GreenMatch{}
 	res := run(t, cfg)
 	if res.SLA.Migrations == 0 {
@@ -195,14 +194,14 @@ func TestConsolidationCausesMigrations(t *testing.T) {
 		t.Fatalf("management overhead %v, want %v (%d migrations, %d suspensions)",
 			res.Energy.MigrationOverhead, want, res.SLA.Migrations, res.SLA.Suspensions)
 	}
-	baseline := run(t, smallConfig())
+	baseline := run(t, smallConfig(t))
 	if baseline.SLA.Migrations != 0 {
 		t.Fatalf("baseline migrated %d times; it must not consolidate", baseline.SLA.Migrations)
 	}
 }
 
 func TestSeriesRecording(t *testing.T) {
-	cfg := smallConfig()
+	cfg := smallConfig(t)
 	cfg.RecordSeries = true
 	res := run(t, cfg)
 	if res.Series == nil || len(res.Series.Samples) != res.Slots {
@@ -227,13 +226,13 @@ func TestSeriesRecording(t *testing.T) {
 }
 
 func TestWaitingAccounting(t *testing.T) {
-	cfg := smallConfig()
+	cfg := smallConfig(t)
 	cfg.Policy = sched.GreenMatch{}
 	res := run(t, cfg)
 	if res.SLA.TotalWaitSlots == 0 {
 		t.Fatal("greenmatch should delay some jobs")
 	}
-	base := run(t, smallConfig())
+	base := run(t, smallConfig(t))
 	if base.SLA.TotalWaitSlots != 0 {
 		t.Fatalf("baseline should not delay jobs on an underloaded cluster, waited %d", base.SLA.TotalWaitSlots)
 	}
@@ -241,7 +240,7 @@ func TestWaitingAccounting(t *testing.T) {
 
 func TestValidationErrors(t *testing.T) {
 	mut := func(f func(*Config)) Config {
-		c := smallConfig()
+		c := smallConfig(t)
 		f(&c)
 		return c
 	}
@@ -279,7 +278,7 @@ func TestValidationRejectsNaNAndInf(t *testing.T) {
 		{"zipf-theta-NaN", func(c *Config) { c.ZipfTheta = math.NaN() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := smallConfig()
+			c := smallConfig(t)
 			tc.mut(&c)
 			_, err := New(c)
 			if err == nil {
@@ -295,8 +294,8 @@ func TestValidationRejectsNaNAndInf(t *testing.T) {
 func TestApplyDefaults(t *testing.T) {
 	c := Config{
 		Cluster: storage.DefaultConfig(),
-		Trace:   workload.MustGenerate(workload.Scaled(0.05)),
-		Green:   DefaultGreen(10),
+		Trace:   genTrace(t, workload.Scaled(0.05)),
+		Green:   referenceSupply(t, 10),
 		Policy:  sched.Baseline{},
 	}
 	sim, err := New(c)
@@ -316,8 +315,8 @@ func TestLeadAcidLosesMoreThanLithiumIon(t *testing.T) {
 	// charging efficiency directly determines how much of the overnight
 	// deficit green energy can cover.
 	mk := func(chem battery.Chemistry) *Result {
-		cfg := smallConfig()
-		cfg.Green = DefaultGreen(45)
+		cfg := smallConfig(t)
+		cfg.Green = referenceSupply(t, 45)
 		cfg.BatterySpec = battery.MustSpec(chem)
 		cfg.BatteryCapacityWh = 120 * units.KilowattHour
 		return run(t, cfg)
@@ -334,7 +333,7 @@ func TestLeadAcidLosesMoreThanLithiumIon(t *testing.T) {
 }
 
 func TestOverloadedClusterReportsMissesNotHang(t *testing.T) {
-	cfg := smallConfig()
+	cfg := smallConfig(t)
 	cl := cfg.Cluster
 	cl.Nodes = 1 // grossly undersized for the trace
 	cfg.Cluster = cl
@@ -351,11 +350,11 @@ func TestOverloadedClusterReportsMissesNotHang(t *testing.T) {
 func TestBrownMonotoneInPanelArea(t *testing.T) {
 	prev := units.Energy(math.Inf(1))
 	for _, area := range []float64{0, 30, 60, 120} {
-		cfg := smallConfig()
+		cfg := smallConfig(t)
 		if area == 0 {
 			cfg.Green = solar.Series{}
 		} else {
-			cfg.Green = DefaultGreen(area)
+			cfg.Green = referenceSupply(t, area)
 		}
 		res := run(t, cfg)
 		if res.Energy.Brown > prev+1 { // 1 Wh FP tolerance
@@ -366,7 +365,7 @@ func TestBrownMonotoneInPanelArea(t *testing.T) {
 }
 
 func TestReadLatencyTracking(t *testing.T) {
-	base := run(t, smallConfig())
+	base := run(t, smallConfig(t))
 	if base.ReadLatencyMs.N == 0 {
 		t.Fatal("no read latencies recorded")
 	}
@@ -377,7 +376,7 @@ func TestReadLatencyTracking(t *testing.T) {
 
 	// An aggressive spin-down config on a sparse layout produces cold
 	// reads with visible tail latency.
-	cfg := smallConfig()
+	cfg := smallConfig(t)
 	cfg.Cluster.Objects = 120 // sparse: large parkable fraction
 	cfg.Policy = sched.SpinDown{}
 	cfg.ZipfTheta = 0 // uniform popularity: cold objects get hit
@@ -392,8 +391,8 @@ func TestReadLatencyTracking(t *testing.T) {
 }
 
 func TestUtilizationModelReducesDemand(t *testing.T) {
-	base := run(t, smallConfig())
-	cfg := smallConfig()
+	base := run(t, smallConfig(t))
+	cfg := smallConfig(t)
 	cfg.ModelUtilization = true
 	modeled := run(t, cfg)
 	// Jobs drawing ~65% of their reservation must reduce dynamic demand.
@@ -409,7 +408,7 @@ func TestUtilizationModelReducesDemand(t *testing.T) {
 }
 
 func TestOverloadResolutionTriggersUnderAggressiveOvercommit(t *testing.T) {
-	cfg := smallConfig()
+	cfg := smallConfig(t)
 	cfg.ModelUtilization = true
 	cfg.Overcommit = 2.5          // reckless: actual demand will spill over hardware
 	cfg.Policy = sched.SpinDown{} // consolidates hard
@@ -428,7 +427,7 @@ func TestOverloadResolutionTriggersUnderAggressiveOvercommit(t *testing.T) {
 }
 
 func TestNoOverloadCountersWithoutModel(t *testing.T) {
-	res := run(t, smallConfig())
+	res := run(t, smallConfig(t))
 	if res.SLA.OverloadEvents != 0 || res.SLA.OverloadMigrations != 0 || res.SLA.ThrottledSlots != 0 {
 		t.Fatalf("overload counters active without the utilization model: %+v", res.SLA)
 	}
@@ -440,11 +439,11 @@ func TestMultiWeekEndurance(t *testing.T) {
 	// trace must cover the whole run.
 	gen := workload.Scaled(0.08)
 	gen.Slots = 24 * 21
-	cfg := smallConfig()
-	cfg.Trace = workload.MustGenerate(gen)
+	cfg := smallConfig(t)
+	cfg.Trace = genTrace(t, gen)
 	scfg := solar.DefaultFarm(40)
 	scfg.Slots = 24 * 28
-	cfg.Green = solar.MustGenerate(scfg)
+	cfg.Green = genSupply(t, scfg)
 	cfg.Policy = sched.GreenMatch{}
 	a := run(t, cfg)
 	if a.SLA.Completed != len(cfg.Trace) {
@@ -464,7 +463,7 @@ func TestHalfHourSlots(t *testing.T) {
 	// windows, self-discharge and energy integration all scale by
 	// SlotHours. Durations are in slots, so this models 30-minute jobs
 	// rather than rescaling the reference week.
-	cfg := smallConfig()
+	cfg := smallConfig(t)
 	cfg.SlotHours = 0.5
 	cfg.BatteryCapacityWh = 10 * units.KilowattHour
 	cfg.Policy = sched.GreenMatch{}
@@ -475,18 +474,5 @@ func TestHalfHourSlots(t *testing.T) {
 	again := run(t, cfg)
 	if res.Energy != again.Energy {
 		t.Fatal("half-hour slots broke determinism")
-	}
-}
-
-// TestDefaultParams pins the single defaults table: DefaultConfig is
-// DefaultParams plus the generated reference trace and supply.
-func TestDefaultParams(t *testing.T) {
-	got, want := DefaultParams(), DefaultConfig()
-	if got.Trace != nil || got.Green != nil {
-		t.Fatal("DefaultParams generated a trace or a supply")
-	}
-	want.Trace, want.Green = nil, nil
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("DefaultParams %+v differs from DefaultConfig %+v", got, want)
 	}
 }

@@ -11,35 +11,37 @@ import (
 	"repro/internal/workload"
 )
 
-// ReferenceAreaM2, baseScenario and greenFor are the hand-built reference
+// ReferenceAreaM2 and baseScenario are the hand-built reference
 // configuration the experiments ran before every grid point compiled
-// scenarios/reference.json, kept verbatim as the oracle the compiled
-// reference must reproduce.
+// scenarios/reference.json, rebuilt from the generators as the oracle the
+// compiled reference must reproduce.
 
 // ReferenceAreaM2 is the paper-scale PV area used by the supply/demand
 // figure (E1), chosen near the steady-state break-even E2 computes.
 const ReferenceAreaM2 = 165.6
 
-// baseScenario builds the reference configuration at the given scale.
-func baseScenario(p Params) core.Config {
+// baseScenario builds the reference configuration at the given scale,
+// with no policy or ESD (every grid point sets its own) and its supply
+// always drawn at seed 1, before ApplyDefaults.
+func baseScenario(t *testing.T, p Params) core.Config {
+	t.Helper()
 	s := p.scale()
 	cl := storage.DefaultConfig()
 	cl.Nodes = max(4, int(math.Round(30*s)))
 	cl.Objects = max(100, int(math.Round(3000*s)))
 	gen := workload.Scaled(s)
 	gen.Seed = p.seed()
-	cfg := core.DefaultParams()
-	cfg.Cluster = cl
-	cfg.Trace = workload.MustGenerate(gen)
-	cfg.Green = core.DefaultGreen(ReferenceAreaM2)
-	cfg.ReadsPerSlot = 200 * s
-	cfg.Seed = p.seed()
-	return cfg
-}
-
-// greenFor returns the extended solar trace for a paper-scale area, scaled.
-func greenFor(p Params, paperScaleArea float64) solar.Series {
-	return core.DefaultGreen(paperScaleArea * p.scale())
+	tr, err := workload.Generate(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	farm := solar.DefaultFarm(ReferenceAreaM2 * s)
+	farm.Slots = 24 * 21
+	green, err := solar.Generate(farm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return core.Config{Cluster: cl, Trace: tr, Green: green, ReadsPerSlot: 200 * s, Seed: p.seed()}
 }
 
 // TestReferenceMatchesLegacyBase pins the compiled reference to the oracle:
@@ -57,9 +59,7 @@ func TestReferenceMatchesLegacyBase(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d scale %g: %v", seed, scale, err)
 			}
-			want := baseScenario(p)
-			want.Green = greenFor(p, ReferenceAreaM2)
-			want = want.ApplyDefaults()
+			want := baseScenario(t, p).ApplyDefaults()
 			got.Policy, got.BatteryCapacityWh = want.Policy, want.BatteryCapacityWh
 			if seed != 1 {
 				if reflect.DeepEqual(got.Green, want.Green) {

@@ -8,6 +8,16 @@ import (
 	"repro/internal/units"
 )
 
+// genSupply generates the farm's trace, failing t on error.
+func genSupply(t testing.TB, farm solar.FarmConfig) solar.Series {
+	t.Helper()
+	s, err := solar.Generate(farm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // periodicSeries builds a perfectly periodic daily pattern for n days.
 func periodicSeries(days int) solar.Series {
 	day := []units.Power{0, 0, 0, 0, 0, 50, 200, 400, 600, 800, 900, 950, 1000, 950, 900, 800, 600, 400, 200, 50, 0, 0, 0, 0}
@@ -19,7 +29,7 @@ func periodicSeries(days int) solar.Series {
 }
 
 func TestPerfect(t *testing.T) {
-	s := solar.MustGenerate(solar.DefaultFarm(100))
+	s := genSupply(t, solar.DefaultFarm(100))
 	f := Perfect{}
 	pred := f.Predict(s, 50, 24)
 	for k := 0; k < 24; k++ {
@@ -79,7 +89,7 @@ func TestMovingAverageOnPeriodicSignal(t *testing.T) {
 func TestMovingAverageSmoothsNoise(t *testing.T) {
 	// Real (weather-noised) trace: MA over 3 days should beat persistence
 	// on RMSE more often than not; at minimum it must be finite and sane.
-	s := solar.MustGenerate(func() solar.FarmConfig {
+	s := genSupply(t, func() solar.FarmConfig {
 		c := solar.DefaultFarm(100)
 		c.Profile = solar.ProfileMixed
 		c.Slots = 24 * 21
@@ -119,7 +129,7 @@ func TestEWMADefaults(t *testing.T) {
 }
 
 func TestForecastersNonNegative(t *testing.T) {
-	s := solar.MustGenerate(solar.DefaultFarm(120))
+	s := genSupply(t, solar.DefaultFarm(120))
 	for _, f := range []Forecaster{Perfect{}, Persistence{}, MovingAverage{}, EWMA{}} {
 		for now := 0; now < s.Slots(); now += 13 {
 			for _, p := range f.Predict(s, now, 24) {
@@ -135,7 +145,7 @@ func TestEvaluateOrderingOnNoisyTrace(t *testing.T) {
 	cfg := solar.DefaultFarm(100)
 	cfg.Profile = solar.ProfileMixed
 	cfg.Slots = 24 * 28
-	s := solar.MustGenerate(cfg)
+	s := genSupply(t, cfg)
 	perfect := Evaluate(Perfect{}, s, 96)
 	others := []Forecaster{Persistence{}, MovingAverage{}, EWMA{}}
 	for _, f := range others {
@@ -160,7 +170,7 @@ func TestEvaluateEmptyWindow(t *testing.T) {
 func TestClearSkyOnSunnyTrace(t *testing.T) {
 	farm := solar.DefaultFarm(100)
 	farm.Slots = 24 * 14
-	trace := solar.MustGenerate(farm)
+	trace := genSupply(t, farm)
 	f := ClearSky{Farm: farm}
 	e := Evaluate(f, trace, 48)
 	// On a mostly-sunny trace the physics model with estimated attenuation
@@ -178,7 +188,7 @@ func TestClearSkyNonNegativeAndBounded(t *testing.T) {
 	farm := solar.DefaultFarm(100)
 	farm.Profile = solar.ProfileOvercast
 	farm.Slots = 24 * 7
-	trace := solar.MustGenerate(farm)
+	trace := genSupply(t, farm)
 	f := ClearSky{Farm: farm}
 	for now := 0; now < trace.Slots(); now += 11 {
 		for _, p := range f.Predict(trace, now, 24) {
@@ -195,7 +205,7 @@ func TestClearSkyNonNegativeAndBounded(t *testing.T) {
 func TestClearSkyNoHistoryIsClearSky(t *testing.T) {
 	farm := solar.DefaultFarm(50)
 	f := ClearSky{Farm: farm}
-	trace := solar.MustGenerate(farm)
+	trace := genSupply(t, farm)
 	pred := f.Predict(trace, 0, 24)
 	// With no daylight history the attenuation defaults to 1: predictions
 	// at night are zero, midday strictly positive.
@@ -218,7 +228,7 @@ func TestPredictIntoAllocFree(t *testing.T) {
 	farm.Slots = 24 * 7
 	// Boxed once, as the simulator holds it: converting the series to the
 	// interface on every call would be the caller's allocation.
-	var trace solar.Provider = solar.MustGenerate(farm)
+	var trace solar.Provider = genSupply(t, farm)
 	for _, f := range []Forecaster{Perfect{}, Persistence{}, MovingAverage{}, EWMA{}, ClearSky{Farm: farm}} {
 		ip, ok := f.(IntoPredictor)
 		if !ok {

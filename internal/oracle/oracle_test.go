@@ -4,29 +4,27 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/solar"
-	"repro/internal/storage"
 	"repro/internal/units"
-	"repro/internal/workload"
 )
 
 // testConfig is a small but fully real scenario: 8 nodes, a scaled
 // reference trace, a sized solar farm.
-func testConfig() core.Config {
-	cfg := core.DefaultConfig()
-	cl := storage.DefaultConfig()
-	cl.Nodes = 8
-	cl.Objects = 400
-	cfg.Cluster = cl
-	cfg.Trace = workload.MustGenerate(workload.Scaled(0.08))
-	cfg.Green = core.DefaultGreen(40)
-	cfg.ReadsPerSlot = 50
+func testConfig(t testing.TB) core.Config {
+	t.Helper()
+	sc := scenario.Scenario{Seed: 1, Nodes: 8, Objects: 400, WorkloadScale: 0.08,
+		AreaM2: 40, ReadsPerSlot: 50, Policy: "baseline"}
+	cfg, err := sc.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
 	return cfg
 }
 
 func TestSolveIsLowerBound(t *testing.T) {
-	cfg := testConfig()
+	cfg := testConfig(t)
 	rep, err := Solve(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +55,7 @@ func TestSolveIsLowerBound(t *testing.T) {
 }
 
 func TestSolveNoGreenMeansAllBrown(t *testing.T) {
-	cfg := testConfig()
+	cfg := testConfig(t)
 	cfg.Green = solar.Series{} // no supply at all
 	rep, err := Solve(cfg)
 	if err != nil {
@@ -78,7 +76,7 @@ func TestSolveNoGreenMeansAllBrown(t *testing.T) {
 }
 
 func TestSolveAbundantGreenMeansNoBrown(t *testing.T) {
-	cfg := testConfig()
+	cfg := testConfig(t)
 	flat := make(solar.Series, rapSlots(cfg))
 	for i := range flat {
 		flat[i] = 10 * units.Megawatt
@@ -108,7 +106,7 @@ func rapSlots(cfg core.Config) int {
 }
 
 func TestCrashFaultsVoidTheFloor(t *testing.T) {
-	cfg := testConfig()
+	cfg := testConfig(t)
 	cfg.Faults.CrashMTBFHours = 500
 	rep, err := Solve(cfg)
 	if err != nil {
@@ -123,7 +121,7 @@ func TestCrashFaultsVoidTheFloor(t *testing.T) {
 }
 
 func TestUtilizationModelDropsJobDemand(t *testing.T) {
-	cfg := testConfig()
+	cfg := testConfig(t)
 	cfg.ModelUtilization = true
 	rep, err := Solve(cfg)
 	if err != nil {
@@ -138,7 +136,7 @@ func TestUtilizationModelDropsJobDemand(t *testing.T) {
 }
 
 func TestBatteryRaisesServed(t *testing.T) {
-	cfg := testConfig()
+	cfg := testConfig(t)
 	lean, err := Solve(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -98,23 +98,6 @@ type Scenario struct {
 	RecordSeries bool `json:"record_series,omitempty"`
 }
 
-// Default returns the quarter-scale reference scenario.
-func Default() Scenario {
-	return Scenario{
-		Name:          "reference-quarter",
-		Seed:          1,
-		Nodes:         8,
-		Objects:       800,
-		WorkloadScale: 0.25,
-		Source:        "solar",
-		AreaM2:        41.4,
-		Profile:       "sunny",
-		BatteryKWh:    10,
-		Policy:        "greenmatch",
-		ReadsPerSlot:  50,
-	}
-}
-
 // Scaled returns a proportionally shrunk (or grown) copy of the scenario:
 // cluster size, workload, supply, ESD and read traffic all scale by f,
 // subject to the floors the substrates require (4 nodes, 100 objects, one
@@ -187,9 +170,11 @@ func (s Scenario) Write(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// Compile materializes the scenario into a validated core.Config.
+// Compile materializes the scenario into a validated core.Config. It
+// starts from the zero Config, sets every field the scenario describes and
+// leaves the rest to Config.ApplyDefaults, the one defaults table.
 func (s Scenario) Compile() (core.Config, error) {
-	cfg := core.DefaultParams()
+	var cfg core.Config
 	cfg.Seed = s.Seed
 	cfg.RecordSeries = s.RecordSeries
 	if s.Faults != nil {

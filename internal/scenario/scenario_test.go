@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -9,8 +10,18 @@ import (
 	"repro/internal/fault"
 )
 
+// reference loads the shipped reference scenario at quarter scale.
+func reference(t testing.TB) Scenario {
+	t.Helper()
+	s, err := Load(filepath.Join("..", "..", "scenarios", "reference.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.Scaled(0.25)
+}
+
 func TestDefaultCompilesAndRuns(t *testing.T) {
-	s := Default()
+	s := reference(t)
 	s.WorkloadScale = 0.05 // keep the test fast
 	cfg, err := s.Compile()
 	if err != nil {
@@ -29,7 +40,7 @@ func TestDefaultCompilesAndRuns(t *testing.T) {
 }
 
 func TestJSONRoundTrip(t *testing.T) {
-	s := Default()
+	s := reference(t)
 	s.Policy = "mixed"
 	s.Fraction = 0.5
 	s.Chemistry = "lead-acid"
@@ -62,7 +73,7 @@ func TestReadRejectsGarbage(t *testing.T) {
 
 func TestCompileErrors(t *testing.T) {
 	mut := func(f func(*Scenario)) Scenario {
-		s := Default()
+		s := reference(t)
 		s.WorkloadScale = 0.05
 		f(&s)
 		return s
@@ -87,7 +98,7 @@ func TestCompileErrors(t *testing.T) {
 
 func TestCompileAllPolicies(t *testing.T) {
 	for _, pol := range []string{"baseline", "spindown", "defer", "greenmatch", "mixed"} {
-		s := Default()
+		s := reference(t)
 		s.WorkloadScale = 0.05
 		s.Policy = pol
 		s.Fraction = 0.5
@@ -99,7 +110,7 @@ func TestCompileAllPolicies(t *testing.T) {
 
 func TestCompileSources(t *testing.T) {
 	for _, src := range []string{"solar", "wind", "hybrid"} {
-		s := Default()
+		s := reference(t)
 		s.WorkloadScale = 0.05
 		s.Source = src
 		s.Turbines = 2
@@ -128,7 +139,7 @@ func TestCompileDefaultsFillIn(t *testing.T) {
 }
 
 func TestFailureFieldsPropagate(t *testing.T) {
-	s := Default()
+	s := reference(t)
 	s.WorkloadScale = 0.05
 	s.FailureMTBFHours = 777
 	s.NodeRepairSlots = 5
@@ -174,7 +185,7 @@ func TestFailureFieldsPropagate(t *testing.T) {
 }
 
 func TestFaultSchedulePropagates(t *testing.T) {
-	s := Default()
+	s := reference(t)
 	s.WorkloadScale = 0.05
 	s.Faults = &fault.Config{
 		CrashMTBFHours: 900,
@@ -205,7 +216,7 @@ func TestFaultSchedulePropagates(t *testing.T) {
 }
 
 func TestTieredScenario(t *testing.T) {
-	s := Default()
+	s := reference(t)
 	s.WorkloadScale = 0.05
 	s.HotTierNodes = 3
 	s.HotShare = 0.2
@@ -223,12 +234,12 @@ func TestTieredScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Inconsistent tier fields fail loudly.
-	bad := Default()
+	bad := reference(t)
 	bad.HotTierNodes = 3 // share missing
 	if _, err := bad.Compile(); err == nil {
 		t.Error("hot tier without share should fail")
 	}
-	bad = Default()
+	bad = reference(t)
 	bad.HotTierNodes = bad.Nodes // no cold nodes
 	bad.HotShare = 0.2
 	if _, err := bad.Compile(); err == nil {

@@ -168,16 +168,6 @@ func Generate(cfg FarmConfig) (Series, error) {
 	return out, nil
 }
 
-// MustGenerate is Generate for configurations known valid at compile time;
-// it panics on error and exists for tests and examples.
-func MustGenerate(cfg FarmConfig) Series {
-	s, err := Generate(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // WriteCSV writes the series as `slot,watts` rows with a header.
 func (s Series) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)

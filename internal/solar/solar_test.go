@@ -12,6 +12,16 @@ import (
 	"repro/internal/units"
 )
 
+// mustGenerate generates the farm's trace, failing t on error.
+func mustGenerate(t testing.TB, cfg FarmConfig) Series {
+	t.Helper()
+	s, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestDeclinationBounds(t *testing.T) {
 	maxDecl := 23.45 * math.Pi / 180
 	for day := 1; day <= 365; day++ {
@@ -230,8 +240,8 @@ func TestGenerateWeek(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	a := MustGenerate(DefaultFarm(100))
-	b := MustGenerate(DefaultFarm(100))
+	a := mustGenerate(t, DefaultFarm(100))
+	b := mustGenerate(t, DefaultFarm(100))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("trace not deterministic at slot %d", i)
@@ -286,7 +296,7 @@ func TestSeriesPowerOutOfRange(t *testing.T) {
 }
 
 func TestCSVRoundTrip(t *testing.T) {
-	orig := MustGenerate(DefaultFarm(50))
+	orig := mustGenerate(t, DefaultFarm(50))
 	var buf bytes.Buffer
 	if err := orig.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -308,7 +318,7 @@ func TestCSVRoundTrip(t *testing.T) {
 
 func TestSeriesImplementsProvider(t *testing.T) {
 	var _ Provider = Series{}
-	var _ Provider = MustGenerate(DefaultFarm(10))
+	var _ Provider = mustGenerate(t, DefaultFarm(10))
 	_ = units.Power(0)
 }
 
@@ -349,7 +359,7 @@ func TestGenerateMatchesReference(t *testing.T) {
 				for _, p := range profiles {
 					cfg := DefaultFarm(165.6)
 					cfg.SlotHours, cfg.Slots, cfg.StartDayOfYear, cfg.Profile = slotHours, slots, start, p
-					got := MustGenerate(cfg)
+					got := mustGenerate(t, cfg)
 					want := generateReference(cfg)
 					for i := range want {
 						if math.Float64bits(got[i].Watts()) != math.Float64bits(want[i].Watts()) {

@@ -31,7 +31,7 @@ func TestReadCSVRejectsMalformedRows(t *testing.T) {
 func TestCSVRoundTripSmallScale(t *testing.T) {
 	gen := Scaled(0.05)
 	gen.Seed = 7
-	tr := MustGenerate(gen)
+	tr := mustGenerate(t, gen)
 	var b strings.Builder
 	if err := tr.WriteCSV(&b); err != nil {
 		t.Fatal(err)
@@ -49,17 +49,6 @@ func TestCSVRoundTripSmallScale(t *testing.T) {
 			t.Fatalf("job %d drifted: %+v vs %+v", i, tr[i], back[i])
 		}
 	}
-}
-
-func TestMustGeneratePanicsOnBadGen(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustGenerate must panic on an invalid generator config")
-		}
-	}()
-	bad := DefaultGen()
-	bad.Slots = -1
-	MustGenerate(bad)
 }
 
 func TestClassStringAndParse(t *testing.T) {

@@ -226,12 +226,3 @@ func sortBySubmit(jobs Trace, slots int) Trace {
 	}
 	return sorted
 }
-
-// MustGenerate is Generate that panics on error, for tests and examples.
-func MustGenerate(cfg GenConfig) Trace {
-	tr, err := Generate(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return tr
-}

@@ -31,7 +31,7 @@ func TestGenerateMatchesSortReference(t *testing.T) {
 			for seed := int64(1); seed <= 6; seed++ {
 				cfg := Scaled(f)
 				cfg.Slots, cfg.Seed = slots, seed
-				got := MustGenerate(cfg)
+				got := mustGenerate(t, cfg)
 				// IDs are the generation order: sorting by ID recovers the
 				// trace as it stood before Generate's sort.
 				generated := slices.Clone(got)

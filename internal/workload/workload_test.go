@@ -7,6 +7,16 @@ import (
 	"testing/quick"
 )
 
+// mustGenerate generates the trace for cfg, failing t on error.
+func mustGenerate(t testing.TB, cfg GenConfig) Trace {
+	t.Helper()
+	tr, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 func TestClassString(t *testing.T) {
 	want := map[Class]string{Web: "web", Batch: "batch", Scrub: "scrub", Backup: "backup", Repair: "repair"}
 	for c, s := range want {
@@ -71,7 +81,7 @@ func TestSlackAt(t *testing.T) {
 }
 
 func TestGenerateReferencePopulation(t *testing.T) {
-	tr := MustGenerate(DefaultGen())
+	tr := mustGenerate(t, DefaultGen())
 	st := ComputeStats(tr)
 	if st.Count[Web] != 787 {
 		t.Errorf("web count %d, want 787", st.Count[Web])
@@ -88,8 +98,8 @@ func TestGenerateReferencePopulation(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	a := MustGenerate(DefaultGen())
-	b := MustGenerate(DefaultGen())
+	a := mustGenerate(t, DefaultGen())
+	b := mustGenerate(t, DefaultGen())
 	if len(a) != len(b) {
 		t.Fatal("lengths differ")
 	}
@@ -103,8 +113,8 @@ func TestGenerateDeterministic(t *testing.T) {
 func TestGenerateSeedSensitivity(t *testing.T) {
 	cfg := DefaultGen()
 	cfg.Seed = 99
-	a := MustGenerate(DefaultGen())
-	b := MustGenerate(cfg)
+	a := mustGenerate(t, DefaultGen())
+	b := mustGenerate(t, cfg)
 	same := 0
 	for i := range a {
 		if i < len(b) && a[i] == b[i] {
@@ -117,7 +127,7 @@ func TestGenerateSeedSensitivity(t *testing.T) {
 }
 
 func TestGenerateValidTrace(t *testing.T) {
-	tr := MustGenerate(DefaultGen())
+	tr := mustGenerate(t, DefaultGen())
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +142,7 @@ func TestGenerateValidTrace(t *testing.T) {
 }
 
 func TestGenerateDiurnalShape(t *testing.T) {
-	tr := MustGenerate(DefaultGen())
+	tr := mustGenerate(t, DefaultGen())
 	byHour := make([]int, 24)
 	for _, j := range tr {
 		if j.Class == Web {
@@ -147,7 +157,7 @@ func TestGenerateDiurnalShape(t *testing.T) {
 }
 
 func TestGenerateScaled(t *testing.T) {
-	tr := MustGenerate(Scaled(0.5))
+	tr := mustGenerate(t, Scaled(0.5))
 	st := ComputeStats(tr)
 	if st.Count[Web] < 380 || st.Count[Web] > 410 {
 		t.Errorf("scaled web count %d, want ~394", st.Count[Web])
@@ -162,6 +172,7 @@ func TestGenerateErrors(t *testing.T) {
 	}
 	bad := []GenConfig{
 		mut(func(c *GenConfig) { c.Slots = 0 }),
+		mut(func(c *GenConfig) { c.Slots = -1 }),
 		mut(func(c *GenConfig) { c.WebJobs = -1 }),
 		mut(func(c *GenConfig) { c.WebDuration = 0 }),
 		mut(func(c *GenConfig) { c.BatchDeadlineSlack = -1 }),
@@ -184,7 +195,7 @@ func TestTraceValidateOrdering(t *testing.T) {
 }
 
 func TestCSVRoundTrip(t *testing.T) {
-	orig := MustGenerate(DefaultGen())
+	orig := mustGenerate(t, DefaultGen())
 	var buf bytes.Buffer
 	if err := orig.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -280,7 +291,7 @@ func TestPeakConcurrency(t *testing.T) {
 }
 
 func TestSlackHistogram(t *testing.T) {
-	tr := MustGenerate(DefaultGen())
+	tr := mustGenerate(t, DefaultGen())
 	h := tr.SlackHistogram()
 	total := 0
 	for _, v := range h {
@@ -336,7 +347,7 @@ func TestUtilAt(t *testing.T) {
 }
 
 func TestGeneratedUtilMeans(t *testing.T) {
-	tr := MustGenerate(DefaultGen())
+	tr := mustGenerate(t, DefaultGen())
 	for _, j := range tr {
 		if j.Class == Web || j.Class == Batch {
 			if j.UtilMean < 0.5 || j.UtilMean > 0.8 {

@@ -17,12 +17,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/expt"
-	"repro/internal/fault"
 	"repro/internal/oracle"
 	"repro/internal/scenario"
-	"repro/internal/storage"
-	"repro/internal/units"
-	"repro/internal/workload"
 )
 
 // boundTolWh absorbs float formatting noise in the comparison; the bound
@@ -118,7 +114,7 @@ func TestOracleBoundsChaosSeeds(t *testing.T) {
 		pol := pols[i%len(pols)]
 		t.Run(pol.Name()+"/"+string(rune('a'+i%26))+string(rune('a'+i/26)), func(t *testing.T) {
 			t.Parallel()
-			cfg := chaosArenaConfig(seed)
+			cfg := chaosConfig(t, seed)
 			rep, err := oracle.Solve(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -134,28 +130,4 @@ func TestOracleBoundsChaosSeeds(t *testing.T) {
 			}
 		})
 	}
-}
-
-// chaosArenaConfig is the chaos-storm substrate of the oracle property
-// test: the skip-equivalence suite's small battery-equipped cluster with a
-// fully random (but seed-deterministic) fault schedule.
-func chaosArenaConfig(seed int64) core.Config {
-	cfg := core.DefaultConfig()
-	cl := storage.DefaultConfig()
-	cl.Nodes = 8
-	cl.Objects = 400
-	cfg.Cluster = cl
-	gen := workload.Scaled(0.08)
-	gen.Seed = seed
-	cfg.Trace = workload.MustGenerate(gen)
-	cfg.Green = core.DefaultGreen(40)
-	cfg.BatteryCapacityWh = 10 * units.KilowattHour
-	cfg.ReadsPerSlot = 50
-	cfg.Seed = seed
-	cfg.Faults = fault.Generate(seed, fault.GenSpec{
-		Slots:     200,
-		Nodes:     cl.Nodes,
-		AllowMTBF: true,
-	})
-	return cfg
 }

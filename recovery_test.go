@@ -22,12 +22,8 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/scenario"
 	"repro/internal/sched"
-	"repro/internal/storage"
-	"repro/internal/units"
-	"repro/internal/workload"
 )
 
 // liveFull runs a live scheduler to completion, uninterrupted, returning
@@ -165,30 +161,6 @@ var recoveryPolicies = []sched.Policy{
 	sched.Cucumber{},
 }
 
-// recoveryChaosConfig mirrors the chaos harness scenario: a small
-// battery-equipped cluster under a seeded random fault schedule.
-func recoveryChaosConfig(seed int64) core.Config {
-	cfg := core.DefaultConfig()
-	cl := storage.DefaultConfig()
-	cl.Nodes = 8
-	cl.Objects = 400
-	cfg.Cluster = cl
-	gen := workload.Scaled(0.08)
-	gen.Seed = seed
-	cfg.Trace = workload.MustGenerate(gen)
-	cfg.Green = core.DefaultGreen(40)
-	cfg.BatteryCapacityWh = 10 * units.KilowattHour
-	cfg.ReadsPerSlot = 50
-	cfg.Seed = seed
-	cfg.Policy = recoveryPolicies[int(seed)%len(recoveryPolicies)]
-	cfg.Faults = fault.Generate(seed, fault.GenSpec{
-		Slots:     200,
-		Nodes:     cl.Nodes,
-		AllowMTBF: true,
-	})
-	return cfg
-}
-
 // degradedCut picks the kill slot for a chaos run: just past the first
 // degraded-mode slot of the uninterrupted trace, so the kill lands inside
 // the degraded episode the fault schedule opened — the adversarial case
@@ -244,7 +216,8 @@ func TestRecoveryChaosSeeds(t *testing.T) {
 		seed := int64(2000 + i)
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			cfg := recoveryChaosConfig(seed)
+			cfg := chaosConfig(t, seed)
+			cfg.Policy = recoveryPolicies[int(seed)%len(recoveryPolicies)]
 			want, wantTrace := liveFull(t, cfg)
 			cut := degradedCut(t, wantTrace, want.Slots)
 			got, gotTrace := liveKilled(t, cfg, cut)

@@ -22,8 +22,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/scenario"
 	"repro/internal/sched"
-	"repro/internal/storage"
-	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -137,27 +135,33 @@ func TestSkipEquivalenceChaosStorm(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			cfg := core.DefaultConfig()
-			cl := storage.DefaultConfig()
-			cl.Nodes = 8
-			cl.Objects = 400
-			cfg.Cluster = cl
-			gen := workload.Scaled(0.08)
-			gen.Seed = c.seed
-			cfg.Trace = workload.MustGenerate(gen)
-			cfg.Green = core.DefaultGreen(40)
-			cfg.BatteryCapacityWh = 10 * units.KilowattHour
-			cfg.ReadsPerSlot = 50
-			cfg.Seed = c.seed
+			cfg := chaosConfig(t, c.seed)
 			if c.policy != nil {
 				cfg.Policy = c.policy
 			}
-			cfg.Faults = fault.Generate(c.seed, fault.GenSpec{
-				Slots:     200,
-				Nodes:     cl.Nodes,
-				AllowMTBF: true,
-			})
 			assertSkipEquivalent(t, cfg)
 		})
 	}
+}
+
+// chaosConfig is the small battery-equipped cluster the chaos suites
+// (skip equivalence, recovery, oracle bounds) perturb: 8 nodes under the
+// Baseline policy and the seed's random fault schedule. The seed drives
+// the trace, the reads and the faults; the supply stays seed 1's.
+func chaosConfig(t *testing.T, seed int64) core.Config {
+	t.Helper()
+	sc := scenario.Scenario{Seed: 1, Nodes: 8, Objects: 400, WorkloadScale: 0.08,
+		AreaM2: 40, BatteryKWh: 10, ReadsPerSlot: 50, Policy: "baseline"}
+	cfg, err := sc.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := workload.Scaled(sc.WorkloadScale)
+	gen.Seed = seed
+	if cfg.Trace, err = workload.Generate(gen); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Seed = seed
+	cfg.Faults = fault.Generate(seed, fault.GenSpec{Slots: 200, Nodes: sc.Nodes, AllowMTBF: true})
+	return cfg
 }
