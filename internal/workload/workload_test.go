@@ -184,6 +184,20 @@ func TestGenerateErrors(t *testing.T) {
 	}
 }
 
+// TestGenerateRejectsBadGen pins the config that MustGenerate used to panic
+// on: Generate reports it as an error and returns no trace.
+func TestGenerateRejectsBadGen(t *testing.T) {
+	c := DefaultGen()
+	c.Slots = -1
+	tr, err := Generate(c)
+	if err == nil {
+		t.Fatal("Generate with Slots = -1 should fail")
+	}
+	if tr != nil {
+		t.Errorf("Generate returned %d jobs alongside its error", len(tr))
+	}
+}
+
 func TestTraceValidateOrdering(t *testing.T) {
 	tr := Trace{
 		{ID: 0, Class: Web, Submit: 5, Duration: 1, Deadline: 6, CPU: 1},
