@@ -296,7 +296,7 @@ func BenchmarkSolarGenerate(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(s.TotalEnergy(cfg.SlotHours).Wh(), "result")
+	b.ReportMetric(s.TotalEnergy().Wh(), "result")
 }
 
 // BenchmarkMinimalCover times the greedy replica cover of the reference

@@ -22,6 +22,7 @@ import (
 	"repro/internal/audit"
 	"repro/internal/expt"
 	"repro/internal/report"
+	"repro/internal/scenario"
 )
 
 var (
@@ -102,6 +103,10 @@ func run() (code int) {
 		return 2
 	}
 
+	if err := scenario.CheckScale("-scale", *scale); err != nil {
+		fmt.Fprintln(os.Stderr, "gmexp:", err)
+		return 2
+	}
 	p := expt.Params{Scale: *scale, Seed: *seed, Workers: *jobs, Audit: *doAudit}
 	if *auditTrace != "" {
 		f, err := os.Create(*auditTrace)

@@ -54,6 +54,10 @@ func realMain() int {
 		format   = flag.String("format", "jsonl", "for -kind run: trace format jsonl | csv | prom")
 	)
 	flag.Parse()
+	if err := scenario.CheckScale("-scale", *scale); err != nil {
+		fmt.Fprintln(os.Stderr, "gmtrace:", err)
+		return 2
+	}
 
 	var w io.Writer = os.Stdout
 	var closeOut func() error
@@ -132,7 +136,7 @@ func realMain() int {
 				return err
 			}
 			if *stats {
-				fmt.Fprintf(w, "slots: %d  peak: %v  total: %v\n", s.Slots(), s.Peak(), s.TotalEnergy(1))
+				fmt.Fprintf(w, "slots: %d  peak: %v  total: %v\n", s.Slots(), s.Peak(), s.TotalEnergy())
 				return nil
 			}
 			return s.WriteCSV(w)
@@ -146,7 +150,7 @@ func realMain() int {
 				return err
 			}
 			if *stats {
-				fmt.Fprintf(w, "slots: %d  peak: %v  total: %v\n", s.Slots(), s.Peak(), s.TotalEnergy(1))
+				fmt.Fprintf(w, "slots: %d  peak: %v  total: %v\n", s.Slots(), s.Peak(), s.TotalEnergy())
 				return nil
 			}
 			return s.WriteCSV(w)

@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -48,5 +50,27 @@ func TestRunScenarioMissingFile(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "missing.json")
 	if err := runScenario(io.Discard, missing, 0.25, "jsonl", false, 0); err == nil {
 		t.Fatal("a missing scenario file should be an error")
+	}
+}
+
+// TestBadScaleExitsTwo drives the built command: a -scale that is not
+// positive and finite is a usage error (exit 2) for every kind.
+func TestBadScaleExitsTwo(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the command")
+	}
+	bin := filepath.Join(t.TempDir(), "gmtrace")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, args := range [][]string{{"-kind", "run", "-scale", "-1"}, {"-kind", "run", "-scale", "0"}, {"-scale", "NaN"}} {
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%v: got %v, want exit status 2\n%s", args, err, out)
+		}
+		if !strings.Contains(string(out), "-scale must be positive") {
+			t.Errorf("%v: message missing:\n%s", args, out)
+		}
 	}
 }

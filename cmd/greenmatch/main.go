@@ -14,7 +14,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 
 	"repro/internal/core"
@@ -109,12 +108,11 @@ type runFlags struct {
 	seed                                                   int64
 }
 
-// reference loads scenarios/reference.json scaled by scale, which must be
-// a positive finite number: Scaled reads a non-positive factor as the
-// identity.
+// reference loads scenarios/reference.json scaled by scale, which must
+// pass scenario.CheckScale.
 func reference(scale float64) (scenario.Scenario, error) {
-	if !(scale > 0) || math.IsInf(scale, 1) {
-		return scenario.Scenario{}, fmt.Errorf("-scale must be positive and finite, got %v", scale)
+	if err := scenario.CheckScale("-scale", scale); err != nil {
+		return scenario.Scenario{}, err
 	}
 	sc, err := scenarios.Load("reference")
 	if err != nil {

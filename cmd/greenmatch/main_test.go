@@ -58,8 +58,8 @@ func TestBuildConfigSources(t *testing.T) {
 		t.Error("sources should share the trace length")
 	}
 	// Wind is normalized to the solar trace's total energy.
-	se := solarCfg.Green.(solar.Series).TotalEnergy(1)
-	we := windCfg.Green.(solar.Series).TotalEnergy(1)
+	se := solarCfg.Green.(solar.Series).TotalEnergy()
+	we := windCfg.Green.(solar.Series).TotalEnergy()
 	if we < se*0.99 || we > se*1.01 {
 		t.Errorf("wind energy %v not normalized to solar %v", we, se)
 	}
@@ -146,8 +146,8 @@ func legacyBuildConfig(policyName string, fraction float64, solver string, scale
 			return core.Config{}, err
 		}
 		// Match the solar trace's total energy so sources are comparable.
-		if tot := w.TotalEnergy(1); tot > 0 {
-			w = w.Scale(sol.TotalEnergy(1).Wh() / tot.Wh())
+		if tot := w.TotalEnergy(); tot > 0 {
+			w = w.Scale(sol.TotalEnergy().Wh() / tot.Wh())
 		}
 		if source == "wind" {
 			cfg.Green = w

@@ -179,11 +179,12 @@ func SolveOracle(cfg Config) (OracleReport, error) { return oracle.Solve(cfg) }
 // (zero cost when nil), plus an energy-conservation auditor that turns
 // bookkeeping bugs into hard run failures.
 type (
-	// Observer receives one SlotTrace per simulated slot.
+	// Observer receives one SlotTrace per simulated slot and the run
+	// totals at the end.
 	Observer = audit.Observer
 	// SlotTrace is the per-slot energy-flow and scheduler-action record.
 	SlotTrace = audit.SlotTrace
-	// RunTotals is the whole-run summary handed to RunObservers at the end.
+	// RunTotals is the whole-run summary handed to every Observer at the end.
 	RunTotals = audit.RunTotals
 	// Auditor checks conservation, SoC, coverage and SLA invariants; its
 	// EndRun error fails the Run. One Auditor per run — not shareable.

@@ -293,9 +293,7 @@ func TestTeeLabeledLimit(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		obs.ObserveSlot(cleanSlot(i, 0))
 	}
-	if ro, ok := obs.(RunObserver); !ok {
-		t.Fatal("labeled tee must forward EndRun")
-	} else if err := ro.EndRun(RunTotals{Policy: "test"}); err != nil {
+	if err := obs.EndRun(RunTotals{Policy: "test"}); err != nil {
 		t.Fatal(err)
 	}
 	if len(a.slots) != 2 {

@@ -47,7 +47,7 @@ func (v Violation) String() string {
 // precision as watt-hour-scale ones.
 const DefaultTol = 1e-6
 
-// Auditor is a RunObserver that asserts the simulator's bookkeeping
+// Auditor is an Observer that asserts the simulator's bookkeeping
 // invariants on every slot and cumulatively at end of run:
 //
 //	load identity:    Load = Demand + Migration + Transition

@@ -29,7 +29,7 @@ type SlotTrace struct {
 	// Slot is the slot index; Policy names the planning policy.
 	Slot   int    `json:"slot"`
 	Policy string `json:"policy"`
-	// SlotHours is the slot duration.
+	// SlotHours is the slot duration in hours: always 1.
 	SlotHours float64 `json:"slot_hours"`
 
 	// Load side. LoadWh = DemandWh + MigrationWh + TransitionWh.
@@ -113,7 +113,7 @@ type SlotTrace struct {
 }
 
 // RunTotals is the cumulative account of a completed run, handed to
-// RunObservers so they can cross-check their per-slot sums (Auditor) or
+// Observers so they can cross-check their per-slot sums (Auditor) or
 // flush (sinks).
 type RunTotals struct {
 	Run    string `json:"run,omitempty"`
@@ -139,21 +139,16 @@ type RunTotals struct {
 	DeadlineMisses int `json:"deadline_misses"`
 }
 
-// Observer receives one SlotTrace per simulated slot, in slot order.
-// An Observer configured on a core.Config is driven by that config's run
-// only; a single Observer instance shared across concurrent runs must be
+// Observer receives one SlotTrace per simulated slot, in slot order, and
+// then the run totals. EndRun is called exactly once after the final slot;
+// a non-nil error fails the run (core.Run returns it), which is how the
+// Auditor turns a conservation violation into a hard failure. An Observer
+// configured on a core.Config is driven by that config's run only; a
+// single Observer instance shared across concurrent runs must be
 // goroutine-safe (the JSONL sink is; the Auditor and CSV sink are not —
 // give each run its own).
 type Observer interface {
 	ObserveSlot(SlotTrace)
-}
-
-// RunObserver is an Observer that wants the end-of-run totals. EndRun is
-// called exactly once after the final slot; a non-nil error fails the run
-// (core.Run returns it), which is how the Auditor turns a conservation
-// violation into a hard failure.
-type RunObserver interface {
-	Observer
 	EndRun(RunTotals) error
 }
 
@@ -189,8 +184,8 @@ func Close(obs ...Observer) error {
 type tee struct{ obs []Observer }
 
 // Tee returns an Observer that forwards each trace to every given observer
-// and, at EndRun, forwards the totals to each RunObserver among them,
-// returning the first error.
+// and, at EndRun, forwards the totals to each of them, returning the first
+// error.
 func Tee(obs ...Observer) Observer {
 	return &tee{obs: obs}
 }
@@ -204,10 +199,8 @@ func (t *tee) ObserveSlot(s SlotTrace) {
 func (t *tee) EndRun(tot RunTotals) error {
 	var first error
 	for _, o := range t.obs {
-		if ro, ok := o.(RunObserver); ok {
-			if err := ro.EndRun(tot); err != nil && first == nil {
-				first = err
-			}
+		if err := o.EndRun(tot); err != nil && first == nil {
+			first = err
 		}
 	}
 	return first
@@ -235,11 +228,8 @@ func (l *labeled) ObserveSlot(s SlotTrace) {
 }
 
 func (l *labeled) EndRun(tot RunTotals) error {
-	if ro, ok := l.o.(RunObserver); ok {
-		tot.Run = l.run
-		return ro.EndRun(tot)
-	}
-	return nil
+	tot.Run = l.run
+	return l.o.EndRun(tot)
 }
 
 // Close forwards to the wrapped observer.
@@ -268,12 +258,7 @@ func (l *limit) ObserveSlot(s SlotTrace) {
 	l.o.ObserveSlot(s)
 }
 
-func (l *limit) EndRun(tot RunTotals) error {
-	if ro, ok := l.o.(RunObserver); ok {
-		return ro.EndRun(tot)
-	}
-	return nil
-}
+func (l *limit) EndRun(tot RunTotals) error { return l.o.EndRun(tot) }
 
 // Close forwards to the wrapped observer.
 func (l *limit) Close() error { return Close(l.o) }

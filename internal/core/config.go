@@ -19,7 +19,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/audit"
 	"repro/internal/battery"
@@ -40,8 +39,6 @@ import (
 // Forecaster implementations must be stateless planners for this to hold;
 // every implementation shipped here is.
 type Config struct {
-	// SlotHours is the slot duration (default 1).
-	SlotHours float64
 	// Cluster is the storage data center topology.
 	Cluster storage.Config
 	// Trace is the job population (sorted by submit slot).
@@ -70,9 +67,6 @@ type Config struct {
 	ZipfTheta float64
 	// Seed drives the read-traffic randomness.
 	Seed int64
-	// MaxOverrunSlots bounds how far past the last arrival the simulation
-	// may run to drain jobs (default 336).
-	MaxOverrunSlots int
 	// RecordSeries enables the per-slot time series in the result.
 	RecordSeries bool
 	// Faults is the declarative fault-injection schedule: the random crash
@@ -84,10 +78,9 @@ type Config struct {
 	// layer is free when nil: the simulator gathers nothing. An Observer
 	// with mutable state (the Auditor, the CSV sink) must not be shared by
 	// Configs run concurrently — give each run its own, or share only a
-	// goroutine-safe sink (audit.JSONL). When the Observer is an
-	// audit.RunObserver and its EndRun returns an error, Run fails with it —
-	// this is how the conservation auditor turns a bookkeeping bug into a
-	// hard run failure.
+	// goroutine-safe sink (audit.JSONL). When the Observer's EndRun
+	// returns an error, Run fails with it — this is how the conservation
+	// auditor turns a bookkeeping bug into a hard run failure.
 	Observer audit.Observer
 	// DisableSlotSkipping forces the full per-slot pipeline on every slot,
 	// disabling the event-driven fast path the simulator otherwise uses on
@@ -111,8 +104,18 @@ type Config struct {
 	ModelUtilization bool
 }
 
-// The VM-management and planning constants every run uses.
+// MaxOverrunSlots bounds how far past the last arrival a run may go on
+// draining jobs (two weeks of slots). Jobs still unfinished at the guard
+// count as deadline misses. The oracle's horizon reads it too.
+const MaxOverrunSlots = 336
+
+// The time-base, VM-management and planning constants every run uses.
 const (
+	// slotHours is the slot length. A slot is one hour throughout: the
+	// workload's diurnal cycle, the forecasters' 24-slot period and the
+	// supply models are all hourly. Core keeps it only for the power and
+	// energy conversions of settlement.
+	slotHours = 1.0
 	// migrationCostWh is the energy charged per VM migration.
 	migrationCostWh units.Energy = 10
 	// suspendCostWh is the energy charged per job suspension: the VM's
@@ -127,9 +130,6 @@ const (
 // Validate reports a descriptive error for inconsistent parameters. It
 // normalizes nothing; use ApplyDefaults for that.
 func (c Config) Validate() error {
-	if !(c.SlotHours > 0) || math.IsInf(c.SlotHours, 1) {
-		return fmt.Errorf("core: slot hours %v must be positive and finite", c.SlotHours)
-	}
 	if err := c.Cluster.Validate(); err != nil {
 		return err
 	}
@@ -157,9 +157,6 @@ func (c Config) Validate() error {
 	if !(c.ZipfTheta >= 0) {
 		return fmt.Errorf("core: Zipf theta %v must be non-negative", c.ZipfTheta)
 	}
-	if c.MaxOverrunSlots < 0 {
-		return fmt.Errorf("core: negative overrun %d", c.MaxOverrunSlots)
-	}
 	if err := c.Faults.Validate(c.Cluster.TotalNodes()); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
@@ -169,9 +166,6 @@ func (c Config) Validate() error {
 // ApplyDefaults fills zero-valued optional fields with the documented
 // defaults and returns the completed config.
 func (c Config) ApplyDefaults() Config {
-	if c.SlotHours == 0 {
-		c.SlotHours = 1
-	}
 	if c.Forecaster == nil {
 		c.Forecaster = forecast.Perfect{}
 	}
@@ -183,9 +177,6 @@ func (c Config) ApplyDefaults() Config {
 	}
 	if c.ZipfTheta == 0 {
 		c.ZipfTheta = 0.9
-	}
-	if c.MaxOverrunSlots == 0 {
-		c.MaxOverrunSlots = 336
 	}
 	return c
 }

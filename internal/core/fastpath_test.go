@@ -94,7 +94,7 @@ func TestWakeEndsQuietStreak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxSlot := sim.lastArrival + sim.cfg.MaxOverrunSlots
+	maxSlot := sim.lastArrival + MaxOverrunSlots
 	// Run into a quiet streak that carries the I/O-bound job and has room
 	// for the three slots under test.
 	var io *jobState

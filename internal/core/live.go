@@ -110,7 +110,7 @@ func (l *Live) InjectFault(ev fault.Event) error {
 	if err := cfg.Validate(s.cfg.Cluster.Nodes); err != nil {
 		return err
 	}
-	s.faults = fault.NewEngine(cfg, s.cfg.Seed, s.cfg.SlotHours)
+	s.faults = fault.NewEngine(cfg, s.cfg.Seed)
 	s.repairAt = make(map[int]int)
 	return nil
 }
@@ -380,7 +380,7 @@ func RestoreLive(cfg Config, snap *LiveSnapshot) (*Live, error) {
 	s.reads.RestoreState(cfg.Seed, snap.Reads)
 
 	if snap.Faults != nil {
-		s.faults = fault.RestoreEngine(*snap.Faults, cfg.Seed, s.cfg.SlotHours)
+		s.faults = fault.RestoreEngine(*snap.Faults, cfg.Seed)
 		if s.repairAt == nil {
 			s.repairAt = make(map[int]int)
 		}

@@ -324,7 +324,7 @@ func TestLiveSnapshotWithPendingSubmissions(t *testing.T) {
 			}
 			if tc.legacy {
 				submitted := append(append(append([]workload.Job(nil), cfg.Trace...), tc.pre...), tc.mid...)
-				blob = legacyCheckpoint(t, blob, submitted, cfg.ApplyDefaults().SlotHours)
+				blob = legacyCheckpoint(t, blob, submitted)
 			}
 			prefix := append([]byte(nil), buf.Bytes()...)
 
@@ -451,12 +451,12 @@ func TestArrivalQueueFIFOTiebreak(t *testing.T) {
 // written while arrivals rode an event heap: the pending jobs in
 // submission order, each carrying the heap time it was scheduled at —
 // its submit slot clamped to the slot that was next at submission, in
-// hours. submitted lists every submission in order. It also adds the
+// hours (one per slot). submitted lists every submission in order. It also adds the
 // keep_mask array those checkpoints carried: the last power plan's
 // per-disk keep flags, which at a slot boundary with no disk wake are
 // exactly the spinning disks of powered nodes. Those checkpoints also
 // stored one latency sample per read (see parentReads).
-func legacyCheckpoint(t *testing.T, blob []byte, submitted []workload.Job, slotHours float64) []byte {
+func legacyCheckpoint(t *testing.T, blob []byte, submitted []workload.Job) []byte {
 	t.Helper()
 	var fields map[string]json.RawMessage
 	if err := json.Unmarshal(blob, &fields); err != nil {
@@ -477,7 +477,7 @@ func legacyCheckpoint(t *testing.T, blob []byte, submitted []workload.Job, slotH
 	var legacy []legacyPending
 	for _, j := range submitted {
 		if pending[j.ID] {
-			legacy = append(legacy, legacyPending{Job: j, At: float64(max(j.Submit, snap.Next)) * slotHours})
+			legacy = append(legacy, legacyPending{Job: j, At: float64(max(j.Submit, snap.Next))})
 		}
 	}
 	if len(legacy) != len(snap.Pending) {

@@ -298,7 +298,7 @@ func New(cfg Config) (*Simulator, error) {
 	if cfg.RecordSeries {
 		s.series = &metrics.TimeSeries{}
 	}
-	if s.faults = fault.NewEngine(cfg.Faults, cfg.Seed, cfg.SlotHours); s.faults != nil {
+	if s.faults = fault.NewEngine(cfg.Faults, cfg.Seed); s.faults != nil {
 		s.repairAt = make(map[int]int)
 	}
 	s.planScratch = &sched.PlanScratch{}
@@ -330,7 +330,7 @@ func (s *Simulator) Run() (*Result, error) {
 // which is what makes a live run stop exactly where the batch run does.
 func (s *Simulator) advance(target int) {
 	for s.next <= target && !s.drained {
-		maxSlot := s.lastArrival + s.cfg.MaxOverrunSlots
+		maxSlot := s.lastArrival + MaxOverrunSlots
 		if s.next > maxSlot {
 			return
 		}
@@ -425,7 +425,7 @@ func (s *Simulator) finalize(slots int) (*Result, error) {
 	if err := s.checkConservation(res); err != nil {
 		return nil, err
 	}
-	if ro, ok := s.obs.(audit.RunObserver); ok && s.obs != nil {
+	if s.obs != nil {
 		tot := audit.RunTotals{
 			Policy:            res.Policy,
 			Slots:             res.Slots,
@@ -444,7 +444,7 @@ func (s *Simulator) finalize(slots int) (*Result, error) {
 			Completed:         s.sla.Completed,
 			DeadlineMisses:    s.sla.DeadlineMisses,
 		}
-		if err := ro.EndRun(tot); err != nil {
+		if err := s.obs.EndRun(tot); err != nil {
 			return nil, err
 		}
 	}
@@ -604,7 +604,6 @@ func (s *Simulator) failedNodes() []bool {
 // that a run without an observer pays nothing but that comparison.
 // gmlint's observerhot analyzer enforces this.
 func (s *Simulator) step(t int, faultChanged, quiet bool) {
-	h := s.cfg.SlotHours
 	migsBefore := s.sla.Migrations
 	dec := s.quiescentDec
 	var promoted, started, attempted int
@@ -694,13 +693,13 @@ func (s *Simulator) step(t int, faultChanged, quiet bool) {
 		}
 		s.spunValid = quiet
 	}
-	s.nodeHours += float64(s.cachedPowNds) * h
-	s.diskHours += float64(s.cachedSpun) * h
+	s.nodeHours += float64(s.cachedPowNds) * slotHours
+	s.diskHours += float64(s.cachedSpun) * slotHours
 	if s.series != nil {
 		s.addSeries(t, fl, s.cachedSpun, jobsRunning)
 	}
 	if s.obs != nil {
-		s.emitTrace(t, h, fl, dec, promoted, started, jobsRunning, s.cachedSpun)
+		s.emitTrace(t, fl, dec, promoted, started, jobsRunning, s.cachedSpun)
 	}
 	if !steady {
 		// ResetSlot settles busy disks back to their steady state. On a
@@ -819,8 +818,7 @@ func (s *Simulator) replan(t int) (dec sched.Decision, promoted, started, attemp
 // slot skipping bit-exact (batching slots algebraically would change float
 // summation order).
 func (s *Simulator) settleSlot(t int, demandP units.Power, overhead, migE units.Energy) slotFlows {
-	h := s.cfg.SlotHours
-	demandE := demandP.Over(h)
+	demandE := demandP.Over(slotHours)
 	s.acct.Demand += demandE
 	s.acct.TransitionOverhead += overhead
 	s.acct.MigrationOverhead += migE
@@ -835,8 +833,8 @@ func (s *Simulator) settleSlot(t int, demandP units.Power, overhead, migE units.
 	if s.faults != nil {
 		effectiveGreen = s.faults.Supply(t, nominalGreen)
 	}
-	greenAvail := effectiveGreen.Over(h)
-	supplyFault := units.NonNegE(nominalGreen.Over(h) - greenAvail)
+	greenAvail := effectiveGreen.Over(slotHours)
+	supplyFault := units.NonNegE(nominalGreen.Over(slotHours) - greenAvail)
 	s.acct.GreenProduced += greenAvail
 
 	greenDirect := units.MinEnergy(load, greenAvail)
@@ -845,7 +843,7 @@ func (s *Simulator) settleSlot(t int, demandP units.Power, overhead, migE units.
 	deficit := units.NonNegE(load - greenDirect)
 	var batOut units.Energy
 	if deficit > 0 && !(s.faults != nil && s.faults.DischargeBlocked(t)) {
-		batOut = s.bat.Discharge(deficit, h)
+		batOut = s.bat.Discharge(deficit, slotHours)
 	}
 	s.acct.BatteryOut += batOut
 	brown := units.NonNegE(deficit - batOut)
@@ -854,10 +852,10 @@ func (s *Simulator) settleSlot(t int, demandP units.Power, overhead, migE units.
 	surplus := units.NonNegE(greenAvail - greenDirect)
 	var accepted units.Energy
 	if surplus > 0 && !(s.faults != nil && s.faults.ChargeBlocked(t)) {
-		accepted = s.bat.Charge(surplus, h)
+		accepted = s.bat.Charge(surplus, slotHours)
 	}
 	s.acct.GreenLost += surplus - accepted
-	s.bat.TickSelfDischarge(h)
+	s.bat.TickSelfDischarge(slotHours)
 
 	// Feed the next slot's mandatory-power estimate.
 	s.lastDrawW = demandP
@@ -901,16 +899,15 @@ func (s *Simulator) advanceJobs(t int) int {
 // addSeries records the slot's time-series sample. Only called when
 // Config.RecordSeries is on.
 func (s *Simulator) addSeries(t int, fl slotFlows, spun, jobsRunning int) {
-	h := s.cfg.SlotHours
 	s.series.Add(metrics.SlotSample{
 		Slot:        t,
-		DemandW:     fl.load.Rate(h).Watts(),
-		GreenW:      fl.greenAvail.Rate(h).Watts(),
-		GreenUsedW:  fl.greenDirect.Rate(h).Watts(),
-		BatteryOutW: fl.batOut.Rate(h).Watts(),
-		BatteryInW:  fl.accepted.Rate(h).Watts(),
-		BrownW:      fl.brown.Rate(h).Watts(),
-		GreenLostW:  (fl.surplus - fl.accepted).Rate(h).Watts(),
+		DemandW:     fl.load.Rate(slotHours).Watts(),
+		GreenW:      fl.greenAvail.Rate(slotHours).Watts(),
+		GreenUsedW:  fl.greenDirect.Rate(slotHours).Watts(),
+		BatteryOutW: fl.batOut.Rate(slotHours).Watts(),
+		BatteryInW:  fl.accepted.Rate(slotHours).Watts(),
+		BrownW:      fl.brown.Rate(slotHours).Watts(),
+		GreenLostW:  (fl.surplus - fl.accepted).Rate(slotHours).Watts(),
 		BatterySoC:  s.bat.SoC(),
 		NodesOn:     s.cluster.PoweredNodeCount(),
 		DisksSpun:   spun,
@@ -1000,7 +997,7 @@ type slotFlows struct {
 // when an observer is configured (//gm:observed — gmlint flags any call
 // site not guarded by a nil-observer check); the prev* snapshots it
 // maintains exist for no other purpose.
-func (s *Simulator) emitTrace(t int, h float64, fl slotFlows, dec sched.Decision, promoted, started, jobsRunning, spun int) {
+func (s *Simulator) emitTrace(t int, fl slotFlows, dec sched.Decision, promoted, started, jobsRunning, spun int) {
 	batAcct := s.bat.Account()
 	batDelta := batAcct.Sub(s.prevBat)
 	s.prevBat = batAcct
@@ -1017,7 +1014,7 @@ func (s *Simulator) emitTrace(t int, h float64, fl slotFlows, dec sched.Decision
 	tr := audit.SlotTrace{
 		Slot:              t,
 		Policy:            s.cfg.Policy.Name(),
-		SlotHours:         h,
+		SlotHours:         slotHours,
 		DemandWh:          fl.demand.Wh(),
 		MigrationWh:       fl.mig.Wh(),
 		TransitionWh:      fl.overhead.Wh(),
@@ -1093,7 +1090,6 @@ func (s *Simulator) buildView(t int) sched.View {
 	failed := len(s.repairAt)
 	v := sched.View{
 		Slot:               t,
-		SlotHours:          s.cfg.SlotHours,
 		GreenForecast:      pred,
 		EstMandatoryPowerW: s.estMandatoryPower(),
 		PerJobPowerW:       perJobPowerW,

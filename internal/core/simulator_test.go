@@ -245,7 +245,6 @@ func TestValidationErrors(t *testing.T) {
 		return c
 	}
 	bad := []Config{
-		mut(func(c *Config) { c.SlotHours = -1 }),
 		mut(func(c *Config) { c.Green = nil }),
 		mut(func(c *Config) { c.Policy = nil }),
 		mut(func(c *Config) { c.BatteryCapacityWh = -5 }),
@@ -262,18 +261,14 @@ func TestValidationErrors(t *testing.T) {
 
 // TestValidationRejectsNaNAndInf pins the non-finite values a plain
 // "< 0" check lets through. Each used to be accepted: a NaN read rate
-// made Run loop forever in the Poisson draw, a NaN or infinite slot
-// length made every energy NaN, and a negative theta made New panic in
-// the Zipf sampler.
+// made Run loop forever in the Poisson draw, and a negative theta made New
+// panic in the Zipf sampler.
 func TestValidationRejectsNaNAndInf(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		mut  func(*Config)
 	}{
 		{"reads-per-slot-NaN", func(c *Config) { c.ReadsPerSlot = math.NaN() }},
-		{"slot-hours-NaN", func(c *Config) { c.SlotHours = math.NaN() }},
-		{"slot-hours-+Inf", func(c *Config) { c.SlotHours = math.Inf(1) }},
-		{"slot-hours--Inf", func(c *Config) { c.SlotHours = math.Inf(-1) }},
 		{"zipf-theta-negative", func(c *Config) { c.ZipfTheta = -0.5 }},
 		{"zipf-theta-NaN", func(c *Config) { c.ZipfTheta = math.NaN() }},
 	} {
@@ -302,7 +297,7 @@ func TestApplyDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("defaults should make a minimal config valid: %v", err)
 	}
-	if sim.cfg.SlotHours != 1 || sim.cfg.Overcommit != 1.5 {
+	if sim.cfg.Overcommit != 1.5 || sim.cfg.ZipfTheta != 0.9 {
 		t.Fatalf("defaults not applied: %+v", sim.cfg)
 	}
 	if _, err := sim.Run(); err != nil {
@@ -337,12 +332,11 @@ func TestOverloadedClusterReportsMissesNotHang(t *testing.T) {
 	cl := cfg.Cluster
 	cl.Nodes = 1 // grossly undersized for the trace
 	cfg.Cluster = cl
-	cfg.MaxOverrunSlots = 100
 	res := run(t, cfg)
 	if res.SLA.DeadlineMisses == 0 {
 		t.Fatal("overloaded cluster should miss deadlines")
 	}
-	if res.Slots > cfg.MaxOverrunSlots+200 {
+	if res.Slots > MaxOverrunSlots+200 {
 		t.Fatalf("overrun guard failed: ran %d slots", res.Slots)
 	}
 }
@@ -455,24 +449,5 @@ func TestMultiWeekEndurance(t *testing.T) {
 	b := run(t, cfg)
 	if a.Energy != b.Energy {
 		t.Fatal("long-horizon determinism broken")
-	}
-}
-
-func TestHalfHourSlots(t *testing.T) {
-	// The settlement math must hold at finer slot granularity: C-rate
-	// windows, self-discharge and energy integration all scale by
-	// SlotHours. Durations are in slots, so this models 30-minute jobs
-	// rather than rescaling the reference week.
-	cfg := smallConfig(t)
-	cfg.SlotHours = 0.5
-	cfg.BatteryCapacityWh = 10 * units.KilowattHour
-	cfg.Policy = sched.GreenMatch{}
-	res := run(t, cfg) // Run asserts conservation
-	if res.SLA.Completed != len(cfg.Trace) {
-		t.Fatalf("completed %d/%d at half-hour slots", res.SLA.Completed, len(cfg.Trace))
-	}
-	again := run(t, cfg)
-	if res.Energy != again.Energy {
-		t.Fatal("half-hour slots broke determinism")
 	}
 }

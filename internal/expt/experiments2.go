@@ -361,7 +361,7 @@ func runE12(p Params) ([]*metrics.Table, error) {
 	for si, src := range sources {
 		bl := results[si*len(pols)]
 		gm := results[si*len(pols)+1]
-		t.AddRow(src, series[si].TotalEnergy(1).KWh(),
+		t.AddRow(src, series[si].TotalEnergy().KWh(),
 			bl.Energy.Brown.KWh(), gm.Energy.Brown.KWh())
 	}
 	return []*metrics.Table{t}, nil

@@ -133,7 +133,7 @@ func runE18(p Params) ([]*metrics.Table, error) {
 		if base > 0 {
 			saving = 100 * (1 - gm.Wh()/base.Wh())
 		}
-		t.AddRow(season.name, greens[si].TotalEnergy(1).KWh(), base.KWh(), gm.KWh(), saving)
+		t.AddRow(season.name, greens[si].TotalEnergy().KWh(), base.KWh(), gm.KWh(), saving)
 	}
 	return []*metrics.Table{t}, nil
 }

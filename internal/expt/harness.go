@@ -27,7 +27,8 @@ import (
 // cluster, trace, panel areas and battery grids proportionally, preserving
 // the qualitative shapes while running much faster.
 type Params struct {
-	// Scale is the proportional scenario size (default 1.0).
+	// Scale is the proportional scenario size (default 1.0). A non-zero
+	// Scale must pass scenario.CheckScale.
 	Scale float64
 	// Seed replaces the reference scenario's seed, so it drives the
 	// workload and the weather of every grid point (default 1). E9 seeds
@@ -83,7 +84,7 @@ func (p Params) CloseSink() error {
 }
 
 func (p Params) scale() float64 {
-	if p.Scale <= 0 {
+	if p.Scale == 0 {
 		return 1
 	}
 	return p.Scale

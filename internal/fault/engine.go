@@ -26,9 +26,8 @@ type Crash struct {
 //
 //gm:statemirror State RestoreEngine
 type Engine struct {
-	cfg       Config
-	seed      int64   //gm:ephemeral compile-time parameter, re-supplied by the caller at restore
-	slotHours float64 //gm:ephemeral compile-time parameter, re-supplied by the caller at restore
+	cfg  Config
+	seed int64 //gm:ephemeral compile-time parameter, re-supplied by the caller at restore
 
 	// mtbf is the random crash process stream. Its name and draw discipline
 	// — one Bernoulli per healthy powered node, in node order — reproduce
@@ -39,17 +38,16 @@ type Engine struct {
 	storm *rng.Stream
 }
 
-// NewEngine compiles a validated Config for one run. slotHours scales the
-// MTBF hazard to a per-slot probability. Returns nil for a disabled config,
-// so callers can use a nil check as the fast path.
-func NewEngine(cfg Config, seed int64, slotHours float64) *Engine {
+// NewEngine compiles a validated Config for one run. Returns nil for a
+// disabled config, so callers can use a nil check as the fast path.
+func NewEngine(cfg Config, seed int64) *Engine {
 	if !cfg.Enabled() {
 		return nil
 	}
 	if cfg.CrashRepairSlots <= 0 {
 		cfg.CrashRepairSlots = 24
 	}
-	e := &Engine{cfg: cfg, seed: seed, slotHours: slotHours}
+	e := &Engine{cfg: cfg, seed: seed}
 	if cfg.CrashMTBFHours > 0 {
 		e.mtbf = rng.New(seed, "node-failures")
 	}
@@ -108,9 +106,9 @@ func (e *Engine) State() EngineState {
 }
 
 // RestoreEngine rebuilds an engine from a snapshot taken by State, with the
-// same seed and slot width it was originally compiled with.
-func RestoreEngine(st EngineState, seed int64, slotHours float64) *Engine {
-	e := NewEngine(st.Config, seed, slotHours)
+// same seed it was originally compiled with.
+func RestoreEngine(st EngineState, seed int64) *Engine {
+	e := NewEngine(st.Config, seed)
 	if e == nil {
 		return nil
 	}
@@ -143,7 +141,8 @@ func (e *Engine) Crashes(t int, healthyPowered []int) []Crash {
 		chosen[n] = true
 	}
 	if e.mtbf != nil {
-		pFail := e.slotHours / e.cfg.CrashMTBFHours
+		// A slot is one hour, so the hourly hazard is the slot's.
+		pFail := 1 / e.cfg.CrashMTBFHours
 		for _, n := range healthyPowered {
 			if e.mtbf.Bernoulli(pFail) {
 				out = append(out, Crash{Node: n, RepairSlots: e.cfg.CrashRepairSlots})

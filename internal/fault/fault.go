@@ -169,7 +169,7 @@ func (e Event) Validate() error {
 // plus explicit fault-event windows. The zero value injects nothing.
 type Config struct {
 	// CrashMTBFHours enables the random node-crash process: each powered
-	// healthy node crashes with probability slotHours/MTBF per slot. Zero
+	// healthy node crashes with probability 1/MTBF per (one-hour) slot. Zero
 	// disables. A scenario's legacy failure_mtbf_hours folds into it,
 	// with the same seeded draw sequence.
 	CrashMTBFHours float64 `json:"crash_mtbf_hours,omitempty"`

@@ -13,7 +13,7 @@ func TestZeroConfigDisabled(t *testing.T) {
 	if c.Enabled() {
 		t.Fatal("zero config must be disabled")
 	}
-	if NewEngine(c, 1, 1) != nil {
+	if NewEngine(c, 1) != nil {
 		t.Fatal("disabled config must compile to a nil engine")
 	}
 	if err := c.Validate(8); err != nil {
@@ -57,20 +57,19 @@ func TestValidateRejectsBadEvents(t *testing.T) {
 
 // TestMTBFDrawParity pins the crash process to the legacy
 // failure_mtbf_hours draw discipline: stream "node-failures", probability
-// slotHours/MTBF, one Bernoulli per healthy powered node in order.
+// 1/MTBF per one-hour slot, one Bernoulli per healthy powered node in order.
 func TestMTBFDrawParity(t *testing.T) {
 	const (
-		seed      = 7
-		mtbf      = 300.0
-		slotHours = 1.0
+		seed = 7
+		mtbf = 300.0
 	)
-	eng := NewEngine(Config{CrashMTBFHours: mtbf, CrashRepairSlots: 5}, seed, slotHours)
+	eng := NewEngine(Config{CrashMTBFHours: mtbf, CrashRepairSlots: 5}, seed)
 	legacy := rng.New(seed, "node-failures")
 	healthy := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	for slot := 0; slot < 200; slot++ {
 		var want []Crash
 		for _, n := range healthy {
-			if legacy.Bernoulli(slotHours / mtbf) {
+			if legacy.Bernoulli(1 / mtbf) {
 				want = append(want, Crash{Node: n, RepairSlots: 5})
 			}
 		}
@@ -85,7 +84,7 @@ func TestEventCrashes(t *testing.T) {
 	eng := NewEngine(Config{Events: []Event{
 		{Kind: KindNodeCrash, At: 3, Duration: 4, Nodes: []int{2, 5}},
 		{Kind: KindCrashStorm, At: 10, Duration: 2, Count: 3},
-	}}, 1, 1)
+	}}, 1)
 	healthy := []int{0, 1, 2, 3, 4, 5, 6, 7}
 
 	if got := eng.Crashes(0, healthy); got != nil {
@@ -113,7 +112,7 @@ func TestEventCrashes(t *testing.T) {
 	// Storm victim count clamps to the healthy pool.
 	eng2 := NewEngine(Config{Events: []Event{
 		{Kind: KindCrashStorm, At: 0, Count: 10},
-	}}, 1, 1)
+	}}, 1)
 	if got := eng2.Crashes(0, []int{1, 4}); len(got) != 2 {
 		t.Fatalf("storm over 2 healthy nodes: got %d victims, want 2", len(got))
 	}
@@ -124,7 +123,7 @@ func TestSupplyFaults(t *testing.T) {
 		{Kind: KindPVDerate, At: 0, Duration: 10, Magnitude: 0.5},
 		{Kind: KindGridCurtailment, At: 5, Duration: 10, CapW: 300},
 		{Kind: KindPVDropout, At: 12, Duration: 2},
-	}}, 1, 1)
+	}}, 1)
 	cases := []struct {
 		slot int
 		in   units.Power
@@ -148,7 +147,7 @@ func TestBatteryFaultWindows(t *testing.T) {
 	eng := NewEngine(Config{Events: []Event{
 		{Kind: KindChargerOffline, At: 2, Duration: 3},
 		{Kind: KindBatteryIdle, At: 10, Duration: 2},
-	}}, 1, 1)
+	}}, 1)
 	if eng.ChargeBlocked(1) || eng.DischargeBlocked(1) {
 		t.Error("slot 1 must be unblocked")
 	}
@@ -166,7 +165,7 @@ func TestBatteryFaultWindows(t *testing.T) {
 func TestFadeFactor(t *testing.T) {
 	eng := NewEngine(Config{Events: []Event{
 		{Kind: KindBatteryFade, At: 10, Duration: 5, Magnitude: 0.4},
-	}}, 1, 1)
+	}}, 1)
 	if f := eng.FadeFactor(9); f != 1 {
 		t.Errorf("pre-window fade %v, want 1", f)
 	}
@@ -188,7 +187,7 @@ func TestFadeFactor(t *testing.T) {
 	eng2 := NewEngine(Config{Events: []Event{
 		{Kind: KindBatteryFade, At: 0, Duration: 1, Magnitude: 1},
 		{Kind: KindBatteryFade, At: 0, Duration: 1, Magnitude: 0.5},
-	}}, 1, 1)
+	}}, 1)
 	if f := eng2.FadeFactor(3); f != 0 {
 		t.Errorf("total fade must floor at 0, got %v", f)
 	}
@@ -198,14 +197,14 @@ func TestCorruptForecast(t *testing.T) {
 	pred := []units.Power{100, 200, 0, 400}
 	quiet := NewEngine(Config{Events: []Event{
 		{Kind: KindForecastBias, At: 50, Duration: 1, Magnitude: 0.5},
-	}}, 1, 1)
+	}}, 1)
 	if got := quiet.CorruptForecast(0, pred); &got[0] != &pred[0] {
 		t.Error("inactive corruption must return the input slice untouched")
 	}
 
 	bias := NewEngine(Config{Events: []Event{
 		{Kind: KindForecastBias, At: 0, Duration: 10, Magnitude: -0.5},
-	}}, 1, 1)
+	}}, 1)
 	got := bias.CorruptForecast(0, pred)
 	want := []units.Power{50, 100, 0, 200}
 	if !reflect.DeepEqual(got, want) {
@@ -217,7 +216,7 @@ func TestCorruptForecast(t *testing.T) {
 
 	noise := NewEngine(Config{Events: []Event{
 		{Kind: KindForecastNoise, At: 0, Duration: 10, Magnitude: 0.3},
-	}}, 42, 1)
+	}}, 42)
 	a := noise.CorruptForecast(0, pred)
 	b := noise.CorruptForecast(0, pred)
 	if !reflect.DeepEqual(a, b) {
@@ -249,7 +248,7 @@ func TestActiveKinds(t *testing.T) {
 		{Kind: KindPVDropout, At: 2, Duration: 3},
 		{Kind: KindBatteryIdle, At: 3, Duration: 1},
 		{Kind: KindPVDropout, At: 4, Duration: 1},
-	}}, 1, 1)
+	}}, 1)
 	if got := eng.ActiveKinds(3); !reflect.DeepEqual(got, []string{"battery-idle", "pv-dropout"}) {
 		t.Errorf("slot 3 kinds = %v", got)
 	}

@@ -96,7 +96,6 @@ func TestSingleSlotDifferential(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			v := sched.View{
 				Slot:               5,
-				SlotHours:          1,
 				Waiting:            c.waiting,
 				GreenForecast:      []units.Power{units.Power(c.greenW)},
 				EstMandatoryPowerW: units.Power(c.mandW),
@@ -125,7 +124,6 @@ func TestSingleSlotDifferentialSweep(t *testing.T) {
 		for _, greenW := range []float64{0, 40, 90, 260, 1000} {
 			v := sched.View{
 				Slot:               3,
-				SlotHours:          1,
 				GreenForecast:      []units.Power{units.Power(greenW)},
 				EstMandatoryPowerW: 15,
 				PerJobPowerW:       25,

@@ -85,7 +85,6 @@ func Solve(cfg core.Config) (Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return Report{}, fmt.Errorf("oracle: %w", err)
 	}
-	h := cfg.SlotHours
 	lastArrival := 0
 	for _, j := range cfg.Trace {
 		if j.Submit > lastArrival {
@@ -93,14 +92,16 @@ func Solve(cfg core.Config) (Report, error) {
 		}
 	}
 	// The simulator's slot loop runs at least through the last arrival and
-	// at most MaxOverrunSlots past it; supply beyond the real run length
-	// only ever raises the max flow, which keeps the bound a bound.
+	// at most core.MaxOverrunSlots past it; supply beyond the real run
+	// length only ever raises the max flow, which keeps the bound a bound.
+	// A slot is one hour, so a power held for one slot is Over(1) and a
+	// job's energy is its power times its duration in slots.
 	t0 := lastArrival + 1
-	horizon := lastArrival + cfg.MaxOverrunSlots + 1
+	horizon := lastArrival + core.MaxOverrunSlots + 1
 
 	var eng *fault.Engine
 	if cfg.Faults.Enabled() {
-		eng = fault.NewEngine(cfg.Faults, cfg.Seed, h)
+		eng = fault.NewEngine(cfg.Faults, cfg.Seed)
 	}
 	supplyWh := make([]int, horizon)
 	for t := range supplyWh {
@@ -108,10 +109,10 @@ func Solve(cfg core.Config) (Report, error) {
 		if eng != nil {
 			p = eng.Supply(t, p)
 		}
-		supplyWh[t] = int(math.Ceil(p.Over(h).Wh()))
+		supplyWh[t] = int(math.Ceil(p.Over(1).Wh()))
 	}
 
-	floorNodes, floorSlotWh, err := availabilityFloor(cfg, h)
+	floorNodes, floorSlotWh, err := availabilityFloor(cfg)
 	if err != nil {
 		return Report{}, err
 	}
@@ -120,14 +121,14 @@ func Solve(cfg core.Config) (Report, error) {
 	if rate := dynRatePerCPU(cfg); rate > 0 {
 		bySubmit := make([]float64, t0)
 		for _, j := range cfg.Trace {
-			bySubmit[j.Submit] += j.CPU * rate * float64(j.Duration) * h
+			bySubmit[j.Submit] += j.CPU * rate * float64(j.Duration)
 		}
 		for s, d := range bySubmit {
 			jobWh[s] = int(math.Floor(d))
 		}
 	}
 
-	execSlotWh := int(math.Ceil(maxDynPower(cfg.Cluster).Over(h).Wh()))
+	execSlotWh := int(math.Ceil(maxDynPower(cfg.Cluster).Over(1).Wh()))
 
 	batCapWh := int(math.Ceil(cfg.BatteryCapacityWh.Wh()))
 	if cfg.InfiniteBattery {
@@ -205,7 +206,7 @@ func Solve(cfg core.Config) (Report, error) {
 // MinimalCover (an upper bound, unusable here). Any crash process voids
 // the floor entirely: a crash window can leave fewer healthy nodes than
 // the cover needs, and a sound bound must hold for every realization.
-func availabilityFloor(cfg core.Config, slotHours float64) (nodes, slotWh int, err error) {
+func availabilityFloor(cfg core.Config) (nodes, slotWh int, err error) {
 	crashy := cfg.Faults.CrashMTBFHours > 0
 	for _, ev := range cfg.Faults.Events {
 		if ev.Kind == fault.KindNodeCrash || ev.Kind == fault.KindCrashStorm {
@@ -238,7 +239,7 @@ func availabilityFloor(cfg core.Config, slotHours float64) (nodes, slotWh int, e
 	minDisks := (cfg.Cluster.Objects + maxPerDisk - 1) / maxPerDisk
 	nodes = (minDisks + dpn - 1) / dpn
 	floorW := minOnNodePower(cfg.Cluster).Scale(float64(nodes))
-	return nodes, int(math.Floor(floorW.Over(slotHours).Wh())), nil
+	return nodes, int(math.Floor(floorW.Over(1).Wh())), nil
 }
 
 // minOnNodePower is the cheapest per-node availability draw across tiers.

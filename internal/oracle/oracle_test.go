@@ -102,7 +102,7 @@ func rapSlots(cfg core.Config) int {
 			last = j.Submit
 		}
 	}
-	return last + cfg.MaxOverrunSlots + 1
+	return last + core.MaxOverrunSlots + 1
 }
 
 func TestCrashFaultsVoidTheFloor(t *testing.T) {

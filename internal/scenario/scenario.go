@@ -98,16 +98,30 @@ type Scenario struct {
 	RecordSeries bool `json:"record_series,omitempty"`
 }
 
+// CheckScale is the one rule for a scale factor every front door accepts:
+// it must be positive and finite. name is how the caller's user spells the
+// factor ("-scale", say), and leads the error.
+func CheckScale(name string, f float64) error {
+	if !(f > 0) || math.IsInf(f, 1) {
+		return fmt.Errorf("%s must be positive and finite, got %v", name, f)
+	}
+	return nil
+}
+
 // Scaled returns a proportionally shrunk (or grown) copy of the scenario:
 // cluster size, workload, supply, ESD and read traffic all scale by f,
 // subject to the floors the substrates require (4 nodes, 100 objects, one
 // turbine, at least one node per tier). Scaled(1) is the identity. The
 // golden regression tests and `gmtrace -kind run -scale` use it to run
-// paper-scale scenario files quickly.
+// paper-scale scenario files quickly. f must pass CheckScale; Scaled
+// panics otherwise, since no such factor describes a scenario.
 func (s Scenario) Scaled(f float64) Scenario {
+	if err := CheckScale("scenario: scale", f); err != nil {
+		panic(err)
+	}
 	// f-1 == 0 is the exact identity-scale check in floateq's blessed
 	// compare-against-zero form: Scaled(1) must return s unchanged.
-	if f <= 0 || f-1 == 0 {
+	if f-1 == 0 {
 		return s
 	}
 	round := func(n int) int { return int(math.Round(float64(n) * f)) }
@@ -245,12 +259,10 @@ func (s Scenario) Compile() (core.Config, error) {
 	if slots <= 0 {
 		slots = 24 * 21
 	}
-	profile := s.Profile
-	if profile == "" {
-		profile = "sunny"
-	}
 	scfg := solar.DefaultFarm(s.AreaM2)
-	scfg.Profile = solar.Profile(profile)
+	if s.Profile != "" {
+		scfg.Profile = solar.Profile(s.Profile)
+	}
 	scfg.Slots = slots
 	scfg.Seed = s.Seed
 	sol, err := solar.Generate(scfg)
@@ -280,16 +292,13 @@ func (s Scenario) Compile() (core.Config, error) {
 		return core.Config{}, fmt.Errorf("scenario: unknown source %q", s.Source)
 	}
 
-	// ESD.
-	chem := s.Chemistry
-	if chem == "" {
-		chem = string(battery.LithiumIon)
+	// ESD. An empty field stays unset here and takes its default from
+	// ApplyDefaults below, like the forecaster.
+	if s.Chemistry != "" {
+		if cfg.BatterySpec, err = battery.SpecFor(battery.Chemistry(s.Chemistry)); err != nil {
+			return core.Config{}, err
+		}
 	}
-	spec, err := battery.SpecFor(battery.Chemistry(chem))
-	if err != nil {
-		return core.Config{}, err
-	}
-	cfg.BatterySpec = spec
 	if s.BatteryKWh < 0 || math.IsNaN(s.BatteryKWh) {
 		return core.Config{}, fmt.Errorf("scenario: bad battery size %v", s.BatteryKWh)
 	}
@@ -298,7 +307,8 @@ func (s Scenario) Compile() (core.Config, error) {
 
 	// Forecaster.
 	switch s.Forecaster {
-	case "", "perfect":
+	case "":
+	case "perfect":
 		cfg.Forecaster = forecast.Perfect{}
 	case "persistence":
 		cfg.Forecaster = forecast.Persistence{}

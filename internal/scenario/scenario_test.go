@@ -2,7 +2,9 @@ package scenario
 
 import (
 	"bytes"
+	"math"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -135,6 +137,37 @@ func TestCompileDefaultsFillIn(t *testing.T) {
 	}
 	if cfg.BatterySpec.Name != "lithium-ion" {
 		t.Errorf("default chemistry %q", cfg.BatterySpec.Name)
+	}
+	// An empty profile, chemistry or forecaster compiles as naming its
+	// default, which solar.DefaultFarm and core.Config.ApplyDefaults fill.
+	named := s
+	named.Profile, named.Chemistry, named.Forecaster = "sunny", "lithium-ion", "perfect"
+	if want, err := named.Compile(); err != nil || !reflect.DeepEqual(cfg, want) {
+		t.Errorf("empty fields compile differently from their named defaults (err %v)", err)
+	}
+}
+
+// TestCheckScale pins the one scale rule: positive and finite. Scaled
+// panics on a factor the rule refuses instead of returning the scenario
+// unchanged.
+func TestCheckScale(t *testing.T) {
+	for _, f := range []float64{1e-9, 0.25, 1, 4} {
+		if err := CheckScale("scale", f); err != nil {
+			t.Errorf("scale %v refused: %v", f, err)
+		}
+	}
+	for _, f := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := CheckScale("-scale", f); err == nil || !strings.HasPrefix(err.Error(), "-scale must be positive") {
+			t.Errorf("scale %v: err = %v, want a refusal naming -scale", f, err)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Scaled(%v) did not panic", f)
+				}
+			}()
+			_ = reference(t).Scaled(f)
+		}()
 	}
 }
 

@@ -62,7 +62,6 @@ func busyMatchView(slot, stagger int, sc *PlanScratch) View {
 	}
 	return View{
 		Slot:               slot,
-		SlotHours:          1,
 		Waiting:            waiting,
 		GreenForecast:      forecast,
 		EstMandatoryPowerW: 50,
@@ -153,10 +152,10 @@ func TestQuiescentDecisionContract(t *testing.T) {
 		Cucumber{},
 	}
 	views := []View{
-		{Slot: 0, SlotHours: 1},
-		{Slot: 9, SlotHours: 1, GreenForecast: flatForecast(500, 24), EstMandatoryPowerW: 100, PerJobPowerW: 25},
-		{Slot: 3, SlotHours: 1, GreenForecast: flatForecast(0, 24), EstMandatoryPowerW: 400, PerJobPowerW: 25, Degraded: true, FailedNodes: 2, TotalCPUCapacity: 10},
-		{Slot: 7, SlotHours: 1, GreenForecast: flatForecast(200, 24), BatterySoC: 0.5, BatteryUsableWh: 5000, BatteryEfficiency: 0.9, PerJobPowerW: 25},
+		{Slot: 0},
+		{Slot: 9, GreenForecast: flatForecast(500, 24), EstMandatoryPowerW: 100, PerJobPowerW: 25},
+		{Slot: 3, GreenForecast: flatForecast(0, 24), EstMandatoryPowerW: 400, PerJobPowerW: 25, Degraded: true, FailedNodes: 2, TotalCPUCapacity: 10},
+		{Slot: 7, GreenForecast: flatForecast(200, 24), BatterySoC: 0.5, BatteryUsableWh: 5000, BatteryEfficiency: 0.9, PerJobPowerW: 25},
 	}
 	for _, p := range policies {
 		qp, ok := p.(QuiescentPlanner)

@@ -216,7 +216,6 @@ func skipView(s *rng.Stream, mode string, fraction float64) View {
 
 	v := View{
 		Slot:               slot,
-		SlotHours:          1,
 		Waiting:            waiting,
 		RunningDeferrable:  running,
 		GreenForecast:      forecast,

@@ -35,7 +35,6 @@ func TestArenaPolicyNamesAndDefaults(t *testing.T) {
 func TestEDFOrderingUnderBudget(t *testing.T) {
 	v := View{
 		Slot:             10,
-		SlotHours:        1,
 		TotalCPUCapacity: 2, // avg CPU 1 => budget 2
 		Waiting: []JobRef{
 			mkRef(1, workload.Batch, 0, 2, 40, 2), // slack 28
@@ -86,10 +85,10 @@ func arenaViews() []View {
 		}
 	}
 	return []View{
-		{Slot: 5, SlotHours: 1, Waiting: waiting(), GreenForecast: flatForecast(40, 24), EstMandatoryPowerW: 15, PerJobPowerW: 25},
-		{Slot: 5, SlotHours: 1, Waiting: waiting(), GreenForecast: ramp, EstMandatoryPowerW: 60, PerJobPowerW: 25},
-		{Slot: 5, SlotHours: 1, Waiting: waiting(), GreenForecast: spike, EstMandatoryPowerW: 20, PerJobPowerW: 25},
-		{Slot: 5, SlotHours: 1, Waiting: waiting(), GreenForecast: flatForecast(0, 24), EstMandatoryPowerW: 50, PerJobPowerW: 25},
+		{Slot: 5, Waiting: waiting(), GreenForecast: flatForecast(40, 24), EstMandatoryPowerW: 15, PerJobPowerW: 25},
+		{Slot: 5, Waiting: waiting(), GreenForecast: ramp, EstMandatoryPowerW: 60, PerJobPowerW: 25},
+		{Slot: 5, Waiting: waiting(), GreenForecast: spike, EstMandatoryPowerW: 20, PerJobPowerW: 25},
+		{Slot: 5, Waiting: waiting(), GreenForecast: flatForecast(0, 24), EstMandatoryPowerW: 50, PerJobPowerW: 25},
 	}
 }
 
@@ -184,7 +183,6 @@ func TestKChoicesDeterministicAndBudgeted(t *testing.T) {
 func TestKChoicesAbundanceStartsEverything(t *testing.T) {
 	v := View{
 		Slot:          5,
-		SlotHours:     1,
 		Waiting:       []JobRef{mkRef(1, workload.Batch, 0, 2, 30, 2), mkRef(2, workload.Batch, 0, 4, 40, 4)},
 		GreenForecast: flatForecast(10_000, 24),
 		PerJobPowerW:  25,

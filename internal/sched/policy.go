@@ -53,8 +53,6 @@ func (r *JobRef) SlackAt(slot int) int {
 type View struct {
 	// Slot is the current slot index.
 	Slot int
-	// SlotHours is the slot duration.
-	SlotHours float64
 	// Waiting are deferrable jobs not currently running (newly arrived or
 	// suspended), excluding jobs already promoted to mandatory.
 	Waiting []JobRef

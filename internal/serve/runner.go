@@ -24,8 +24,9 @@ import (
 // daemon.
 type InitRequest struct {
 	Scenario scenario.Scenario `json:"scenario"`
-	// Scale optionally shrinks the scenario (scenario.Scaled); 0 or 1 keeps
-	// it as written.
+	// Scale optionally shrinks the scenario (scenario.Scaled); 0 (not
+	// given) or 1 keeps it as written. Any other value must be positive
+	// and finite (scenario.CheckScale), or Init refuses it.
 	Scale float64 `json:"scale,omitempty"`
 	// WithTrace pre-loads the scenario's generated workload trace. Off, the
 	// scheduler starts empty and every job arrives through Submit — the
@@ -425,11 +426,17 @@ const (
 	maxInitReadsPerSlot  = 100_000 // 500x the default of 200
 )
 
-// checkInitBounds refuses an init whose scaled scenario exceeds one of the
-// service's resource bounds.
+// checkInitBounds refuses an init with a bad scale, or whose scaled
+// scenario exceeds one of the service's resource bounds. It runs before
+// the init is journaled, never on replay: compile still skips a
+// non-positive scale, so a journal that already holds one replays as it
+// did when it was written.
 func checkInitBounds(req InitRequest) error {
 	sc := req.Scenario
-	if req.Scale > 0 {
+	if req.Scale != 0 {
+		if err := scenario.CheckScale("serve: scale", req.Scale); err != nil {
+			return err
+		}
 		sc = sc.Scaled(req.Scale)
 	}
 	for _, b := range []struct {

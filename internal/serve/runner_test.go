@@ -662,6 +662,42 @@ func TestRecoverInitWithRetiredSkipField(t *testing.T) {
 	}
 }
 
+// TestRecoverInitWithNegativeScale: Init refuses a negative scale, but a
+// journal that already holds an init at one still recovers, and runs the
+// scenario unscaled as it did when the init was accepted.
+func TestRecoverInitWithNegativeScale(t *testing.T) {
+	sc := testScenario(507, false)
+	_, wantSHA := batchSHA(t, sc)
+	raw, err := json.Marshal(InitRequest{Scenario: sc, Scale: -1, WithTrace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	j, _, err := OpenJournal(filepath.Join(dir, "journal.jsonl"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Append(kindInit, json.RawMessage(raw)); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("recovering a journaled init at scale -1: %v", err)
+	}
+	defer r.Close()
+	drive(t, r)
+	sum, err := r.AuditSHA256()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum != wantSHA {
+		t.Fatalf("recovered audit sha %s != batch %s of the unscaled scenario", sum, wantSHA)
+	}
+}
+
 // TestRunnerRejections pins the API edges that must never reach the
 // journal: pre-init mutations, double init, settled-slot supply overrides,
 // past-slot faults and post-drain submissions.

@@ -552,6 +552,22 @@ func TestServerRejectsOversizedInit(t *testing.T) {
 	}
 }
 
+// TestServerRejectsBadScale: a negative init scale is a 422 that leaves the
+// journal empty. A zero scale still means "not given".
+func TestServerRejectsBadScale(t *testing.T) {
+	_, ts := newTestServer(t, t.TempDir(), ServerOptions{})
+	resp, body := postJSON(t, ts.URL+"/v1/init", InitRequest{Scenario: testScenario(606, false), Scale: -1}, nil)
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), "scale must be positive and finite") {
+		t.Errorf("init at scale -1 returned %d %s, want 422 naming the scale", resp.StatusCode, body)
+	}
+	if seq := appliedSeq(t, ts); seq != 0 {
+		t.Fatalf("refused init was journaled: applied seq %d", seq)
+	}
+	if resp, body := postJSON(t, ts.URL+"/v1/init", InitRequest{Scenario: testScenario(606, false)}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("init without a scale: %d %s", resp.StatusCode, body)
+	}
+}
+
 // TestInitBoundsAdmitShippedScenarios checks that the init bounds admit
 // every scenario in scenarios/ at each scale the tests, the chaos harness
 // and the benchmark run them at, and at scale 1.

