@@ -49,6 +49,12 @@ func main() {
 	flag.Parse()
 
 	if *saveScen != "" {
+		// A bad scale is a usage error, as it is without -save-scenario;
+		// only failing to write the file exits 1.
+		if err := scenario.CheckScale("-scale", rf.scale); err != nil {
+			fmt.Fprintln(os.Stderr, "greenmatch:", err)
+			os.Exit(2)
+		}
 		if err := saveScenario(*saveScen, rf.scale); err != nil {
 			fmt.Fprintln(os.Stderr, "greenmatch:", err)
 			os.Exit(1)

@@ -284,18 +284,27 @@ func TestBuildConfigRejectsBadScale(t *testing.T) {
 }
 
 // TestBadScaleExitsTwo drives the built command: a bad -scale is a usage
-// error (exit 2) reported before anything is simulated.
+// error (exit 2), with or without -save-scenario, reported before anything
+// is simulated or written.
 func TestBadScaleExitsTwo(t *testing.T) {
 	bin := buildCommand(t)
-	for _, sc := range []string{"0", "-1"} {
-		out, err := exec.Command(bin, "-scale", sc).CombinedOutput()
+	save := filepath.Join(t.TempDir(), "x.json")
+	for _, args := range [][]string{
+		{"-scale", "0"},
+		{"-scale", "-1"},
+		{"-save-scenario", save, "-scale", "0"},
+	} {
+		out, err := exec.Command(bin, args...).CombinedOutput()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Errorf("-scale %s: got %v, want exit status 2\n%s", sc, err, out)
+			t.Errorf("%v: got %v, want exit status 2\n%s", args, err, out)
 		}
 		if !strings.Contains(string(out), "-scale must be positive") {
-			t.Errorf("-scale %s: message missing:\n%s", sc, out)
+			t.Errorf("%v: message missing:\n%s", args, out)
 		}
+	}
+	if _, err := os.Stat(save); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("a rejected -save-scenario left a file behind: %v", err)
 	}
 }
 

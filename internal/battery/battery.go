@@ -228,18 +228,10 @@ func New(spec Spec, capacity units.Energy) (*Battery, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if capacity < 0 {
-		return nil, fmt.Errorf("battery: negative capacity %v", capacity)
+	if !(capacity >= 0) {
+		return nil, fmt.Errorf("battery: capacity %v must be non-negative", capacity)
 	}
 	return &Battery{spec: spec, capacity: capacity}, nil
-}
-
-// Infinite returns a battery that can absorb and deliver any amount at any
-// rate with the chemistry's efficiency. It is used by the sizing
-// experiments ("assume an ideal ESD") to compute panel-area break-evens.
-func Infinite(spec Spec) *Battery {
-	b := &Battery{spec: spec, capacity: units.Energy(math.Inf(1))}
-	return b
 }
 
 // Spec returns the chemistry parameters.

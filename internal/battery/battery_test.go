@@ -83,6 +83,9 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(li(), -1); err == nil {
 		t.Error("negative capacity should error")
 	}
+	if _, err := New(li(), units.Energy(math.NaN())); err == nil {
+		t.Error("NaN capacity should error")
+	}
 	bad := li()
 	bad.DoD = 0
 	if _, err := New(bad, 100); err == nil {
@@ -220,7 +223,7 @@ func assertPanic(t *testing.T, f func()) {
 }
 
 func TestInfiniteBattery(t *testing.T) {
-	b := Infinite(li())
+	b := MustNew(li(), units.Energy(math.Inf(1)))
 	acc := b.Charge(1e9, 1)
 	if acc != 1e9 {
 		t.Errorf("infinite battery accepted %v, want all", acc)
@@ -346,7 +349,7 @@ func TestEquivalentFullCycles(t *testing.T) {
 }
 
 func TestWearZeroCases(t *testing.T) {
-	if Infinite(li()).EquivalentFullCycles() != 0 {
+	if MustNew(li(), units.Energy(math.Inf(1))).EquivalentFullCycles() != 0 {
 		t.Error("infinite battery should report zero cycles")
 	}
 	zero := MustNew(li(), 0)

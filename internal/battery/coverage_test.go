@@ -98,7 +98,7 @@ func TestZeroCapacityChargeAcceptsNothing(t *testing.T) {
 }
 
 func TestInfiniteBatteryConservation(t *testing.T) {
-	b := Infinite(MustSpec(LithiumIon))
+	b := MustNew(MustSpec(LithiumIon), units.Energy(math.Inf(1)))
 	if e := b.ConservationError(); e != 0 {
 		t.Fatalf("idle infinite battery conservation error %v", e)
 	}

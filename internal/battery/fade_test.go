@@ -93,7 +93,7 @@ func TestDerateRecovery(t *testing.T) {
 }
 
 func TestDerateInfiniteNoOp(t *testing.T) {
-	b := Infinite(MustSpec(LithiumIon))
+	b := MustNew(MustSpec(LithiumIon), units.Energy(math.Inf(1)))
 	if clamped := b.Derate(0.1); clamped != 0 {
 		t.Fatalf("infinite battery Derate clamped %v, want 0", clamped)
 	}

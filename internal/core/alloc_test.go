@@ -31,10 +31,10 @@ func driveUntilDrained(tb testing.TB, cfg Config) (*Simulator, int) {
 		tb.Fatal(err)
 	}
 	sim.advance(math.MaxInt)
-	if !sim.drained {
-		tb.Fatalf("trace did not drain within %d slots", sim.next)
+	if !sim.state.Drained {
+		tb.Fatalf("trace did not drain within %d slots", sim.state.Next)
 	}
-	return sim, sim.next
+	return sim, sim.state.Next
 }
 
 // TestSlotStepDrainedAllocFree asserts the drained steady state — the

@@ -50,11 +50,9 @@ type Config struct {
 	Forecaster forecast.Forecaster
 	// BatterySpec is the ESD chemistry (default lithium-ion).
 	BatterySpec battery.Spec
-	// BatteryCapacityWh is the nominal ESD size; zero means no ESD.
+	// BatteryCapacityWh is the nominal ESD size; zero means no ESD and +Inf
+	// an ideal unbounded one (the sizing experiments use it).
 	BatteryCapacityWh units.Energy
-	// InfiniteBattery overrides capacity with an ideal unbounded ESD (the
-	// sizing experiments use it).
-	InfiniteBattery bool
 	// Policy is the scheduling policy under test.
 	Policy sched.Policy
 	// Overcommit is the resource over-commit factor for placement
@@ -145,8 +143,8 @@ func (c Config) Validate() error {
 	if err := c.BatterySpec.Validate(); err != nil {
 		return err
 	}
-	if c.BatteryCapacityWh < 0 {
-		return fmt.Errorf("core: negative battery capacity %v", c.BatteryCapacityWh)
+	if !(c.BatteryCapacityWh >= 0) {
+		return fmt.Errorf("core: battery capacity %v must be non-negative", c.BatteryCapacityWh)
 	}
 	if c.Overcommit < 1 {
 		return fmt.Errorf("core: over-commit %v below 1", c.Overcommit)

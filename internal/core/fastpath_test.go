@@ -94,7 +94,7 @@ func TestWakeEndsQuietStreak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxSlot := sim.lastArrival + MaxOverrunSlots
+	maxSlot := sim.state.LastArrival + MaxOverrunSlots
 	// Run into a quiet streak that carries the I/O-bound job and has room
 	// for the three slots under test.
 	var io *jobState
@@ -122,16 +122,16 @@ func TestWakeEndsQuietStreak(t *testing.T) {
 		}
 	}
 
-	quiet := sim.fastSlots
+	quiet := sim.state.FastSlots
 	sim.runSlot(slot)
-	if sim.fastSlots != quiet+1 {
+	if sim.state.FastSlots != quiet+1 {
 		t.Fatalf("wake slot %d was not quiet", slot)
 	}
-	if sim.placementSettled {
+	if sim.state.PlacementSettled {
 		t.Fatalf("the wake at slot %d did not end the quiet streak", slot)
 	}
 	sim.runSlot(slot + 1)
-	if sim.fastSlots != quiet+1 {
+	if sim.state.FastSlots != quiet+1 {
 		t.Fatalf("slot %d after the wake did not replan", slot+1)
 	}
 	for k, d := range disks {
@@ -140,7 +140,7 @@ func TestWakeEndsQuietStreak(t *testing.T) {
 		}
 	}
 	sim.runSlot(slot + 2)
-	if sim.fastSlots != quiet+2 {
+	if sim.state.FastSlots != quiet+2 {
 		t.Fatalf("slot %d did not resume the quiet streak", slot+2)
 	}
 }
@@ -159,11 +159,11 @@ func TestCrashEndsQuietStreak(t *testing.T) {
 	}
 	crashAt, node, streak := -1, -1, 0
 	for crashAt < 0 && !probe.Drained() {
-		slot, quiet := probe.NextSlot(), probe.sim.fastSlots
+		slot, quiet := probe.NextSlot(), probe.sim.state.FastSlots
 		if err := probe.StepTo(slot); err != nil {
 			t.Fatal(err)
 		}
-		if probe.sim.fastSlots == quiet {
+		if probe.sim.state.FastSlots == quiet {
 			streak = 0
 			continue
 		}
@@ -210,11 +210,11 @@ func TestCrashEndsQuietStreak(t *testing.T) {
 		if !noskip && !l.sim.canFastForward() {
 			t.Fatalf("slot %d is not in a quiet streak", crashAt)
 		}
-		quiet := l.sim.fastSlots
+		quiet := l.sim.state.FastSlots
 		if err := l.StepTo(crashAt); err != nil {
 			t.Fatal(err)
 		}
-		if l.sim.fastSlots != quiet {
+		if l.sim.state.FastSlots != quiet {
 			t.Fatalf("crash slot %d took the quiet path", crashAt)
 		}
 		res := liveFinalize(t, l)
@@ -366,7 +366,7 @@ func TestFastStepAllocFree(t *testing.T) {
 	if avg > 0 {
 		t.Fatalf("fast slot step allocates %.1f times per slot; want 0", avg)
 	}
-	if sim.fastSlots < 100 {
-		t.Fatalf("fast kernel ran %d slots; want >= 100", sim.fastSlots)
+	if sim.state.FastSlots < 100 {
+		t.Fatalf("fast kernel ran %d slots; want >= 100", sim.state.FastSlots)
 	}
 }

@@ -20,12 +20,12 @@ func checkCarriedOrder(cfg Config) (int, error) {
 	}
 	full := 0
 	for slot := 0; ; slot++ {
-		fast := s.fastSlots
+		fast := s.state.FastSlots
 		s.advance(slot)
-		if s.next == slot {
+		if s.state.Next == slot {
 			return full, nil // drained or out of overrun budget
 		}
-		if s.fastSlots != fast {
+		if s.state.FastSlots != fast {
 			continue
 		}
 		full++

@@ -97,7 +97,7 @@ func slotIdentityTrace(t *testing.T, cfg Config) string {
 	var b strings.Builder
 	for slot := 0; ; slot++ {
 		s.advance(slot)
-		if s.next == slot {
+		if s.state.Next == slot {
 			break // drained or out of overrun budget
 		}
 		writeSlotIdentity(&b, slot, s)
@@ -122,12 +122,6 @@ func writeSlotIdentity(b *strings.Builder, slot int, s *Simulator) {
 		mand = append(mand, st.job.ID)
 	}
 	sort.Ints(mand)
-	repair := make([]int, 0, len(s.repairAt))
-	for n := range s.repairAt {
-		repair = append(repair, n)
-	}
-	sort.Ints(repair)
-
 	fmt.Fprintf(b, "slot %d running=[", slot)
 	for i, p := range run {
 		if i > 0 {
@@ -140,11 +134,11 @@ func writeSlotIdentity(b *strings.Builder, slot int, s *Simulator) {
 	b.WriteString(" mand=")
 	writeInts(b, mand)
 	b.WriteString(" repair=[")
-	for i, n := range repair {
+	for i, r := range s.state.Repairs {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
-		fmt.Fprintf(b, "%d@%d", n, s.repairAt[n])
+		fmt.Fprintf(b, "%d@%d", r.Node, r.Due)
 	}
 	b.WriteString("]\n")
 }

@@ -3,13 +3,12 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/battery"
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/storage"
-	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -52,11 +51,11 @@ func NewLive(cfg Config) (*Live, error) {
 }
 
 // NextSlot returns the next slot index to execute.
-func (l *Live) NextSlot() int { return l.sim.next }
+func (l *Live) NextSlot() int { return l.sim.state.Next }
 
 // Drained reports whether the run has drained (all known arrivals admitted,
 // all queues empty after an executed slot).
-func (l *Live) Drained() bool { return l.sim.drained }
+func (l *Live) Drained() bool { return l.sim.state.Drained }
 
 // Finished reports whether Finalize has run.
 func (l *Live) Finished() bool { return l.finished }
@@ -80,7 +79,7 @@ func (l *Live) Submit(j workload.Job) error {
 	if l.finished {
 		return fmt.Errorf("core: submit after finalize")
 	}
-	if l.sim.drained {
+	if l.sim.state.Drained {
 		return fmt.Errorf("core: submit after the run drained")
 	}
 	if err := j.Validate(); err != nil {
@@ -100,8 +99,8 @@ func (l *Live) InjectFault(ev fault.Event) error {
 		return fmt.Errorf("core: fault injection after finalize")
 	}
 	s := l.sim
-	if ev.At < s.next {
-		return fmt.Errorf("core: fault event at slot %d is in the past (next slot is %d)", ev.At, s.next)
+	if ev.At < s.state.Next {
+		return fmt.Errorf("core: fault event at slot %d is in the past (next slot is %d)", ev.At, s.state.Next)
 	}
 	if s.faults != nil {
 		return s.faults.AddEvent(ev, s.cfg.Cluster.Nodes)
@@ -111,7 +110,6 @@ func (l *Live) InjectFault(ev fault.Event) error {
 		return err
 	}
 	s.faults = fault.NewEngine(cfg, s.cfg.Seed)
-	s.repairAt = make(map[int]int)
 	return nil
 }
 
@@ -139,7 +137,7 @@ func (l *Live) Finalize() (*Result, error) {
 	}
 	s := l.sim
 	s.advance(math.MaxInt)
-	l.result, l.ferr = s.finalize(s.next)
+	l.result, l.ferr = s.finalize(s.state.Next)
 	l.finished = true
 	return l.result, l.ferr
 }
@@ -171,51 +169,28 @@ type RepairSnap struct {
 }
 
 // LiveSnapshot is the complete serializable state of a Live scheduler at a
-// slot boundary. Everything not present here is a pure function of the
-// Config the snapshot is restored against: topology, placement, the
-// minimal cover, planner scratch and memo caches all rebuild to states
-// that produce bit-identical decisions (the reused-solver and cover-cache
-// equivalences the test suite gates elsewhere), and the quiet-slot
-// aggregate caches (drawValid/spunValid) recompute to identical values
-// from the restored cluster. The power plan's disk keep mask is per-slot
-// scratch: a disk wake ends the quiet streak, so the slot after it replans
-// and recomputes the mask. Checkpoints written with the older
-// disk_plan_dirty and keep_mask keys still decode; the keys are ignored.
+// slot boundary. It embeds the kernel's liveState, which Snapshot and
+// RestoreLive copy whole; the other fields mirror the queues, the fault
+// engine and the stateful battery, cluster and read model. Everything not
+// present here is a pure function of the Config the snapshot is restored
+// against: topology, placement, the minimal cover, planner scratch and
+// memo caches all rebuild to states that produce bit-identical decisions
+// (the reused-solver and cover-cache equivalences the test suite gates
+// elsewhere), and the quiet-slot aggregate caches (drawValid/spunValid)
+// recompute to identical values from the restored cluster. The power
+// plan's disk keep mask is per-slot scratch: a disk wake ends the quiet
+// streak, so the slot after it replans and recomputes the mask.
+// Checkpoints written with the older disk_plan_dirty and keep_mask keys
+// still decode; the keys are ignored.
 type LiveSnapshot struct {
-	Next        int  `json:"next"`
-	Drained     bool `json:"drained,omitempty"`
-	LastArrival int  `json:"last_arrival"`
-	NextJobID   int  `json:"next_job_id"`
+	liveState
 
 	Pending   []PendingSnap `json:"pending,omitempty"`
 	Waiting   []JobSnap     `json:"waiting,omitempty"`
 	MandQueue []JobSnap     `json:"mand_queue,omitempty"`
 	Running   []JobSnap     `json:"running,omitempty"`
 
-	Energy    metrics.EnergyAccount `json:"energy"`
-	SLA       metrics.SLAAccount    `json:"sla"`
-	NodeHours float64               `json:"node_hours"`
-	DiskHours float64               `json:"disk_hours"`
-
-	PrevSLA       metrics.SLAAccount `json:"prev_sla"`
-	PrevBat       battery.Account    `json:"prev_bat"`
-	PrevBoots     int                `json:"prev_boots,omitempty"`
-	PrevShutdowns int                `json:"prev_shutdowns,omitempty"`
-	PrevDisk      storage.DiskStats  `json:"prev_disk"`
-
-	LastDrawW         float64 `json:"last_draw_w"`
-	LastRunDeferrable int     `json:"last_run_deferrable,omitempty"`
-
-	Repairs []RepairSnap       `json:"repairs,omitempty"`
-	Faults  *fault.EngineState `json:"faults,omitempty"`
-
-	Degrade         metrics.DegradeAccount `json:"degrade"`
-	InEpisode       bool                   `json:"in_episode,omitempty"`
-	BacklogBaseline int                    `json:"backlog_baseline,omitempty"`
-	PrevBacklog     int                    `json:"prev_backlog,omitempty"`
-
-	PlacementSettled bool `json:"placement_settled,omitempty"`
-	FastSlots        int  `json:"fast_slots,omitempty"`
+	Faults *fault.EngineState `json:"faults,omitempty"`
 
 	Battery battery.State          `json:"battery"`
 	Cluster storage.ClusterState   `json:"cluster"`
@@ -233,44 +208,18 @@ func (l *Live) Snapshot() (*LiveSnapshot, error) {
 	}
 	s := l.sim
 	snap := &LiveSnapshot{
-		Next:              s.next,
-		Drained:           s.drained,
-		LastArrival:       s.lastArrival,
-		NextJobID:         s.nextJobID,
-		Energy:            s.acct,
-		SLA:               s.sla,
-		NodeHours:         s.nodeHours,
-		DiskHours:         s.diskHours,
-		PrevSLA:           s.prevSLA,
-		PrevBat:           s.prevBat,
-		PrevBoots:         s.prevBoots,
-		PrevShutdowns:     s.prevShutdowns,
-		PrevDisk:          s.prevDisk,
-		LastDrawW:         s.lastDrawW.Watts(),
-		LastRunDeferrable: s.lastRunDeferrable,
-		Degrade:           s.degrade,
-		InEpisode:         s.inEpisode,
-		BacklogBaseline:   s.backlogBaseline,
-		PrevBacklog:       s.prevBacklog,
-		PlacementSettled:  s.placementSettled,
-		FastSlots:         s.fastSlots,
-		Battery:           s.bat.State(),
-		Cluster:           s.cluster.State(),
-		Reads:             s.reads.State(),
+		liveState: s.state,
+		Waiting:   snapJobs(s.waiting),
+		MandQueue: snapJobs(s.mandQueue),
+		Running:   snapJobs(s.running),
+		Battery:   s.bat.State(),
+		Cluster:   s.cluster.State(),
+		Reads:     s.reads.State(),
 	}
+	// The kernel edits its repair list in place; the snapshot keeps its own.
+	snap.Repairs = slices.Clone(s.state.Repairs)
 	for _, j := range s.arrivals {
 		snap.Pending = append(snap.Pending, PendingSnap{Job: j})
-	}
-	snap.Waiting = snapJobs(s.waiting)
-	snap.MandQueue = snapJobs(s.mandQueue)
-	snap.Running = snapJobs(s.running)
-	repairNodes := make([]int, 0, len(s.repairAt))
-	for node := range s.repairAt {
-		repairNodes = append(repairNodes, node)
-	}
-	sort.Ints(repairNodes)
-	for _, node := range repairNodes {
-		snap.Repairs = append(snap.Repairs, RepairSnap{Node: node, Due: s.repairAt[node]})
 	}
 	if s.faults != nil {
 		st := s.faults.State()
@@ -336,36 +285,44 @@ func RestoreLive(cfg Config, snap *LiveSnapshot) (*Live, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The snapshot's schedule, grown by live injection, replaces the one
+	// New compiled from cfg.
+	s.faults = nil
+	if snap.Faults != nil {
+		if err := snap.Faults.Config.Validate(s.cfg.Cluster.Nodes); err != nil {
+			return nil, fmt.Errorf("core: snapshot faults: %w", err)
+		}
+		s.faults = fault.RestoreEngine(*snap.Faults, cfg.Seed)
+	}
+	// A failed node returns to service only in the fault phase, which runs
+	// only when the run has a fault engine.
+	if len(snap.Repairs) > 0 && s.faults == nil {
+		return nil, fmt.Errorf("core: snapshot lists %d failed nodes but no fault engine to repair them", len(snap.Repairs))
+	}
+	for i, r := range snap.Repairs {
+		if r.Node < 0 || r.Node >= s.cfg.Cluster.Nodes {
+			return nil, fmt.Errorf("core: snapshot repair entry for node %d outside cluster", r.Node)
+		}
+		if i > 0 && r.Node <= snap.Repairs[i-1].Node {
+			return nil, fmt.Errorf("core: snapshot repair entries not in increasing node order at node %d", r.Node)
+		}
+		s.failedMask[r.Node] = true
+	}
+
+	// The state goes first: enqueue reads Next. The kernel edits its
+	// repair list in place, so it gets its own copy.
+	s.state = snap.liveState
+	s.state.Repairs = slices.Clone(snap.Repairs)
 	// Drop the queue New built from cfg.Trace: every submission the
 	// original saw is in the snapshot, either still pending or already
 	// admitted. Re-enqueueing the pending jobs in listed order rebuilds
 	// the due order, whether the list is in due order or (as older
-	// checkpoints wrote it) in submission order.
-	s.next = snap.Next
-	s.drained = snap.Drained
+	// checkpoints wrote it) in submission order. The snapshot's
+	// LastArrival and NextJobID already cover every pending job.
 	s.arrivals = nil
 	for _, p := range snap.Pending {
 		s.enqueue(p.Job)
 	}
-	s.lastArrival = snap.LastArrival
-	s.nextJobID = snap.NextJobID
-	s.acct = snap.Energy
-	s.sla = snap.SLA
-	s.nodeHours = snap.NodeHours
-	s.diskHours = snap.DiskHours
-	s.prevSLA = snap.PrevSLA
-	s.prevBat = snap.PrevBat
-	s.prevBoots = snap.PrevBoots
-	s.prevShutdowns = snap.PrevShutdowns
-	s.prevDisk = snap.PrevDisk
-	s.lastDrawW = units.Power(snap.LastDrawW)
-	s.lastRunDeferrable = snap.LastRunDeferrable
-	s.degrade = snap.Degrade
-	s.inEpisode = snap.InEpisode
-	s.backlogBaseline = snap.BacklogBaseline
-	s.prevBacklog = snap.PrevBacklog
-	s.placementSettled = snap.PlacementSettled
-	s.fastSlots = snap.FastSlots
 	// The quiet-slot aggregate caches start invalid and recompute to
 	// identical values.
 
@@ -378,23 +335,6 @@ func RestoreLive(cfg Config, snap *LiveSnapshot) (*Live, error) {
 		return nil, err
 	}
 	s.reads.RestoreState(cfg.Seed, snap.Reads)
-
-	if snap.Faults != nil {
-		s.faults = fault.RestoreEngine(*snap.Faults, cfg.Seed)
-		if s.repairAt == nil {
-			s.repairAt = make(map[int]int)
-		}
-	} else {
-		s.faults = nil
-		s.repairAt = nil
-	}
-	for _, r := range snap.Repairs {
-		if r.Node < 0 || r.Node >= len(s.failedMask) {
-			return nil, fmt.Errorf("core: snapshot repair entry for node %d outside cluster", r.Node)
-		}
-		s.repairAt[r.Node] = r.Due
-		s.failedMask[r.Node] = true
-	}
 
 	if s.series != nil {
 		s.series.Samples = append(s.series.Samples[:0], snap.Series...)

@@ -398,7 +398,7 @@ func TestArrivalQueueOrder(t *testing.T) {
 				ref = ref[1:]
 			}
 			s.admitDue(slot)
-			s.next = slot + 1
+			s.state.Next = slot + 1
 		}
 		got := make([]int, len(s.waiting))
 		for i, st := range s.waiting {
@@ -432,7 +432,7 @@ func TestArrivalQueueFIFOTiebreak(t *testing.T) {
 		s.enqueue(job(id, 2))
 		want = append(want, id)
 	}
-	s.next = 2
+	s.state.Next = 2
 	for _, id := range []int{7, 3, 5} {
 		s.enqueue(job(id, 0)) // past slot: due at 2, behind the jobs above
 		want = append(want, id)
@@ -727,4 +727,190 @@ func TestLiveRejections(t *testing.T) {
 	if _, err := l.Finalize(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// stepToRepair steps l slot by slot to the first boundary with crashed
+// nodes awaiting repair.
+func stepToRepair(t testing.TB, l *Live) {
+	t.Helper()
+	for len(l.sim.state.Repairs) == 0 {
+		if l.Drained() {
+			t.Fatal("run drained without a crash in flight")
+		}
+		if err := l.StepTo(l.NextSlot()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// repairSnapshot snapshots a run of cfg at its first boundary with crashed
+// nodes awaiting repair.
+func repairSnapshot(t testing.TB, cfg Config) *LiveSnapshot {
+	t.Helper()
+	l, err := NewLive(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepToRepair(t, l)
+	snap, err := l.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// TestLiveRestoreKeyOrder restores a checkpoint with crashed nodes in
+// flight after re-encoding it through map[string]any, which sorts its keys,
+// and requires the run to continue exactly as the original does. The
+// restored kernel state must equal the snapshot's: re-enqueueing the
+// pending jobs raises neither LastArrival nor NextJobID past it.
+func TestLiveRestoreKeyOrder(t *testing.T) {
+	const seed = 1006
+	build := func() (Config, *bytes.Buffer) {
+		cfg := chaosFaultConfig(t, seed)
+		var buf bytes.Buffer
+		cfg.Observer = audit.NewJSONL(&buf)
+		return cfg, &buf
+	}
+	cfg, buf := build()
+	l, err := NewLive(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepToRepair(t, l)
+	future := workload.Job{
+		ID: 100000, Class: workload.Batch,
+		Submit: l.NextSlot() + 40, Duration: 2, Deadline: l.NextSlot() + 80, CPU: 1, RAMGB: 1,
+	}
+	if err := l.Submit(future); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := l.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := append([]byte(nil), buf.Bytes()...)
+	wantRes := liveFinalize(t, l)
+
+	blob, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var generic map[string]any
+	if err := json.Unmarshal(blob, &generic); err != nil {
+		t.Fatal(err)
+	}
+	sorted, err := json.Marshal(generic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(blob, sorted) {
+		t.Fatal("re-encoding kept the key order; the test proves nothing")
+	}
+	var decoded LiveSnapshot
+	if err := json.Unmarshal(sorted, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	if len(decoded.Repairs) == 0 || len(decoded.Pending) == 0 {
+		t.Fatalf("snapshot has %d repairs and %d pending jobs, want both", len(decoded.Repairs), len(decoded.Pending))
+	}
+
+	rcfg, rbuf := build()
+	r, err := RestoreLive(rcfg, &decoded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(r.sim.state, decoded.liveState) {
+		t.Fatalf("restored kernel state differs from the snapshot:\nsnapshot %+v\nrestored %+v", decoded.liveState, r.sim.state)
+	}
+	gotRes := liveFinalize(t, r)
+	if !reflect.DeepEqual(wantRes, gotRes) {
+		t.Fatalf("restored result differs:\noriginal %+v\nrestored %+v", wantRes, gotRes)
+	}
+	if gotTrace := append(prefix, rbuf.Bytes()...); !bytes.Equal(buf.Bytes(), gotTrace) {
+		t.Fatalf("restored trace differs (%d vs %d bytes)", buf.Len(), len(gotTrace))
+	}
+}
+
+// TestRestoreLiveRejectsBadRepairs pins that a snapshot whose repair list
+// the kernel cannot honor is refused with an error. Failed nodes without a
+// fault engine would never return to service, since only the fault phase
+// repairs them.
+func TestRestoreLiveRejectsBadRepairs(t *testing.T) {
+	cfg := chaosFaultConfig(t, 1006)
+	for _, tc := range []struct {
+		name string
+		mut  func(*LiveSnapshot)
+	}{
+		{"repairs-without-engine", func(s *LiveSnapshot) { s.Faults = nil }},
+		{"node-outside-cluster", func(s *LiveSnapshot) { s.Repairs[0].Node = cfg.Cluster.Nodes }},
+		{"negative-node", func(s *LiveSnapshot) { s.Repairs[0].Node = -1 }},
+		{"duplicate-node", func(s *LiveSnapshot) { s.Repairs = append(s.Repairs, s.Repairs[len(s.Repairs)-1]) }},
+		{"invalid-fault-config", func(s *LiveSnapshot) { s.Faults.Config.CrashMTBFHours = -1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			snap := repairSnapshot(t, cfg)
+			tc.mut(snap)
+			if l, err := RestoreLive(cfg, snap); err == nil {
+				t.Fatalf("RestoreLive accepted the snapshot (live %v)", l != nil)
+			}
+		})
+	}
+}
+
+// FuzzRestoreLive decodes arbitrary bytes into a LiveSnapshot and restores
+// it against a fixed config: the result is a scheduler or an error, never a
+// panic. The seeds are the JSON of real snapshots, one fault-free and one
+// with crashed nodes in flight. Only restore is fuzzed, not the slots a
+// restored scheduler steps afterwards. The cluster is tiny so that the
+// seeds stay small enough for the fuzzer to mutate and minimize quickly.
+func FuzzRestoreLive(f *testing.F) {
+	const seed = 1006
+	tiny := func(faults bool) Config {
+		cfg := chaosConfig(f, seed)
+		cfg.Cluster.Nodes, cfg.Cluster.Objects = 4, 40
+		cfg.Cluster.NodeProfile.DisksPerNode = 3
+		cfg.Trace = genTrace(f, workload.Scaled(0.03))
+		cfg.ReadsPerSlot = 5
+		if faults {
+			cfg.Faults = fault.Generate(seed, fault.GenSpec{Slots: 200, Nodes: 4, AllowMTBF: true})
+		}
+		return cfg
+	}
+	cfg := tiny(true)
+	free, err := NewLive(tiny(false))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := free.StepTo(30); err != nil {
+		f.Fatal(err)
+	}
+	freeSnap, err := free.Snapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, snap := range []*LiveSnapshot{freeSnap, repairSnapshot(f, cfg)} {
+		blob, err := json.Marshal(snap)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	// Restore fast-forwards each random stream draw by draw, so its time
+	// grows with the recorded positions; larger ones only cost time.
+	const maxDraws = 1 << 16
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		var snap LiveSnapshot
+		if json.Unmarshal(blob, &snap) != nil {
+			return
+		}
+		if snap.Reads.Draws > maxDraws || snap.Faults != nil &&
+			(snap.Faults.MTBFDraws > maxDraws || snap.Faults.StormDraws > maxDraws) {
+			return
+		}
+		l, err := RestoreLive(cfg, &snap)
+		if (l == nil) == (err == nil) {
+			t.Fatalf("RestoreLive returned live %v and error %v", l != nil, err)
+		}
+	})
 }

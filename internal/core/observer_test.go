@@ -98,7 +98,7 @@ func TestAuditorCleanAcrossPolicies(t *testing.T) {
 func TestAuditorCleanWithInfiniteBattery(t *testing.T) {
 	cfg := smallConfig(t)
 	cfg.Policy = sched.GreenMatch{}
-	cfg.InfiniteBattery = true
+	cfg.BatteryCapacityWh = units.Energy(math.Inf(1))
 	a := audit.NewAuditor()
 	cfg.Observer = a
 	run(t, cfg)

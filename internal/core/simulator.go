@@ -98,6 +98,61 @@ type Result struct {
 	Series *metrics.TimeSeries
 }
 
+// liveState is the kernel state one slot hands to the next, apart from the
+// queues, the fault engine and the stateful battery, cluster and read
+// model: the slot cursor, the energy and SLA accounts, the trace deltas,
+// the quiet-slot latch and the nodes awaiting repair. The Simulator runs on
+// it and LiveSnapshot embeds it, so Snapshot and RestoreLive copy it whole
+// and a field added here is checkpointed by construction.
+type liveState struct {
+	// Next is the next slot to execute.
+	Next int `json:"next"`
+	// Drained latches the run's termination: once it drains, no further
+	// slot executes.
+	Drained     bool `json:"drained,omitempty"`
+	LastArrival int  `json:"last_arrival"`
+	// NextJobID is the id of the next synthesized repair job.
+	NextJobID int `json:"next_job_id"`
+
+	Energy    metrics.EnergyAccount `json:"energy"`
+	SLA       metrics.SLAAccount    `json:"sla"`
+	NodeHours float64               `json:"node_hours"`
+	DiskHours float64               `json:"disk_hours"`
+
+	// The Prev* snapshots turn cumulative accounts into per-slot trace
+	// deltas; they are only maintained when an observer is configured.
+	PrevSLA       metrics.SLAAccount `json:"prev_sla"`
+	PrevBat       battery.Account    `json:"prev_bat"`
+	PrevBoots     int                `json:"prev_boots,omitempty"`
+	PrevShutdowns int                `json:"prev_shutdowns,omitempty"`
+	PrevDisk      storage.DiskStats  `json:"prev_disk"`
+
+	// LastDrawW and LastRunDeferrable feed the self-correcting mandatory
+	// power estimate (previous slot's measured draw minus the deferrable
+	// jobs' planning share).
+	LastDrawW         units.Power `json:"last_draw_w"`
+	LastRunDeferrable int         `json:"last_run_deferrable,omitempty"`
+
+	// Repairs lists the crashed nodes awaiting repair, in node order: a
+	// crash inserts its node and a repair removes it. Only a run with a
+	// fault engine has any.
+	Repairs []RepairSnap `json:"repairs,omitempty"`
+
+	// Degradation accounting: an episode opens when faults become active
+	// and closes when the backlog drains back to its pre-episode level.
+	Degrade         metrics.DegradeAccount `json:"degrade"`
+	InEpisode       bool                   `json:"in_episode,omitempty"`
+	BacklogBaseline int                    `json:"backlog_baseline,omitempty"`
+	PrevBacklog     int                    `json:"prev_backlog,omitempty"`
+
+	// PlacementSettled means the last slot changed nothing structural: no
+	// promotions, suspensions, start attempts, migrations, completions,
+	// disk wakes or fault transitions — so replanning this slot would
+	// reproduce the placement and power plan verbatim.
+	PlacementSettled bool `json:"placement_settled,omitempty"`
+	FastSlots        int  `json:"fast_slots,omitempty"`
+}
+
 // Simulator executes one configured run. Create with New, execute with Run.
 //
 //gm:statemirror Live.Snapshot RestoreLive
@@ -106,17 +161,12 @@ type Simulator struct {
 	cluster *storage.Cluster
 	bat     *battery.Battery
 	reads   *storage.ReadModel
+	state   liveState
 
 	// arrivals queues the submitted jobs not yet admitted. A job is due at
-	// max(Submit, next), and equally due jobs keep submission order; a
-	// batch run's queue is the clipped trace itself.
+	// max(Submit, state.Next), and equally due jobs keep submission order;
+	// a batch run's queue is the clipped trace itself.
 	arrivals []workload.Job
-	// next is the next slot to execute.
-	next int
-	// drained latches the run's termination: once it drains, no further
-	// slot executes.
-	drained     bool
-	lastArrival int
 
 	waiting   []*jobState // deferrable, not running, not promoted
 	mandQueue []*jobState // mandatory, not yet placed
@@ -159,42 +209,16 @@ type Simulator struct {
 	ffdOrder []*jobState //gm:ephemeral carried sort order; placeOrder rebuilds it by one full sort when it no longer covers s.running
 	starters []*jobState //gm:ephemeral per-slot scratch, the slot's starters in compareFFD order
 
-	acct      metrics.EnergyAccount
-	sla       metrics.SLAAccount
-	series    *metrics.TimeSeries
-	nodeHours float64
-	diskHours float64
+	series *metrics.TimeSeries
 
-	// Observability: obs receives one audit.SlotTrace per slot. The prev*
-	// snapshots turn cumulative accounts into per-slot deltas; they are
-	// only maintained when obs is non-nil, so the trace layer costs one nil
-	// check per slot when disabled.
-	obs           audit.Observer //gm:ephemeral observer wiring is the caller's, re-attached via Config
-	prevSLA       metrics.SLAAccount
-	prevBat       battery.Account
-	prevBoots     int
-	prevShutdowns int
-	prevDisk      storage.DiskStats
+	// Observability: obs receives one audit.SlotTrace per slot. The trace
+	// layer costs one nil check per slot when disabled.
+	obs audit.Observer //gm:ephemeral observer wiring is the caller's, re-attached via Config
 
-	// lastDrawW and lastRunDeferrable feed the self-correcting mandatory
-	// power estimate (previous slot's measured draw minus the deferrable
-	// jobs' planning share).
-	lastDrawW         units.Power
-	lastRunDeferrable int
-
-	// Fault injection state. faults is nil when no fault is configured —
-	// the legacy MTBF process, once folded into cfg.Faults, runs through
-	// the engine with its historical draw sequence intact.
-	faults    *fault.Engine
-	repairAt  map[int]int // failed node -> slot it returns to service
-	nextJobID int         // for synthesized repair jobs
-
-	// Degradation accounting: an episode opens when faults become active
-	// and closes when the backlog drains back to its pre-episode level.
-	degrade         metrics.DegradeAccount
-	inEpisode       bool
-	backlogBaseline int
-	prevBacklog     int
+	// faults is nil when no fault is configured — the legacy MTBF process,
+	// once folded into cfg.Faults, runs through the engine with its
+	// historical draw sequence intact.
+	faults *fault.Engine
 
 	// planScratch is the reusable planning memory threaded into every
 	// policy View (View.Scratch): solver graphs, grouping arenas, start
@@ -208,11 +232,6 @@ type Simulator struct {
 	// constant decision, used for trace emission on quiet slots.
 	skipEnabled  bool           //gm:ephemeral latched in New from Config and the policy's static contract
 	quiescentDec sched.Decision //gm:ephemeral latched in New from the policy's static contract
-	// placementSettled means the last slot changed nothing structural: no
-	// promotions, suspensions, start attempts, migrations, completions,
-	// disk wakes or fault transitions — so replanning this slot would
-	// reproduce the placement and power plan verbatim.
-	placementSettled bool
 	// drawValid/spunValid guard cached quiet-slot aggregates: the cluster
 	// power draw with no busy disks, the spinning-disk and powered-node
 	// counts. Invalidated by any full slot; a completion invalidates the
@@ -222,7 +241,6 @@ type Simulator struct {
 	cachedDrawW  units.Power //gm:ephemeral cached aggregate, recomputed when revalidated
 	cachedSpun   int         //gm:ephemeral cached aggregate, recomputed when revalidated
 	cachedPowNds int         //gm:ephemeral cached aggregate, recomputed when revalidated
-	fastSlots    int
 }
 
 // New validates the config (after applying defaults) and builds a simulator.
@@ -239,14 +257,9 @@ func New(cfg Config) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	var bat *battery.Battery
-	if cfg.InfiniteBattery {
-		bat = battery.Infinite(cfg.BatterySpec)
-	} else {
-		bat, err = battery.New(cfg.BatterySpec, cfg.BatteryCapacityWh)
-		if err != nil {
-			return nil, err
-		}
+	bat, err := battery.New(cfg.BatterySpec, cfg.BatteryCapacityWh)
+	if err != nil {
+		return nil, err
 	}
 	reads, err := storage.NewReadModel(cluster, cfg.ReadsPerSlot, cfg.ZipfTheta, cfg.Seed)
 	if err != nil {
@@ -298,9 +311,7 @@ func New(cfg Config) (*Simulator, error) {
 	if cfg.RecordSeries {
 		s.series = &metrics.TimeSeries{}
 	}
-	if s.faults = fault.NewEngine(cfg.Faults, cfg.Seed); s.faults != nil {
-		s.repairAt = make(map[int]int)
-	}
+	s.faults = fault.NewEngine(cfg.Faults, cfg.Seed)
 	s.planScratch = &sched.PlanScratch{}
 	// Latch the slot-skipping eligibility. The QuiescentPlanner contract —
 	// Plan returns exactly QuiescentDecision on any view with empty Waiting
@@ -321,7 +332,7 @@ func New(cfg Config) (*Simulator, error) {
 // concurrency contract on the package-level Run.
 func (s *Simulator) Run() (*Result, error) {
 	s.advance(math.MaxInt)
-	return s.finalize(s.next)
+	return s.finalize(s.state.Next)
 }
 
 // advance executes slots up to and including target, stopping early once
@@ -329,15 +340,15 @@ func (s *Simulator) Run() (*Result, error) {
 // is the one slot loop: Run, Live.StepTo and Live.Finalize all drive it,
 // which is what makes a live run stop exactly where the batch run does.
 func (s *Simulator) advance(target int) {
-	for s.next <= target && !s.drained {
-		maxSlot := s.lastArrival + MaxOverrunSlots
-		if s.next > maxSlot {
+	for s.state.Next <= target && !s.state.Drained {
+		maxSlot := s.state.LastArrival + MaxOverrunSlots
+		if s.state.Next > maxSlot {
 			return
 		}
-		t := s.next
+		t := s.state.Next
 		s.runSlot(t)
-		s.next = t + 1
-		s.drained = t >= s.lastArrival && len(s.waiting) == 0 && len(s.mandQueue) == 0 && len(s.running) == 0
+		s.state.Next = t + 1
+		s.state.Drained = t >= s.state.LastArrival && len(s.waiting) == 0 && len(s.mandQueue) == 0 && len(s.running) == 0
 	}
 }
 
@@ -373,7 +384,7 @@ func (s *Simulator) admitDue(t int) {
 // due at max(Submit, next): one whose submit slot has passed is admitted
 // at the next slot, after the jobs already due there.
 func (s *Simulator) enqueue(j workload.Job) {
-	due := max(j.Submit, s.next)
+	due := max(j.Submit, s.state.Next)
 	i := sort.Search(len(s.arrivals), func(i int) bool { return s.arrivals[i].Submit > due })
 	s.arrivals = slices.Insert(s.arrivals, i, j)
 	s.noteArrival(j)
@@ -382,8 +393,8 @@ func (s *Simulator) enqueue(j workload.Job) {
 // noteArrival extends the last arrival slot and the synthesized job-id
 // floor over j.
 func (s *Simulator) noteArrival(j workload.Job) {
-	s.lastArrival = max(s.lastArrival, j.Submit)
-	s.nextJobID = max(s.nextJobID, j.ID+1)
+	s.state.LastArrival = max(s.state.LastArrival, j.Submit)
+	s.state.NextJobID = max(s.state.NextJobID, j.ID+1)
 }
 
 // finalize closes the books after the last executed slot and assembles the
@@ -391,12 +402,12 @@ func (s *Simulator) noteArrival(j workload.Job) {
 // checks, and the observer's end-of-run totals.
 func (s *Simulator) finalize(slots int) (*Result, error) {
 	// Stragglers that never completed are deadline misses.
-	s.sla.DeadlineMisses += len(s.waiting) + len(s.mandQueue) + len(s.running)
+	s.state.SLA.DeadlineMisses += len(s.waiting) + len(s.mandQueue) + len(s.running)
 
 	ba := s.bat.Account()
-	s.acct.BatteryInAccepted = ba.InAccepted
-	s.acct.BatteryEffLoss = ba.EfficiencyLoss
-	s.acct.BatterySelfLoss = ba.SelfDischargeLoss
+	s.state.Energy.BatteryInAccepted = ba.InAccepted
+	s.state.Energy.BatteryEffLoss = ba.EfficiencyLoss
+	s.state.Energy.BatterySelfLoss = ba.SelfDischargeLoss
 
 	boots, shutdowns := 0, 0
 	for _, n := range s.cluster.Nodes() {
@@ -406,8 +417,8 @@ func (s *Simulator) finalize(slots int) (*Result, error) {
 	res := &Result{
 		Policy:            s.cfg.Policy.Name(),
 		Slots:             slots,
-		Energy:            s.acct,
-		SLA:               s.sla,
+		Energy:            s.state.Energy,
+		SLA:               s.state.SLA,
 		Battery:           ba,
 		BatteryCapacityWh: s.bat.Capacity(),
 		BatteryCycles:     s.bat.EquivalentFullCycles(),
@@ -415,11 +426,11 @@ func (s *Simulator) finalize(slots int) (*Result, error) {
 		Disk:              s.cluster.DiskStatsTotal(),
 		NodeBoots:         boots,
 		NodeShutdowns:     shutdowns,
-		NodeHours:         s.nodeHours,
-		DiskSpunHours:     s.diskHours,
+		NodeHours:         s.state.NodeHours,
+		DiskSpunHours:     s.state.DiskHours,
 		ReadLatencyMs:     s.reads.Latencies.Summarize(),
-		Degrade:           s.degrade,
-		FastSlots:         s.fastSlots,
+		Degrade:           s.state.Degrade,
+		FastSlots:         s.state.FastSlots,
 		Series:            s.series,
 	}
 	if err := s.checkConservation(res); err != nil {
@@ -429,20 +440,20 @@ func (s *Simulator) finalize(slots int) (*Result, error) {
 		tot := audit.RunTotals{
 			Policy:            res.Policy,
 			Slots:             res.Slots,
-			DemandWh:          s.acct.Demand.Wh(),
-			MigrationWh:       s.acct.MigrationOverhead.Wh(),
-			TransitionWh:      s.acct.TransitionOverhead.Wh(),
-			GreenProducedWh:   s.acct.GreenProduced.Wh(),
-			GreenDirectWh:     s.acct.GreenDirect.Wh(),
-			BatteryOutWh:      s.acct.BatteryOut.Wh(),
-			BrownWh:           s.acct.Brown.Wh(),
-			BatteryInWh:       s.acct.BatteryInAccepted.Wh(),
-			GreenLostWh:       s.acct.GreenLost.Wh(),
-			BatteryEffLossWh:  s.acct.BatteryEffLoss.Wh(),
-			BatterySelfLossWh: s.acct.BatterySelfLoss.Wh(),
-			Submitted:         s.sla.Submitted,
-			Completed:         s.sla.Completed,
-			DeadlineMisses:    s.sla.DeadlineMisses,
+			DemandWh:          s.state.Energy.Demand.Wh(),
+			MigrationWh:       s.state.Energy.MigrationOverhead.Wh(),
+			TransitionWh:      s.state.Energy.TransitionOverhead.Wh(),
+			GreenProducedWh:   s.state.Energy.GreenProduced.Wh(),
+			GreenDirectWh:     s.state.Energy.GreenDirect.Wh(),
+			BatteryOutWh:      s.state.Energy.BatteryOut.Wh(),
+			BrownWh:           s.state.Energy.Brown.Wh(),
+			BatteryInWh:       s.state.Energy.BatteryInAccepted.Wh(),
+			GreenLostWh:       s.state.Energy.GreenLost.Wh(),
+			BatteryEffLossWh:  s.state.Energy.BatteryEffLoss.Wh(),
+			BatterySelfLossWh: s.state.Energy.BatterySelfLoss.Wh(),
+			Submitted:         s.state.SLA.Submitted,
+			Completed:         s.state.SLA.Completed,
+			DeadlineMisses:    s.state.SLA.DeadlineMisses,
 		}
 		if err := s.obs.EndRun(tot); err != nil {
 			return nil, err
@@ -475,7 +486,7 @@ func Run(cfg Config) (*Result, error) {
 
 // admit classifies a newly arrived job.
 func (s *Simulator) admit(j workload.Job) {
-	s.sla.Submitted++
+	s.state.SLA.Submitted++
 	st := &jobState{job: j, remaining: j.Duration, node: -1, completedAt: -1}
 	if j.Class.Deferrable() {
 		s.waiting = append(s.waiting, st)
@@ -493,14 +504,17 @@ func (s *Simulator) stepFailures(t int) bool {
 	changed := false
 	// Repaired nodes return to service (powered off; the power plan may
 	// boot them when needed).
-	for id, due := range s.repairAt {
-		if due <= t {
-			s.cluster.RepairNode(id)
-			s.failedMask[id] = false
-			delete(s.repairAt, id)
-			changed = true
+	pending := s.state.Repairs[:0]
+	for _, r := range s.state.Repairs {
+		if r.Due > t {
+			pending = append(pending, r)
+			continue
 		}
+		s.cluster.RepairNode(r.Node)
+		s.failedMask[r.Node] = false
+		changed = true
 	}
+	s.state.Repairs = pending
 	// The engine draws its MTBF Bernoullis over the healthy powered nodes
 	// in node order — the historical draw discipline — then appends any
 	// event-scheduled crashes.
@@ -539,8 +553,9 @@ func (s *Simulator) faultPhase(t int) bool {
 // synthesizes re-replication work.
 func (s *Simulator) crashNode(t, node, repairSlots int) {
 	lost := s.cluster.FailNode(node)
-	s.sla.NodeFailures++
-	s.repairAt[node] = t + repairSlots
+	s.state.SLA.NodeFailures++
+	i := sort.Search(len(s.state.Repairs), func(i int) bool { return s.state.Repairs[i].Node > node })
+	s.state.Repairs = slices.Insert(s.state.Repairs, i, RepairSnap{Node: node, Due: t + repairSlots})
 	s.failedMask[node] = true
 	// Evict the node's jobs: progress is kept (the VM image survives
 	// on shared replicas), placement is lost.
@@ -552,7 +567,7 @@ func (s *Simulator) crashNode(t, node, repairSlots int) {
 		}
 		st.running = false
 		st.node = -1
-		s.sla.Evictions++
+		s.state.SLA.Evictions++
 		if st.mandatory {
 			s.mandQueue = append(s.mandQueue, st)
 		} else {
@@ -566,7 +581,7 @@ func (s *Simulator) crashNode(t, node, repairSlots int) {
 	for k := 0; k < repairs; k++ {
 		dur := 1 + k%2
 		job := workload.Job{
-			ID:       s.nextJobID,
+			ID:       s.state.NextJobID,
 			Class:    workload.Repair,
 			Submit:   t,
 			Duration: dur,
@@ -575,8 +590,8 @@ func (s *Simulator) crashNode(t, node, repairSlots int) {
 			RAMGB:    1,
 			IOBound:  true,
 		}
-		s.nextJobID++
-		s.sla.RepairJobsGenerated++
+		s.state.NextJobID++
+		s.state.SLA.RepairJobsGenerated++
 		s.admit(job)
 	}
 }
@@ -584,7 +599,7 @@ func (s *Simulator) crashNode(t, node, repairSlots int) {
 // failedNodes returns the failed-node mask, or nil when no node is down
 // (the common case, letting callers skip mask reads entirely).
 func (s *Simulator) failedNodes() []bool {
-	if len(s.repairAt) == 0 {
+	if len(s.state.Repairs) == 0 {
 		return nil
 	}
 	return s.failedMask
@@ -604,12 +619,12 @@ func (s *Simulator) failedNodes() []bool {
 // that a run without an observer pays nothing but that comparison.
 // gmlint's observerhot analyzer enforces this.
 func (s *Simulator) step(t int, faultChanged, quiet bool) {
-	migsBefore := s.sla.Migrations
+	migsBefore := s.state.SLA.Migrations
 	dec := s.quiescentDec
 	var promoted, started, attempted int
 	var migE, overhead units.Energy
 	if quiet {
-		s.fastSlots++
+		s.state.FastSlots++
 	} else {
 		dec, promoted, started, attempted, migE, overhead = s.replan(t)
 		// The power plan may have moved nodes and disks, so the quiet-slot
@@ -622,8 +637,8 @@ func (s *Simulator) step(t int, faultChanged, quiet bool) {
 	// advance identically on quiet and full slots. A read may wake a disk.
 	rr := s.reads.Step(s.cluster)
 	overhead += rr.WakeEnergy
-	s.sla.ColdReads += rr.ColdReads
-	s.sla.UnservedReads += rr.Unserviceable
+	s.state.SLA.ColdReads += rr.ColdReads
+	s.state.SLA.UnservedReads += rr.Unserviceable
 
 	// 8. I/O-bound jobs keep disks on their node busy. A wake (cold read or
 	// I/O spin-up) leaves disks spinning outside the power plan: the spin
@@ -693,8 +708,8 @@ func (s *Simulator) step(t int, faultChanged, quiet bool) {
 		}
 		s.spunValid = quiet
 	}
-	s.nodeHours += float64(s.cachedPowNds) * slotHours
-	s.diskHours += float64(s.cachedSpun) * slotHours
+	s.state.NodeHours += float64(s.cachedPowNds) * slotHours
+	s.state.DiskHours += float64(s.cachedSpun) * slotHours
 	if s.series != nil {
 		s.addSeries(t, fl, s.cachedSpun, jobsRunning)
 	}
@@ -715,9 +730,9 @@ func (s *Simulator) step(t int, faultChanged, quiet bool) {
 	// quiescent decision, the same FFD packing and the same power plan, so
 	// the next slot may skip all three. On a quiet slot this reduces to
 	// "no wake and no completion".
-	s.placementSettled = !faultChanged && !woke && promoted == 0 &&
+	s.state.PlacementSettled = !faultChanged && !woke && promoted == 0 &&
 		len(dec.SuspendRunning) == 0 && attempted == 0 &&
-		s.sla.Migrations == migsBefore && completions == 0
+		s.state.SLA.Migrations == migsBefore && completions == 0
 }
 
 // replan runs phases 1–6 of a full slot: promotion, planning, suspensions,
@@ -765,7 +780,7 @@ func (s *Simulator) replan(t int) (dec sched.Decision, promoted, started, attemp
 				st.running = false
 				st.node = -1
 				st.suspensions++
-				s.sla.Suspensions++
+				s.state.SLA.Suspensions++
 				mgmtE += suspendCostWh
 				s.waiting = append(s.waiting, st)
 			} else {
@@ -819,9 +834,9 @@ func (s *Simulator) replan(t int) (dec sched.Decision, promoted, started, attemp
 // summation order).
 func (s *Simulator) settleSlot(t int, demandP units.Power, overhead, migE units.Energy) slotFlows {
 	demandE := demandP.Over(slotHours)
-	s.acct.Demand += demandE
-	s.acct.TransitionOverhead += overhead
-	s.acct.MigrationOverhead += migE
+	s.state.Energy.Demand += demandE
+	s.state.Energy.TransitionOverhead += overhead
+	s.state.Energy.MigrationOverhead += migE
 
 	load := demandE + overhead + migE
 	// Supply-side faults withhold production before it reaches the
@@ -835,34 +850,34 @@ func (s *Simulator) settleSlot(t int, demandP units.Power, overhead, migE units.
 	}
 	greenAvail := effectiveGreen.Over(slotHours)
 	supplyFault := units.NonNegE(nominalGreen.Over(slotHours) - greenAvail)
-	s.acct.GreenProduced += greenAvail
+	s.state.Energy.GreenProduced += greenAvail
 
 	greenDirect := units.MinEnergy(load, greenAvail)
-	s.acct.GreenDirect += greenDirect
+	s.state.Energy.GreenDirect += greenDirect
 
 	deficit := units.NonNegE(load - greenDirect)
 	var batOut units.Energy
 	if deficit > 0 && !(s.faults != nil && s.faults.DischargeBlocked(t)) {
 		batOut = s.bat.Discharge(deficit, slotHours)
 	}
-	s.acct.BatteryOut += batOut
+	s.state.Energy.BatteryOut += batOut
 	brown := units.NonNegE(deficit - batOut)
-	s.acct.Brown += brown
+	s.state.Energy.Brown += brown
 
 	surplus := units.NonNegE(greenAvail - greenDirect)
 	var accepted units.Energy
 	if surplus > 0 && !(s.faults != nil && s.faults.ChargeBlocked(t)) {
 		accepted = s.bat.Charge(surplus, slotHours)
 	}
-	s.acct.GreenLost += surplus - accepted
+	s.state.Energy.GreenLost += surplus - accepted
 	s.bat.TickSelfDischarge(slotHours)
 
 	// Feed the next slot's mandatory-power estimate.
-	s.lastDrawW = demandP
-	s.lastRunDeferrable = 0
+	s.state.LastDrawW = demandP
+	s.state.LastRunDeferrable = 0
 	for _, st := range s.running {
 		if !st.mandatory {
-			s.lastRunDeferrable++
+			s.state.LastRunDeferrable++
 		}
 	}
 	return slotFlows{
@@ -883,10 +898,10 @@ func (s *Simulator) advanceJobs(t int) int {
 		if st.remaining <= 0 {
 			st.completedAt = t + 1
 			st.running = false
-			s.sla.Completed++
+			s.state.SLA.Completed++
 			completions++
 			if st.completedAt > st.job.Deadline {
-				s.sla.DeadlineMisses++
+				s.state.SLA.DeadlineMisses++
 			}
 		} else {
 			keptRunning = append(keptRunning, st)
@@ -935,10 +950,10 @@ func (s *Simulator) addSeries(t int, fl slotFlows, spun, jobsRunning int) {
 // fault phase applies makes it report a structural change, which sends the
 // slot down the full path.
 func (s *Simulator) canFastForward() bool {
-	if !s.skipEnabled || !s.placementSettled {
+	if !s.skipEnabled || !s.state.PlacementSettled {
 		return false
 	}
-	return len(s.waiting) == 0 && len(s.mandQueue) == 0 && s.lastRunDeferrable == 0
+	return len(s.waiting) == 0 && len(s.mandQueue) == 0 && s.state.LastRunDeferrable == 0
 }
 
 // degradedNow reports whether slot t counts as degraded: crashed nodes
@@ -947,7 +962,7 @@ func (s *Simulator) degradedNow(t int) bool {
 	if s.faults == nil {
 		return false
 	}
-	return len(s.repairAt) > 0 || s.faults.EventActive(t)
+	return len(s.state.Repairs) > 0 || s.faults.EventActive(t)
 }
 
 // trackDegradation advances the degradation episode state machine at the
@@ -957,30 +972,30 @@ func (s *Simulator) trackDegradation(t int) {
 	backlog := len(s.waiting) + len(s.mandQueue)
 	switch {
 	case s.degradedNow(t):
-		s.degrade.DegradedSlots++
-		if !s.inEpisode {
-			s.inEpisode = true
-			s.backlogBaseline = s.prevBacklog
+		s.state.Degrade.DegradedSlots++
+		if !s.state.InEpisode {
+			s.state.InEpisode = true
+			s.state.BacklogBaseline = s.state.PrevBacklog
 		}
-		if backlog > s.degrade.BacklogPeak {
-			s.degrade.BacklogPeak = backlog
+		if backlog > s.state.Degrade.BacklogPeak {
+			s.state.Degrade.BacklogPeak = backlog
 		}
 		if !s.cluster.Covered() {
-			s.degrade.CoverageLossSlots++
+			s.state.Degrade.CoverageLossSlots++
 		}
-	case s.inEpisode:
+	case s.state.InEpisode:
 		// Faults cleared; recovery lasts until the backlog drains back to
 		// its pre-episode level.
-		if backlog <= s.backlogBaseline {
-			s.inEpisode = false
+		if backlog <= s.state.BacklogBaseline {
+			s.state.InEpisode = false
 			break
 		}
-		s.degrade.RecoverySlots++
-		if backlog > s.degrade.BacklogPeak {
-			s.degrade.BacklogPeak = backlog
+		s.state.Degrade.RecoverySlots++
+		if backlog > s.state.Degrade.BacklogPeak {
+			s.state.Degrade.BacklogPeak = backlog
 		}
 	}
-	s.prevBacklog = backlog
+	s.state.PrevBacklog = backlog
 }
 
 // slotFlows carries one slot's settled energy quantities into emitTrace.
@@ -999,10 +1014,10 @@ type slotFlows struct {
 // maintains exist for no other purpose.
 func (s *Simulator) emitTrace(t int, fl slotFlows, dec sched.Decision, promoted, started, jobsRunning, spun int) {
 	batAcct := s.bat.Account()
-	batDelta := batAcct.Sub(s.prevBat)
-	s.prevBat = batAcct
-	slaDelta := s.sla.Sub(s.prevSLA)
-	s.prevSLA = s.sla
+	batDelta := batAcct.Sub(s.state.PrevBat)
+	s.state.PrevBat = batAcct
+	slaDelta := s.state.SLA.Sub(s.state.PrevSLA)
+	s.state.PrevSLA = s.state.SLA
 
 	fleet := s.cluster.Tally()
 
@@ -1040,10 +1055,10 @@ func (s *Simulator) emitTrace(t int, fl slotFlows, dec sched.Decision, promoted,
 		SpinDownDisks:     dec.SpinDownDisks,
 		NodesOn:           fleet.NodesOn,
 		DisksSpun:         spun,
-		NodeBoots:         fleet.Boots - s.prevBoots,
-		NodeShutdowns:     fleet.Shutdowns - s.prevShutdowns,
-		DiskSpinUps:       fleet.Disk.SpinUps - s.prevDisk.SpinUps,
-		DiskSpinDowns:     fleet.Disk.SpinDowns - s.prevDisk.SpinDowns,
+		NodeBoots:         fleet.Boots - s.state.PrevBoots,
+		NodeShutdowns:     fleet.Shutdowns - s.state.PrevShutdowns,
+		DiskSpinUps:       fleet.Disk.SpinUps - s.state.PrevDisk.SpinUps,
+		DiskSpinDowns:     fleet.Disk.SpinDowns - s.state.PrevDisk.SpinDowns,
 		JobsRunning:       jobsRunning,
 		JobsWaiting:       len(s.waiting) + len(s.mandQueue),
 		Completions:       slaDelta.Completed,
@@ -1053,7 +1068,7 @@ func (s *Simulator) emitTrace(t int, fl slotFlows, dec sched.Decision, promoted,
 		NodeFailures:      slaDelta.NodeFailures,
 		Evictions:         slaDelta.Evictions,
 		CoverageOK:        fleet.Covered,
-		FailedNodes:       len(s.repairAt),
+		FailedNodes:       len(s.state.Repairs),
 	}
 	if s.faults != nil {
 		tr.FaultsActive = s.faults.ActiveKinds(t)
@@ -1061,7 +1076,7 @@ func (s *Simulator) emitTrace(t int, fl slotFlows, dec sched.Decision, promoted,
 		tr.BatteryFadeFactor = s.bat.FadeFactor()
 		tr.DegradedMode = s.degradedNow(t)
 	}
-	s.prevBoots, s.prevShutdowns, s.prevDisk = fleet.Boots, fleet.Shutdowns, fleet.Disk
+	s.state.PrevBoots, s.state.PrevShutdowns, s.state.PrevDisk = fleet.Boots, fleet.Shutdowns, fleet.Disk
 	s.obs.ObserveSlot(tr)
 }
 
@@ -1087,7 +1102,7 @@ func (s *Simulator) buildView(t int) sched.View {
 	// Crashed nodes subtract real capacity: planning against the whole
 	// fleet while part of it is down would over-start into placement
 	// failures the policy cannot see.
-	failed := len(s.repairAt)
+	failed := len(s.state.Repairs)
 	v := sched.View{
 		Slot:               t,
 		GreenForecast:      pred,
@@ -1098,7 +1113,6 @@ func (s *Simulator) buildView(t int) sched.View {
 		BatteryEfficiency:  s.bat.Spec().Efficiency,
 		TotalCPUCapacity:   float64(s.cfg.Cluster.Nodes-failed) * s.cfg.Cluster.CPUPerNode * s.cfg.Overcommit,
 		Degraded:           failed > 0,
-		FailedNodes:        failed,
 		Scratch:            s.planScratch,
 	}
 	for _, st := range s.running {
@@ -1146,8 +1160,8 @@ func (s *Simulator) buildView(t int) sched.View {
 func (s *Simulator) estMandatoryPower() units.Power {
 	np := s.cfg.Cluster.NodeProfile
 	floor := np.MinOnNodePower().Scale(float64(len(s.fullCoverNodeIDs)))
-	if s.lastDrawW > 0 {
-		est := s.lastDrawW - perJobPowerW.Scale(float64(s.lastRunDeferrable))
+	if s.state.LastDrawW > 0 {
+		est := s.state.LastDrawW - perJobPowerW.Scale(float64(s.state.LastRunDeferrable))
 		return units.MaxPower(est, floor)
 	}
 	cpu := 0.0
@@ -1204,7 +1218,7 @@ func (s *Simulator) place(t int, toStart []*jobState, consolidate bool) units.En
 		if newNode != st.node {
 			st.node = newNode
 			st.migrations++
-			s.sla.Migrations++
+			s.state.SLA.Migrations++
 			migE += migrationCostWh
 		}
 	}
@@ -1225,9 +1239,9 @@ func (s *Simulator) place(t int, toStart []*jobState, consolidate bool) units.En
 			st.everStarted = true
 			st.firstStart = t
 			wait := t - st.job.Submit
-			s.sla.TotalWaitSlots += wait
-			if wait > s.sla.MaxWaitSlots {
-				s.sla.MaxWaitSlots = wait
+			s.state.SLA.TotalWaitSlots += wait
+			if wait > s.state.SLA.MaxWaitSlots {
+				s.state.SLA.MaxWaitSlots = wait
 			}
 		}
 		s.running = append(s.running, st)
@@ -1398,8 +1412,8 @@ func (s *Simulator) coveredOn(nodes []bool) ([]storage.DiskID, bool) {
 			key[n] = 1
 		}
 	}
-	for n := range s.repairAt {
-		key[n] |= 2
+	for _, r := range s.state.Repairs {
+		key[r.Node] |= 2
 	}
 	// map[string] lookup keyed by string(key) does not allocate; the
 	// conversion is only paid when inserting a miss.
@@ -1484,7 +1498,7 @@ func (s *Simulator) resolveOverloads(t int) units.Energy {
 		if actual[n] <= capCPU+1e-9 {
 			continue
 		}
-		s.sla.OverloadEvents++
+		s.state.SLA.OverloadEvents++
 		// Hungriest jobs first; ID tiebreak keeps runs deterministic.
 		jobs := append([]*jobState(nil), jobsByNode[n]...)
 		sort.Slice(jobs, func(a, b int) bool {
@@ -1529,12 +1543,12 @@ func (s *Simulator) resolveOverloads(t int) units.Energy {
 			reservedRAM[best] += st.job.RAMGB
 			st.node = best
 			st.migrations++
-			s.sla.Migrations++
-			s.sla.OverloadMigrations++
+			s.state.SLA.Migrations++
+			s.state.SLA.OverloadMigrations++
 			migE += migrationCostWh
 		}
 		if actual[n] > capCPU+1e-9 {
-			s.sla.ThrottledSlots++
+			s.state.SLA.ThrottledSlots++
 		}
 	}
 	return migE

@@ -128,7 +128,7 @@ func TestBatteryReducesBrown(t *testing.T) {
 func TestInfiniteBatteryAbsorbsAllSurplus(t *testing.T) {
 	cfg := smallConfig(t)
 	cfg.Green = referenceSupply(t, 120)
-	cfg.InfiniteBattery = true
+	cfg.BatteryCapacityWh = units.Energy(math.Inf(1))
 	res := run(t, cfg)
 	if res.Energy.GreenLost > 1e-6 {
 		t.Fatalf("infinite battery lost %v of green energy", res.Energy.GreenLost)
@@ -271,6 +271,7 @@ func TestValidationRejectsNaNAndInf(t *testing.T) {
 		{"reads-per-slot-NaN", func(c *Config) { c.ReadsPerSlot = math.NaN() }},
 		{"zipf-theta-negative", func(c *Config) { c.ZipfTheta = -0.5 }},
 		{"zipf-theta-NaN", func(c *Config) { c.ZipfTheta = math.NaN() }},
+		{"battery-capacity-NaN", func(c *Config) { c.BatteryCapacityWh = units.Energy(math.NaN()) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := smallConfig(t)

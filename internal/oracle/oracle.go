@@ -130,9 +130,9 @@ func Solve(cfg core.Config) (Report, error) {
 
 	execSlotWh := int(math.Ceil(maxDynPower(cfg.Cluster).Over(1).Wh()))
 
-	batCapWh := int(math.Ceil(cfg.BatteryCapacityWh.Wh()))
-	if cfg.InfiniteBattery {
-		batCapWh = infCap
+	batCapWh := infCap
+	if !math.IsInf(cfg.BatteryCapacityWh.Wh(), 1) {
+		batCapWh = int(math.Ceil(cfg.BatteryCapacityWh.Wh()))
 	}
 
 	// Node layout: 0 = source, 1..horizon = slots, then the T0 demand-chain

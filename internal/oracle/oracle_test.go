@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -141,7 +142,7 @@ func TestBatteryRaisesServed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.InfiniteBattery = true
+	cfg.BatteryCapacityWh = units.Energy(math.Inf(1))
 	rich, err := Solve(cfg)
 	if err != nil {
 		t.Fatal(err)

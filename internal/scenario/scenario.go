@@ -61,7 +61,8 @@ type Scenario struct {
 	// BatteryKWh and Chemistry configure the ESD ("lithium-ion" default).
 	BatteryKWh float64 `json:"battery_kwh"`
 	Chemistry  string  `json:"chemistry,omitempty"`
-	// InfiniteBattery substitutes an ideal unbounded ESD.
+	// InfiniteBattery substitutes an ideal unbounded ESD: it compiles to
+	// +Inf capacity, which battery_kwh cannot spell in JSON.
 	InfiniteBattery bool `json:"infinite_battery,omitempty"`
 
 	// Policy is "baseline", "spindown", "defer", "greenmatch", "mixed",
@@ -303,7 +304,9 @@ func (s Scenario) Compile() (core.Config, error) {
 		return core.Config{}, fmt.Errorf("scenario: bad battery size %v", s.BatteryKWh)
 	}
 	cfg.BatteryCapacityWh = units.Energy(s.BatteryKWh * 1000)
-	cfg.InfiniteBattery = s.InfiniteBattery
+	if s.InfiniteBattery {
+		cfg.BatteryCapacityWh = units.Energy(math.Inf(1))
+	}
 
 	// Forecaster.
 	switch s.Forecaster {

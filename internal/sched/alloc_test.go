@@ -154,7 +154,7 @@ func TestQuiescentDecisionContract(t *testing.T) {
 	views := []View{
 		{Slot: 0},
 		{Slot: 9, GreenForecast: flatForecast(500, 24), EstMandatoryPowerW: 100, PerJobPowerW: 25},
-		{Slot: 3, GreenForecast: flatForecast(0, 24), EstMandatoryPowerW: 400, PerJobPowerW: 25, Degraded: true, FailedNodes: 2, TotalCPUCapacity: 10},
+		{Slot: 3, GreenForecast: flatForecast(0, 24), EstMandatoryPowerW: 400, PerJobPowerW: 25, Degraded: true, TotalCPUCapacity: 10},
 		{Slot: 7, GreenForecast: flatForecast(200, 24), BatterySoC: 0.5, BatteryUsableWh: 5000, BatteryEfficiency: 0.9, PerJobPowerW: 25},
 	}
 	for _, p := range policies {

@@ -229,7 +229,6 @@ func skipView(s *rng.Stream, mode string, fraction float64) View {
 	}
 	if s.Bernoulli(0.15) {
 		v.Degraded = true
-		v.FailedNodes = 1
 		v.TotalCPUCapacity = float64(n + 10 + s.Intn(20))
 	}
 	return v

@@ -88,8 +88,6 @@ type View struct {
 	// degrade gracefully — avoid suspension churn and bound the deferred
 	// backlog — rather than plan as if the fleet were whole.
 	Degraded bool
-	// FailedNodes is the crashed-node count behind Degraded.
-	FailedNodes int
 	// Scratch, when non-nil, is caller-owned reusable planning memory (the
 	// simulator threads one per run). Policies may use it to keep the busy
 	// planning path allocation-free; plans must be bit-identical with and

@@ -99,7 +99,7 @@ func fileSHA(t *testing.T, path string) string {
 func TestJournalGolden(t *testing.T) {
 	const (
 		wantJournal    = "6c2ad188d3151c35f6d8c4c93a20e50f7cd40af82017af111cbf649d0722554a"
-		wantCheckpoint = "a7dcd8369e2e9b85d12cb7875a3548c94aa50af2dbe0803932754630c625b9cb"
+		wantCheckpoint = "93084add5c53b3087bcff55d2043190682c3ff3470ea58816f9291a01737cb19"
 	)
 	dir := t.TempDir()
 	goldenSession(t, dir)

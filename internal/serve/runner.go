@@ -426,13 +426,18 @@ const (
 	maxInitReadsPerSlot  = 100_000 // 500x the default of 200
 )
 
-// checkInitBounds refuses an init with a bad scale, or whose scaled
-// scenario exceeds one of the service's resource bounds. It runs before
-// the init is journaled, never on replay: compile still skips a
-// non-positive scale, so a journal that already holds one replays as it
-// did when it was written.
+// checkInitBounds refuses an init with a bad scale, an infinite battery,
+// or whose scaled scenario exceeds one of the service's resource bounds.
+// It runs before the init is journaled, never on replay: compile still
+// skips a non-positive scale, so a journal that already holds one replays
+// as it did when it was written.
 func checkInitBounds(req InitRequest) error {
 	sc := req.Scenario
+	if sc.InfiniteBattery {
+		// The run's Result echoes the battery size, and JSON has no +Inf:
+		// /v1/finalize could never answer it.
+		return fmt.Errorf("serve: scenario infinite_battery is not served: the result's battery capacity would be +Inf, which JSON cannot encode")
+	}
 	if req.Scale != 0 {
 		if err := scenario.CheckScale("serve: scale", req.Scale); err != nil {
 			return err

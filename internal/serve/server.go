@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -135,9 +136,17 @@ func (s *Server) enqueue(w http.ResponseWriter, timeout time.Duration, run func(
 	}
 }
 
+// writeJSON answers 200 with the JSON encoding of v. It encodes into a
+// buffer first, so a value JSON cannot encode (a NaN or infinite float) is
+// a 500 instead of a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, v any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		http.Error(w, "serve: encode response: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = buf.WriteTo(w)
 }
 
 // maxRequestBody bounds a request body; a larger one is refused with 413.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -565,6 +566,37 @@ func TestServerRejectsBadScale(t *testing.T) {
 	}
 	if resp, body := postJSON(t, ts.URL+"/v1/init", InitRequest{Scenario: testScenario(606, false)}, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("init without a scale: %d %s", resp.StatusCode, body)
+	}
+}
+
+// TestServerRejectsInfiniteBattery: an init asking for an infinite battery
+// is a 422 that leaves the journal empty. Its Result's battery capacity is
+// +Inf, which /v1/finalize could not encode.
+func TestServerRejectsInfiniteBattery(t *testing.T) {
+	_, ts := newTestServer(t, t.TempDir(), ServerOptions{})
+	sc := testScenario(607, false)
+	sc.InfiniteBattery = true
+	resp, body := postJSON(t, ts.URL+"/v1/init", InitRequest{Scenario: sc}, nil)
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), "infinite_battery") {
+		t.Errorf("init with an infinite battery returned %d %s, want 422 naming it", resp.StatusCode, body)
+	}
+	if seq := appliedSeq(t, ts); seq != 0 {
+		t.Fatalf("refused init was journaled: applied seq %d", seq)
+	}
+}
+
+// TestWriteJSONRefusesUnencodable: a value JSON cannot encode is a 500
+// naming the encode error, not a 200 with an empty body.
+func TestWriteJSONRefusesUnencodable(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, map[string]float64{"capacity_wh": math.Inf(1)})
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "encode response") {
+		t.Errorf("unencodable value answered %d %q, want 500 naming the encode error", rec.Code, rec.Body.String())
+	}
+	rec = httptest.NewRecorder()
+	writeJSON(rec, map[string]bool{"ok": true})
+	if rec.Code != http.StatusOK || rec.Body.String() != "{\"ok\":true}\n" || rec.Header().Get("Content-Type") != "application/json" {
+		t.Errorf("encodable value answered %d %q (%s)", rec.Code, rec.Body.String(), rec.Header().Get("Content-Type"))
 	}
 }
 
